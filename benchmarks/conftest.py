@@ -110,14 +110,14 @@ def _plan_microbench(machine, benchmark: str = "mm_fc",
     plan = compile_program(machine, w.program)
     # ``batch=False`` pins the classic step-by-step loop so ``speedup``
     # keeps its historical meaning (recursion vs unbatched replay) and
-    # ``batched_speedup`` isolates exactly what vectorization buys.
+    # ``batched_speedup`` isolates exactly what the default schedule
+    # replay buys over it.
     warm = best_of(lambda: FractalExecutor(
         machine, fresh_store()).run_program(w.program, plan=plan,
                                             batch=False))
     schedule = plan.replay_schedule()  # built once, outside the timing
     warm_batched = best_of(lambda: FractalExecutor(
-        machine, fresh_store()).run_program(w.program, plan=plan,
-                                            batch=True))
+        machine, fresh_store()).run_program(w.program, plan=plan))
     return {
         "benchmark": benchmark,
         "reps": reps,

@@ -1172,10 +1172,10 @@ def cmd_compile(args) -> int:
     rng = np.random.default_rng(args.seed)
     bound = list(w.inputs.values()) + list(w.params.values())
     arrays = {t.uid: rng.normal(size=t.shape) for t in bound}
-    # Three-way: recursive execution, classic step-by-step replay, and
-    # vectorized (BatchedStep) replay must all agree bit-for-bit.
-    modes = (("recursive", None, None), ("replay", plan, False),
-             ("batched replay", plan, True))
+    # Three-way: recursive execution, the classic step-by-step replay and
+    # the default schedule replay must all agree bit-for-bit.
+    modes = (("recursive", None, True), ("replay", plan, False),
+             ("schedule replay", plan, True))
     results = []
     for mode, use_plan, use_batch in modes:
         store = TensorStore()
@@ -1193,7 +1193,7 @@ def cmd_compile(args) -> int:
                       file=sys.stderr)
                 return 1
     schedule = plan.replay_schedule()
-    print(f"  verify              replay and batched replay bit-identical "
+    print(f"  verify              replay and schedule replay bit-identical "
           f"({len(results[0])} output(s), {schedule.batched_steps} "
           f"batched step(s))")
     return 0
@@ -1281,9 +1281,9 @@ def cmd_plan_lint(args) -> int:
     gating = result.diagnostics if args.strict else result.errors
 
     # Batching summary: what the vectorization pass lowered, which lanes
-    # must take the counted per-lane fallback (no bit-identical stacked
-    # kernel for their opcode), and the arena the schedule preallocates.
-    # ``--no-batch`` skips schedule construction entirely.
+    # replay as singles (no bit-identical stacked kernel for their
+    # opcode), and the arena the schedule preallocates.  ``--no-batch``
+    # skips schedule construction entirely.
     batching = None
     if not getattr(args, "no_batch", False):
         from .ops.batch import batched_kernel_for
@@ -1334,9 +1334,7 @@ def cmd_plan_lint(args) -> int:
             folded = ", ".join(
                 f"{op} ({lanes} lanes)" for op, lanes in
                 sorted(batching["batch_fallback_opcodes"].items()))
-            print(f"  per-lane fallbacks  {folded}")
-            print("  default engine      classic replay (fallback lanes "
-                  "present; batch=True forces the schedule)")
+            print(f"  replayed as singles (no stacked kernel): {folded}")
     return 1 if gating else 0
 
 
@@ -1487,7 +1485,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "document (plus a plan summary section)")
     p.add_argument("--no-batch", action="store_true",
                    help="skip the batching summary (BatchedStep lowering, "
-                        "per-lane fallbacks, arena size)")
+                        "lanes replayed as singles, arena size)")
     p.set_defaults(fn=cmd_plan_lint)
 
     p = sub.add_parser("profile", help="run + simulate a benchmark with "

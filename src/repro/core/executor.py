@@ -60,9 +60,6 @@ class ExecutionStats:
     #: (lanes) they covered with one stacked kernel call each.
     batched_steps: int = 0
     batched_lanes: int = 0
-    #: lanes executed by the counted per-lane fallback because their
-    #: opcode has no bit-identical stacked kernel (repro.ops.batch).
-    batch_fallbacks: int = 0
     #: runtime operand-aliasing scans skipped because the schedule carries
     #: the analyzer's interference result as a precomputed copy-mask.
     alias_scan_skips: int = 0
@@ -105,7 +102,6 @@ class ExecutionStats:
             ("executor.bytes_written", ()): self.bytes_written,
             ("plan.batched_steps", ()): self.batched_steps,
             ("plan.batched_lanes", ()): self.batched_lanes,
-            ("ops.batch_fallbacks", ()): self.batch_fallbacks,
             ("executor.alias_scan_skips", ()): self.alias_scan_skips,
         }
         for level, n in self.instructions_per_level.items():
@@ -170,7 +166,7 @@ class FractalExecutor:
 
     def run_program(self, program: Iterable[Instruction],
                     plan: Optional["FractalPlan"] = None,
-                    batch: Optional[bool] = None) -> TensorStore:
+                    batch: bool = True) -> TensorStore:
         """Execute an instruction sequence top-down; returns the store.
 
         With ``preflight=True`` the program is first run through the static
@@ -180,8 +176,8 @@ class FractalExecutor:
 
         With ``plan`` (from :meth:`compile`) the decomposition recursion is
         skipped entirely and the flattened plan is replayed instead --
-        bit-identical results, compile-once/run-many cost.  ``batch``
-        selects the replay mode (see :meth:`run_plan`).
+        bit-identical results, compile-once/run-many cost.  ``batch=False``
+        selects the classic reference loop (see :meth:`run_plan`).
         """
         if plan is not None:
             return self.run_plan(plan, batch=batch)
@@ -224,8 +220,7 @@ class FractalExecutor:
         self._publish_counters()
         return self.store
 
-    def run_plan(self, plan: "FractalPlan",
-                 batch: Optional[bool] = None) -> TensorStore:
+    def run_plan(self, plan: "FractalPlan", batch: bool = True) -> TensorStore:
         """Replay a compiled plan: the warm path of compile-once/run-many.
 
         Executes the flattened kernel/LFU steps in their recorded order --
@@ -235,23 +230,16 @@ class FractalExecutor:
         exactly that work; on a mid-replay failure the stats overstate the
         completed portion, which errs on the visible side).
 
-        ``batch`` selects the replay engine:
-
-        * ``None`` (default): vectorized schedule replay when the plan
-          lowered at least one :class:`~repro.plan.batch.BatchedStep`
-          *and* every lowered lane has a stacked kernel -- a fallback
-          group pays gather/scatter copies with no stacked call to
-          amortize them, so partially covered (conv-heavy) plans keep
-          the classic loop;
-        * ``True``: always replay through the schedule (even all-singles
-          or all-fallback -- the verification/measurement mode);
-        * ``False``: always the classic loop -- the reference baseline the
-          batched engine is measured (and bit-compared) against.
+        Every plan replays through its :class:`~repro.plan.batch.
+        ReplaySchedule` (built once, cached on the plan): fusion groups
+        with a stacked kernel run as one call each, every other step as a
+        precomputed single.  ``batch=False`` runs the classic step-by-step
+        loop instead -- the reference the schedule is bit-compared and
+        measured against (``repro compile --verify``, the CI
+        ``--min-batched-speedup`` gate).
         """
-        if batch is not False:
-            schedule = plan.replay_schedule()
-            if batch or schedule.fully_batched:
-                return self._run_schedule(plan, schedule)
+        if batch:
+            return self._run_schedule(plan, plan.replay_schedule())
         self.stats.merge_plan(plan.stats)
         tracer = telemetry.get_tracer()
         log = obs.logger("executor")
@@ -308,7 +296,8 @@ class FractalExecutor:
         return self.store
 
     def _run_schedule(self, plan: "FractalPlan", schedule) -> TensorStore:
-        """Vectorized replay: one stacked kernel call per BatchedStep.
+        """Schedule replay: one stacked call per BatchedItem, one kernel
+        call per SingleItem.
 
         Walks the plan's precompiled :class:`~repro.plan.batch.
         ReplaySchedule` -- singles with precomputed kernels/slices/copy-
@@ -350,6 +339,10 @@ class FractalExecutor:
                 zero_queue = [(ordinal, views[bi])
                               for ordinal, bi in arena.zero_items]
             zq_pos, zq_len = 0, len(zero_queue)
+            # Read-only whole-tensor views, made on first use: a slice of
+            # one inherits the flag, which costs less than setting it on
+            # every operand slice.
+            readonly: Dict[int, np.ndarray] = {}
             set_step = _prof.set_step if _prof.profiling() else None
             beat = obs.beat
             stride = REPLAY_PROGRESS_STRIDE
@@ -371,7 +364,7 @@ class FractalExecutor:
                         self._exec_batched_item(item, store, fast,
                                                 registry, tracer)
                     else:
-                        self._exec_single_item(item, store, fast)
+                        self._exec_single_item(item, store, fast, readonly)
                 except Exception as err:
                     log.error("replay.fail", opcode=item.opval,
                               level=item.level, step=item.start,
@@ -386,16 +379,18 @@ class FractalExecutor:
         self._publish_counters()
         return store
 
-    def _exec_single_item(self, item, store: TensorStore, fast: bool) -> None:
+    def _exec_single_item(self, item, store: TensorStore, fast: bool,
+                          readonly: Dict[int, np.ndarray]) -> None:
         """One unfused schedule item: precomputed kernel, slices, mask."""
         if item.copy_mask is None:
             # Statically proven alias-free: read-only views, no scan.
-            ensure = store.ensure
             operands = []
             for tensor, sl in item.in_specs:
-                view = ensure(tensor)[sl]
-                view.flags.writeable = False
-                operands.append(view)
+                base = readonly.get(tensor.uid)
+                if base is None:
+                    base = readonly[tensor.uid] = store.ensure(tensor).view()
+                    base.flags.writeable = False
+                operands.append(base[sl])
             store.zero_copy_reads += item.n_in
             store.static_zero_copy += item.n_in
         else:
@@ -439,13 +434,13 @@ class FractalExecutor:
                 store.copied_reads += k
         store.static_zero_copy += item.n_in * k
         if fast:
-            stacked = self._batched_call(item, operands)
+            stacked = item.batched_kernel(operands, item.run_attrs)
         else:
             registry.count("ops.dispatch", k, labels={"opcode": item.opval})
             obs.logger("ops").debug("dispatch.batched", opcode=item.opval,
                                     lanes=k)
             with tracer.span(f"op:{item.opval}", cat="op", lanes=k):
-                stacked = self._batched_call(item, operands)
+                stacked = item.batched_kernel(operands, item.run_attrs)
         stacked = np.asarray(stacked, dtype=np.float64)
         want = (k,) + item.out_shape
         if stacked.shape != want:
@@ -455,26 +450,6 @@ class FractalExecutor:
                     f"value {stacked.shape}")
             stacked = stacked.reshape(want)
         item.scatter.scatter(store, stacked, item.accumulate)
-
-    def _batched_call(self, item, operands):
-        """The group's stacked kernel, or the counted per-lane fallback."""
-        kern = item.batched_kernel
-        if kern is not None:
-            return kern(operands, item.run_attrs)
-        self.stats.batch_fallbacks += item.k
-        lane_kern = item.kernel
-        attrs = item.run_attrs
-        n_in = item.n_in
-        out = np.empty((item.k,) + item.out_shape, dtype=np.float64)
-        for i in range(item.k):
-            lane = [operands[j][i] for j in range(n_in)]
-            value = lane_kern(lane, attrs)
-            if isinstance(value, tuple):
-                value = value[0]
-            value = np.asarray(value, dtype=np.float64)
-            out[i] = (value if value.shape == item.out_shape
-                      else value.reshape(item.out_shape))
-        return out
 
     def _publish_counters(self) -> None:
         """Mirror stats deltas into the telemetry registry (if enabled)."""

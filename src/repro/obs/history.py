@@ -385,7 +385,6 @@ def points_from_report(doc: Dict[str, object],
 
     counters = doc.get("counters") or {}
     add("peak_live_bytes", _counter_sum(counters, "plan.peak_live_bytes"))
-    add("batch_fallbacks", _counter_sum(counters, "ops.batch_fallbacks"))
     add("sig_cache_hit_rate", _rate(counters, "sim.sig_cache.hits",
                                     "sim.sig_cache.misses"))
     zero = (_counter_sum(counters, "store.zero_copy_reads") or 0.0) + \

@@ -66,10 +66,6 @@ POLARITY_TABLE: Tuple[Tuple[str, str], ...] = (
     ("*_rate", "down_bad"),
     ("batched_speedup", "down_bad"),
     ("*speedup", "down_bad"),
-    # Per-lane batch fallbacks growing means fusion groups stopped hitting
-    # their stacked kernels (an opcode lost its registry entry or lowering
-    # regressed) -- more lanes on the slow path is a perf regression.
-    ("*fallback*", "up_bad"),
 )
 
 

@@ -19,9 +19,11 @@ per opcode and end-to-end.  The bit-identity arguments, per family:
 
 ``Cv2D``/``Cv3D`` are **deliberately absent**: collapsing lanes into the
 patch-gemm M dimension changes BLAS blocking and the results differ in the
-last ulp -- those groups take the counted per-lane fallback
-(``ops.batch_fallbacks``).  ``Merge1D`` is absent because the reference is
-a sequential pure-Python merge with nothing to vectorize.
+last ulp.  ``Merge1D`` is absent because the reference is a sequential
+pure-Python merge with nothing to vectorize.  The schedule builder
+(:func:`repro.plan.batch.build_schedule`) replays the lanes of those
+groups as ordinary singles: one reference kernel call per lane on
+zero-copy slices, no gather and no stacked call.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ _BATCHED_KERNELS: Dict[Opcode, object] = {
 
 
 def batched_kernel_for(opcode: Opcode) -> Optional[object]:
-    """The stacked kernel for ``opcode``, or ``None`` (per-lane fallback).
+    """The stacked kernel for ``opcode``, or ``None`` (lanes run as singles).
 
     A ``None`` here is a statement about *bit-identity*, not feasibility:
     opcodes are only registered when the stacked form provably reproduces

@@ -16,7 +16,10 @@ concrete:
   :class:`ReplaySchedule`: an interleaving of :class:`BatchedItem` groups
   and :class:`SingleItem` steps with every per-replay decision -- kernel
   callables, operand slice tuples, aliasing copy-masks, gather/scatter
-  addressing -- resolved once per plan instead of once per run;
+  addressing -- resolved once per plan instead of once per run.  The
+  engine of each group is a lowering rule: a group whose opcode has a
+  stacked kernel becomes one BatchedItem, any other group's lanes stay
+  SingleItems (zero-copy slices, one kernel call each);
 * gathers and scatters use **offset arithmetic**: when a group's lanes
   tile one tensor at a constant element stride (the shape fractal
   decomposition emits), the stacked ``(k, ...)`` operand is an
@@ -157,8 +160,17 @@ def _elem_strides(shape: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(strides)
 
 
-def _slices(region: Region) -> Tuple[slice, ...]:
-    return tuple(slice(lo, hi) for lo, hi in region.bounds)
+class _SliceTable(dict):
+    """The slice tuples of one schedule build, interned by region bounds.
+
+    A large plan's regions repeat a few thousand distinct bounds, so
+    items share one tuple per bounds instead of holding private copies.
+    Scoped to one :func:`build_schedule` call: no cache outlives it.
+    """
+
+    def __missing__(self, bounds) -> Tuple[slice, ...]:
+        sl = self[bounds] = tuple(slice(lo, hi) for lo, hi in bounds)
+        return sl
 
 
 class _StridedAccess:
@@ -254,9 +266,9 @@ def _loop_scatter(store, lane_slices, stacked, accumulate) -> None:
             ensure(tensor)[sl] = stacked[i]
 
 
-def _build_access(regions: Sequence[Region]):
+def _build_access(regions: Sequence[Region], slices: _SliceTable):
     """The cheapest addressing mode covering one operand position's lanes."""
-    lane_slices = [(r.tensor, _slices(r)) for r in regions]
+    lane_slices = [(r.tensor, slices[r.bounds]) for r in regions]
     lead = regions[0]
     shape = lead.shape
     if any(r.tensor.uid != lead.tensor.uid or r.shape != shape
@@ -281,14 +293,16 @@ class SingleItem:
     analyzer could not prove alias-free) the operand copy-mask the runtime
     overlap scan would otherwise recompute every run."""
 
-    __slots__ = ("index", "step", "inst", "opcode", "opval", "level",
+    __slots__ = ("start", "stop", "step", "inst", "opcode", "opval", "level",
                  "run_attrs", "accumulate", "kernel", "in_specs",
                  "out_specs", "copy_mask", "n_in")
     batched = False
 
-    def __init__(self, index: int, step: PlanStep, kernel) -> None:
+    def __init__(self, index: int, step: PlanStep, kernel,
+                 slices: _SliceTable) -> None:
         inst = step.inst
-        self.index = index
+        self.start = index
+        self.stop = index + 1
         self.step = step
         self.inst = inst
         self.opcode = inst.opcode
@@ -297,9 +311,10 @@ class SingleItem:
         self.run_attrs = step.run_attrs
         self.accumulate = step.accumulate
         self.kernel = kernel
-        self.in_specs = tuple((r.tensor, _slices(r)) for r in inst.inputs)
-        self.out_specs = tuple((r.tensor, _slices(r), r.shape, r.nelems)
-                               for r in inst.outputs)
+        self.in_specs = tuple((r.tensor, slices[r.bounds])
+                              for r in inst.inputs)
+        self.out_specs = tuple((r.tensor, slices[r.bounds], r.shape,
+                                r.nelems) for r in inst.outputs)
         self.n_in = len(inst.inputs)
         if step.safe_zero_copy:
             self.copy_mask = None
@@ -308,45 +323,34 @@ class SingleItem:
             self.copy_mask = tuple(
                 any(r.overlaps(o) for o in outputs) for r in inst.inputs)
 
-    @property
-    def start(self) -> int:
-        return self.index
-
-    @property
-    def stop(self) -> int:
-        return self.index + 1
-
 
 class BatchedItem:
-    """One BatchedStep with resolved addressing and kernels: per-operand
-    gather specs, the output scatter spec, the stacked batched kernel (or
-    ``None``, selecting the counted per-lane fallback)."""
+    """One BatchedStep with resolved addressing: per-operand gather specs,
+    the output scatter spec and the group's stacked kernel."""
 
-    __slots__ = ("start", "stop", "k", "opcode", "opval", "level", "kind",
+    __slots__ = ("start", "stop", "k", "opcode", "opval", "level",
                  "run_attrs", "accumulate", "gathers", "scatter",
-                 "out_shape", "out_nelems", "kernel", "batched_kernel",
-                 "n_in")
+                 "out_shape", "out_nelems", "batched_kernel", "n_in")
     batched = True
 
-    def __init__(self, bstep: BatchedStep, kernel, batched_kernel) -> None:
+    def __init__(self, bstep: BatchedStep, batched_kernel,
+                 slices: _SliceTable) -> None:
         self.start = bstep.start
         self.stop = bstep.stop
         self.k = bstep.n_lanes
         self.opcode = bstep.opcode
         self.opval = bstep.opcode.value
         self.level = bstep.level
-        self.kind = bstep.kind
         self.run_attrs = bstep.run_attrs
         self.accumulate = bstep.accumulate
-        self.kernel = kernel
         self.batched_kernel = batched_kernel
         insts = [s.inst for s in bstep.lanes]
         self.n_in = len(insts[0].inputs)
         self.gathers = tuple(
-            _build_access([inst.inputs[j] for inst in insts])
+            _build_access([inst.inputs[j] for inst in insts], slices)
             for j in range(self.n_in))
         outs = [inst.outputs[0] for inst in insts]
-        self.scatter = _build_access(outs)
+        self.scatter = _build_access(outs, slices)
         self.out_shape = outs[0].shape
         self.out_nelems = outs[0].nelems
 
@@ -360,55 +364,53 @@ class ReplaySchedule:
     items: List[object]
     n_steps: int
     arena: "ArenaLayout"
+    #: BatchedItems and the lanes they cover.
     batched_steps: int
     batched_lanes: int
-    #: lanes whose group has no stacked kernel and would run the counted
-    #: per-lane fallback (gather copies + a python loop) -- slower than
-    #: the singles path they replace.
+    #: lanes of lowered groups with no stacked kernel, replayed as singles.
     fallback_lanes: int
 
     @property
-    def has_batches(self) -> bool:
-        return self.batched_steps > 0
-
-    @property
     def fully_batched(self) -> bool:
-        """Every lowered lane has a stacked kernel (no fallback lanes).
-
-        The default replay policy engages the vectorized engine only for
-        fully-covered schedules: a fallback group pays gather/scatter
-        copies without a stacked kernel to amortize them, so partially
-        covered plans (conv-heavy models) default to the classic loop.
-        ``batch=True`` still forces the schedule, fallbacks and all.
-        """
+        """Every lowered fusion group runs stacked (no fallback lanes)."""
         return self.batched_steps > 0 and self.fallback_lanes == 0
 
 
 def build_schedule(plan: FractalPlan) -> ReplaySchedule:
-    """Compile ``plan.steps`` + ``plan.batched`` into a ReplaySchedule."""
+    """Compile ``plan.steps`` + ``plan.batched`` into a ReplaySchedule.
+
+    A BatchedStep whose opcode has a stacked kernel becomes one
+    BatchedItem; the lanes of any other group become SingleItems, which
+    read zero-copy slices where a gather would have copied.
+    """
     from ..ops.batch import batched_kernel_for
     from ..ops.dispatch import kernel_for
 
+    slices = _SliceTable()
     items: List[object] = []
+
+    def singles(lo: int, hi: int) -> None:
+        for index in range(lo, hi):
+            step = plan.steps[index]
+            items.append(SingleItem(index, step, kernel_for(step.inst.opcode),
+                                    slices))
+
     pos = 0
     lanes = 0
     n_batched = 0
     fallback_lanes = 0
     for bstep in sorted(plan.batched, key=lambda b: b.start):
-        for index in range(pos, bstep.start):
-            step = plan.steps[index]
-            items.append(SingleItem(index, step, kernel_for(step.inst.opcode)))
+        singles(pos, bstep.start)
         batched_kernel = batched_kernel_for(bstep.opcode)
-        items.append(BatchedItem(bstep, kernel_for(bstep.opcode),
-                                 batched_kernel))
-        lanes += bstep.n_lanes
         if batched_kernel is None:
+            singles(bstep.start, bstep.stop)
             fallback_lanes += bstep.n_lanes
-        n_batched += 1
+        else:
+            items.append(BatchedItem(bstep, batched_kernel, slices))
+            lanes += bstep.n_lanes
+            n_batched += 1
         pos = bstep.stop
-    for index in range(pos, plan.n_steps):
-        step = plan.steps[index]
-        items.append(SingleItem(index, step, kernel_for(step.inst.opcode)))
+    singles(pos, plan.n_steps)
     arena = build_arena_layout(plan, items)
     return ReplaySchedule(items=items, n_steps=plan.n_steps, arena=arena,
                           batched_steps=n_batched, batched_lanes=lanes,

@@ -1,15 +1,15 @@
 """Vectorized leaf-batch replay tests: suite-wide bit-identity, the
 tensor arena, schema-v3 cache round-trips/poisoning, batched counters,
-the fallback default policy, and the sentinel wiring for the new metrics.
+the default engine contract, and the sentinel wiring for the new metrics.
 
 The acceptance bar for the vectorization pass is *bit-identity*: for
-every paper benchmark on both machine instances, replaying the batched
-schedule must produce byte-for-byte the arrays the classic step loop
-produces.  Everything else here defends the supporting structure -- the
-arena never aliases two concurrently-live tensors, a tampered
-BatchedStep table can never steer the executor, and a collapse of
-``batched_speedup`` (or growth of fallback lanes) trips the perf-trend
-sentinel.
+every paper benchmark on both machine instances, the default replay
+(through the schedule) must produce byte-for-byte the arrays recursion
+and the classic step loop produce.  Everything else here defends the
+supporting structure -- fusion groups without a stacked kernel replay as
+singles, the arena never aliases two concurrently-live tensors, a
+tampered BatchedStep table can never steer the executor, and a collapse
+of ``batched_speedup`` trips the perf-trend sentinel.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ def _bound_tensors(w):
     return list(w.inputs.values()) + list(w.params.values())
 
 
-def _replay_outputs(machine, w, plan, batch):
-    """Run the workload (replaying ``plan``) and return its output arrays."""
+def _replay_outputs(machine, w, plan, batch=True):
+    """Run the workload (replaying ``plan``, or recursing when it is
+    ``None``) and return the executor and its output arrays."""
     rng = np.random.default_rng(0)
     store = TensorStore()
     for t in _bound_tensors(w):
@@ -86,24 +87,33 @@ def _replay_outputs(machine, w, plan, batch):
     return executor, {n: store.read(t.region()) for n, t in w.outputs.items()}
 
 
+def _assert_bit_identical_to_recursion_and_classic(machine, w, plan):
+    """Default replay == recursion == ``batch=False``, byte for byte;
+    returns the executor of the default replay."""
+    _, recursive = _replay_outputs(machine, w, None)
+    _, classic = _replay_outputs(machine, w, plan, batch=False)
+    executor, default = _replay_outputs(machine, w, plan)
+    for out_name in recursive:
+        np.testing.assert_array_equal(classic[out_name], recursive[out_name])
+        np.testing.assert_array_equal(default[out_name], recursive[out_name])
+    return executor
+
+
 # -- suite-wide bit-identity --------------------------------------------------
 
 class TestSuiteBitIdentity:
-    """Batched replay == unbatched replay, byte for byte, on every
-    (benchmark, machine) combination of the paper suite.  (Unbatched
-    replay is itself bit-identical to recursion -- test_plan.py -- so
-    this chains to the recursive reference.)"""
+    """Default (schedule) replay == recursion == the classic loop, byte
+    for byte, on every (benchmark, machine) combination of the paper
+    suite."""
 
     @pytest.mark.parametrize("machine_key", ["f1", "f100"])
     @pytest.mark.parametrize("name", SUITE)
     def test_batched_replay_bit_identical(self, machine_key, name):
         machine, w, plan = _suite_plan(machine_key, name)
-        _, plain = _replay_outputs(machine, w, plan, batch=False)
-        executor, batched = _replay_outputs(machine, w, plan, batch=True)
+        executor = _assert_bit_identical_to_recursion_and_classic(
+            machine, w, plan)
         assert executor.stats.batched_steps == \
             plan.replay_schedule().batched_steps
-        for out_name in plain:
-            np.testing.assert_array_equal(batched[out_name], plain[out_name])
 
 
 # -- the stacked-kernel registry ---------------------------------------------
@@ -115,7 +125,7 @@ class TestBatchedKernelRegistry:
         assert Opcode.ACT1D in ops
         # Collapsed convolutions take a different BLAS path than the
         # reference im2col loop, so they are deliberately absent: their
-        # lanes run the counted per-lane fallback instead.
+        # lanes replay as singles instead.
         assert Opcode.CV2D not in ops
         assert Opcode.CV3D not in ops
         assert Opcode.MERGE1D not in ops
@@ -129,33 +139,49 @@ class TestBatchedKernelRegistry:
 # -- default engine policy ----------------------------------------------------
 
 class TestDefaultPolicy:
-    """``batch=None`` engages the schedule only when every lowered lane
-    has a stacked kernel; fallback groups pay gather/scatter copies with
-    no stacked call to amortize them, so conv-heavy plans keep the
-    classic loop unless ``batch=True`` forces the schedule."""
+    """Every plan replays through its schedule by default.  A fusion group
+    runs as one stacked call when its opcode has a stacked kernel; the
+    lanes of any other group (Cv2D, Cv3D, Merge1D) stay singles."""
 
     def test_fully_covered_plan_defaults_to_batched(self):
         machine, w, plan = _suite_plan("f1", "mm_fc")
         schedule = plan.replay_schedule()
         assert schedule.fully_batched and schedule.fallback_lanes == 0
-        executor, _ = _replay_outputs(machine, w, plan, batch=None)
+        executor, _ = _replay_outputs(machine, w, plan)
         assert executor.stats.batched_steps == schedule.batched_steps
-        assert executor.stats.batch_fallbacks == 0
 
-    def test_fallback_plan_defaults_to_classic(self):
+    def test_conv_plan_replays_through_the_schedule(self):
         machine, w, plan = _suite_plan("f1", "ResNet-152")
         schedule = plan.replay_schedule()
-        assert schedule.has_batches and not schedule.fully_batched
-        assert schedule.fallback_lanes > 0
-        executor, _ = _replay_outputs(machine, w, plan, batch=None)
-        assert executor.stats.batched_steps == 0
-
-    def test_forced_batching_counts_every_fallback_lane(self):
-        machine, w, plan = _suite_plan("f1", "ResNet-152")
-        schedule = plan.replay_schedule()
-        executor, _ = _replay_outputs(machine, w, plan, batch=True)
-        assert executor.stats.batch_fallbacks == schedule.fallback_lanes
+        assert schedule.batched_steps and not schedule.fully_batched
+        executor = _assert_bit_identical_to_recursion_and_classic(
+            machine, w, plan)
+        assert executor.stats.batched_steps == schedule.batched_steps
         assert executor.stats.batched_lanes == schedule.batched_lanes
+        assert executor.store.arena_bytes == schedule.arena.nbytes
+
+    def test_no_batched_item_lacks_a_stacked_kernel(self):
+        _, _, plan = _suite_plan("f1", "ResNet-152")
+        batched = [i for i in plan.replay_schedule().items if i.batched]
+        assert batched
+        for item in batched:
+            assert item.batched_kernel is not None
+            assert item.batched_kernel is batched_kernel_for(item.opcode)
+
+    def test_fallback_groups_replay_as_singles(self):
+        _, _, plan = _suite_plan("f1", "ResNet-152")
+        schedule = plan.replay_schedule()
+        fused = set()
+        for b in plan.batched:
+            fused.update(range(b.start, b.stop))
+        singles = [item for item in schedule.items
+                   if not item.batched and item.start in fused]
+        assert schedule.fallback_lanes > 0
+        assert len(singles) == schedule.fallback_lanes
+        assert all(batched_kernel_for(item.opcode) is None
+                   for item in singles)
+        assert schedule.batched_lanes + schedule.fallback_lanes == sum(
+            b.n_lanes for b in plan.batched)
 
 
 # -- the tensor arena ---------------------------------------------------------
@@ -164,8 +190,8 @@ class TestArenaLayout:
     """K-Means on F1 owns hundreds of small intermediates -- enough churn
     to exercise recycling, re-zeroing, and the free-list coalescing."""
 
-    def _schedule(self):
-        _, _, plan = _suite_plan("f1", "K-Means")
+    def _schedule(self, name="K-Means"):
+        _, _, plan = _suite_plan("f1", name)
         return plan, plan.replay_schedule()
 
     def _live_intervals(self, plan, items):
@@ -187,8 +213,7 @@ class TestArenaLayout:
                     sizes[uid] = r.tensor.nelems
         return first, last, sizes
 
-    def test_concurrently_live_tensors_never_overlap(self):
-        plan, schedule = self._schedule()
+    def _assert_no_live_overlap(self, plan, schedule):
         arena = schedule.arena
         assert arena.bindings  # the plan owns real intermediates
         first, last, _sizes = self._live_intervals(plan, schedule.items)
@@ -200,8 +225,7 @@ class TestArenaLayout:
                     assert hi_a <= lo_b or hi_b <= lo_a, (
                         f"live tensors {uid_a} and {uid_b} share arena bytes")
 
-    def test_high_water_matches_the_liveness_oracle(self):
-        plan, schedule = self._schedule()
+    def _assert_high_water(self, plan, schedule):
         arena = schedule.arena
         first, last, sizes = self._live_intervals(plan, schedule.items)
         peak = 0
@@ -215,6 +239,20 @@ class TestArenaLayout:
         # step-granular high-water mark (which also counts externals).
         assert peak <= arena.total_elems < total
         assert arena.nbytes <= plan.stats.peak_live_bytes
+
+    def test_concurrently_live_tensors_never_overlap(self):
+        self._assert_no_live_overlap(*self._schedule())
+
+    def test_high_water_matches_the_liveness_oracle(self):
+        self._assert_high_water(*self._schedule())
+
+    def test_liveness_oracle_holds_on_a_mixed_schedule(self):
+        """ResNet-152 interleaves stacked groups with conv lanes replayed
+        as singles: the oracle must hold across both item kinds."""
+        plan, schedule = self._schedule("ResNet-152")
+        assert schedule.batched_steps and schedule.fallback_lanes
+        self._assert_no_live_overlap(plan, schedule)
+        self._assert_high_water(plan, schedule)
 
     def test_zero_items_reference_real_bindings(self):
         _, schedule = self._schedule()
@@ -264,12 +302,12 @@ class TestSchemaV3Cache:
         arrays = {r.tensor.uid: rng.normal(size=r.tensor.shape)
                   for r in program[0].inputs}
         results = []
-        for use_plan, batch in ((None, None), (back, True)):
+        for use_plan in (None, back):
             store = TensorStore()
             for r in program[0].inputs:
                 store.bind(r.tensor, arrays[r.tensor.uid])
-            FractalExecutor(machine, store).run_program(
-                program, plan=use_plan, batch=batch)
+            FractalExecutor(machine, store).run_program(program,
+                                                        plan=use_plan)
             results.append(store.read(program[0].outputs[0]))
         np.testing.assert_array_equal(results[1], results[0])
 
@@ -357,12 +395,11 @@ class TestBatchedCounters:
             for t in _bound_tensors(w):
                 store.bind(t, rng.normal(size=t.shape))
             executor = FractalExecutor(machine, store)
-            executor.run_program(w.program, plan=plan, batch=True)
+            executor.run_program(w.program, plan=plan)
             assert registry.value("plan.batched_steps") == \
                 schedule.batched_steps
             assert registry.value("plan.batched_lanes") == \
                 schedule.batched_lanes
-            assert registry.value("ops.batch_fallbacks") == 0
             assert schedule.arena.nbytes > 0
             assert registry.gauge("store.arena_bytes").value == \
                 schedule.arena.nbytes
@@ -382,7 +419,7 @@ class TestBatchedCounters:
         store = TensorStore()
         store.bind(t, np.linspace(-1, 1, 64))
         executor = FractalExecutor(machine, store)
-        executor.run_program(program, plan=plan, batch=True)
+        executor.run_program(program, plan=plan)
         assert executor.stats.alias_scan_skips > 0
         np.testing.assert_array_equal(
             store.read(t.region()),
@@ -409,8 +446,7 @@ class TestBatchedCounters:
         old_stride = executor_mod.REPLAY_PROGRESS_STRIDE
         executor_mod.REPLAY_PROGRESS_STRIDE = 2
         try:
-            FractalExecutor(machine, store).run_program(program, plan=plan,
-                                                        batch=True)
+            FractalExecutor(machine, store).run_program(program, plan=plan)
         finally:
             executor_mod.REPLAY_PROGRESS_STRIDE = old_stride
             log.disable()
@@ -425,7 +461,6 @@ class TestSentinelWiring:
     def test_polarity_of_batching_metrics(self):
         assert metric_polarity("batched_speedup") == "down_bad"
         assert metric_polarity("replay_speedup") == "down_bad"
-        assert metric_polarity("batch_fallbacks") == "up_bad"
 
     def test_speedup_collapse_flags_regression(self, tmp_path):
         history = RunHistory(tmp_path)
@@ -438,21 +473,9 @@ class TestSentinelWiring:
         [entry] = analyze_history(history).entries
         assert entry.status == "regression"
 
-    def test_fallback_growth_flags_regression(self, tmp_path):
-        history = RunHistory(tmp_path)
-        history.append([
-            {"benchmark": "paper-suite", "machine": "Cambricon-F1",
-             "metric": "batch_fallbacks", "value": v, "ts": 1000.0 + i,
-             "source": "test"}
-            for i, v in enumerate([0.0] * 10 + [544.0])
-        ])
-        [entry] = analyze_history(history).entries
-        assert entry.status == "regression"
-
     def test_points_from_report_extracts_batching_metrics(self):
         doc = {
             "benchmark": "paper-suite", "machine": "Cambricon-F1",
-            "counters": {"ops.batch_fallbacks": 544},
             "notes": {"plan_microbench": {
                 "benchmark": "mm_fc",
                 "speedup": 2.9, "warm_replay_s": 0.09,
@@ -460,7 +483,6 @@ class TestSentinelWiring:
             }},
         }
         points = {p["metric"]: p for p in points_from_report(doc)}
-        assert points["batch_fallbacks"]["value"] == 544
         assert points["batched_speedup"]["value"] == pytest.approx(2.3)
         assert points["batched_speedup"]["benchmark"] == "mm_fc"
         assert points["warm_batched_s"]["value"] == pytest.approx(0.04)
