@@ -30,12 +30,36 @@ from ..isa import DependencyKind, Instruction, Opcode
 from ..tensor import Region, Tensor
 
 _partial_counter = itertools.count()
+
+
+class _Counter:
+    """An ``itertools.count`` whose position can be read and moved.
+
+    Not atomic across threads.  Chain ids need only be unique among the
+    steps one node decodes, and one thread decomposes and decodes them.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, start: int = 0):
+        self.value = start
+
+    def __next__(self) -> int:
+        value = self.value
+        self.value = value + 1
+        return value
+
+
 #: accumulation chains get ids whose parity drives static-segment recycling.
-_chain_counter = itertools.count()
+_chain_counter = _Counter()
 
 
 def make_partial(shape: Tuple[int, ...], dtype, tag: str) -> Tensor:
-    """Allocate a fresh partial-result tensor (lives in node-local space)."""
+    """Allocate a fresh partial-result tensor (lives in node-local space).
+
+    The name is ``%`` + ``tag`` + a counter; tags end in a letter so that
+    re-emission (:func:`_reemit`) can read the tag back off a name.
+    """
     return Tensor(
         name=f"%{tag}{next(_partial_counter)}",
         shape=shape,
@@ -289,31 +313,152 @@ def shrink_sequential(
     exactly, each step's working set within capacity.  Pieces that cannot be
     split further are emitted as-is even if oversized -- the hardware would
     stream them; the timing model charges their full traffic.
+
+    The binary split tree (:func:`best_shrink_split` at every oversized
+    node) is emitted depth first, parts before reductions.  Sub-instructions
+    of one split have the same structure and differ only in where their
+    operands sit (the paper's fractal claim), so each distinct shape is
+    split once per call: a later sub-instruction with the same
+    :func:`_template_key` re-emits the first one's steps by region offset
+    (:func:`_reemit`), with fresh partial tensors and the chain ids its own
+    split would have drawn.  The cost grows with the number of distinct
+    shapes, not with the steps emitted.  ``max_steps`` bounds the
+    split-tree nodes, re-emitted ones included.
     """
-    out: List[Instruction] = []
-    stack: List[Instruction] = [inst]
-    budget = max_steps
-    while stack:
-        cur = stack.pop()
-        budget -= 1
-        if budget < 0:
-            raise RuntimeError("sequential decomposition exploded; check capacity")
-        if footprint(cur) <= capacity_bytes:
-            out.append(cur)
-            continue
-        split = best_shrink_split(cur)
-        if split is None:
-            out.append(cur)
-            continue
-        # Parts run first, then the reduction; stack is LIFO so push reversed.
-        for r in reversed(split.reduction):
-            stack.append(r)
-        for p in reversed(split.parts):
-            stack.append(p)
+    if footprint(inst) <= capacity_bytes and max_steps > 0:
+        return [inst]
+    walk = _ShrinkWalk(capacity_bytes, max_steps)
+    _shrink(walk, inst)
+    out = walk.out
     registry = telemetry.get_registry()
     if registry.enabled and len(out) > 1:
         registry.count("decompose.sequential_steps", len(out),
                        labels={"opcode": inst.opcode.value})
+    return out
+
+
+class _ShrinkWalk:
+    """The state of one :func:`shrink_sequential` call.
+
+    ``templates`` maps a :func:`_template_key` to the first sub-instruction
+    with that key, the ``[start, end)`` span of ``out`` it produced, the
+    number of split-tree nodes under it and the range of chain ids its
+    split drew.  Scoped to the call: no template outlives it.
+    """
+
+    __slots__ = ("capacity", "budget", "out", "templates")
+
+    def __init__(self, capacity: int, max_steps: int):
+        self.capacity = capacity
+        self.budget = max_steps
+        self.out: List[Instruction] = []
+        self.templates: Dict[Tuple, Tuple[Instruction, int, int, int, range]] = {}
+
+    def charge(self, nodes: int) -> None:
+        self.budget -= nodes
+        if self.budget < 0:
+            raise RuntimeError("sequential decomposition exploded; check capacity")
+
+
+def _shrink(walk: _ShrinkWalk, inst: Instruction) -> int:
+    """Append the steps of ``inst`` to ``walk.out``; returns its tree nodes."""
+    walk.charge(1)
+    out = walk.out
+    if footprint(inst) <= walk.capacity:
+        out.append(inst)
+        return 1
+    key = _template_key(inst)
+    template = walk.templates.get(key)
+    if template is not None:
+        first, start, end, nodes, drawn = template
+        walk.charge(nodes - 1)
+        out.extend(_reemit(first, out[start:end], inst, drawn))
+        return nodes
+    start, nodes, first_id = len(out), 1, _chain_counter.value
+    split = best_shrink_split(inst)
+    if split is None:
+        out.append(inst)
+    else:
+        for sub in split.parts + split.reduction:
+            nodes += _shrink(walk, sub)
+    walk.templates[key] = (inst, start, len(out), nodes,
+                           range(first_id, _chain_counter.value))
+    return nodes
+
+
+def _template_key(inst: Instruction) -> Tuple:
+    """What decides the split tree of ``inst``, up to operand placement.
+
+    The signature fixes opcode, shapes, dtypes and attrs; ``acc_chain`` is
+    outside it, but whether the steps carry a chain is not.  Operands that
+    share a tensor add their offset from the first operand on it, because
+    :func:`footprint` counts equal regions once: ``Add(x, x)`` must not
+    reuse the tree of ``Add(x, y)``.
+    """
+    first: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
+    shared = []
+    for i, r in enumerate(inst.inputs + inst.outputs):
+        j, bounds = first.setdefault(r.tensor.uid, (i, r.bounds))
+        if j != i:
+            shared.append((i, j, tuple(lo - b for (lo, _), (b, _)
+                                       in zip(r.bounds, bounds))))
+    return inst.signature(), "acc_chain" in inst.attrs, tuple(shared)
+
+
+def _reemit(first: Instruction, steps: Sequence[Instruction],
+            inst: Instruction, drawn: range) -> List[Instruction]:
+    """``first``'s ``steps`` re-expressed over the operands of ``inst``.
+
+    The two share a :func:`_template_key`, so each tensor of ``first``'s
+    operands maps to one tensor of ``inst``'s by one shift.  Every other
+    tensor in ``steps`` is a partial created under ``first`` and gets a
+    fresh twin.  ``first``'s split drew the chain ids ``drawn``; the copy
+    draws as many, each at the same offset, so its ids -- whose parity the
+    static segment reads -- are the ones splitting ``inst`` would have
+    drawn.  ``first``'s own chain id becomes ``inst``'s.
+    Order, bounds, opcodes, ``loc`` and the other attrs are unchanged, so
+    each step keeps its template's signature.
+    """
+    moves: Dict[int, Tuple[Tensor, Optional[Tuple[int, ...]]]] = {}
+    for old, new in zip(first.inputs + first.outputs, inst.inputs + inst.outputs):
+        moves[old.tensor.uid] = (new.tensor, tuple(
+            n - o for (n, _), (o, _) in zip(new.bounds, old.bounds)))
+    offset = _chain_counter.value - drawn.start
+    _chain_counter.value += len(drawn)
+    moved: Dict[int, Region] = {}  # id(template region) -> its twin
+
+    def move(r: Region) -> Region:
+        twin = moved.get(id(r))
+        if twin is not None:
+            return twin
+        t = r.tensor
+        target = moves.get(t.uid)
+        if target is None:
+            fresh = make_partial(t.shape, t.dtype, t.name[1:].rstrip("0123456789"))
+            target = moves[t.uid] = (fresh, None)
+        tensor, shift = target
+        if shift is None:
+            twin = Region(tensor, r.bounds)
+        elif tensor is t and not any(shift):
+            twin = r
+        else:
+            twin = Region(tensor, tuple((lo + s, hi + s)
+                                        for (lo, hi), s in zip(r.bounds, shift)))
+        moved[id(r)] = twin
+        return twin
+
+    out: List[Instruction] = []
+    for step in steps:
+        attrs = step.attrs
+        if "acc_chain" in attrs:
+            attrs = dict(attrs)
+            chain = attrs["acc_chain"]
+            attrs["acc_chain"] = (chain + offset if chain in drawn
+                                  else inst.attrs["acc_chain"])
+        twin = Instruction(step.opcode, tuple(map(move, step.inputs)),
+                           tuple(map(move, step.outputs)), attrs, step.loc)
+        object.__setattr__(twin, "_sig", step.signature())
+        out.append(twin)
     return out
 
 

@@ -170,7 +170,7 @@ def _cv3d_split_cin(inst: Instruction, n: int) -> Split:
     out = inst.outputs[0]
     parts, partials = [], []
     for x_i, w_i in zip(x.split_dim(4, n), w.split_dim(3, n)):
-        p = make_partial(out.shape, out.dtype, "cv3")
+        p = make_partial(out.shape, out.dtype, "cv3d")
         partials.append(p.region())
         parts.append(inst.with_operands(inputs=(x_i, w_i), outputs=(p.region(),)))
     return Split(parts, reduction=chain_reduce(partials, out),

@@ -52,6 +52,47 @@ def fingerprint_digest(fingerprint: Tuple) -> str:
     return hashlib.sha256(repr(fingerprint).encode("utf-8")).hexdigest()
 
 
+def _walk(inst: Instruction, level: int, machine: Machine,
+          apply_sequential: bool, stats: PlanStats,
+          steps: List[PlanStep]) -> None:
+    """Record the fractal recursion of ``inst`` from ``level`` into ``steps``.
+
+    A module-level function, not a closure: a nested function that calls
+    itself holds itself through its closure cell, and that cycle would keep
+    ``steps`` alive after the plan is dropped, until a full collection.
+    """
+    stats.count(level)
+    spec = machine.level(level)
+    if spec.is_leaf:
+        stats.kernel_calls += 1
+        mnemonic = inst.opcode.value
+        stats.leaf_ops[mnemonic] = stats.leaf_ops.get(mnemonic, 0) + 1
+        stats.bytes_read += sum(r.nbytes for r in inst.inputs)
+        stats.bytes_written += sum(r.nbytes for r in inst.outputs)
+        steps.append(PlanStep.from_instruction("kernel", inst, level))
+        return
+    if apply_sequential:
+        seq = shrink_sequential(inst, spec.mem_bytes)
+        if len(seq) > 1:
+            stats.seq_steps += len(seq)
+    else:
+        seq = [inst]
+    for step in seq:
+        split = decompose_parallel(step, spec.fanout)
+        if split is None:
+            _walk(step, level + 1, machine, apply_sequential, stats, steps)
+            continue
+        stats.fanouts += 1
+        stats.fanout_parts += len(split.parts)
+        for part in split.parts:
+            _walk(part, level + 1, machine, apply_sequential, stats, steps)
+        for red in split.reduction:
+            stats.lfu_calls += 1
+            stats.bytes_read += sum(r.nbytes for r in red.inputs)
+            stats.bytes_written += sum(r.nbytes for r in red.outputs)
+            steps.append(PlanStep.from_instruction("lfu", red, level))
+
+
 def compile_program(
     machine: Machine,
     program: Sequence[Instruction],
@@ -69,38 +110,6 @@ def compile_program(
     stats = PlanStats()
     steps: List[PlanStep] = []
 
-    def walk(inst: Instruction, level: int) -> None:
-        stats.count(level)
-        spec = machine.level(level)
-        if spec.is_leaf:
-            stats.kernel_calls += 1
-            mnemonic = inst.opcode.value
-            stats.leaf_ops[mnemonic] = stats.leaf_ops.get(mnemonic, 0) + 1
-            stats.bytes_read += sum(r.nbytes for r in inst.inputs)
-            stats.bytes_written += sum(r.nbytes for r in inst.outputs)
-            steps.append(PlanStep.from_instruction("kernel", inst, level))
-            return
-        if apply_sequential:
-            seq = shrink_sequential(inst, spec.mem_bytes)
-            if len(seq) > 1:
-                stats.seq_steps += len(seq)
-        else:
-            seq = [inst]
-        for step in seq:
-            split = decompose_parallel(step, spec.fanout)
-            if split is None:
-                walk(step, level + 1)
-                continue
-            stats.fanouts += 1
-            stats.fanout_parts += len(split.parts)
-            for part in split.parts:
-                walk(part, level + 1)
-            for red in split.reduction:
-                stats.lfu_calls += 1
-                stats.bytes_read += sum(r.nbytes for r in red.inputs)
-                stats.bytes_written += sum(r.nbytes for r in red.outputs)
-                steps.append(PlanStep.from_instruction("lfu", red, level))
-
     log = obs.logger("plan")
     log.info("compile.start", machine=machine.name,
              instructions=len(program))
@@ -108,7 +117,7 @@ def compile_program(
     # flamegraphs separate decomposition cost from replay cost.
     with _prof.step_scope("plan.compile"):
         for inst in program:
-            walk(inst, level=0)
+            _walk(inst, 0, machine, apply_sequential, stats, steps)
     plan = FractalPlan(
         machine_fingerprint=machine_fingerprint(machine, apply_sequential),
         signature_digest=program_digest(program),

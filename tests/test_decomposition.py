@@ -1,11 +1,16 @@
 """Decomposition rule tests: Table-2 fidelity, split semantics,
-sequential shrinking, and the accumulation rewrite."""
+sequential shrinking, templated SD against its untemplated oracle, and the
+accumulation rewrite."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.decomposition import (
+    base,
     best_shrink_split,
     decompose_parallel,
     footprint,
@@ -230,6 +235,245 @@ class TestSequentialShrink:
         split = best_shrink_split(inst)
         assert split is not None
         assert max(footprint(p) for p in split.parts) < footprint(inst)
+
+
+# -- templated SD against the untemplated oracle ---------------------------------
+
+def shrink_oracle(inst, capacity_bytes, max_steps=1_000_000):
+    """SD without templates: every oversized node of the split tree is
+    split by :func:`best_shrink_split`, one stack pop per node.  The
+    reference that the templated :func:`shrink_sequential` must equal."""
+    out = []
+    stack = [inst]
+    budget = max_steps
+    while stack:
+        cur = stack.pop()
+        budget -= 1
+        if budget < 0:
+            raise RuntimeError("sequential decomposition exploded; check capacity")
+        if footprint(cur) <= capacity_bytes:
+            out.append(cur)
+            continue
+        split = base.best_shrink_split(cur)
+        if split is None:
+            out.append(cur)
+            continue
+        # Parts run first, then the reduction; stack is LIFO so push reversed.
+        for r in reversed(split.reduction):
+            stack.append(r)
+        for p in reversed(split.parts):
+            stack.append(p)
+    return out
+
+
+def shrink_both(inst, capacity_bytes, **kwargs):
+    """(templated, oracle) steps of one shrink, and how far apart the two
+    runs' chain ids are: the runs draw from one process-wide counter, the
+    oracle first, and must draw the same number of ids."""
+    start = base._chain_counter.value
+    want = shrink_oracle(inst, capacity_bytes, **kwargs)
+    middle = base._chain_counter.value
+    got = shrink_sequential(inst, capacity_bytes, **kwargs)
+    assert base._chain_counter.value - middle == middle - start
+    return got, want, middle - start
+
+
+def assert_same_steps(inst, got, want, chain_shift):
+    """``got`` equals ``want`` up to a one-to-one renaming of the partial
+    tensors SD created.  Chain ids it created are the oracle's plus
+    ``chain_shift``; the root's own tensors and chain id are unchanged."""
+    assert len(got) == len(want)
+    external = {r.tensor.uid for r in inst.inputs + inst.outputs}
+    root_chain = inst.attrs.get("acc_chain")
+    tensors = {}
+    for g, w in zip(got, want):
+        assert g.opcode is w.opcode
+        assert g.loc == w.loc
+        assert ({k: v for k, v in g.attrs.items() if k != "acc_chain"}
+                == {k: v for k, v in w.attrs.items() if k != "acc_chain"})
+        assert ("acc_chain" in g.attrs) == ("acc_chain" in w.attrs)
+        if "acc_chain" in w.attrs:
+            chain = w.attrs["acc_chain"]
+            shift = 0 if chain == root_chain else chain_shift
+            assert g.attrs["acc_chain"] == chain + shift
+        assert (len(g.inputs), len(g.outputs)) == (len(w.inputs), len(w.outputs))
+        for gr, wr in zip(g.inputs + g.outputs, w.inputs + w.outputs):
+            assert gr.bounds == wr.bounds
+            if wr.tensor.uid in external:
+                assert gr.tensor is wr.tensor
+                continue
+            assert gr.tensor.uid not in external
+            assert (gr.tensor.shape, gr.tensor.dtype, gr.tensor.space) == \
+                (wr.tensor.shape, wr.tensor.dtype, wr.tensor.space)
+            assert tensors.setdefault(wr.tensor.uid, gr.tensor.uid) == gr.tensor.uid
+        assert g.signature() == w.signature()
+    assert len(set(tensors.values())) == len(tensors)
+
+
+def _with_attrs(inst, attrs):
+    return Instruction(inst.opcode, inst.inputs, inst.outputs,
+                       {**inst.attrs, **attrs})
+
+
+def _shared_matmul(k, n, off):
+    """MatMul whose A and B are regions of one tensor: N-split siblings see
+    B at different offsets from A, one of them possibly equal to it."""
+    t = Tensor("t", (k, max(k, off + n)))
+    c = Tensor("c", (k, n))
+    return Instruction(Opcode.MATMUL, (t[:, 0:k], t[:, off:off + n]),
+                       (c.region(),))
+
+
+def _add_inst(shape, alias):
+    """Add of two (rows, cols) operands; the second is another tensor, the
+    first operand itself, or a slab of its tensor at an offset."""
+    rows = shape[0]
+    x, y, o = Tensor("x", (2 * rows, shape[1])), Tensor("y", shape), Tensor("o", shape)
+    first = x[0:rows, :]
+    second = {"none": y.region(), "same": first, "offset": x[rows:, :],
+              "overlap": x[rows // 2:rows // 2 + rows, :]}[alias]
+    return Instruction(Opcode.ADD1D, (first, second), (o.region(),))
+
+
+#: root attrs SD must carry through: accumulation flags and a chain id.
+_ROOT_FLAGS = [{}, {"accumulate": True}, {"acc_local_out": True},
+               {"acc_chain": 10 ** 9 + 1},
+               {"accumulate": True, "acc_local_out": True, "acc_chain": 10 ** 9}]
+
+
+@st.composite
+def sd_roots(draw):
+    kind = draw(st.sampled_from(
+        ["matmul", "shared", "cv2d", "max2d", "sort", "hsum", "add"]))
+    dim = st.integers(1, 40)
+    if kind == "matmul":
+        inst = matmul_inst(draw(dim), draw(dim), draw(dim))
+    elif kind == "shared":
+        k = draw(st.integers(1, 24))
+        inst = _shared_matmul(k, draw(st.integers(1, 24)), draw(st.integers(0, 24)))
+    elif kind == "cv2d":
+        kh = draw(st.integers(1, 3))
+        inst = conv_inst(n=draw(st.integers(1, 3)), h=draw(st.integers(kh, 12)),
+                         w=draw(st.integers(kh, 12)), cin=draw(st.integers(1, 6)),
+                         kh=kh, kw=kh, cout=draw(st.integers(1, 6)),
+                         stride=draw(st.integers(1, 2)))
+    elif kind == "max2d":
+        s = draw(st.integers(1, 2))
+        h, w = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+        x = Tensor("x", (draw(st.integers(1, 2)), h, w, draw(st.integers(1, 6))))
+        o = Tensor("o", (x.shape[0], (h - 2) // s + 1, (w - 2) // s + 1, x.shape[3]))
+        inst = Instruction(Opcode.MAX2D, (x.region(),), (o.region(),),
+                           {"kh": 2, "kw": 2, "sh": s, "sw": s})
+    elif kind == "sort":
+        inst = sort_inst(draw(st.integers(1, 96)))
+    elif kind == "hsum":
+        x, o = Tensor("x", (draw(dim), draw(dim))), Tensor("o", (1,))
+        inst = Instruction(Opcode.HSUM1D, (x.region(),), (o.region(),))
+    else:
+        inst = _add_inst((draw(st.integers(2, 24)), draw(dim)),
+                         draw(st.sampled_from(["none", "same", "offset", "overlap"])))
+    if kind in ("matmul", "shared", "cv2d", "hsum"):
+        inst = _with_attrs(inst, draw(st.sampled_from(_ROOT_FLAGS)))
+    return inst
+
+
+class TestTemplatedShrink:
+    """shrink_sequential splits each distinct shape once per call and
+    re-emits repeats by offset; its output equals the oracle's."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(inst=sd_roots(), sixty_fourths=st.integers(1, 64))
+    def test_equals_oracle(self, inst, sixty_fourths):
+        cap = max(1, footprint(inst) * sixty_fourths // 64)
+        assert_same_steps(inst, *shrink_both(inst, cap))
+
+    @pytest.mark.parametrize("inst", [
+        _add_inst((16, 8), "same"),
+        _add_inst((16, 8), "offset"),
+        _add_inst((16, 8), "overlap"),
+        _shared_matmul(16, 32, 0),
+        _shared_matmul(16, 16, 8),
+        _with_attrs(matmul_inst(8, 256, 8), {"accumulate": True}),
+        _with_attrs(matmul_inst(8, 256, 8), {"acc_local_out": True}),
+        _with_attrs(matmul_inst(8, 256, 8), {"acc_chain": 10 ** 9 + 7}),
+        _with_attrs(conv_inst(n=2, h=12, w=12, cin=8, cout=4, stride=2),
+                    {"accumulate": True, "acc_chain": 10 ** 9 + 9}),
+        sort_inst(96),
+    ], ids=["add-x-x", "add-offset", "add-overlap", "mm-shared",
+            "mm-shared-offset", "accumulate", "acc-local-out", "acc-chain",
+            "conv-acc-chain", "sort-partials"])
+    @pytest.mark.parametrize("sixty_fourths", [1, 5, 16, 63])
+    def test_named_roots(self, inst, sixty_fourths):
+        cap = max(1, footprint(inst) * sixty_fourths // 64)
+        assert_same_steps(inst, *shrink_both(inst, cap))
+
+    def test_aliased_siblings_not_reused(self):
+        """The N-split halves of MatMul(t[:, :8], t[:, :16]) share a
+        signature, but in the first one A and B are the same region."""
+        inst = _shared_matmul(8, 16, 0)
+        halves = best_shrink_split(inst).parts
+        assert halves[0].signature() == halves[1].signature()
+        assert footprint(halves[0]) < footprint(halves[1])
+        cap = footprint(halves[0])
+        assert_same_steps(inst, *shrink_both(inst, cap))
+
+    def test_each_shape_split_once(self, monkeypatch):
+        """A 256^3 MatMul shrunk 128 ways splits a handful of distinct
+        shapes, where the oracle splits all 127 nodes of its tree."""
+        inst = matmul_inst(256, 256, 256)
+        calls = []
+        real = base.best_shrink_split
+        monkeypatch.setattr(base, "best_shrink_split",
+                            lambda i: calls.append(i) or real(i))
+        got, want, chain_shift = shrink_both(inst, 16 * 1024)
+        assert_same_steps(inst, got, want, chain_shift)
+        assert len(got) == 128
+        oracle_calls, templated_calls = calls[:127], calls[127:]
+        assert len({id(c) for c in oracle_calls}) == 127
+        keys = [base._template_key(c) for c in templated_calls]
+        assert len(set(keys)) == len(keys) < 127 // 8
+
+    def test_max_steps_guard(self, monkeypatch):
+        """The guard counts split-tree nodes, re-emitted ones included, and
+        trips exactly where the oracle's does."""
+        inst = matmul_inst(64, 256, 64)
+        cap = footprint(inst) // 64
+        splits = []
+        real = base.best_shrink_split
+
+        def recording_split(i):
+            splits.append(real(i))
+            return splits[-1]
+
+        monkeypatch.setattr(base, "best_shrink_split", recording_split)
+        want = shrink_oracle(inst, cap)
+        monkeypatch.undo()
+        nodes = len(want) + sum(split is not None for split in splits)
+        assert len(want) > 8
+        assert_same_steps(inst, *shrink_both(inst, cap, max_steps=nodes))
+        for shrink in (shrink_oracle, shrink_sequential):
+            with pytest.raises(RuntimeError, match="exploded"):
+                shrink(inst, cap, max_steps=nodes - 1)
+
+    def test_dropped_steps_freed_without_gc(self):
+        """The step list dies by reference counting alone: no cycle
+        through the call's recursion keeps it alive."""
+
+        class Probe:
+            pass
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            steps = shrink_sequential(matmul_inst(64, 64, 64), 2048)
+            probe = Probe()
+            alive = weakref.ref(probe)
+            steps.append(probe)
+            del steps, probe
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestAccumulateRewrite:

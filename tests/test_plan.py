@@ -3,7 +3,9 @@ round-trips, corruption tolerance, and the zero-copy store fast path."""
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -149,6 +151,30 @@ class TestReplayIdentity:
 
 
 # -- structural signatures ----------------------------------------------------
+
+class TestPlanLifetime:
+    def test_dropped_plan_frees_its_steps_without_gc(self):
+        """Dropping a plan frees its step list (every PlanStep, Instruction
+        and Region) by reference counting alone: no cycle through the
+        compile walk keeps it alive until a full collection."""
+
+        class Probe:
+            pass
+
+        w = profile_benchmark("mm_fc")
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            plan = compile_program(cambricon_f1(), w.program)
+            probe = Probe()
+            alive = weakref.ref(probe)
+            plan.steps.append(probe)
+            del plan, probe
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
 
 class TestProgramSignature:
     def test_same_structure_same_signature(self):

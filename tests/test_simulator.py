@@ -1,11 +1,19 @@
 """Timing-simulator tests: physical invariants, optimization ablation
-directions, caching consistency, and report bookkeeping."""
+directions, caching consistency, report bookkeeping, and exactness under
+templated sequential decomposition."""
 
 import pytest
 
-from repro import Instruction, Opcode, Tensor, cambricon_f1, custom_machine
+from repro import (Instruction, Opcode, Tensor, cambricon_f1, cambricon_f100,
+                   custom_machine)
+from repro.core.controller import sequential
+from repro.core.decomposition import base, shrink_sequential
 from repro.core.machine import GB, KB, MB
 from repro.sim import FractalSimulator
+from repro.workloads import paper_benchmark
+
+from conftest import tiny_machine
+from test_decomposition import shrink_oracle
 
 
 def matmul_inst(m, k, n):
@@ -256,3 +264,104 @@ class TestRealMachines:
         rep = simulate(small_machine(), [merge])
         assert rep.total_time > 0
         assert rep.stats.steps >= 1
+
+
+# -- templated SD: exact in every statistic -------------------------------------
+
+def _tiny_matmul():
+    return tiny_machine(), [matmul_inst(96, 384, 64)]
+
+
+def _tiny_conv_chain():
+    x, w = Tensor("x", (2, 16, 16, 24)), Tensor("w", (3, 3, 24, 16))
+    c, r = Tensor("c", (2, 7, 7, 16)), Tensor("r", (2, 7, 7, 16))
+    p = Tensor("p", (2, 3, 3, 16))
+    return tiny_machine(), [
+        Instruction(Opcode.CV2D, (x.region(), w.region()), (c.region(),),
+                    {"stride": 2}),
+        Instruction(Opcode.ACT1D, (c.region(),), (r.region(),), {"func": "relu"}),
+        Instruction(Opcode.MAX2D, (r.region(),), (p.region(),),
+                    {"kh": 2, "kw": 2, "sh": 2, "sw": 2}),
+    ]
+
+
+def _tiny_reductions():
+    x, s = Tensor("x", (8192,)), Tensor("s", (8192,))
+    h, o = Tensor("h", (96, 160)), Tensor("o", (1,))
+    return tiny_machine(), [
+        Instruction(Opcode.SORT1D, (x.region(),), (s.region(),)),
+        Instruction(Opcode.HSUM1D, (h.region(),), (o.region(),)),
+    ]
+
+
+def _tiny_parity():
+    """Sort partials hold one end of the static segment while the MatMul's
+    chains pick an end by id parity: renumbering the chains of re-emitted
+    subtrees (fresh ids drawn in emission order) changes this simulation."""
+    x, s = Tensor("x", (8192,)), Tensor("s", (8192,))
+    h, o = Tensor("h", (96, 160)), Tensor("o", (1,))
+    return tiny_machine(), [
+        Instruction(Opcode.SORT1D, (x.region(),), (s.region(),)),
+        matmul_inst(16, 1024, 64),
+        Instruction(Opcode.HSUM1D, (h.region(),), (o.region(),)),
+    ]
+
+
+def _f100_paper_matmul():
+    return cambricon_f100(), paper_benchmark("MATMUL").program
+
+
+class TestTemplatedSDExactness:
+    """Templated SD changes how the steps are built, not which steps: a
+    simulation matches the untemplated oracle in every statistic, the
+    static-segment parity path that chain ids drive included.
+
+    The static segment takes a chain id as its owner and picks a stack end
+    by its parity, so a simulation depends on the process-wide chain
+    counter.  Both runs start it at the same value, once of each parity.
+    """
+
+    FIELDS = ("total_time", "work", "root_traffic", "per_level_busy",
+              "per_level_dma", "per_level_idle", "attribution", "stats",
+              "cache")
+
+    @staticmethod
+    def _simulate(machine, program, shrink, chain_start, monkeypatch):
+        seen = {"splits": 0, "chain_steps": 0}
+        real_split = base.best_shrink_split
+
+        def counting_split(inst):
+            seen["splits"] += 1
+            return real_split(inst)
+
+        def recording_shrink(inst, capacity_bytes):
+            steps = shrink(inst, capacity_bytes)
+            seen["chain_steps"] += sum("acc_chain" in s.attrs for s in steps)
+            return steps
+
+        with monkeypatch.context() as m:
+            m.setattr(base._chain_counter, "value", chain_start)
+            m.setattr(base, "best_shrink_split", counting_split)
+            m.setattr(sequential, "shrink_sequential", recording_shrink)
+            sim = FractalSimulator(machine, collect_profiles=False)
+            report = sim.simulate(program)
+        return report, sim.cache_stats, seen
+
+    @pytest.mark.parametrize("build", [_tiny_matmul, _tiny_conv_chain,
+                                       _tiny_reductions, _tiny_parity,
+                                       _f100_paper_matmul],
+                             ids=lambda b: b.__name__.lstrip("_"))
+    @pytest.mark.parametrize("chain_start", [10 ** 6, 10 ** 6 + 1])
+    def test_report_equals_oracle(self, build, chain_start, monkeypatch):
+        machine, program = build()
+        want, want_cache, oracle = self._simulate(
+            machine, program, shrink_oracle, chain_start, monkeypatch)
+        got, got_cache, templated = self._simulate(
+            machine, program, shrink_sequential, chain_start, monkeypatch)
+        for name in self.FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+        assert got_cache == want_cache
+        # The parity path runs: chains are emitted, and some subtrees were
+        # re-emitted instead of split.
+        assert templated["chain_steps"] == oracle["chain_steps"] > 0
+        assert templated["splits"] < oracle["splits"]
