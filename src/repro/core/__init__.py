@@ -10,6 +10,7 @@ from .machine import (
     custom_machine,
 )
 from .executor import FractalExecutor
+from .gcpause import gc_paused
 from .store import TensorStore
 from .tensor import FP16, FP32, INT32, DType, Region, Tensor
 
@@ -24,6 +25,7 @@ __all__ = [
     "cambricon_f100",
     "custom_machine",
     "FractalExecutor",
+    "gc_paused",
     "TensorStore",
     "FP16",
     "FP32",

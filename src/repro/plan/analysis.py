@@ -34,7 +34,11 @@ derives:
 Overlap tests are exact on the region lattice but indexed per tensor and
 through a shape-keyed spatial hash (:class:`_BoxIndex`), so analysis stays
 near-linear on the partitioned access patterns fractal decomposition
-emits; a 100k-step plan analyzes in well under its compile time.
+emits.  It is still the largest part of a compile: in the traced
+``perfbench`` ``convnets`` first result (the ResNet-152 miniature on F1
+and F100, 95,737 plan steps; 2-vCPU x86-64 VM, normalised, median of
+three seeds), analysis takes 3.20 s of 7.07 s, against 1.01 s for the
+walk, 1.25 s in PD and 0.78 s for the schedule build.
 
 Entry points: :func:`analyze_plan` (pure query), :func:`annotate_plan`
 (stamps the products onto the plan; called by the compiler so every

@@ -29,6 +29,7 @@ from typing import Optional, Sequence, Tuple
 
 from .. import obs, telemetry
 from ..analysis.signatures import external_tensors, program_digest
+from ..core.gcpause import gc_paused
 from ..core.isa import Instruction
 from ..core.machine import Machine
 from .analysis import verify_plan
@@ -108,59 +109,71 @@ class DiskPlanCache:
 
     def load(self, machine_fp: Tuple, digest: str,
              externals) -> Optional[FractalPlan]:
+        """The entry's plan bound onto ``externals``, or ``None`` on a miss.
+
+        Parsing, rebuilding and re-verifying run with the cyclic collector
+        paused (:func:`repro.core.gcpause.gc_paused`).
+        """
         path = self._path(machine_fp, digest)
-        try:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as err:
-            warnings.warn(f"ignoring corrupt plan cache entry {path}: {err}",
-                          RuntimeWarning, stacklevel=2)
-            return None
-        try:
-            if not isinstance(doc, dict):
-                raise PlanFormatError(
-                    f"plan document is {type(doc).__name__}, expected object")
-            if doc.get("signature_digest") != digest:
-                raise PlanFormatError("signature digest mismatch")
-            plan = plan_from_doc(doc, externals,
-                                 machine_fingerprint=machine_fp)
-            # Re-verify the stored analysis products against a fresh
-            # analysis of the loaded steps: a tampered safe_zero_copy
-            # flag or stale fusion group must never steer the executor.
+        with gc_paused():
             try:
-                verify_plan(plan)
-            except ValueError as err:
-                raise PlanFormatError(f"analysis re-verification failed: "
-                                      f"{err}") from err
-            return plan
-        except PlanFormatError as err:
-            warnings.warn(f"ignoring invalid plan cache entry {path}: {err}",
-                          RuntimeWarning, stacklevel=2)
-            return None
+                with open(path, encoding="utf-8") as f:
+                    doc = json.load(f)
+            except FileNotFoundError:
+                return None
+            except (OSError, ValueError) as err:
+                warnings.warn(f"ignoring corrupt plan cache entry {path}: "
+                              f"{err}", RuntimeWarning, stacklevel=2)
+                return None
+            try:
+                if not isinstance(doc, dict):
+                    raise PlanFormatError(
+                        f"plan document is {type(doc).__name__}, "
+                        f"expected object")
+                if doc.get("signature_digest") != digest:
+                    raise PlanFormatError("signature digest mismatch")
+                plan = plan_from_doc(doc, externals,
+                                     machine_fingerprint=machine_fp)
+                # Re-verify the stored analysis products against a fresh
+                # analysis of the loaded steps: a tampered safe_zero_copy
+                # flag or stale fusion group must never steer the executor.
+                try:
+                    verify_plan(plan)
+                except ValueError as err:
+                    raise PlanFormatError(f"analysis re-verification "
+                                          f"failed: {err}") from err
+                return plan
+            except PlanFormatError as err:
+                warnings.warn(f"ignoring invalid plan cache entry {path}: "
+                              f"{err}", RuntimeWarning, stacklevel=2)
+                return None
 
     def store(self, machine_fp: Tuple, digest: str, plan: FractalPlan) -> None:
+        """Write ``plan`` atomically; a failure only warns.
+
+        Serializing runs with the cyclic collector paused.
+        """
         path = self._path(machine_fp, digest)
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            doc = plan.to_doc()
-            fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                       prefix=path.name, suffix=".tmp")
+        with gc_paused():
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as f:
-                    json.dump(doc, f, separators=(",", ":"))
-                os.replace(tmp, path)
-            except BaseException:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                doc = plan.to_doc()
+                fd, tmp = tempfile.mkstemp(dir=str(self.directory),
+                                           prefix=path.name, suffix=".tmp")
                 try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except (OSError, TypeError, ValueError) as err:
-            # Persisting is an optimization; never fail the run over it.
-            warnings.warn(f"could not persist plan to {path}: {err}",
-                          RuntimeWarning, stacklevel=2)
+                    with os.fdopen(fd, "w", encoding="utf-8") as f:
+                        json.dump(doc, f, separators=(",", ":"))
+                    os.replace(tmp, path)
+                except BaseException:
+                    try:
+                        os.unlink(tmp)
+                    except OSError:
+                        pass
+                    raise
+            except (OSError, TypeError, ValueError) as err:
+                # Persisting is an optimization; never fail the run over it.
+                warnings.warn(f"could not persist plan to {path}: {err}",
+                              RuntimeWarning, stacklevel=2)
 
 
 def _schema_version() -> int:

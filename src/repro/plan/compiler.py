@@ -20,6 +20,7 @@ from typing import List, Sequence, Tuple
 from .. import obs
 from ..analysis.signatures import external_tensors, program_digest
 from ..core.decomposition import decompose_parallel, shrink_sequential
+from ..core.gcpause import gc_paused
 from ..core.isa import Instruction
 from ..core.machine import Machine
 from ..obs import prof as _prof
@@ -104,38 +105,42 @@ def compile_program(
     step list replays to bit-identical results (same kernels, same
     operands, same order).  Per-level stats are accumulated as the walk
     proceeds so replays can merge them without re-deriving anything.
+    The whole build runs with the cyclic collector paused
+    (:func:`repro.core.gcpause.gc_paused`).
     """
-    program = list(program)
-    t0 = time.perf_counter()
-    stats = PlanStats()
-    steps: List[PlanStep] = []
+    with gc_paused():
+        program = list(program)
+        t0 = time.perf_counter()
+        stats = PlanStats()
+        steps: List[PlanStep] = []
 
-    log = obs.logger("plan")
-    log.info("compile.start", machine=machine.name,
-             instructions=len(program))
-    # Attribute compile-time samples to a synthetic "plan.compile" step so
-    # flamegraphs separate decomposition cost from replay cost.
-    with _prof.step_scope("plan.compile"):
-        for inst in program:
-            _walk(inst, 0, machine, apply_sequential, stats, steps)
-    plan = FractalPlan(
-        machine_fingerprint=machine_fingerprint(machine, apply_sequential),
-        signature_digest=program_digest(program),
-        steps=steps,
-        stats=stats,
-        externals=external_tensors(program),
-    )
-    # Analyze-on-compile: every plan that reaches the executor or a cache
-    # tier carries zero-copy proofs, fusion groups and the live-byte peak.
-    analysis = annotate_plan(plan)
-    # Lower-on-compile: the proven fusion groups become BatchedSteps so
-    # batched replay (and the schema-v3 document) never re-derives them.
-    plan.batched = lower_plan(plan)
-    plan.compile_seconds = time.perf_counter() - t0
-    log.info("compile.end", steps=len(steps),
-             kernel_calls=stats.kernel_calls, lfu_calls=stats.lfu_calls,
-             diagnostics=len(analysis.result.diagnostics),
-             fusion_groups=len(plan.fusion_groups),
-             batched_steps=len(plan.batched),
-             seconds=round(plan.compile_seconds, 6))
-    return plan
+        log = obs.logger("plan")
+        log.info("compile.start", machine=machine.name,
+                 instructions=len(program))
+        # Attribute compile-time samples to a synthetic "plan.compile" step
+        # so flamegraphs separate decomposition cost from replay cost.
+        with _prof.step_scope("plan.compile"):
+            for inst in program:
+                _walk(inst, 0, machine, apply_sequential, stats, steps)
+        plan = FractalPlan(
+            machine_fingerprint=machine_fingerprint(machine, apply_sequential),
+            signature_digest=program_digest(program),
+            steps=steps,
+            stats=stats,
+            externals=external_tensors(program),
+        )
+        # Analyze-on-compile: every plan that reaches the executor or a
+        # cache tier carries zero-copy proofs, fusion groups and the
+        # live-byte peak.
+        analysis = annotate_plan(plan)
+        # Lower-on-compile: the proven fusion groups become BatchedSteps so
+        # batched replay (and the schema-v3 document) never re-derives them.
+        plan.batched = lower_plan(plan)
+        plan.compile_seconds = time.perf_counter() - t0
+        log.info("compile.end", steps=len(steps),
+                 kernel_calls=stats.kernel_calls, lfu_calls=stats.lfu_calls,
+                 diagnostics=len(analysis.result.diagnostics),
+                 fusion_groups=len(plan.fusion_groups),
+                 batched_steps=len(plan.batched),
+                 seconds=round(plan.compile_seconds, 6))
+        return plan

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.gcpause import gc_paused
 from ..core.isa import Instruction, Opcode
 from ..core.tensor import DType, Region, Tensor
 
@@ -188,12 +189,14 @@ class FractalPlan:
         return self.batched
 
     def replay_schedule(self):
-        """The batched replay schedule (built once, cached on the plan)."""
+        """The batched replay schedule (built once, cached on the plan,
+        with the cyclic collector paused)."""
         if self._schedule is None:
             from .batch import build_schedule  # deferred: cycle guard
 
-            self.ensure_lowered()
-            self._schedule = build_schedule(self)
+            with gc_paused():
+                self.ensure_lowered()
+                self._schedule = build_schedule(self)
         return self._schedule
 
     # -- rebinding -----------------------------------------------------------
@@ -206,6 +209,7 @@ class FractalPlan:
         both programs share a :func:`repro.analysis.program_signature`.
         Partial tensors are re-allocated fresh so two rebound plans never
         collide in a shared :class:`~repro.core.store.TensorStore`.
+        Rebinding runs with the cyclic collector paused.
         """
         if len(externals) != len(self.externals):
             raise PlanFormatError(
@@ -230,30 +234,31 @@ class FractalPlan:
         def map_region(r: Region) -> Region:
             return Region(map_tensor(r.tensor), r.bounds)
 
-        steps = []
-        for step in self.steps:
-            inst = step.inst
-            new_inst = Instruction(
-                inst.opcode,
-                tuple(map_region(r) for r in inst.inputs),
-                tuple(map_region(r) for r in inst.outputs),
-                dict(inst.attrs),
+        with gc_paused():
+            steps = []
+            for step in self.steps:
+                inst = step.inst
+                new_inst = Instruction(
+                    inst.opcode,
+                    tuple(map_region(r) for r in inst.inputs),
+                    tuple(map_region(r) for r in inst.outputs),
+                    dict(inst.attrs),
+                )
+                # Analysis products are region-structural, so the
+                # zero-copy proof survives rebinding verbatim.
+                steps.append(replace(
+                    PlanStep.from_instruction(step.kind, new_inst, step.level),
+                    safe_zero_copy=step.safe_zero_copy))
+            return FractalPlan(
+                machine_fingerprint=self.machine_fingerprint,
+                signature_digest=self.signature_digest,
+                steps=steps,
+                stats=self.stats,
+                externals=list(externals),
+                compile_seconds=self.compile_seconds,
+                fusion_groups=list(self.fusion_groups),
+                analysis=self.analysis,
             )
-            # Analysis products are region-structural, so the zero-copy
-            # proof survives rebinding verbatim.
-            steps.append(replace(
-                PlanStep.from_instruction(step.kind, new_inst, step.level),
-                safe_zero_copy=step.safe_zero_copy))
-        return FractalPlan(
-            machine_fingerprint=self.machine_fingerprint,
-            signature_digest=self.signature_digest,
-            steps=steps,
-            stats=self.stats,
-            externals=list(externals),
-            compile_seconds=self.compile_seconds,
-            fusion_groups=list(self.fusion_groups),
-            analysis=self.analysis,
-        )
 
     # -- serialization -------------------------------------------------------
 

@@ -26,6 +26,7 @@ from ..core.controller.demotion import DemotionDecoder
 from ..core.controller.parallel import ParallelDecomposer
 from ..core.controller.reduction import ReductionController, ReductionTarget
 from ..core.controller.sequential import SequentialDecomposer
+from ..core.gcpause import gc_paused
 from ..core.isa import Instruction
 from ..core.machine import Machine
 from ..core.memory.allocator import NodeMemoryManager
@@ -284,37 +285,41 @@ class FractalSimulator:
     # -- public API -----------------------------------------------------------
 
     def simulate(self, program: Sequence[Instruction]) -> SimReport:
-        """Simulate the whole machine executing ``program`` from the root."""
-        log = obs.logger("sim")
-        log.info("simulate.start", machine=self.machine.name,
-                 instructions=len(program))
-        with telemetry.get_tracer().span("sim.simulate", cat="simulator",
-                                         machine=self.machine.name,
-                                         instructions=len(program)):
-            try:
-                root = self._simulate_node(0, list(program),
-                                           broadcast_regions=(), is_root=True)
-            except Exception as err:
-                log.error("simulate.fail", machine=self.machine.name,
-                          error=f"{type(err).__name__}: {err}")
-                raise
-        log.info("simulate.end", machine=self.machine.name,
-                 total_time_s=root.total_time, work_ops=root.work,
-                 nodes_simulated=self.cache_stats.nodes_simulated,
-                 sig_hits=self.cache_stats.sig_hits)
-        report = SimReport(
-            machine_name=self.machine.name,
-            total_time=root.total_time,
-            work=root.work,
-            root_load_bytes=root.load_bytes,
-            root_store_bytes=root.store_bytes,
-            per_level_busy=root.per_level_busy,
-            stats=root.stats,
-            root=root,
-            cache=self.cache_stats,
-        )
-        self._publish_counters(report)
-        return report
+        """Simulate the whole machine executing ``program`` from the root,
+        with the cyclic collector paused
+        (:func:`repro.core.gcpause.gc_paused`)."""
+        with gc_paused():
+            log = obs.logger("sim")
+            log.info("simulate.start", machine=self.machine.name,
+                     instructions=len(program))
+            with telemetry.get_tracer().span("sim.simulate", cat="simulator",
+                                             machine=self.machine.name,
+                                             instructions=len(program)):
+                try:
+                    root = self._simulate_node(0, list(program),
+                                               broadcast_regions=(),
+                                               is_root=True)
+                except Exception as err:
+                    log.error("simulate.fail", machine=self.machine.name,
+                              error=f"{type(err).__name__}: {err}")
+                    raise
+            log.info("simulate.end", machine=self.machine.name,
+                     total_time_s=root.total_time, work_ops=root.work,
+                     nodes_simulated=self.cache_stats.nodes_simulated,
+                     sig_hits=self.cache_stats.sig_hits)
+            report = SimReport(
+                machine_name=self.machine.name,
+                total_time=root.total_time,
+                work=root.work,
+                root_load_bytes=root.load_bytes,
+                root_store_bytes=root.store_bytes,
+                per_level_busy=root.per_level_busy,
+                stats=root.stats,
+                root=root,
+                cache=self.cache_stats,
+            )
+            self._publish_counters(report)
+            return report
 
     def _publish_counters(self, report: SimReport) -> None:
         """Mirror this simulation's stats into the telemetry registry.
