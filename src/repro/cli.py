@@ -1257,7 +1257,7 @@ def cmd_plan_lint(args) -> int:
             # Stored products must match a fresh analysis of the stored
             # steps -- a mismatch means the file was tampered with or
             # written by an incompatible analyzer: corrupt, exit 2.
-            verify_plan(plan)
+            analysis = verify_plan(plan)
         except (PlanFormatError, ValueError, KeyError, TypeError) as err:
             print(f"plan-lint: corrupt plan {target}: {err}", file=sys.stderr)
             return 2
@@ -1274,8 +1274,8 @@ def cmd_plan_lint(args) -> int:
         w = profile_benchmark(target)
         plan = compile_cached(machine, w.program, disk_dir=args.plan_cache)
         name = f"{target}@{machine.name}"
+        analysis = analyze_plan(plan)
 
-    analysis = analyze_plan(plan)
     result = analysis.result
     result.program_name = name
     gating = result.diagnostics if args.strict else result.errors

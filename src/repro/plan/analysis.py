@@ -31,14 +31,13 @@ derives:
   executor's replay path skip the runtime ``_read_operands`` overlap scan
   (counted as ``store.static_zero_copy``).
 
-Overlap tests are exact on the region lattice but indexed per tensor and
-through a shape-keyed spatial hash (:class:`_BoxIndex`), so analysis stays
-near-linear on the partitioned access patterns fractal decomposition
-emits.  It is still the largest part of a compile: in the traced
-``perfbench`` ``convnets`` first result (the ResNet-152 miniature on F1
-and F100, 95,737 plan steps; 2-vCPU x86-64 VM, normalised, median of
-three seeds), analysis takes 3.20 s of 7.07 s, against 1.01 s for the
-walk, 1.25 s in PD and 0.78 s for the schedule build.
+Races and fusion groups are decided in one pass per isomorphic run,
+keyed by ``(tensor uid, bounds)`` (:func:`_lattice_table`).  Parallel
+decomposition splits a tensor into near-equal tiles, so the boxes a run
+places on a tensor it writes usually share one shape ``s`` with origins
+on one lattice of step ``s``; two such boxes overlap iff their bounds are
+equal, and every overlap test is a dict lookup.  A run off that lattice
+falls back to exact per-tensor spatial-hash scans (:class:`_BoxIndex`).
 
 Entry points: :func:`analyze_plan` (pure query), :func:`annotate_plan`
 (stamps the products onto the plan; called by the compiler so every
@@ -52,12 +51,12 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.diagnostics import AnalysisResult, Diagnostic, diag
-from .plan import FractalPlan, PlanStep
+from .plan import FractalPlan, PlanStep, self_alias
 
 #: version stamp of the analysis products embedded in plan documents;
 #: bump whenever a rule change invalidates previously stored verdicts.
@@ -92,8 +91,8 @@ class _BoxIndex:
     overlapping same-shape boxes in neighbouring cells, so a membership
     query touches O(3^ndim) cells instead of every stored box; queries
     against a different stored shape scan the (few) cells the query box
-    spans.  This is what keeps run-disjointness proofs linear on the
-    100k-step plans the F100 machine produces.
+    spans.  It serves the isomorphic runs :func:`_lattice_table`
+    declines; no suite plan has one.
     """
 
     __slots__ = ("_by_shape",)
@@ -283,14 +282,145 @@ def _isomorphic_runs(steps: Sequence[PlanStep]) -> Iterator[Tuple[int, int]]:
         start = stop
 
 
-def _self_alias(step: PlanStep):
-    """The first (input region, output region) pair that aliases, or None."""
-    inst = step.inst
-    for r in inst.inputs:
-        for o in inst.outputs:
-            if r.tensor.uid == o.tensor.uid and _overlap(r.bounds, o.bounds):
-                return r, o
-    return None
+def _race(index: int, inst, o, start: int, stop: int) -> Diagnostic:
+    return diag(
+        "P100",
+        f"step {index} writes {o!r}, overlapping bytes another step of the "
+        f"same isomorphic run [{start}:{stop}) already writes: sibling FFUs "
+        f"race on the shared region",
+        index, inst)
+
+
+def _on_lattice(lattice: Dict[int, Tuple[Tuple[int, ...], Bounds]],
+                uid: int, bounds: Bounds, shape: Tuple[int, ...]) -> bool:
+    """Is this box on the lattice of tensor ``uid``'s first box?
+
+    The first box a run places on a tensor fixes the tensor's box shape
+    and origin; every later box must have that shape and an origin
+    congruent to it modulo the shape.
+    """
+    ref = lattice.get(uid)
+    if ref is None:
+        if 0 in shape:
+            return False
+        lattice[uid] = (shape, bounds)
+        return True
+    return ref[0] == shape and not any(
+        (lo - ref_lo) % s
+        for (lo, _), (ref_lo, _), s in zip(bounds, ref[1], shape))
+
+
+def _lattice_table(steps: Sequence[PlanStep], start: int, stop: int,
+                   ) -> Optional[Tuple[List[int], List[bool]]]:
+    """Per-lane conflict facts of one isomorphic run, from lattice keys.
+
+    For lane ``e`` (0-based within the run) the table records the latest
+    earlier lane it conflicts with, ``-1`` for none -- its output overlaps
+    an earlier lane's output or input, or one of its inputs overlaps an
+    earlier lane's output -- and whether its output overlaps an earlier
+    lane's output (a P100 race).  Read-read pairs never conflict, so only
+    tensors the run writes are tracked.  When all boxes on such a tensor,
+    reads and writes alike, have one shape ``s`` and origins congruent
+    modulo ``s``, two of them overlap iff their bounds are equal, so both
+    facts are dict lookups keyed by ``(tensor uid, bounds)``.
+
+    Returns ``None`` -- the run goes to the :class:`_BoxIndex` scans of
+    :func:`_check_races` and :func:`_fusion_groups` -- when a written
+    tensor is off its lattice, a box has a zero extent, or a step has
+    more than one output (whose outputs might overlap each other).
+    """
+    first = steps[start].inst
+    if len(first.outputs) > 1:
+        return None
+    in_shapes = [r.shape for r in first.inputs]
+    out_shapes = [o.shape for o in first.outputs]
+    written = {o.tensor.uid
+               for index in range(start, stop)
+               for o in steps[index].inst.outputs}
+    lattice: Dict[int, Tuple[Tuple[int, ...], Bounds]] = {}
+    # (uid, bounds) -> the latest lane writing it / writing or reading it
+    last_write: Dict[Tuple[int, Bounds], int] = {}
+    last_touch: Dict[Tuple[int, Bounds], int] = {}
+    conflicts: List[int] = []
+    races: List[bool] = []
+    for lane in range(stop - start):
+        inst = steps[start + lane].inst
+        latest = -1
+        touched = []
+        for r, shape in zip(inst.inputs, in_shapes):
+            uid = r.tensor.uid
+            if uid in written:
+                key = (uid, r.bounds)
+                if key in last_touch:
+                    wrote = last_write.get(key, -1)
+                    if wrote > latest:
+                        latest = wrote
+                elif not _on_lattice(lattice, uid, r.bounds, shape):
+                    return None
+                touched.append(key)
+        raced = False
+        for o, shape in zip(inst.outputs, out_shapes):
+            key = (o.tensor.uid, o.bounds)
+            last = last_touch.get(key)
+            if last is None:
+                if not _on_lattice(lattice, key[0], o.bounds, shape):
+                    return None
+            else:
+                if last > latest:
+                    latest = last
+                raced = key in last_write
+            last_write[key] = lane
+            touched.append(key)
+        for key in touched:
+            last_touch[key] = lane
+        conflicts.append(latest)
+        races.append(raced)
+    return conflicts, races
+
+
+def _decide_runs(steps: Sequence[PlanStep], runs: Sequence[Tuple[int, int]],
+                 safe: Sequence[bool],
+                 ) -> Tuple[List[Diagnostic], List[Tuple[int, int]]]:
+    """P100 races and fusion groups of every isomorphic run.
+
+    Each run is decided by its :func:`_lattice_table`.  P100: in a plain
+    (non-accumulate) run, a lane whose output an earlier lane wrote.
+    Groups: :func:`_fusion_groups`' greedy, where lane ``e`` extends the
+    group starting at lane ``g`` iff it does not self-alias and its
+    latest conflict is before ``g``.  Runs the table declines go to
+    :func:`_check_races` and :func:`_fusion_groups`.
+    """
+    diags: List[Diagnostic] = []
+    groups: List[Tuple[int, int]] = []
+    declined: List[Tuple[int, int]] = []
+    for start, stop in runs:
+        if stop - start < 2:
+            continue
+        table = _lattice_table(steps, start, stop)
+        if table is None:
+            declined.append((start, stop))
+            continue
+        conflicts, races = table
+        if not steps[start].accumulate:
+            for lane, raced in enumerate(races):
+                if raced:
+                    inst = steps[start + lane].inst
+                    diags.append(_race(start + lane, inst, inst.outputs[0],
+                                       start, stop))
+        n, g = stop - start, 0
+        while g < n:
+            e = g
+            while e < n and safe[start + e] and conflicts[e] < g:
+                e += 1
+            if e - g >= 2:
+                groups.append((start + g, start + e))
+                g = e
+            else:
+                g = max(e, g + 1)
+    if declined:
+        diags.extend(_check_races(steps, declined))
+        groups = sorted(groups + _fusion_groups(steps, declined))
+    return diags, groups
 
 
 def _check_races(steps: Sequence[PlanStep],
@@ -313,13 +443,7 @@ def _check_races(steps: Sequence[PlanStep],
             for o in inst.outputs:
                 box = indexes.setdefault(o.tensor.uid, _BoxIndex())
                 if not reported and box.query(o.bounds) is not None:
-                    diags.append(diag(
-                        "P100",
-                        f"step {index} writes {o!r}, overlapping bytes "
-                        f"another step of the same isomorphic run "
-                        f"[{start}:{stop}) already writes: sibling FFUs "
-                        f"race on the shared region",
-                        index, inst))
+                    diags.append(_race(index, inst, o, start, stop))
                     reported = True  # one report per step is enough
                 # index every output regardless, so later steps clashing
                 # only with this step's remaining outputs are still caught
@@ -462,7 +586,7 @@ def _extends_group(step: PlanStep, out_idx: Dict[int, _BoxIndex],
                    in_idx: Dict[int, _BoxIndex]) -> bool:
     """Check ``step`` against the group's region indexes; add it if legal."""
     inst = step.inst
-    if _self_alias(step) is not None:
+    if self_alias(inst) is not None:
         return False
     for o in inst.outputs:
         uid = o.tensor.uid
@@ -539,7 +663,7 @@ def analyze_plan(plan: FractalPlan, graph: Optional[InterferenceGraph] = None,
         instructions=len(steps))
     safe: List[bool] = []
     for index, step in enumerate(steps):
-        alias = _self_alias(step)
+        alias = self_alias(step.inst)
         safe.append(alias is None)
         if alias is not None:
             r, o = alias
@@ -549,7 +673,8 @@ def analyze_plan(plan: FractalPlan, graph: Optional[InterferenceGraph] = None,
                 f"overlapping its own output {_fmt(o.bounds)}: the replay "
                 f"aliasing guard must copy the operand every run",
                 index, step.inst))
-    result.extend(_check_races(steps, runs))
+    races, groups = _decide_runs(steps, runs, safe)
+    result.extend(races)
     result.extend(_check_dead_steps(plan, graph))
     result.extend(_check_accumulate_order(plan, graph))
     result.diagnostics.sort(
@@ -557,7 +682,7 @@ def analyze_plan(plan: FractalPlan, graph: Optional[InterferenceGraph] = None,
 
     return PlanAnalysis(
         result=result,
-        fusion_groups=_fusion_groups(steps, runs),
+        fusion_groups=groups,
         safe_zero_copy=safe,
         peak_live_bytes=_peak_live_bytes(plan),
         graph=graph,
@@ -576,10 +701,10 @@ def annotate_plan(plan: FractalPlan,
     """
     if analysis is None:
         analysis = analyze_plan(plan)
+    # Compiled steps already carry the flag from construction, so this
+    # rebuilds only steps whose flag was set otherwise.
     for index, is_safe in enumerate(analysis.safe_zero_copy):
-        step = plan.steps[index]
-        if step.safe_zero_copy != is_safe:
-            plan.steps[index] = replace(step, safe_zero_copy=is_safe)
+        plan.steps[index] = plan.steps[index].with_safe(is_safe)
     plan.fusion_groups = list(analysis.fusion_groups)
     plan.analysis = analysis.to_doc()
     plan.stats.peak_live_bytes = analysis.peak_live_bytes

@@ -47,9 +47,12 @@ class PlanStep:
     ``run_attrs`` is ``inst.attrs`` with the executor-internal write-back
     flags stripped (precomputed so replay does no per-step dict work), and
     ``accumulate`` is the write-back mode.  ``safe_zero_copy`` is a static
-    proof stamped by :mod:`repro.plan.analysis`: no operand of this step
-    aliases any of its outputs, so replay may hand the kernel read-only
-    views without the runtime ``_read_operands`` overlap scan.
+    proof that no operand of this step aliases any of its outputs, so
+    replay may hand the kernel read-only views without the runtime
+    ``_read_operands`` overlap scan.  :meth:`from_instruction` sets it at
+    construction with :func:`self_alias`, the test behind the analyzer's
+    P110; a deserialized step carries its stored flag instead, which
+    :func:`repro.plan.analysis.verify_plan` then checks.
     """
 
     kind: str  # "kernel" | "lfu"
@@ -68,7 +71,25 @@ class PlanStep:
             run_attrs={k: v for k, v in inst.attrs.items()
                        if k not in _WRITEBACK_ATTRS},
             accumulate=bool(inst.attrs.get("accumulate", False)),
+            safe_zero_copy=self_alias(inst) is None,
         )
+
+    def with_safe(self, safe: bool) -> "PlanStep":
+        """This step carrying ``safe`` as its zero-copy flag."""
+        if safe == self.safe_zero_copy:
+            return self
+        return replace(self, safe_zero_copy=safe)
+
+
+def self_alias(inst: Instruction) -> Optional[Tuple[Region, Region]]:
+    """The first (input, output) region pair of ``inst`` that overlaps,
+    or ``None`` when no operand aliases an output of its own step."""
+    for r in inst.inputs:
+        uid = r.tensor.uid
+        for o in inst.outputs:
+            if uid == o.tensor.uid and r.overlaps(o):
+                return r, o
+    return None
 
 
 @dataclass
@@ -246,9 +267,9 @@ class FractalPlan:
                 )
                 # Analysis products are region-structural, so the
                 # zero-copy proof survives rebinding verbatim.
-                steps.append(replace(
-                    PlanStep.from_instruction(step.kind, new_inst, step.level),
-                    safe_zero_copy=step.safe_zero_copy))
+                steps.append(PlanStep.from_instruction(
+                    step.kind, new_inst, step.level,
+                ).with_safe(step.safe_zero_copy))
             return FractalPlan(
                 machine_fingerprint=self.machine_fingerprint,
                 signature_digest=self.signature_digest,
@@ -375,9 +396,11 @@ def plan_from_doc(doc: dict, externals: Sequence[Tensor],
                 tuple(region(s) for s in raw["outputs"]),
                 dict(raw["attrs"]),
             )
-            steps.append(replace(
-                PlanStep.from_instruction(kind, inst, int(raw["level"])),
-                safe_zero_copy=bool(raw.get("safe", False))))
+            # The stored flag, not the recomputed one: a tampered flag
+            # must reach verify_plan and fail the load.
+            steps.append(PlanStep.from_instruction(
+                kind, inst, int(raw["level"]),
+            ).with_safe(bool(raw.get("safe", False))))
         fusion_groups = [(int(a), int(b))
                          for a, b in doc.get("fusion_groups", [])]
         analysis = doc.get("analysis")

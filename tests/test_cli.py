@@ -532,6 +532,28 @@ class TestPlanLint:
         code, _ = run_cli(capsys, "plan-lint", str(path))
         assert code == 0
 
+    def test_plan_file_is_analyzed_once(self, capsys, tmp_path,
+                                        monkeypatch):
+        import repro.plan
+        from repro.plan import analysis as plan_analysis
+
+        path = self._write_plan_doc(tmp_path)
+        calls = []
+        analyze = plan_analysis.analyze_plan
+
+        def counted(plan, *args, **kwargs):
+            calls.append(plan.n_steps)
+            return analyze(plan, *args, **kwargs)
+
+        # The CLI imports the package export; verify_plan looks the
+        # function up in its own module.
+        monkeypatch.setattr(repro.plan, "analyze_plan", counted)
+        monkeypatch.setattr(plan_analysis, "analyze_plan", counted)
+        code, out = run_cli(capsys, "plan-lint", str(path))
+        assert code == 0
+        assert "fusion group" in out
+        assert len(calls) == 1
+
     def test_garbage_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text("{not json")

@@ -29,7 +29,6 @@ from repro.plan import DiskPlanCache, FractalPlan, PlanStep, compile_program, pl
 from repro.plan import batch as batch_mod
 from repro.plan import cache as cache_mod
 from repro.plan import compiler as compiler_mod
-from repro.plan import plan as plan_mod
 from repro.sim import simulator as simulator_mod
 from repro.sim.simulator import FractalSimulator
 from repro.workloads import paper_benchmark, profile_benchmark
@@ -222,7 +221,7 @@ def _simulate(s):
 BUILDERS = {
     "compile_program": (_compile, (compiler_mod, "lower_plan")),
     "replay_schedule": (_replay_schedule, (batch_mod, "build_schedule")),
-    "rebind": (_rebind, (plan_mod, "replace")),
+    "rebind": (_rebind, (PlanStep, "from_instruction")),
     "store": (_store, (FractalPlan, "to_doc")),
     "load": (_load, (cache_mod, "verify_plan")),
     "simulate": (_simulate, (simulator_mod, "schedule_pipeline")),

@@ -1,7 +1,8 @@
 """Plan dataflow-analyzer tests: P1xx diagnostics, fusion legality,
 static zero-copy proofs, live-byte peak, document round-trips, the
-suite-wide self-clean regression, and a fuzz harness whose verdicts are
-checked against brute-force region-overlap oracles."""
+suite-wide self-clean regression, the lattice-keyed run pass against the
+box-index scans, and fuzz harnesses whose verdicts are checked against
+brute-force region-overlap oracles."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_machine
 from repro import (
@@ -34,6 +36,7 @@ from repro.plan import (
     plan_from_doc,
     verify_plan,
 )
+from repro.plan import analysis as plan_analysis
 from repro.workloads import profile_benchmark
 from repro.workloads.suite import PROFILE_BENCHMARKS
 
@@ -198,6 +201,121 @@ class TestFusionGroups:
                  _step(_act(mid.region(), y.region()))]
         a = analyze_plan(_plan(steps, [x, y]))
         assert a.fusion_groups == []
+
+
+# -- lattice-keyed run decisions ----------------------------------------------
+
+def _scan_products(plan):
+    """P100 step indices and fusion groups as the box-index scans decide
+    them over every isomorphic run: the oracle for the keyed pass."""
+    runs = list(plan_analysis._isomorphic_runs(plan.steps))
+    races = {d.index for d in plan_analysis._check_races(plan.steps, runs)}
+    return races, plan_analysis._fusion_groups(plan.steps, runs)
+
+
+def _races(analysis):
+    return {d.index for d in analysis.result.diagnostics if d.code == "P100"}
+
+
+def _counting(scan, seen):
+    """``scan`` recording every run it is handed in ``seen``."""
+    def counted(steps, runs):
+        seen.extend(runs)
+        return scan(steps, runs)
+    return counted
+
+
+def _tiles(x, y, origins):
+    """Act1D lanes ``y[o:o+2] <- x[o:o+2]``, one per origin."""
+    return [_step(_act(Region(x, ((o, o + 2),)), Region(y, ((o, o + 2),))))
+            for o in origins]
+
+
+class TestLatticeRuns:
+    """One pinned run per case of the keyed rule.  Each asserts the
+    products and that they equal the box-index scans over every run."""
+
+    def _check(self, steps, externals, races, groups, keyed=True):
+        plan = _plan(steps, externals)
+        runs = [r for r in plan_analysis._isomorphic_runs(plan.steps)
+                if r[1] - r[0] >= 2]
+        assert len(runs) == 1
+        table = plan_analysis._lattice_table(plan.steps, *runs[0])
+        assert (table is not None) == keyed
+        a = analyze_plan(plan)
+        assert _races(a) == races
+        assert a.fusion_groups == groups
+        assert _scan_products(plan) == (races, groups)
+        return a
+
+    def test_a_lattice_tiles_form_one_group(self):
+        x, y = Tensor("x", (8,)), Tensor("y", (8,))
+        a = self._check(_tiles(x, y, (0, 2, 4, 6)), [x, y],
+                        races=set(), groups=[(0, 4)])
+        assert a.result.diagnostics == []
+
+    def test_b_unaligned_same_shape_writes_race(self):
+        # y[0:4] and y[2:6] have one shape but overlap with unequal
+        # bounds: the alignment test sends the run to the scan.
+        x, y = Tensor("x", (8,)), Tensor("y", (8,))
+        steps = [_step(_act(Region(x, ((0, 4),)), Region(y, ((0, 4),)))),
+                 _step(_act(Region(x, ((4, 8),)), Region(y, ((2, 6),))))]
+        self._check(steps, [x, y], races={1}, groups=[], keyed=False)
+
+    def test_c_reduction_chain_forms_no_group(self):
+        # LFU-style: lane j adds a part into a fresh partial, reading the
+        # partial lane j-1 wrote.
+        parts = [Tensor(f"p{j}", (4,)) for j in range(5)]
+        reds = [Tensor(f"r{j}", (4,)) for j in range(4)]
+        steps = [_step(_add(parts[0].region(), parts[1].region(),
+                            reds[0].region()), kind="lfu")]
+        for j in range(1, 4):
+            steps.append(_step(_add(reds[j - 1].region(),
+                                    parts[j + 1].region(),
+                                    reds[j].region()), kind="lfu"))
+        self._check(steps, parts + reds[-1:], races=set(), groups=[])
+
+    def test_d_repeated_tile_races_and_splits_group(self):
+        x, y = Tensor("x", (8,)), Tensor("y", (8,))
+        self._check(_tiles(x, y, (0, 2, 0, 4, 6)), [x, y],
+                    races={2}, groups=[(0, 2), (2, 5)])
+
+    def test_e_accumulate_onto_one_tile_is_exempt_but_unfused(self):
+        x, y = Tensor("x", (8,)), Tensor("y", (2,))
+        steps = [_step(_act(Region(x, ((o, o + 2),)), y.region(),
+                            accumulate=True)) for o in (0, 2, 4)]
+        a = self._check(steps, [x, y], races=set(), groups=[])
+        assert a.result.diagnostics == []
+
+    def test_f_self_aliasing_lane_splits_groups(self):
+        x, y = Tensor("x", (12,)), Tensor("y", (12,))
+        steps = _tiles(x, y, (0, 2))
+        steps.append(_step(_act(Region(y, ((4, 6),)), Region(y, ((4, 6),)))))
+        steps += _tiles(x, y, (6, 8))
+        a = self._check(steps, [x, y], races=set(), groups=[(0, 2), (3, 5)])
+        assert [(d.code, d.index) for d in a.result.diagnostics] == \
+            [("P110", 2)]
+        assert a.safe_zero_copy == [True, True, False, True, True]
+
+    def test_g_two_box_shapes_on_a_written_tensor_are_scanned(self):
+        # Lanes read 4-wide boxes of the tensor they write 2-wide tiles
+        # of; lane 1 reads the bytes lane 0 writes.
+        y = Tensor("y", (16,))
+        steps = [_step(_act(Region(y, ((lo, lo + 4),)),
+                            Region(y, ((out, out + 2),))))
+                 for lo, out in ((8, 0), (0, 4), (12, 6))]
+        self._check(steps, [y], races=set(), groups=[(1, 3)], keyed=False)
+
+    def test_h_overlapping_outputs_of_one_step_are_scanned(self):
+        x, y, z = (Tensor(n, (8,)) for n in "xyz")
+        steps = [
+            _step(Instruction(Opcode.ACT1D, (Region(x, ((0, 4),)),),
+                              (Region(y, ((0, 4),)), Region(y, ((2, 6),))))),
+            _step(Instruction(Opcode.ACT1D, (Region(x, ((4, 8),)),),
+                              (Region(z, ((0, 4),)), Region(z, ((2, 6),))))),
+        ]
+        self._check(steps, [x, y, z], races={0, 1}, groups=[(0, 2)],
+                    keyed=False)
 
 
 # -- static zero-copy proofs in the executor ----------------------------------
@@ -379,6 +497,25 @@ def test_suite_benchmark_is_analyzer_clean(bench, machine_factory):
     assert plan.stats.peak_live_bytes > 0
 
 
+@pytest.mark.parametrize("machine_factory",
+                         [cambricon_f1, cambricon_f100],
+                         ids=["f1", "f100"])
+@pytest.mark.parametrize("bench", sorted(PROFILE_BENCHMARKS))
+def test_suite_runs_never_reach_the_scan(bench, machine_factory, monkeypatch):
+    """Every isomorphic run of every shipped plan is decided by lattice
+    keys, with the products the box-index scans derive over every run."""
+    plan = compile_cached(machine_factory(), profile_benchmark(bench).program)
+    expected = _scan_products(plan)
+    scanned = []
+    for name in ("_check_races", "_fusion_groups"):
+        monkeypatch.setattr(plan_analysis, name,
+                            _counting(getattr(plan_analysis, name), scanned))
+    a = analyze_plan(plan)
+    assert scanned == []
+    assert (_races(a), a.fusion_groups) == expected
+    assert a.digest() == plan.analysis["digest"]
+
+
 # -- fuzz vs brute-force oracles ----------------------------------------------
 
 def _oracle_safe(step):
@@ -413,11 +550,11 @@ def _oracle_dead(plan):
     return dead
 
 
-def _oracle_races(plan):
-    """Step indices racing an earlier step of their isomorphic run."""
-    racy = set()
-    start = 0
+def _oracle_runs(plan):
+    """Maximal runs of consecutive steps with equal (kind, level,
+    signature)."""
     steps = plan.steps
+    start = 0
     while start < len(steps):
         key = (steps[start].kind, steps[start].level,
                steps[start].inst.signature())
@@ -425,6 +562,15 @@ def _oracle_races(plan):
         while stop < len(steps) and (steps[stop].kind, steps[stop].level,
                                      steps[stop].inst.signature()) == key:
             stop += 1
+        yield start, stop
+        start = stop
+
+
+def _oracle_races(plan):
+    """Step indices racing an earlier step of their isomorphic run."""
+    racy = set()
+    steps = plan.steps
+    for start, stop in _oracle_runs(plan):
         if not steps[start].accumulate:
             for j in range(start + 1, stop):
                 for i in range(start, j):
@@ -435,8 +581,39 @@ def _oracle_races(plan):
                     if hit:
                         racy.add(j)
                         break
-        start = stop
     return racy
+
+
+def _oracle_fusable(group):
+    """Batching legality, pairwise: outputs of distinct steps are
+    disjoint, and no input overlaps any output, its own step's included."""
+    for i, step in enumerate(group):
+        for o in step.inst.outputs:
+            if any(o.overlaps(r) for s in group for r in s.inst.inputs):
+                return False
+            if any(o.overlaps(p)
+                   for s in group[i + 1:] for p in s.inst.outputs):
+                return False
+    return True
+
+
+def _oracle_groups(plan):
+    """The greedy of ``_fusion_groups``' docstring, by pairwise overlap:
+    grow a group over its isomorphic run while it stays fusable; a step
+    that breaks it closes the group and may start the next one."""
+    groups = []
+    for start, stop in _oracle_runs(plan):
+        g = start
+        while g < stop:
+            e = g
+            while e < stop and _oracle_fusable(plan.steps[g:e + 1]):
+                e += 1
+            if e - g >= 2:
+                groups.append((g, e))
+                g = e
+            else:
+                g = max(e, g + 1)
+    return groups
 
 
 def _random_program(rng):
@@ -477,3 +654,63 @@ def test_fuzz_analyzer_matches_oracles(seed):
     verify_plan(plan)
     doc = json.loads(json.dumps(plan.to_doc()))
     verify_plan(plan_from_doc(doc, plan.externals))
+
+
+def _lanes(draw, pool):
+    """One run of two to eight isomorphic Act1D/Add1D lanes over the 1-D
+    tensors of ``pool``."""
+    n = pool[0].shape[0]
+    size = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    on_lattice = draw(st.booleans())
+    opcode = draw(st.sampled_from((Opcode.ACT1D, Opcode.ADD1D)))
+    attrs = {"accumulate": True} if draw(st.booleans()) else {}
+
+    def box():
+        if on_lattice:
+            lo = size * draw(st.integers(0, n // size - 1))
+        else:
+            lo = draw(st.integers(0, n - size))
+        return Region(draw(st.sampled_from(pool)), ((lo, lo + size),))
+
+    broadcast = box()
+    outputs, steps = [], []
+    for _ in range(draw(st.integers(2, 8))):
+        inputs = []
+        for _ in range(2 if opcode is Opcode.ADD1D else 1):
+            source = draw(st.sampled_from(("box", "chain", "broadcast")))
+            if source == "chain" and outputs:
+                inputs.append(outputs[-1])
+            elif source == "broadcast":
+                inputs.append(broadcast)
+            else:
+                inputs.append(box())
+        if outputs and draw(st.integers(0, 4)) == 0:
+            out = draw(st.sampled_from(outputs))  # a repeated tile
+        else:
+            out = box()
+        outputs.append(out)
+        steps.append(_step(Instruction(opcode, tuple(inputs), (out,),
+                                       dict(attrs))))
+    return steps
+
+
+@st.composite
+def _isomorphic_lanes(draw):
+    """A hand-built plan of one to three runs of isomorphic lanes over a
+    few shared 1-D tensors: tile origins on or off a lattice, repeated
+    tiles, chains (a lane reads the previous lane's output), broadcast
+    operands (one box every lane reads), the accumulate flag."""
+    pool = [Tensor(f"t{i}", (24,)) for i in range(draw(st.integers(1, 4)))]
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        steps += _lanes(draw, pool)
+    return _plan(steps, pool)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_isomorphic_lanes())
+def test_fuzz_lattice_runs_match_pairwise_oracles(plan):
+    a = analyze_plan(plan)
+    assert a.safe_zero_copy == [_oracle_safe(s) for s in plan.steps]
+    assert _races(a) == _oracle_races(plan)
+    assert a.fusion_groups == _oracle_groups(plan)
