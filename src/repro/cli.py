@@ -1133,6 +1133,7 @@ def cmd_compile(args) -> int:
     """
     from .core.executor import FractalExecutor
     from .core.store import TensorStore
+    from .core.verify import bit_identical
     from .plan import (compile_cached, fingerprint_digest, machine_fingerprint)
     from .workloads import profile_benchmark, resolve_profile_benchmark
 
@@ -1187,7 +1188,7 @@ def cmd_compile(args) -> int:
                         for name, t in w.outputs.items()})
     for (mode, _, _), candidate in zip(modes[1:], results[1:]):
         for name in results[0]:
-            if not np.array_equal(results[0][name], candidate[name]):
+            if not bit_identical(candidate[name], results[0][name]):
                 print(f"compile: --verify FAILED: output {name!r} differs "
                       f"between recursive execution and {mode}",
                       file=sys.stderr)
@@ -1280,24 +1281,15 @@ def cmd_plan_lint(args) -> int:
     result.program_name = name
     gating = result.diagnostics if args.strict else result.errors
 
-    # Batching summary: what the vectorization pass lowered, which lanes
-    # replay as singles (no bit-identical stacked kernel for their
-    # opcode), and the arena the schedule preallocates.  ``--no-batch``
-    # skips schedule construction entirely.
+    # Batching summary: what the vectorization pass lowered and the arena
+    # the schedule preallocates.  ``--no-batch`` skips schedule
+    # construction entirely.
     batching = None
     if not getattr(args, "no_batch", False):
-        from .ops.batch import batched_kernel_for
-
         schedule = plan.replay_schedule()
-        fallback_opcodes: dict = {}
-        for b in plan.batched:
-            if batched_kernel_for(b.opcode) is None:
-                fallback_opcodes[b.opcode.value] = (
-                    fallback_opcodes.get(b.opcode.value, 0) + b.n_lanes)
         batching = {
             "batched_steps": schedule.batched_steps,
             "batched_lanes": schedule.batched_lanes,
-            "batch_fallback_opcodes": fallback_opcodes,
             "arena_bytes": schedule.arena.nbytes,
             "fully_batched": schedule.fully_batched,
         }
@@ -1330,11 +1322,6 @@ def cmd_plan_lint(args) -> int:
         print(f"  batched steps       {batching['batched_steps']:12d} "
               f"covering {batching['batched_lanes']}/{plan.n_steps} steps")
         print(f"  arena bytes         {batching['arena_bytes']:12d}")
-        if batching["batch_fallback_opcodes"]:
-            folded = ", ".join(
-                f"{op} ({lanes} lanes)" for op, lanes in
-                sorted(batching["batch_fallback_opcodes"].items()))
-            print(f"  replayed as singles (no stacked kernel): {folded}")
     return 1 if gating else 0
 
 
@@ -1485,7 +1472,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "document (plus a plan summary section)")
     p.add_argument("--no-batch", action="store_true",
                    help="skip the batching summary (BatchedStep lowering, "
-                        "lanes replayed as singles, arena size)")
+                        "arena size)")
     p.set_defaults(fn=cmd_plan_lint)
 
     p = sub.add_parser("profile", help="run + simulate a benchmark with "

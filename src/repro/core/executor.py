@@ -231,8 +231,8 @@ class FractalExecutor:
         completed portion, which errs on the visible side).
 
         Every plan replays through its :class:`~repro.plan.batch.
-        ReplaySchedule` (built once, cached on the plan): fusion groups
-        with a stacked kernel run as one call each, every other step as a
+        ReplaySchedule` (built once, cached on the plan): every lowered
+        fusion group runs as one stacked call, every other step as a
         precomputed single.  ``batch=False`` runs the classic step-by-step
         loop instead -- the reference the schedule is bit-compared and
         measured against (``repro compile --verify``, the CI

@@ -59,6 +59,13 @@ class VerificationReport:
         return line
 
 
+def bit_identical(got: np.ndarray, want: np.ndarray) -> bool:
+    """Same dtype, shape and bytes.  Unlike ``np.array_equal``, -0.0
+    differs from +0.0 and equal NaN payloads match."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
 def _gather_tensors(program: Sequence[Instruction]) -> Dict[int, Tensor]:
     out: Dict[int, Tensor] = {}
     for inst in program:

@@ -16,10 +16,10 @@ concrete:
   :class:`ReplaySchedule`: an interleaving of :class:`BatchedItem` groups
   and :class:`SingleItem` steps with every per-replay decision -- kernel
   callables, operand slice tuples, aliasing copy-masks, gather/scatter
-  addressing -- resolved once per plan instead of once per run.  The
-  engine of each group is a lowering rule: a group whose opcode has a
-  stacked kernel becomes one BatchedItem, any other group's lanes stay
-  SingleItems (zero-copy slices, one kernel call each);
+  addressing -- resolved once per plan instead of once per run.  Every
+  opcode has a stacked kernel (:mod:`repro.ops.batch`), so each
+  BatchedStep becomes one BatchedItem and only unfused steps are
+  SingleItems;
 * gathers and scatters use **offset arithmetic**: when a group's lanes
   tile one tensor at a constant element stride (the shape fractal
   decomposition emits), the stacked ``(k, ...)`` operand is an
@@ -367,21 +367,26 @@ class ReplaySchedule:
     #: BatchedItems and the lanes they cover.
     batched_steps: int
     batched_lanes: int
-    #: lanes of lowered groups with no stacked kernel, replayed as singles.
-    fallback_lanes: int
+
+    @property
+    def fallback_lanes(self) -> int:
+        """Lanes of lowered groups replayed as singles: always 0, since
+        every opcode has a stacked kernel."""
+        return 0
 
     @property
     def fully_batched(self) -> bool:
-        """Every lowered fusion group runs stacked (no fallback lanes)."""
-        return self.batched_steps > 0 and self.fallback_lanes == 0
+        """The schedule runs stacked groups, and every lowered group is
+        one of them."""
+        return self.batched_steps > 0
 
 
 def build_schedule(plan: FractalPlan) -> ReplaySchedule:
     """Compile ``plan.steps`` + ``plan.batched`` into a ReplaySchedule.
 
-    A BatchedStep whose opcode has a stacked kernel becomes one
-    BatchedItem; the lanes of any other group become SingleItems, which
-    read zero-copy slices where a gather would have copied.
+    Every BatchedStep becomes one BatchedItem running its opcode's
+    stacked kernel; every step outside a lowered group becomes a
+    SingleItem.
     """
     from ..ops.batch import batched_kernel_for
     from ..ops.dispatch import kernel_for
@@ -397,24 +402,17 @@ def build_schedule(plan: FractalPlan) -> ReplaySchedule:
 
     pos = 0
     lanes = 0
-    n_batched = 0
-    fallback_lanes = 0
-    for bstep in sorted(plan.batched, key=lambda b: b.start):
+    batched = sorted(plan.batched, key=lambda b: b.start)
+    for bstep in batched:
         singles(pos, bstep.start)
-        batched_kernel = batched_kernel_for(bstep.opcode)
-        if batched_kernel is None:
-            singles(bstep.start, bstep.stop)
-            fallback_lanes += bstep.n_lanes
-        else:
-            items.append(BatchedItem(bstep, batched_kernel, slices))
-            lanes += bstep.n_lanes
-            n_batched += 1
+        items.append(BatchedItem(bstep, batched_kernel_for(bstep.opcode),
+                                 slices))
+        lanes += bstep.n_lanes
         pos = bstep.stop
     singles(pos, plan.n_steps)
     arena = build_arena_layout(plan, items)
     return ReplaySchedule(items=items, n_steps=plan.n_steps, arena=arena,
-                          batched_steps=n_batched, batched_lanes=lanes,
-                          fallback_lanes=fallback_lanes)
+                          batched_steps=len(batched), batched_lanes=lanes)
 
 
 # -- arena layout -----------------------------------------------------------

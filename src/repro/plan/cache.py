@@ -162,7 +162,9 @@ class DiskPlanCache:
                                            prefix=path.name, suffix=".tmp")
                 try:
                     with os.fdopen(fd, "w", encoding="utf-8") as f:
-                        json.dump(doc, f, separators=(",", ":"))
+                        # json.dumps, not json.dump: only the one-shot
+                        # form runs the C encoder (same text, ~4x faster).
+                        f.write(json.dumps(doc, separators=(",", ":")))
                     os.replace(tmp, path)
                 except BaseException:
                     try:

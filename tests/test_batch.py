@@ -1,15 +1,18 @@
 """Vectorized leaf-batch replay tests: suite-wide bit-identity, the
-tensor arena, schema-v3 cache round-trips/poisoning, batched counters,
-the default engine contract, and the sentinel wiring for the new metrics.
+per-opcode stacked kernels, the tensor arena, schema-v3 cache
+round-trips/poisoning, batched counters, the default engine contract,
+and the sentinel wiring for the new metrics.
 
 The acceptance bar for the vectorization pass is *bit-identity*: for
 every paper benchmark on both machine instances, the default replay
 (through the schedule) must produce byte-for-byte the arrays recursion
-and the classic step loop produce.  Everything else here defends the
-supporting structure -- fusion groups without a stacked kernel replay as
-singles, the arena never aliases two concurrently-live tensors, a
-tampered BatchedStep table can never steer the executor, and a collapse
-of ``batched_speedup`` trips the perf-trend sentinel.
+and the classic step loop produce, and every opcode's stacked kernel
+must reproduce ``k`` reference calls byte for byte in every operand
+layout a gather can hand it.  Everything else here defends the
+supporting structure -- every lowered fusion group runs stacked, the
+arena never aliases two concurrently-live tensors, a tampered
+BatchedStep table can never steer the executor, and a collapse of
+``batched_speedup`` trips the perf-trend sentinel.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_machine
+from test_executor import ALL_OPCODE_CASES
 from repro import (
     FractalExecutor,
     Instruction,
@@ -32,9 +36,11 @@ from repro import (
     cambricon_f100,
     telemetry,
 )
+from repro.core.verify import bit_identical
 from repro.obs import RunHistory, analyze_history, metric_polarity
 from repro.obs.history import points_from_report
-from repro.ops.batch import batched_kernel_for, batched_opcodes
+from repro.ops.batch import batched_kernel_for
+from repro.ops.dispatch import kernel_for
 from repro.plan import (
     DiskPlanCache,
     PlanCache,
@@ -45,6 +51,7 @@ from repro.plan import (
     machine_fingerprint,
     plan_from_doc,
 )
+from repro.plan.batch import _build_access, _SliceTable
 from repro.analysis import program_digest
 from repro.workloads import profile_benchmark, profile_benchmark_names
 
@@ -94,8 +101,8 @@ def _assert_bit_identical_to_recursion_and_classic(machine, w, plan):
     _, classic = _replay_outputs(machine, w, plan, batch=False)
     executor, default = _replay_outputs(machine, w, plan)
     for out_name in recursive:
-        np.testing.assert_array_equal(classic[out_name], recursive[out_name])
-        np.testing.assert_array_equal(default[out_name], recursive[out_name])
+        assert bit_identical(classic[out_name], recursive[out_name]), out_name
+        assert bit_identical(default[out_name], recursive[out_name]), out_name
     return executor
 
 
@@ -116,32 +123,124 @@ class TestSuiteBitIdentity:
             plan.replay_schedule().batched_steps
 
 
+# -- the stacked kernels ------------------------------------------------------
+
+#: every opcode's reference case, plus a Merge1D case and Cv2D cases with
+#: ``Cout == 1`` and an output-channel split's lane shape.
+STACKED_CASES = ALL_OPCODE_CASES + [
+    (Opcode.MERGE1D, [(9,), (5,), (12,), (7,)], (33,), {}),
+    (Opcode.CV2D, [(2, 7, 7, 3), (3, 3, 3, 1)], (2, 5, 5, 1), {"stride": 1}),
+    (Opcode.CV2D, [(1, 6, 6, 16), (3, 3, 16, 2)], (1, 4, 4, 2),
+     {"stride": 1}),
+]
+
+
+def _layouts(n_in):
+    """Per-operand gather layouts: ``stack`` lanes tile a tensor along its
+    first axis (a contiguous stack), ``broadcast`` every lane reads one
+    region (a stride-0 stack), ``view`` lanes tile a tensor along its last
+    axis (non-contiguous lane views), ``loop`` lanes live on separate
+    tensors (a loop-gathered copy)."""
+    yield ("stack",) * n_in
+    yield ("loop",) * n_in
+    yield ("view",) * n_in
+    for j in range(n_in):
+        for rest in ("stack", "view"):
+            modes = [rest] * n_in
+            modes[j] = "broadcast"
+            yield tuple(modes)
+
+
+def _lane_regions(mode, shape, k, name):
+    """``k`` lane regions of one operand position laid out as ``mode``."""
+    if mode == "broadcast":
+        return [Tensor(name, shape).region()] * k
+    if mode == "loop":
+        return [Tensor(f"{name}{i}", shape).region() for i in range(k)]
+    axis = 0 if mode == "stack" else len(shape) - 1
+    big = list(shape)
+    big[axis] *= k
+    full = Tensor(name, tuple(big)).region()
+    return [full.slice_dim(axis, i * shape[axis], (i + 1) * shape[axis])
+            for i in range(k)]
+
+
+def _stacked_and_reference(opcode, shapes, out_shape, attrs, modes, k):
+    """Gather ``k`` lanes through the replay schedule's own addressing,
+    run the stacked kernel once and the reference kernel once per lane;
+    returns ``(stacked lanes, reference outputs)``."""
+    rng = np.random.default_rng(3)
+    positions = [_lane_regions(mode, shape, k, f"in{j}")
+                 for j, (mode, shape) in enumerate(zip(modes, shapes))]
+    store = TensorStore()
+    for regions in positions:
+        for r in regions:
+            if not store.has(r.tensor):
+                data = rng.normal(size=r.tensor.shape)
+                if opcode is Opcode.MERGE1D:
+                    data = np.sort(data, axis=-1)
+                store.bind(r.tensor, data)
+    slices = _SliceTable()
+    operands = [_build_access(p, slices).gather(store) for p in positions]
+    stacked = np.asarray(batched_kernel_for(opcode)(operands, attrs),
+                         dtype=np.float64)
+    reference = kernel_for(opcode)
+    refs = []
+    for i in range(k):
+        ins = [store.ensure(p[i].tensor)[slices[p[i].bounds]]
+               for p in positions]
+        refs.append(np.asarray(reference(ins, attrs), dtype=np.float64))
+    return stacked.reshape((k,) + tuple(out_shape)), refs
+
+
+def _case_id(case):
+    opcode, shapes, _out, attrs = case
+    return f"{opcode.value}-{'x'.join(map(str, shapes[0]))}" + (
+        f"-s{attrs['stride']}" if "stride" in attrs else "")
+
+
+class TestStackedKernels:
+    """Every opcode's stacked kernel reproduces ``k`` reference calls
+    byte for byte, in every operand layout a gather can produce."""
+
+    @pytest.mark.parametrize("case", STACKED_CASES,
+                             ids=[_case_id(c) for c in STACKED_CASES])
+    def test_lanes_bit_identical_to_reference_calls(self, case):
+        opcode, shapes, out_shape, attrs = case
+        for modes in _layouts(len(shapes)):
+            stacked, refs = _stacked_and_reference(
+                opcode, shapes, out_shape, attrs, modes, k=4)
+            for lane, ref in enumerate(refs):
+                assert bit_identical(stacked[lane], ref.reshape(out_shape)), (
+                    f"{opcode.value} lane {lane}, layout {modes}")
+
+    def test_output_channel_split(self):
+        """One input tile shared by eight lanes, each with its own
+        output-channel slice of the weights: a stride-0 input gather and
+        non-contiguous per-lane weight views, as F1 ResNet-152 emits."""
+        stacked, refs = _stacked_and_reference(
+            Opcode.CV2D, [(1, 6, 6, 16), (3, 3, 16, 2)], (1, 4, 4, 2),
+            {"stride": 1}, ("broadcast", "view"), k=8)
+        for lane, ref in enumerate(refs):
+            assert bit_identical(stacked[lane], ref), lane
+
+    def test_case_table_covers_every_opcode(self):
+        assert {case[0] for case in STACKED_CASES} == set(Opcode)
+
+
 # -- the stacked-kernel registry ---------------------------------------------
 
 class TestBatchedKernelRegistry:
-    def test_registered_opcodes_are_the_bit_identical_set(self):
-        ops = set(batched_opcodes())
-        assert Opcode.MATMUL in ops
-        assert Opcode.ACT1D in ops
-        # Collapsed convolutions take a different BLAS path than the
-        # reference im2col loop, so they are deliberately absent: their
-        # lanes replay as singles instead.
-        assert Opcode.CV2D not in ops
-        assert Opcode.CV3D not in ops
-        assert Opcode.MERGE1D not in ops
-
-    def test_kernel_for_mirrors_registry(self):
+    def test_every_opcode_has_a_stacked_kernel(self):
         for op in Opcode:
-            kern = batched_kernel_for(op)
-            assert (kern is not None) == (op in set(batched_opcodes()))
+            assert callable(batched_kernel_for(op)), op
 
 
 # -- default engine policy ----------------------------------------------------
 
 class TestDefaultPolicy:
-    """Every plan replays through its schedule by default.  A fusion group
-    runs as one stacked call when its opcode has a stacked kernel; the
-    lanes of any other group (Cv2D, Cv3D, Merge1D) stay singles."""
+    """Every plan replays through its schedule by default, and every
+    lowered fusion group runs as one stacked call."""
 
     def test_fully_covered_plan_defaults_to_batched(self):
         machine, w, plan = _suite_plan("f1", "mm_fc")
@@ -151,14 +250,22 @@ class TestDefaultPolicy:
         assert executor.stats.batched_steps == schedule.batched_steps
 
     def test_conv_plan_replays_through_the_schedule(self):
-        machine, w, plan = _suite_plan("f1", "ResNet-152")
-        schedule = plan.replay_schedule()
-        assert schedule.batched_steps and not schedule.fully_batched
-        executor = _assert_bit_identical_to_recursion_and_classic(
-            machine, w, plan)
-        assert executor.stats.batched_steps == schedule.batched_steps
-        assert executor.stats.batched_lanes == schedule.batched_lanes
-        assert executor.store.arena_bytes == schedule.arena.nbytes
+        """Conv nets run every lowered group stacked, conv groups
+        included: no step of a lowered group is a SingleItem."""
+        for name in ("ResNet-152", "VGG-16"):
+            machine, w, plan = _suite_plan("f1", name)
+            schedule = plan.replay_schedule()
+            assert schedule.fully_batched and schedule.fallback_lanes == 0
+            fused = {i for b in plan.batched for i in range(b.start, b.stop)}
+            assert any(b.opcode is Opcode.CV2D for b in plan.batched)
+            assert not [item for item in schedule.items
+                        if not item.batched and item.start in fused]
+            assert schedule.batched_lanes == len(fused)
+            executor = _assert_bit_identical_to_recursion_and_classic(
+                machine, w, plan)
+            assert executor.stats.batched_steps == schedule.batched_steps
+            assert executor.stats.batched_lanes == schedule.batched_lanes
+            assert executor.store.arena_bytes == schedule.arena.nbytes
 
     def test_no_batched_item_lacks_a_stacked_kernel(self):
         _, _, plan = _suite_plan("f1", "ResNet-152")
@@ -168,20 +275,57 @@ class TestDefaultPolicy:
             assert item.batched_kernel is not None
             assert item.batched_kernel is batched_kernel_for(item.opcode)
 
-    def test_fallback_groups_replay_as_singles(self):
-        _, _, plan = _suite_plan("f1", "ResNet-152")
-        schedule = plan.replay_schedule()
-        fused = set()
-        for b in plan.batched:
-            fused.update(range(b.start, b.stop))
-        singles = [item for item in schedule.items
-                   if not item.batched and item.start in fused]
-        assert schedule.fallback_lanes > 0
-        assert len(singles) == schedule.fallback_lanes
-        assert all(batched_kernel_for(item.opcode) is None
-                   for item in singles)
-        assert schedule.batched_lanes + schedule.fallback_lanes == sum(
-            b.n_lanes for b in plan.batched)
+
+def _tiny_replay_check(program, bindings):
+    """Replay ``program`` on ``tiny_machine`` from ``(tensor, array)``
+    bindings; every lowered group must be a BatchedItem and the outputs
+    bit-identical to recursion and the classic loop.  Returns the
+    schedule's BatchedItems."""
+    machine = tiny_machine()
+    plan = compile_program(machine, program)
+    items = [i for i in plan.replay_schedule().items if i.batched]
+    assert len(items) == len(plan.batched)
+    results = []
+    for use_plan, batch in ((None, True), (plan, False), (plan, True)):
+        store = TensorStore()
+        for tensor, data in bindings:
+            store.bind(tensor, data)
+        FractalExecutor(machine, store).run_program(program, plan=use_plan,
+                                                    batch=batch)
+        results.append([store.read(r) for inst in program
+                        for r in inst.outputs])
+    for got in results[1:]:
+        for g, want in zip(got, results[0]):
+            assert bit_identical(g, want)
+    return items
+
+
+class TestStackedReplayEndToEnd:
+    """Small programs whose only fusion groups are the newly stacked
+    opcodes replay through BatchedItems, bit-identical to recursion."""
+
+    def test_cv3d_groups_replay_stacked(self):
+        [case] = [c for c in ALL_OPCODE_CASES if c[0] is Opcode.CV3D]
+        _, shapes, out_shape, attrs = case
+        rng = np.random.default_rng(11)
+        ins = [Tensor(f"in{j}", shape) for j, shape in enumerate(shapes)]
+        out = Tensor("out", out_shape)
+        program = [Instruction(Opcode.CV3D, tuple(t.region() for t in ins),
+                               (out.region(),), attrs)]
+        items = _tiny_replay_check(
+            program, [(t, rng.normal(size=t.shape)) for t in ins])
+        assert [i.opcode for i in items] == [Opcode.CV3D] * 2
+
+    def test_merge1d_group_replays_stacked(self):
+        rng = np.random.default_rng(12)
+        runs = [Tensor(f"run{i}", (8,)) for i in range(6)]
+        out = Tensor("merged", (48,))
+        program = [Instruction(Opcode.MERGE1D,
+                               tuple(t.region() for t in runs),
+                               (out.region(),))]
+        items = _tiny_replay_check(
+            program, [(t, np.sort(rng.normal(size=8))) for t in runs])
+        assert [(i.opcode, i.k) for i in items] == [(Opcode.MERGE1D, 3)]
 
 
 # -- the tensor arena ---------------------------------------------------------
@@ -247,10 +391,11 @@ class TestArenaLayout:
         self._assert_high_water(*self._schedule())
 
     def test_liveness_oracle_holds_on_a_mixed_schedule(self):
-        """ResNet-152 interleaves stacked groups with conv lanes replayed
-        as singles: the oracle must hold across both item kinds."""
+        """ResNet-152 interleaves stacked groups with unfused singles:
+        the oracle must hold across both item kinds."""
         plan, schedule = self._schedule("ResNet-152")
-        assert schedule.batched_steps and schedule.fallback_lanes
+        kinds = [item.batched for item in schedule.items]
+        assert {(True, False), (False, True)} <= set(zip(kinds, kinds[1:]))
         self._assert_no_live_overlap(plan, schedule)
         self._assert_high_water(plan, schedule)
 

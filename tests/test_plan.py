@@ -317,6 +317,21 @@ class TestDiskCache:
         for got, want in zip(replayed, recursive):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("name", ["mm_fc", "K-Means"])
+    def test_store_writes_what_json_dump_writes(self, tmp_path, name):
+        """``store`` encodes with the one-shot C encoder (``json.dumps``);
+        the file holds the bytes the streaming ``json.dump`` writes."""
+        machine = cambricon_f1()
+        program = profile_benchmark(name).program
+        plan = compile_program(machine, program)
+        fp, digest = plan_key(machine, program)
+        disk = DiskPlanCache(tmp_path / "cache")
+        disk.store(fp, digest, plan)
+        reference = tmp_path / "dump.json"
+        with open(reference, "w", encoding="utf-8") as f:
+            json.dump(plan.to_doc(), f, separators=(",", ":"))
+        assert disk._path(fp, digest).read_bytes() == reference.read_bytes()
+
     def test_truncated_valid_prefix_is_rejected(self, tmp_path):
         machine = tiny_machine()
         program = _hsum_program()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Instruction, Opcode, Tensor, cambricon_f1, cambricon_f100
-from repro.core.verify import verify_program, verify_suite
+from repro.core.verify import bit_identical, verify_program, verify_suite
 from repro.cost.report import format_cost_report, machine_cost_report
 from repro.cost.layout import subtree_cost
 
@@ -86,3 +86,28 @@ class TestCostReport:
     def test_format_renders(self):
         text = format_cost_report(cambricon_f1())
         assert "cross-check" in text and "Core" in text
+
+
+class TestBitIdentical:
+    """The comparison behind every "bit-identical" check compares bits,
+    not values."""
+
+    def test_signed_zeros_differ(self):
+        assert np.array_equal([0.0], [-0.0])  # the gap it closes
+        assert not bit_identical(np.array([0.0]), np.array([-0.0]))
+
+    def test_equal_nan_payloads_match(self):
+        nan = np.array([np.nan, 1.0])
+        assert not np.array_equal(nan, nan.copy())  # the gap it closes
+        assert bit_identical(nan, nan.copy())
+        other = nan.copy()
+        other.view(np.uint64)[0] ^= 1  # another quiet-NaN payload
+        assert np.isnan(other[0])
+        assert not bit_identical(nan, other)
+
+    def test_dtype_and_shape_must_match(self):
+        a = np.arange(6.0)
+        assert bit_identical(a, a.copy())
+        assert not bit_identical(a, a.reshape(2, 3))
+        assert not bit_identical(np.zeros(2, np.float64),
+                                 np.zeros(4, np.float32))
