@@ -39,7 +39,7 @@ from repro import (
 from repro.core.verify import bit_identical
 from repro.obs import RunHistory, analyze_history, metric_polarity
 from repro.obs.history import points_from_report
-from repro.ops.batch import batched_kernel_for
+from repro.ops.batch import _BATCHED_KERNELS, batched_kernel_for
 from repro.ops.dispatch import kernel_for
 from repro.plan import (
     DiskPlanCache,
@@ -231,9 +231,17 @@ class TestStackedKernels:
 # -- the stacked-kernel registry ---------------------------------------------
 
 class TestBatchedKernelRegistry:
-    def test_every_opcode_has_a_stacked_kernel(self):
+    def test_registered_opcodes_are_the_bit_identical_set(self):
+        # Every opcode's stacked kernel reproduces its reference calls
+        # byte for byte (the per-opcode sweep above), so the registry
+        # holds every opcode, the convolutions and Merge1D included.
+        assert set(_BATCHED_KERNELS) == set(Opcode)
+
+    def test_kernel_for_mirrors_registry(self):
         for op in Opcode:
-            assert callable(batched_kernel_for(op)), op
+            kern = batched_kernel_for(op)
+            assert callable(kern), op
+            assert kern is _BATCHED_KERNELS[op], op
 
 
 # -- default engine policy ----------------------------------------------------
