@@ -1,13 +1,18 @@
-"""Functional fractal executor.
+"""Functional fractal executor and the one fractal walker.
 
-Runs a FISA program on a :class:`~repro.core.machine.Machine` by *actually
-following the fractal execution model*: at every non-leaf node the
-sequential decomposer shrinks the instruction to the node's memory capacity,
-the parallel decomposer fans the pieces out across the FFUs, children
-recurse, and g(.) reduction instructions run on the node's LFUs.  Only leaf
-nodes (and LFUs) touch the numpy kernels.
+:func:`walk` follows the fractal execution model: at every non-leaf node
+the sequential decomposer (SD) shrinks the instruction to the node's memory
+capacity, the parallel decomposer (PD) fans the pieces out across the FFUs,
+children recurse, and g(.) reduction instructions run on the node's LFUs.
+It counts every node into a :class:`WalkStats` and hands each leaf kernel
+call and LFU reduction, in execution order, to a *sink*.  A cold
+:class:`FractalExecutor` run passes a sink that executes the step on the
+numpy kernels; :func:`repro.plan.compile_program` passes one that records
+it as a plan step.  Both share this one recursion, so a plan replays
+exactly the steps a cold run executes and its precomputed counters are a
+cold run's by construction.
 
-The point of this component is *verification*: for any machine shape, the
+The point of the executor is *verification*: for any machine shape, the
 result must be bit-identical (up to float tolerance) to running the
 reference kernel directly.  The test-suite checks exactly that, which
 validates every decomposition rule end to end.
@@ -15,30 +20,33 @@ validates every decomposition rule end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .. import obs, ops, telemetry
 from ..obs import prof as _prof
 from .decomposition import decompose_parallel, shrink_sequential
-from .isa import Instruction, Opcode
+from .isa import Instruction
 from .machine import Machine
 from .store import TensorStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan imports core)
     from ..plan import FractalPlan
 
+#: instruction attributes that steer the executor's write-back, not the
+#: kernel itself; stripped from the attributes every kernel receives.
+WRITEBACK_ATTRS = ("accumulate", "acc_local_out", "acc_chain")
+
 
 @dataclass
-class ExecutionStats:
-    """Counters collected during a functional run.
+class WalkStats:
+    """The counters one :func:`walk` of the fractal recursion accumulates.
 
-    Always-on (the updates are a handful of dict/int operations per fractal
-    node, dwarfed by the numpy kernels); mirrored into the global
-    :mod:`repro.telemetry` registry after each ``run_program`` when
-    telemetry is enabled.
+    A cold run counts into its :class:`ExecutionStats`, and the plan
+    compiler into the plan's :class:`repro.plan.PlanStats`; both derive
+    from this class, so a plan's counters equal a cold run's.
     """
 
     kernel_calls: int = 0
@@ -56,6 +64,41 @@ class ExecutionStats:
     #: tensor bytes read from / written to the store by kernels and LFUs.
     bytes_read: int = 0
     bytes_written: int = 0
+
+    def count(self, level: int) -> None:
+        self.instructions_per_level[level] = (
+            self.instructions_per_level.get(level, 0) + 1)
+        if level > self.max_depth_reached:
+            self.max_depth_reached = level
+
+    def add(self, other: "WalkStats") -> None:
+        """Add another walk's counters to these (the depth takes the max).
+
+        Replay performs exactly the work the compile walk recorded, so it
+        adds the plan's precomputed counters in one shot instead of
+        re-deriving them step by step on the hot path.
+        """
+        for f in fields(WalkStats):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, dict):
+                for key, n in theirs.items():
+                    mine[key] = mine.get(key, 0) + n
+            elif f.name == "max_depth_reached":
+                self.max_depth_reached = max(mine, theirs)
+            else:
+                setattr(self, f.name, mine + theirs)
+
+
+@dataclass
+class ExecutionStats(WalkStats):
+    """Counters collected during a functional run.
+
+    Always-on (the updates are a handful of dict/int operations per fractal
+    node, dwarfed by the numpy kernels); mirrored into the global
+    :mod:`repro.telemetry` registry after each ``run_program`` when
+    telemetry is enabled.
+    """
+
     #: batched replay: BatchedStep groups executed and the plan steps
     #: (lanes) they covered with one stacked kernel call each.
     batched_steps: int = 0
@@ -63,32 +106,6 @@ class ExecutionStats:
     #: runtime operand-aliasing scans skipped because the schedule carries
     #: the analyzer's interference result as a precomputed copy-mask.
     alias_scan_skips: int = 0
-
-    def count(self, level: int) -> None:
-        self.instructions_per_level[level] = self.instructions_per_level.get(level, 0) + 1
-        self.max_depth_reached = max(self.max_depth_reached, level)
-
-    def merge_plan(self, plan_stats) -> None:
-        """Fold a compiled plan's precomputed stats into this run's counters.
-
-        Replay performs exactly the work the recursion would have, so the
-        plan-time numbers (:class:`repro.plan.PlanStats`) are added verbatim
-        instead of being re-derived step by step on the hot path.
-        """
-        self.kernel_calls += plan_stats.kernel_calls
-        self.lfu_calls += plan_stats.lfu_calls
-        for level, n in plan_stats.instructions_per_level.items():
-            self.instructions_per_level[level] = (
-                self.instructions_per_level.get(level, 0) + n)
-        self.max_depth_reached = max(self.max_depth_reached,
-                                     plan_stats.max_depth_reached)
-        self.fanouts += plan_stats.fanouts
-        self.fanout_parts += plan_stats.fanout_parts
-        self.seq_steps += plan_stats.seq_steps
-        for opcode, n in plan_stats.leaf_ops.items():
-            self.leaf_ops[opcode] = self.leaf_ops.get(opcode, 0) + n
-        self.bytes_read += plan_stats.bytes_read
-        self.bytes_written += plan_stats.bytes_written
 
     def counter_series(self) -> Dict[Tuple[str, Tuple[Tuple[str, str], ...]], int]:
         """Flatten into ``{(name, labels): value}`` for registry mirroring."""
@@ -111,6 +128,53 @@ class ExecutionStats:
         return out
 
 
+def walk(inst: Instruction, level: int, machine: Machine, stats: WalkStats,
+         sink: Callable[[str, Instruction, int], None]) -> None:
+    """Walk the fractal recursion of ``inst`` from ``level`` down.
+
+    Counts every node into ``stats`` and calls ``sink(kind, inst, level)``
+    for each leaf kernel (``"kernel"``) and each LFU reduction (``"lfu"``,
+    at the level of the node that owns the LFUs), in execution order.  SD
+    and PD are looked up as this module's globals on every call.
+
+    A module-level function, not a closure: a nested function that calls
+    itself holds itself through its closure cell, and that cycle would keep
+    whatever the sink built alive until a full collection.
+    """
+    stats.count(level)
+    spec = machine.level(level)
+    if spec.is_leaf:
+        stats.kernel_calls += 1
+        mnemonic = inst.opcode.value
+        stats.leaf_ops[mnemonic] = stats.leaf_ops.get(mnemonic, 0) + 1
+        stats.bytes_read += sum(r.nbytes for r in inst.inputs)
+        stats.bytes_written += sum(r.nbytes for r in inst.outputs)
+        sink("kernel", inst, level)
+        return
+    seq = shrink_sequential(inst, spec.mem_bytes)
+    if len(seq) > 1:
+        stats.seq_steps += len(seq)
+    for step in seq:
+        split = decompose_parallel(step, spec.fanout)
+        if split is None:
+            # Degenerate granularity: a single FFU inherits the whole step.
+            walk(step, level + 1, machine, stats, sink)
+            continue
+        stats.fanouts += 1
+        stats.fanout_parts += len(split.parts)
+        if obs.get_event_log().enabled:
+            obs.log_event("executor", "fanout", "debug", level=level,
+                          opcode=step.opcode.value, parts=len(split.parts),
+                          reductions=len(split.reduction))
+        for part in split.parts:
+            walk(part, level + 1, machine, stats, sink)
+        for red in split.reduction:
+            stats.lfu_calls += 1
+            stats.bytes_read += sum(r.nbytes for r in red.inputs)
+            stats.bytes_written += sum(r.nbytes for r in red.outputs)
+            sink("lfu", red, level)
+
+
 #: replay emits one ``replay.progress`` debug event per this many steps,
 #: so a tailed live run shows motion without flooding the ring.
 REPLAY_PROGRESS_STRIDE = 1024
@@ -123,12 +187,10 @@ class FractalExecutor:
         self,
         machine: Machine,
         store: Optional[TensorStore] = None,
-        apply_sequential: bool = True,
         preflight: bool = False,
     ):
         self.machine = machine
         self.store = store if store is not None else TensorStore()
-        self.apply_sequential = apply_sequential
         #: opt-in pre-flight: statically analyze programs before running
         #: them and refuse on analyzer errors (repro.analysis).
         self.preflight = preflight
@@ -139,30 +201,25 @@ class FractalExecutor:
 
     # -- public API ---------------------------------------------------------
 
-    def compile(self, program: Iterable[Instruction], use_cache: bool = True,
+    def compile(self, program: Iterable[Instruction],
                 plan_cache_dir=None) -> "FractalPlan":
         """Compile ``program`` into a replayable :class:`FractalPlan`.
 
-        With ``use_cache`` (the default) the plan comes from the process-
-        wide signature-keyed cache (and, when ``plan_cache_dir`` is given,
-        the on-disk store) -- repeated compiles of the same shapes on the
-        same machine are near-free.  Pass the result back to
-        :meth:`run_program` (or call :meth:`run_plan`) to skip all
-        decomposition on warm runs.
+        The plan comes from the process-wide signature-keyed cache (and,
+        when ``plan_cache_dir`` is given, the on-disk store) -- repeated
+        compiles of the same shapes on the same machine are near-free; an
+        uncached compile is :func:`repro.plan.compile_program`.  Pass the
+        result back to :meth:`run_program` (or call :meth:`run_plan`) to
+        skip all decomposition on warm runs.
         """
-        from ..plan import compile_cached, compile_program
+        from ..plan import compile_cached
 
         program = list(program)
         if self.preflight:
             from ..analysis import analyze
 
             analyze(program, name="preflight").raise_if_errors()
-        if use_cache:
-            return compile_cached(self.machine, program,
-                                  apply_sequential=self.apply_sequential,
-                                  disk_dir=plan_cache_dir)
-        return compile_program(self.machine, program,
-                               apply_sequential=self.apply_sequential)
+        return compile_cached(self.machine, program, disk_dir=plan_cache_dir)
 
     def run_program(self, program: Iterable[Instruction],
                     plan: Optional["FractalPlan"] = None,
@@ -200,7 +257,8 @@ class FractalExecutor:
                         tracer.span(f"inst:{inst.opcode.value}",
                                     cat="instruction"):
                     try:
-                        self._run(inst, level=0)
+                        walk(inst, 0, self.machine, self.stats,
+                             self._run_step)
                     except Exception as err:
                         log.error("instruction.fail", instruction=index,
                                   opcode=inst.opcode.value,
@@ -215,7 +273,7 @@ class FractalExecutor:
     def run(self, inst: Instruction) -> TensorStore:
         with telemetry.get_tracer().span(f"inst:{inst.opcode.value}",
                                          cat="instruction"):
-            self._run(inst, level=0)
+            walk(inst, 0, self.machine, self.stats, self._run_step)
         _prof.clear_step()
         self._publish_counters()
         return self.store
@@ -226,7 +284,7 @@ class FractalExecutor:
         Executes the flattened kernel/LFU steps in their recorded order --
         no ``shrink_sequential``, no ``decompose_parallel``, no rule
         searches -- producing results bit-identical to the recursive path.
-        The plan's precomputed stats are merged up front (replay performs
+        The plan's precomputed stats are added up front (replay performs
         exactly that work; on a mid-replay failure the stats overstate the
         completed portion, which errs on the visible side).
 
@@ -240,7 +298,7 @@ class FractalExecutor:
         """
         if batch:
             return self._run_schedule(plan, plan.replay_schedule())
-        self.stats.merge_plan(plan.stats)
+        self.stats.add(plan.stats)
         tracer = telemetry.get_tracer()
         log = obs.logger("executor")
         store = self.store
@@ -314,7 +372,7 @@ class FractalExecutor:
         steps, profiler step attribution per item, and per-opcode
         ``ops.dispatch`` counts (one bulk increment per group).
         """
-        self.stats.merge_plan(plan.stats)
+        self.stats.add(plan.stats)
         self.stats.batched_steps += schedule.batched_steps
         self.stats.batched_lanes += schedule.batched_lanes
         tracer = telemetry.get_tracer()
@@ -470,60 +528,33 @@ class FractalExecutor:
             registry.gauge("store.arena_bytes").set_max(self.store.arena_bytes)
         self._published = current
 
-    # -- fractal recursion ----------------------------------------------------
+    # -- the cold run's walk sink --------------------------------------------
 
-    def _run(self, inst: Instruction, level: int) -> None:
-        self.stats.count(level)
-        spec = self.machine.level(level)
-        if spec.is_leaf:
-            self._execute_kernel(inst, level)
-            return
-
-        steps: List[Instruction]
-        if self.apply_sequential:
-            steps = shrink_sequential(inst, spec.mem_bytes)
-            if len(steps) > 1:
-                self.stats.seq_steps += len(steps)
-        else:
-            steps = [inst]
-
-        for step in steps:
-            split = decompose_parallel(step, spec.fanout)
-            if split is None:
-                # Degenerate granularity: a single FFU inherits the whole step.
-                self._run(step, level + 1)
-                continue
-            self.stats.fanouts += 1
-            self.stats.fanout_parts += len(split.parts)
-            if obs.get_event_log().enabled:
-                obs.log_event("executor", "fanout", "debug", level=level,
-                              opcode=step.opcode.value,
-                              parts=len(split.parts),
-                              reductions=len(split.reduction))
-            for part in split.parts:
-                self._run(part, level + 1)
-            for red in split.reduction:
-                self._execute_lfu(red, level)
-
-    # -- execution units ------------------------------------------------------
-
-    def _execute_kernel(self, inst: Instruction, level: int = 0) -> None:
-        self.stats.kernel_calls += 1
+    def _run_step(self, kind: str, inst: Instruction, level: int) -> None:
+        """Execute one leaf kernel or LFU reduction that :func:`walk`
+        hands over and write its outputs back to the store."""
         mnemonic = inst.opcode.value
-        self.stats.leaf_ops[mnemonic] = self.stats.leaf_ops.get(mnemonic, 0) + 1
         _prof.set_step(mnemonic, level)
         try:
-            self._apply(inst)
+            inputs = self._read_operands(inst)
+            attrs = {k: v for k, v in inst.attrs.items()
+                     if k not in WRITEBACK_ATTRS}
+            outputs = ops.execute(inst.opcode, inputs, attrs)
+            if len(outputs) != len(inst.outputs):
+                raise RuntimeError(
+                    f"{inst.opcode} produced {len(outputs)} outputs, "
+                    f"expected {len(inst.outputs)}")
+            write = (self.store.write_accumulate
+                     if inst.attrs.get("accumulate", False)
+                     else self.store.write)
+            for region, value in zip(inst.outputs, outputs):
+                write(region, value)
         except Exception as err:
-            obs.log_event("executor", "kernel.fail", "error",
-                          opcode=mnemonic, level=level,
-                          error=f"{type(err).__name__}: {err}")
+            if kind == "kernel":
+                obs.log_event("executor", "kernel.fail", "error",
+                              opcode=mnemonic, level=level,
+                              error=f"{type(err).__name__}: {err}")
             raise
-
-    def _execute_lfu(self, inst: Instruction, level: int = 0) -> None:
-        self.stats.lfu_calls += 1
-        _prof.set_step(inst.opcode.value, level)
-        self._apply(inst)
 
     def _read_operands(self, inst: Instruction,
                        copy_mask: Optional[Tuple[bool, ...]] = None) -> List:
@@ -554,24 +585,6 @@ class FractalExecutor:
             else store.read(r, copy=False)
             for r in inst.inputs
         ]
-
-    def _apply(self, inst: Instruction) -> None:
-        inputs = self._read_operands(inst)
-        self.stats.bytes_read += sum(r.nbytes for r in inst.inputs)
-        self.stats.bytes_written += sum(r.nbytes for r in inst.outputs)
-        attrs = {k: v for k, v in inst.attrs.items()
-                 if k not in ("accumulate", "acc_local_out", "acc_chain")}
-        outputs = ops.execute(inst.opcode, inputs, attrs)
-        if len(outputs) != len(inst.outputs):
-            raise RuntimeError(
-                f"{inst.opcode} produced {len(outputs)} outputs, expected {len(inst.outputs)}"
-            )
-        accumulate = bool(inst.attrs.get("accumulate", False))
-        for region, value in zip(inst.outputs, outputs):
-            if accumulate:
-                self.store.write_accumulate(region, value)
-            else:
-                self.store.write(region, value)
 
 
 def run_reference(inst: Instruction, store: TensorStore) -> None:

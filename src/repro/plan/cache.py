@@ -48,11 +48,10 @@ def default_cache_dir() -> Path:
     return base / "repro" / "plans"
 
 
-def plan_key(machine: Machine, program: Sequence[Instruction],
-             apply_sequential: bool = True) -> Tuple[Tuple, str]:
+def plan_key(machine: Machine,
+             program: Sequence[Instruction]) -> Tuple[Tuple, str]:
     """The two-part cache key: (machine fingerprint, program digest)."""
-    return (machine_fingerprint(machine, apply_sequential),
-            program_digest(program))
+    return machine_fingerprint(machine), program_digest(program)
 
 
 class PlanCache:
@@ -206,7 +205,6 @@ def _count(name: str, tier: Optional[str] = None) -> None:
 def compile_cached(
     machine: Machine,
     program: Sequence[Instruction],
-    apply_sequential: bool = True,
     disk_dir=None,
     memory_cache: Optional[PlanCache] = None,
 ) -> FractalPlan:
@@ -220,7 +218,7 @@ def compile_cached(
     """
     program = list(program)
     cache = memory_cache if memory_cache is not None else _GLOBAL_CACHE
-    fp = machine_fingerprint(machine, apply_sequential)
+    fp = machine_fingerprint(machine)
     digest = program_digest(program)
     key = (fp, digest)
     log = obs.logger("plan")
@@ -250,7 +248,7 @@ def compile_cached(
 
     _count("plan.compile_misses")
     log.debug("cache.miss")
-    plan = compile_program(machine, program, apply_sequential=apply_sequential)
+    plan = compile_program(machine, program)
     cache.put(key, plan)
     if disk_dir is not None:
         DiskPlanCache(disk_dir).store(fp, digest, plan)

@@ -1,15 +1,17 @@
 """Compile a FISA program's fractal decomposition once, for replay forever.
 
-:func:`compile_program` walks exactly the recursion that
-:class:`repro.core.executor.FractalExecutor` performs -- sequential shrink
-(SD) at each non-leaf node, parallel fan-out (PD) across the FFUs, g(.)
-reductions on the LFUs -- but instead of *executing* kernels it records
-them, producing a :class:`~repro.plan.plan.FractalPlan` whose step order is
-the executor's exact execution order.  Because all FFUs of a node run
-isomorphic sub-instructions (the paper's structural claim), the expensive
-part of functional execution on repeated shapes is precisely this walk;
-compiling it once and replaying the flat plan is the functional analogue
-of the timing simulator's signature memoization.
+:func:`compile_program` runs the one fractal walker,
+:func:`repro.core.executor.walk`, that a cold
+:class:`~repro.core.executor.FractalExecutor` run executes -- sequential
+shrink (SD) at each non-leaf node, parallel fan-out (PD) across the FFUs,
+g(.) reductions on the LFUs -- with a sink that records each leaf kernel
+and LFU reduction as a plan step instead of executing it.  The resulting
+:class:`~repro.plan.plan.FractalPlan` therefore holds the executor's exact
+execution order.  Because all FFUs of a node run isomorphic
+sub-instructions (the paper's structural claim), the expensive part of
+functional execution on repeated shapes is precisely this walk; compiling
+it once and replaying the flat plan is the functional analogue of the
+timing simulator's signature memoization.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from typing import List, Sequence, Tuple
 
 from .. import obs
 from ..analysis.signatures import external_tensors, program_digest
-from ..core.decomposition import decompose_parallel, shrink_sequential
+# perfbench/spans.py times SD and PD by patching these names in this module
+# too; the walker itself calls them through repro.core.executor.
+from ..core.decomposition import decompose_parallel, shrink_sequential  # noqa: F401
+from ..core.executor import walk
 from ..core.gcpause import gc_paused
 from ..core.isa import Instruction
 from ..core.machine import Machine
@@ -29,20 +34,18 @@ from .batch import lower_plan
 from .plan import FractalPlan, PlanStats, PlanStep
 
 
-def machine_fingerprint(machine: Machine, apply_sequential: bool = True) -> Tuple:
+def machine_fingerprint(machine: Machine) -> Tuple:
     """Canonical key of everything that shapes functional decomposition.
 
     Level geometry (fanout + per-level memory capacity) decides every SD
-    and PD decision; ``apply_sequential`` selects the executor mode.  Name
-    and LFU counts are included conservatively so distinct machine
-    configurations never share plans.  Any change here invalidates cached
-    plans -- which is the point.
+    and PD decision.  Name and LFU counts are included conservatively so
+    distinct machine configurations never share plans.  Any change here
+    invalidates cached plans -- which is the point.
     """
     return (
         machine.name,
         tuple((lv.name, lv.fanout, lv.n_lfus, lv.mem_bytes)
               for lv in machine.levels),
-        bool(apply_sequential),
     )
 
 
@@ -53,58 +56,16 @@ def fingerprint_digest(fingerprint: Tuple) -> str:
     return hashlib.sha256(repr(fingerprint).encode("utf-8")).hexdigest()
 
 
-def _walk(inst: Instruction, level: int, machine: Machine,
-          apply_sequential: bool, stats: PlanStats,
-          steps: List[PlanStep]) -> None:
-    """Record the fractal recursion of ``inst`` from ``level`` into ``steps``.
-
-    A module-level function, not a closure: a nested function that calls
-    itself holds itself through its closure cell, and that cycle would keep
-    ``steps`` alive after the plan is dropped, until a full collection.
-    """
-    stats.count(level)
-    spec = machine.level(level)
-    if spec.is_leaf:
-        stats.kernel_calls += 1
-        mnemonic = inst.opcode.value
-        stats.leaf_ops[mnemonic] = stats.leaf_ops.get(mnemonic, 0) + 1
-        stats.bytes_read += sum(r.nbytes for r in inst.inputs)
-        stats.bytes_written += sum(r.nbytes for r in inst.outputs)
-        steps.append(PlanStep.from_instruction("kernel", inst, level))
-        return
-    if apply_sequential:
-        seq = shrink_sequential(inst, spec.mem_bytes)
-        if len(seq) > 1:
-            stats.seq_steps += len(seq)
-    else:
-        seq = [inst]
-    for step in seq:
-        split = decompose_parallel(step, spec.fanout)
-        if split is None:
-            _walk(step, level + 1, machine, apply_sequential, stats, steps)
-            continue
-        stats.fanouts += 1
-        stats.fanout_parts += len(split.parts)
-        for part in split.parts:
-            _walk(part, level + 1, machine, apply_sequential, stats, steps)
-        for red in split.reduction:
-            stats.lfu_calls += 1
-            stats.bytes_read += sum(r.nbytes for r in red.inputs)
-            stats.bytes_written += sum(r.nbytes for r in red.outputs)
-            steps.append(PlanStep.from_instruction("lfu", red, level))
-
-
 def compile_program(
     machine: Machine,
     program: Sequence[Instruction],
-    apply_sequential: bool = True,
 ) -> FractalPlan:
     """Flatten the fractal decomposition of ``program`` into a plan.
 
-    The recursion mirrors ``FractalExecutor._run`` exactly; the resulting
-    step list replays to bit-identical results (same kernels, same
-    operands, same order).  Per-level stats are accumulated as the walk
-    proceeds so replays can merge them without re-deriving anything.
+    The walk is the cold executor's own, so the resulting step list
+    replays to bit-identical results (same kernels, same operands, same
+    order) and the plan's stats are the counters a cold run would have
+    collected, ready for replays to add without re-deriving anything.
     The whole build runs with the cyclic collector paused
     (:func:`repro.core.gcpause.gc_paused`).
     """
@@ -114,6 +75,11 @@ def compile_program(
         stats = PlanStats()
         steps: List[PlanStep] = []
 
+        # The record sink refers to ``steps`` but not to itself, so it
+        # closes no reference cycle around the plan.
+        def record(kind: str, inst: Instruction, level: int) -> None:
+            steps.append(PlanStep.from_instruction(kind, inst, level))
+
         log = obs.logger("plan")
         log.info("compile.start", machine=machine.name,
                  instructions=len(program))
@@ -121,9 +87,9 @@ def compile_program(
         # so flamegraphs separate decomposition cost from replay cost.
         with _prof.step_scope("plan.compile"):
             for inst in program:
-                _walk(inst, 0, machine, apply_sequential, stats, steps)
+                walk(inst, 0, machine, stats, record)
         plan = FractalPlan(
-            machine_fingerprint=machine_fingerprint(machine, apply_sequential),
+            machine_fingerprint=machine_fingerprint(machine),
             signature_digest=program_digest(program),
             steps=steps,
             stats=stats,

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.executor import WRITEBACK_ATTRS, WalkStats
 from ..core.gcpause import gc_paused
 from ..core.isa import Instruction, Opcode
 from ..core.tensor import DType, Region, Tensor
@@ -30,10 +31,6 @@ from ..core.tensor import DType, Region, Tensor
 #: load), so v2 disk-cache entries miss and recompile.
 PLAN_SCHEMA = "repro.plan"
 PLAN_SCHEMA_VERSION = 3
-
-#: instruction attributes that steer the executor's write-back, not the
-#: kernel itself; precomputed out of every step's ``run_attrs``.
-_WRITEBACK_ATTRS = ("accumulate", "acc_local_out", "acc_chain")
 
 
 class PlanFormatError(ValueError):
@@ -69,7 +66,7 @@ class PlanStep:
             inst=inst,
             level=level,
             run_attrs={k: v for k, v in inst.attrs.items()
-                       if k not in _WRITEBACK_ATTRS},
+                       if k not in WRITEBACK_ATTRS},
             accumulate=bool(inst.attrs.get("accumulate", False)),
             safe_zero_copy=self_alias(inst) is None,
         )
@@ -93,35 +90,19 @@ def self_alias(inst: Instruction) -> Optional[Tuple[Region, Region]]:
 
 
 @dataclass
-class PlanStats:
+class PlanStats(WalkStats):
     """Execution statistics precomputed at compile time.
 
-    These are exactly the counters the recursive executor would have
-    accumulated while running the same program, so a replay can merge them
-    into :class:`repro.core.executor.ExecutionStats` in one shot instead of
+    The compile walk fills the same :class:`~repro.core.executor.WalkStats`
+    counters a cold run fills, so a replay adds them to its
+    :class:`~repro.core.executor.ExecutionStats` in one shot instead of
     re-deriving them step by step.
     """
 
-    kernel_calls: int = 0
-    lfu_calls: int = 0
-    instructions_per_level: Dict[int, int] = field(default_factory=dict)
-    max_depth_reached: int = 0
-    fanouts: int = 0
-    fanout_parts: int = 0
-    seq_steps: int = 0
-    leaf_ops: Dict[str, int] = field(default_factory=dict)
-    bytes_read: int = 0
-    bytes_written: int = 0
     #: exact live-byte high-water mark over the replay order (externals
     #: resident throughout, partials live first-touch..last-touch);
     #: computed by :func:`repro.plan.analysis.analyze_plan`.
     peak_live_bytes: int = 0
-
-    def count(self, level: int) -> None:
-        self.instructions_per_level[level] = (
-            self.instructions_per_level.get(level, 0) + 1)
-        if level > self.max_depth_reached:
-            self.max_depth_reached = level
 
     def to_doc(self) -> dict:
         return {
@@ -240,8 +221,9 @@ class FractalPlan:
         for old, new in zip(self.externals, externals):
             if old.shape != new.shape or old.dtype != new.dtype:
                 raise PlanFormatError(
-                    f"rebind: tensor mismatch {old.name}{old.shape} vs "
-                    f"{new.name}{new.shape}")
+                    f"rebind: tensor mismatch {old.name}{old.shape}/"
+                    f"{old.dtype.name} vs {new.name}{new.shape}/"
+                    f"{new.dtype.name}")
             mapping[old.uid] = new
 
         def map_tensor(t: Tensor) -> Tensor:

@@ -97,20 +97,6 @@ class TestMachineShapes:
         np.testing.assert_allclose(store.read(inst.outputs[0]),
                                    ref.read(inst.outputs[0]), atol=1e-9)
 
-    def test_without_sequential_decomposition(self, rng):
-        inst, arrays = _instr(Opcode.MATMUL, [(8, 8), (8, 8)], (8, 8))
-        store = TensorStore()
-        for r, arr in arrays.items():
-            store.bind(r.tensor, arr)
-        ex = FractalExecutor(tiny_machine(), store, apply_sequential=False)
-        ex.run(inst)
-        ref = TensorStore()
-        for r, arr in arrays.items():
-            ref.bind(r.tensor, arr)
-        run_reference(inst, ref)
-        np.testing.assert_allclose(store.read(inst.outputs[0]),
-                                   ref.read(inst.outputs[0]), atol=1e-9)
-
 
 class TestPrograms:
     def test_chained_instructions(self, rng):

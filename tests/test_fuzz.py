@@ -7,6 +7,8 @@ non-physical numbers, and the binary format round-trips everything the
 builder can produce.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +21,11 @@ from repro import (
     TensorStore,
     custom_machine,
 )
-from repro.core.executor import run_reference
+from repro.analysis import program_signature
+from repro.core.executor import WalkStats, run_reference
+from repro.core.verify import bit_identical
 from repro.frontend import decode_program, encode_program
+from repro.plan import compile_program
 from repro.sim import FractalSimulator
 
 # -- strategies -----------------------------------------------------------------
@@ -99,6 +104,56 @@ def test_fuzz_functional_equivalence(machine, inst, seed):
     np.testing.assert_allclose(frac.read(inst.outputs[0]),
                                ref.read(inst.outputs[0]),
                                atol=1e-8, rtol=1e-6)
+
+
+# -- fuzz: one walker for cold runs and compiles ----------------------------------
+
+class _RecordingExecutor(FractalExecutor):
+    """A cold executor that also notes each step its walk sink receives."""
+
+    def __init__(self, machine, store):
+        super().__init__(machine, store)
+        self.received = []
+
+    def _run_step(self, kind, inst, level):
+        self.received.append((kind, level, inst))
+        super()._run_step(kind, inst, level)
+
+
+@settings(deadline=None, max_examples=40)
+@given(machine=machines,
+       program=st.lists(random_instruction(), min_size=1, max_size=3),
+       seed=st.integers(0, 9999))
+def test_fuzz_cold_run_and_compile_walk_alike(machine, program, seed):
+    """Any machine x any short program: the cold run's sink receives the
+    compiled plan's steps in order, the cold counters equal ``plan.stats``,
+    and recursion, the classic loop and schedule replay agree bit for bit."""
+    rng = np.random.default_rng(seed)
+    arrays = {r.tensor.uid: (r.tensor, rng.normal(size=r.tensor.shape))
+              for inst in program for r in inst.inputs}
+
+    def bound_store():
+        store = TensorStore()
+        for tensor, arr in arrays.values():
+            store.bind(tensor, arr)
+        return store
+
+    cold = _RecordingExecutor(machine, bound_store())
+    cold.run_program(program)
+    plan = compile_program(machine, program)
+    assert ([(kind, level) for kind, level, _ in cold.received]
+            == [(step.kind, step.level) for step in plan.steps])
+    assert (program_signature([inst for _, _, inst in cold.received])
+            == program_signature([step.inst for step in plan.steps]))
+    for f in dataclasses.fields(WalkStats):
+        assert getattr(cold.stats, f.name) == getattr(plan.stats, f.name), f.name
+    outputs = [r for inst in program for r in inst.outputs]
+    want = [cold.store.read(r) for r in outputs]
+    for batch in (False, True):
+        store = bound_store()
+        FractalExecutor(machine, store).run_plan(plan, batch=batch)
+        for region, expected in zip(outputs, want):
+            assert bit_identical(store.read(region), expected), (batch, region)
 
 
 # -- fuzz: timing stack -------------------------------------------------------------

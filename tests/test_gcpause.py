@@ -25,6 +25,7 @@ from repro import telemetry
 from repro.analysis.signatures import external_tensors
 from repro.core import (Instruction, Opcode, Tensor, cambricon_f1, cambricon_f100,
                         gc_paused)
+from repro.core import executor as executor_mod
 from repro.plan import DiskPlanCache, FractalPlan, PlanStep, compile_program, plan_key
 from repro.plan import batch as batch_mod
 from repro.plan import cache as cache_mod
@@ -281,9 +282,9 @@ class TestPauseCounting:
         collector on."""
         a, b, c = Tensor("a", (96, 384)), Tensor("b", (384, 64)), Tensor("c", (96, 64))
         matmul = Instruction(Opcode.MATMUL, (a.region(), b.region()), (c.region(),))
-        real = compiler_mod.shrink_sequential
+        real = executor_mod.shrink_sequential
         monkeypatch.setattr(
-            compiler_mod, "shrink_sequential",
+            executor_mod, "shrink_sequential",
             lambda inst, cap: real(inst, cap, max_steps=1))
         with pytest.raises(RuntimeError, match="exploded"):
             compile_program(tiny_machine(), [matmul])

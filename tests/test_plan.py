@@ -3,6 +3,7 @@ round-trips, corruption tolerance, and the zero-copy store fast path."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -22,6 +23,9 @@ from repro import (
 )
 from repro import telemetry
 from repro.analysis import program_digest, program_signature
+from repro.core.executor import WalkStats
+from repro.core.tensor import INT32
+from repro.core.verify import bit_identical
 from repro.ops import dispatch
 from repro.plan import (
     DiskPlanCache,
@@ -134,19 +138,15 @@ class TestReplayIdentity:
         _bind_inputs(program, rep.store, np.random.default_rng(1))
         rec.run_program(program)
         rep.run_program(program, plan=plan)
-        assert rep.stats.kernel_calls == rec.stats.kernel_calls
-        assert rep.stats.lfu_calls == rec.stats.lfu_calls
-        assert rep.stats.leaf_ops == rec.stats.leaf_ops
-        assert rep.stats.bytes_read == rec.stats.bytes_read
-        assert rep.stats.bytes_written == rec.stats.bytes_written
-        assert (rep.stats.instructions_per_level
-                == rec.stats.instructions_per_level)
+        for f in dataclasses.fields(WalkStats):
+            assert (getattr(rep.stats, f.name)
+                    == getattr(rec.stats, f.name)), f.name
 
     def test_executor_compile_entry_point(self):
         machine = tiny_machine()
         program = _matmul_program()
         executor = FractalExecutor(machine)
-        plan = executor.compile(program, use_cache=False)
+        plan = executor.compile(program)
         assert plan.n_steps == plan.stats.kernel_calls + plan.stats.lfu_calls
 
 
@@ -232,6 +232,31 @@ class TestMemoryCache:
         p2 = compile_cached(wide, program, memory_cache=cache)
         assert p1 is not p2
         assert len(cache) == 2
+
+    def test_rebind_mismatches_name_both_sides(self):
+        """A wrong count, shape or dtype of externals raises, and the
+        message tells the plan's side from the caller's; the plan itself
+        still replays bit-identically afterwards."""
+        machine = tiny_machine()
+        program = _matmul_program(48)
+        plan = compile_program(machine, program)
+        before = _run(machine, program, plan=plan)
+        with pytest.raises(PlanFormatError,
+                           match=r"expected 3 external tensors, got 2"):
+            plan.rebind(plan.externals[:-1])
+        first = plan.externals[0]
+        for wrong in (Tensor(first.name, (49, 48), first.dtype),
+                      Tensor(first.name, first.shape, INT32)):
+            with pytest.raises(PlanFormatError) as info:
+                plan.rebind([wrong] + plan.externals[1:])
+            planned, supplied = str(info.value).split(": tensor mismatch ")[1].split(" vs ")
+            assert planned == f"a{first.shape}/{first.dtype.name}"
+            assert supplied == f"a{wrong.shape}/{wrong.dtype.name}"
+            assert planned != supplied
+        after = _run(machine, program, plan=plan)
+        assert all(bit_identical(got, want) for got, want in zip(after, before))
+        recursive = _run(machine, program)
+        assert all(bit_identical(got, want) for got, want in zip(after, recursive))
 
     def test_program_change_invalidates(self):
         cache = PlanCache()
