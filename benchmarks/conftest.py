@@ -69,14 +69,18 @@ def _report_dir() -> Path:
 
 
 def _plan_microbench(machine, benchmark: str = "mm_fc",
-                     reps: int = 5) -> Dict[str, object]:
+                     reps: int = 7) -> Dict[str, object]:
     """Cold recursive execution vs warm plan replay on one benchmark.
 
-    Functional-scale subject (``mm_fc``), min-of-``reps`` wall-clock for
-    both paths, identical inputs.  The resulting ``speedup`` (cold /
-    warm) lands in the suite RunReport's notes and is what
+    Functional-scale subject (``mm_fc``), identical inputs.  The plan and
+    its replay schedule are built outside the timing; then ``reps``
+    repetitions each time one cold run and one replay back to back, so
+    both legs see the same host state.  ``speedup`` is the median of the
+    per-repetition ratios (cold / warm), and the two times are medians.
+    It lands in the suite RunReport's notes and is what
     ``tools/perf_gate.py --min-replay-speedup`` gates on.
     """
+    import statistics
     import time
 
     import numpy as np
@@ -97,36 +101,26 @@ def _plan_microbench(machine, benchmark: str = "mm_fc",
             store.bind(t, arrays[t.uid])
         return store
 
-    def best_of(fn) -> float:
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def timed(plan=None) -> float:
+        executor = FractalExecutor(machine, fresh_store())
+        t0 = time.perf_counter()
+        executor.run_program(w.program, plan=plan)
+        return time.perf_counter() - t0
 
-    cold = best_of(lambda: FractalExecutor(
-        machine, fresh_store()).run_program(w.program))
     plan = compile_program(machine, w.program)
-    # ``batch=False`` pins the classic step-by-step loop so ``speedup``
-    # keeps its historical meaning (recursion vs unbatched replay) and
-    # ``batched_speedup`` isolates exactly what the default schedule
-    # replay buys over it.
-    warm = best_of(lambda: FractalExecutor(
-        machine, fresh_store()).run_program(w.program, plan=plan,
-                                            batch=False))
-    schedule = plan.replay_schedule()  # built once, outside the timing
-    warm_batched = best_of(lambda: FractalExecutor(
-        machine, fresh_store()).run_program(w.program, plan=plan))
+    schedule = plan.replay_schedule()
+    colds, warms = [], []
+    for _ in range(reps):
+        colds.append(timed())
+        warms.append(timed(plan))
     return {
         "benchmark": benchmark,
         "reps": reps,
-        "cold_recursive_s": cold,
-        "warm_replay_s": warm,
-        "warm_batched_s": warm_batched,
-        "speedup": (cold / warm) if warm > 0 else float("inf"),
-        "batched_speedup": (warm / warm_batched) if warm_batched > 0
-                           else float("inf"),
+        "cold_recursive_s": statistics.median(colds),
+        "warm_replay_s": statistics.median(warms),
+        "speedup": statistics.median(
+            cold / warm if warm > 0 else float("inf")
+            for cold, warm in zip(colds, warms)),
         "batched_steps": schedule.batched_steps,
         "batched_lanes": schedule.batched_lanes,
         "arena_bytes": schedule.arena.nbytes,

@@ -1127,14 +1127,19 @@ def cmd_compile(args) -> int:
 
     Prints the plan's compile-time statistics (steps, kernel/LFU calls,
     bytes moved) and the cache keys it is stored under.  With ``--verify``
-    the plan is replayed against the recursive executor on random inputs
-    and the outputs compared bit-for-bit.  Exit codes: **0** ok, **1** a
-    ``--verify`` mismatch, **2** unknown benchmark.
+    recursion, schedule replay and the plan reloaded through a fresh disk
+    cache run on the same random inputs, and both replays must match
+    recursion bit for bit.  Exit codes: **0** ok, **1** a ``--verify``
+    mismatch, **2** unknown benchmark.
     """
+    import tempfile
+
+    from .analysis.signatures import external_tensors
     from .core.executor import FractalExecutor
     from .core.store import TensorStore
     from .core.verify import bit_identical
-    from .plan import (compile_cached, fingerprint_digest, machine_fingerprint)
+    from .plan import (DiskPlanCache, compile_cached, fingerprint_digest,
+                       machine_fingerprint, plan_key)
     from .workloads import profile_benchmark, resolve_profile_benchmark
 
     machine = _machine(args)
@@ -1170,33 +1175,41 @@ def cmd_compile(args) -> int:
     if not args.verify:
         return 0
 
+    # Recursion is the reference; schedule replay and the plan reloaded
+    # through a fresh disk cache (store, load, re-verify) must match it
+    # bit for bit.
+    with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
+        disk = DiskPlanCache(tmp)
+        fp, digest = plan_key(machine, w.program)
+        disk.store(fp, digest, plan)
+        loaded = disk.load(fp, digest, external_tensors(w.program))
+    if loaded is None:
+        print("compile: --verify FAILED: the plan did not survive the disk "
+              "round trip", file=sys.stderr)
+        return 1
     rng = np.random.default_rng(args.seed)
     bound = list(w.inputs.values()) + list(w.params.values())
     arrays = {t.uid: rng.normal(size=t.shape) for t in bound}
-    # Three-way: recursive execution, the classic step-by-step replay and
-    # the default schedule replay must all agree bit-for-bit.
-    modes = (("recursive", None, True), ("replay", plan, False),
-             ("schedule replay", plan, True))
+    modes = (("recursion", None), ("schedule replay", plan),
+             ("the disk round trip", loaded))
     results = []
-    for mode, use_plan, use_batch in modes:
+    for _, use_plan in modes:
         store = TensorStore()
         for t in bound:
             store.bind(t, arrays[t.uid])
-        FractalExecutor(machine, store).run_program(
-            w.program, plan=use_plan, batch=use_batch)
+        FractalExecutor(machine, store).run_program(w.program, plan=use_plan)
         results.append({name: store.read(t.region())
                         for name, t in w.outputs.items()})
-    for (mode, _, _), candidate in zip(modes[1:], results[1:]):
+    for (mode, _), candidate in zip(modes[1:], results[1:]):
         for name in results[0]:
             if not bit_identical(candidate[name], results[0][name]):
                 print(f"compile: --verify FAILED: output {name!r} differs "
-                      f"between recursive execution and {mode}",
-                      file=sys.stderr)
+                      f"between recursion and {mode}", file=sys.stderr)
                 return 1
     schedule = plan.replay_schedule()
-    print(f"  verify              replay and schedule replay bit-identical "
-          f"({len(results[0])} output(s), {schedule.batched_steps} "
-          f"batched step(s))")
+    print(f"  verify              recursion, schedule replay and the disk "
+          f"round trip bit-identical ({len(results[0])} output(s), "
+          f"{schedule.batched_steps} batched step(s))")
     return 0
 
 
@@ -1282,17 +1295,14 @@ def cmd_plan_lint(args) -> int:
     gating = result.diagnostics if args.strict else result.errors
 
     # Batching summary: what the vectorization pass lowered and the arena
-    # the schedule preallocates.  ``--no-batch`` skips schedule
-    # construction entirely.
-    batching = None
-    if not getattr(args, "no_batch", False):
-        schedule = plan.replay_schedule()
-        batching = {
-            "batched_steps": schedule.batched_steps,
-            "batched_lanes": schedule.batched_lanes,
-            "arena_bytes": schedule.arena.nbytes,
-            "fully_batched": schedule.fully_batched,
-        }
+    # the schedule preallocates.
+    schedule = plan.replay_schedule()
+    batching = {
+        "batched_steps": schedule.batched_steps,
+        "batched_lanes": schedule.batched_lanes,
+        "arena_bytes": schedule.arena.nbytes,
+        "fully_batched": schedule.fully_batched,
+    }
 
     if getattr(args, "json", False):
         doc = diagnostics_document([result], tool="plan-lint")
@@ -1304,8 +1314,7 @@ def cmd_plan_lint(args) -> int:
             "safe_zero_copy_steps": analysis.n_safe_zero_copy,
             "peak_live_bytes": analysis.peak_live_bytes,
         }
-        if batching is not None:
-            doc["plan"].update(batching)
+        doc["plan"].update(batching)
         print(json.dumps(doc, indent=2))
         return 1 if gating else 0
 
@@ -1318,10 +1327,9 @@ def cmd_plan_lint(args) -> int:
     print(f"  safe zero-copy      {analysis.n_safe_zero_copy:12d}"
           f"/{plan.n_steps} steps")
     print(f"  peak live bytes     {analysis.peak_live_bytes:12d}")
-    if batching is not None:
-        print(f"  batched steps       {batching['batched_steps']:12d} "
-              f"covering {batching['batched_lanes']}/{plan.n_steps} steps")
-        print(f"  arena bytes         {batching['arena_bytes']:12d}")
+    print(f"  batched steps       {batching['batched_steps']:12d} "
+          f"covering {batching['batched_lanes']}/{plan.n_steps} steps")
+    print(f"  arena bytes         {batching['arena_bytes']:12d}")
     return 1 if gating else 0
 
 
@@ -1470,9 +1478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the schema-versioned repro.diag diagnostics "
                         "document (plus a plan summary section)")
-    p.add_argument("--no-batch", action="store_true",
-                   help="skip the batching summary (BatchedStep lowering, "
-                        "arena size)")
     p.set_defaults(fn=cmd_plan_lint)
 
     p = sub.add_parser("profile", help="run + simulate a benchmark with "

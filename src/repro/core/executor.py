@@ -10,7 +10,9 @@ call and LFU reduction, in execution order, to a *sink*.  A cold
 numpy kernels; :func:`repro.plan.compile_program` passes one that records
 it as a plan step.  Both share this one recursion, so a plan replays
 exactly the steps a cold run executes and its precomputed counters are a
-cold run's by construction.
+cold run's by construction.  :meth:`FractalExecutor.run_plan` is the one
+replay engine: it walks the plan's replay schedule, stacked fusion groups
+and single steps in plan order.
 
 The point of the executor is *verification*: for any machine shape, the
 result must be bit-identical (up to float tolerance) to running the
@@ -222,8 +224,7 @@ class FractalExecutor:
         return compile_cached(self.machine, program, disk_dir=plan_cache_dir)
 
     def run_program(self, program: Iterable[Instruction],
-                    plan: Optional["FractalPlan"] = None,
-                    batch: bool = True) -> TensorStore:
+                    plan: Optional["FractalPlan"] = None) -> TensorStore:
         """Execute an instruction sequence top-down; returns the store.
 
         With ``preflight=True`` the program is first run through the static
@@ -233,11 +234,10 @@ class FractalExecutor:
 
         With ``plan`` (from :meth:`compile`) the decomposition recursion is
         skipped entirely and the flattened plan is replayed instead --
-        bit-identical results, compile-once/run-many cost.  ``batch=False``
-        selects the classic reference loop (see :meth:`run_plan`).
+        bit-identical results, compile-once/run-many cost.
         """
         if plan is not None:
-            return self.run_plan(plan, batch=batch)
+            return self.run_plan(plan)
         program = list(program)
         if self.preflight:
             from ..analysis import analyze  # deferred: keeps core import-light
@@ -278,100 +278,29 @@ class FractalExecutor:
         self._publish_counters()
         return self.store
 
-    def run_plan(self, plan: "FractalPlan", batch: bool = True) -> TensorStore:
+    def run_plan(self, plan: "FractalPlan") -> TensorStore:
         """Replay a compiled plan: the warm path of compile-once/run-many.
 
-        Executes the flattened kernel/LFU steps in their recorded order --
-        no ``shrink_sequential``, no ``decompose_parallel``, no rule
-        searches -- producing results bit-identical to the recursive path.
+        Walks the plan's :class:`~repro.plan.batch.ReplaySchedule` (built
+        once, cached on the plan) -- no ``shrink_sequential``, no
+        ``decompose_parallel``, no rule searches -- producing results
+        bit-identical to the recursive path.  Every lowered fusion group
+        runs as one stacked call (a BatchedItem whose operands gather as
+        strided views), every other step as a single with a precomputed
+        kernel, slices and copy-mask.  Plan-owned intermediates live in
+        one flat arena buffer attached up front; recycled slots are
+        re-zeroed exactly when the owning tensor's live interval opens,
+        reproducing ``TensorStore.ensure`` zero-fill semantics.
+
         The plan's precomputed stats are added up front (replay performs
         exactly that work; on a mid-replay failure the stats overstate the
-        completed portion, which errs on the visible side).
-
-        Every plan replays through its :class:`~repro.plan.batch.
-        ReplaySchedule` (built once, cached on the plan): every lowered
-        fusion group runs as one stacked call, every other step as a
-        precomputed single.  ``batch=False`` runs the classic step-by-step
-        loop instead -- the reference the schedule is bit-compared and
-        measured against (``repro compile --verify``, the CI
-        ``--min-batched-speedup`` gate).
-        """
-        if batch:
-            return self._run_schedule(plan, plan.replay_schedule())
-        self.stats.add(plan.stats)
-        tracer = telemetry.get_tracer()
-        log = obs.logger("executor")
-        store = self.store
-        execute = ops.execute
-        with tracer.span("executor.replay", cat="program",
-                         machine=self.machine.name, steps=plan.n_steps):
-            log.info("replay.start", machine=self.machine.name,
-                     steps=plan.n_steps)
-            # Hoisted profiler check: replay pays one global None-test per
-            # run, not per step, when no sampling profiler is active.
-            set_step = _prof.set_step if _prof.profiling() else None
-            for index, step in enumerate(plan.steps):
-                obs.beat("executor")
-                if index and index % REPLAY_PROGRESS_STRIDE == 0:
-                    log.debug("replay.progress", step=index,
-                              steps=plan.n_steps)
-                inst = step.inst
-                if set_step is not None:
-                    set_step(inst.opcode.value, step.level)
-                try:
-                    if step.safe_zero_copy:
-                        # Statically proven alias-free by the plan analyzer
-                        # (repro.plan.analysis): skip the runtime overlap
-                        # scan and hand the kernel read-only views directly.
-                        operands = [store.read(r, copy=False)
-                                    for r in inst.inputs]
-                        store.static_zero_copy += len(operands)
-                    else:
-                        operands = self._read_operands(inst)
-                    outputs = execute(inst.opcode, operands, step.run_attrs)
-                except Exception as err:
-                    log.error("replay.fail", opcode=inst.opcode.value,
-                              level=step.level, step=index,
-                              error=f"{type(err).__name__}: {err}")
-                    raise
-                if len(outputs) != len(inst.outputs):
-                    raise RuntimeError(
-                        f"{inst.opcode} produced {len(outputs)} outputs, "
-                        f"expected {len(inst.outputs)}")
-                if step.accumulate:
-                    for region, value in zip(inst.outputs, outputs):
-                        store.write_accumulate(region, value)
-                else:
-                    for region, value in zip(inst.outputs, outputs):
-                        store.write(region, value)
-            log.info("replay.end", kernel_calls=self.stats.kernel_calls)
-        _prof.clear_step()
-        registry = telemetry.get_registry()
-        if registry.enabled and plan.stats.peak_live_bytes:
-            registry.gauge("plan.peak_live_bytes").set_max(
-                plan.stats.peak_live_bytes)
-        self._publish_counters()
-        return self.store
-
-    def _run_schedule(self, plan: "FractalPlan", schedule) -> TensorStore:
-        """Schedule replay: one stacked call per BatchedItem, one kernel
-        call per SingleItem.
-
-        Walks the plan's precompiled :class:`~repro.plan.batch.
-        ReplaySchedule` -- singles with precomputed kernels/slices/copy-
-        masks interleaved with batched groups whose operands gather as
-        strided views -- and is bit-identical to the classic loop by
-        construction.  Plan-owned intermediates live in one flat arena
-        buffer attached up front; recycled slots are re-zeroed exactly
-        when the owning tensor's live interval opens, reproducing
-        ``TensorStore.ensure`` zero-fill semantics.
-
-        Observability contracts of the classic loop are preserved: one
-        watchdog beat per plan step (bulk form for groups), one
+        completed portion, which errs on the visible side).  Replay emits
+        one watchdog beat per plan step (bulk form for groups), one
         ``replay.progress`` event per :data:`REPLAY_PROGRESS_STRIDE`
         steps, profiler step attribution per item, and per-opcode
         ``ops.dispatch`` counts (one bulk increment per group).
         """
+        schedule = plan.replay_schedule()
         self.stats.add(plan.stats)
         self.stats.batched_steps += schedule.batched_steps
         self.stats.batched_lanes += schedule.batched_lanes
@@ -379,9 +308,8 @@ class FractalExecutor:
         registry = telemetry.get_registry()
         log = obs.logger("executor")
         store = self.store
-        # Hoisted once per replay (the classic loop re-checks inside every
-        # ops.execute): with telemetry dark, singles call their kernel
-        # directly and groups skip span/count bookkeeping.
+        # Hoisted once per replay: with telemetry dark, singles call their
+        # kernel directly and groups skip span/count bookkeeping.
         fast = not tracer.enabled and not registry.enabled
         with tracer.span("executor.replay", cat="program",
                          machine=self.machine.name, steps=plan.n_steps,

@@ -15,13 +15,11 @@ self-gating.
 
 Storage follows the run-ledger contract exactly (docs/OBSERVABILITY.md):
 
-* ``history.jsonl`` -- the source of truth: one schema-versioned JSON
-  point per line, append-only; corruption can only tear the final line,
-  which readers skip via :func:`repro.obs.events.iter_jsonl`.
-* ``history_index.json`` -- a derived per-series summary (point counts,
-  first/last timestamps, last value) written atomically (tmp +
-  ``os.replace``) and rebuilt from the log with a ``RuntimeWarning``
-  when missing or corrupt.  The index is a cache, never the truth.
+* ``history.jsonl`` -- the only file: one schema-versioned JSON point
+  per line, append-only; corruption can only tear the final line, which
+  readers skip via :func:`repro.obs.events.iter_jsonl`.  Every reader
+  (:meth:`RunHistory.series`, the sentinel) scans it, so concurrent
+  appenders cannot leave a stale summary behind.
 
 Point schema (``repro.obs.history`` v1)::
 
@@ -44,9 +42,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
-import warnings
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -55,13 +51,6 @@ from .ledger import _OFF_VALUES, default_ledger_dir, ledger_enabled
 
 HISTORY_SCHEMA = "repro.obs.history"
 HISTORY_SCHEMA_VERSION = 1
-
-HISTORY_INDEX_SCHEMA = "repro.obs.history.index"
-HISTORY_INDEX_SCHEMA_VERSION = 1
-
-#: series key used inside the index document (tab never appears in the
-#: benchmark/machine/metric names we stamp).
-_KEY_SEP = "\t"
 
 #: (benchmark, machine, metric)
 SeriesKey = Tuple[str, str, str]
@@ -85,13 +74,12 @@ def default_history_dir() -> Path:
 
 
 class RunHistory:
-    """Append-only JSONL metric history with a derived atomic index."""
+    """Append-only JSONL metric history."""
 
     def __init__(self, directory: Optional[os.PathLike] = None):
         self.directory = Path(directory) if directory is not None \
             else default_history_dir()
         self.points_path = self.directory / "history.jsonl"
-        self.index_path = self.directory / "history_index.json"
 
     # -- writing ------------------------------------------------------------
 
@@ -99,8 +87,9 @@ class RunHistory:
         """Append points (each needs benchmark/machine/metric/value).
 
         Stamps ``schema``/``v`` and -- when the caller didn't -- ``ts``,
-        skips points whose value is not a finite number, and folds every
-        written point into the index.  Returns the rows as written.
+        and skips points whose value is not a finite number.  The rows go
+        out in one append-mode write, so another process's points land
+        between batches, not inside a line.  Returns the rows as written.
         """
         rows: List[Dict[str, object]] = []
         now = time.time()
@@ -125,16 +114,9 @@ class RunHistory:
         if not rows:
             return rows
         self.directory.mkdir(parents=True, exist_ok=True)
-        # Load (possibly rebuilding) the index BEFORE appending, so a
-        # rebuild replaying history.jsonl cannot double-count new points.
-        index = self._load_index()
         with open(self.points_path, "a", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, default=repr))
-                fh.write("\n")
-        for row in rows:
-            self._fold_point(index, row)
-        self._write_index(index)
+            fh.write("".join(json.dumps(row, default=repr) + "\n"
+                             for row in rows))
         from ..telemetry import get_registry
         registry = get_registry()
         if registry.enabled:
@@ -142,90 +124,6 @@ class RunHistory:
                 registry.count("history.points",
                                labels={"source": row.get("source", "-")})
         return rows
-
-    # -- index maintenance --------------------------------------------------
-
-    def _blank_index(self) -> Dict[str, object]:
-        return {
-            "schema": HISTORY_INDEX_SCHEMA,
-            "v": HISTORY_INDEX_SCHEMA_VERSION,
-            "points": 0,
-            "updated": 0.0,
-            "series": {},
-        }
-
-    def _load_index(self) -> Dict[str, object]:
-        """The index, rebuilt from ``history.jsonl`` if missing/corrupt."""
-        try:
-            with open(self.index_path, encoding="utf-8") as fh:
-                index = json.load(fh)
-            if (isinstance(index, dict)
-                    and index.get("schema") == HISTORY_INDEX_SCHEMA
-                    and isinstance(index.get("series"), dict)):
-                return index
-            raise ValueError("unrecognized history index document")
-        except FileNotFoundError:
-            if self.points_path.exists():
-                return self.rebuild_index()
-            return self._blank_index()
-        except (OSError, ValueError) as exc:
-            warnings.warn(
-                f"run-history index {self.index_path} is corrupt ({exc}); "
-                "rebuilding from history.jsonl",
-                RuntimeWarning, stacklevel=3,
-            )
-            from ..telemetry import get_registry
-            registry = get_registry()
-            if registry.enabled:
-                registry.count("history.index_rebuilds", 1)
-            return self.rebuild_index()
-
-    def _fold_point(self, index: Dict[str, object],
-                    row: Dict[str, object]) -> None:
-        index["points"] = int(index.get("points", 0)) + 1
-        ts = float(row.get("ts", 0.0))
-        index["updated"] = max(float(index.get("updated", 0.0)), ts)
-        key = _KEY_SEP.join((str(row.get("benchmark", "-")),
-                             str(row.get("machine", "-")),
-                             str(row.get("metric", "-"))))
-        series: Dict[str, Dict[str, object]] = index["series"]
-        entry = series.get(key)
-        if entry is None:
-            entry = series[key] = {
-                "points": 0,
-                "first_ts": ts,
-                "last_ts": ts,
-                "last_value": row.get("value"),
-            }
-        entry["points"] = int(entry["points"]) + 1
-        entry["first_ts"] = min(float(entry["first_ts"]), ts)
-        if ts >= float(entry["last_ts"]):
-            entry["last_ts"] = ts
-            entry["last_value"] = row.get("value")
-
-    def _write_index(self, index: Dict[str, object]) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                   prefix="history_index.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(index, fh, indent=2, sort_keys=True, default=repr)
-                fh.write("\n")
-            os.replace(tmp, self.index_path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def rebuild_index(self) -> Dict[str, object]:
-        """Regenerate the index by replaying every point of the log."""
-        index = self._blank_index()
-        for row in self.iter_points():
-            self._fold_point(index, row)
-        self._write_index(index)
-        return index
 
     # -- reading ------------------------------------------------------------
 
@@ -266,10 +164,6 @@ class RunHistory:
                 out.setdefault(key, []).append(
                     (float(row.get("ts", 0.0)), float(value)))
         return out
-
-    def index(self) -> Dict[str, object]:
-        """The (possibly rebuilt) per-series index summary document."""
-        return self._load_index()
 
 
 def get_history(directory: Optional[os.PathLike] = None) -> Optional[RunHistory]:
@@ -400,10 +294,6 @@ def points_from_report(doc: Dict[str, object],
         micro_bench = micro.get("benchmark") or bench
         add("replay_speedup", micro.get("speedup"), benchmark=micro_bench)
         add("warm_replay_s", micro.get("warm_replay_s"),
-            benchmark=micro_bench)
-        add("batched_speedup", micro.get("batched_speedup"),
-            benchmark=micro_bench)
-        add("warm_batched_s", micro.get("warm_batched_s"),
             benchmark=micro_bench)
 
     benchmarks = notes.get("benchmarks") or {}

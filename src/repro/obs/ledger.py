@@ -17,9 +17,13 @@ holding:
   which readers skip via :func:`repro.obs.events.iter_jsonl`.
 * ``index.json`` -- a derived per-trace summary (row counts, first/last
   timestamps, kinds, benchmarks, machines) for cheap ``repro trace ls``.
-  Written atomically (tmp + ``os.replace``); when it is missing or
-  corrupt it is rebuilt from ``runs.jsonl`` with a warning -- the index
-  is a cache, never the truth.
+  It records the byte ``offset`` of ``runs.jsonl`` it covers, and every
+  load folds in the complete rows past that offset, so an index that
+  lost a race with a concurrent writer (or whose writer died before
+  writing it) heals on the next load.  Written atomically (tmp +
+  ``os.replace``); when it is missing or corrupt it is rebuilt from
+  ``runs.jsonl``, with a warning when corrupt -- the index is a cache,
+  never the truth.
 
 Row schema (``repro.obs.ledger`` v1)::
 
@@ -54,7 +58,8 @@ LEDGER_SCHEMA = "repro.obs.ledger"
 LEDGER_SCHEMA_VERSION = 1
 
 INDEX_SCHEMA = "repro.obs.ledger.index"
-INDEX_SCHEMA_VERSION = 1
+#: v2 added ``offset``; a v1 index is rebuilt from the log.
+INDEX_SCHEMA_VERSION = 2
 
 #: $REPRO_LEDGER values that disable persistence entirely.
 _OFF_VALUES = {"off", "0", "none", "disabled"}
@@ -118,14 +123,11 @@ class RunLedger:
             if value is not None:
                 row[key] = value
         self.directory.mkdir(parents=True, exist_ok=True)
-        # Load (possibly rebuilding) the index BEFORE appending, so a
-        # rebuild replaying runs.jsonl cannot double-count the new row.
-        index = self._load_index()
         with open(self.runs_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(row, default=repr))
-            fh.write("\n")
-        self._fold_row(index, row)
-        self._write_index(index)
+            fh.write(json.dumps(row, default=repr) + "\n")
+        # Loading folds every row past the index's offset: this one, and
+        # any a concurrent writer appended.
+        self._write_index(self._load_index())
         from ..telemetry import get_registry
         registry = get_registry()
         if registry.enabled:
@@ -140,26 +142,30 @@ class RunLedger:
             "v": INDEX_SCHEMA_VERSION,
             "rows": 0,
             "updated": 0.0,
+            "offset": 0,
             "traces": {},
         }
 
-    def _load_index(self, rebuild: bool = True) -> Dict[str, object]:
-        """The index, rebuilt from ``runs.jsonl`` if missing/corrupt."""
+    def _load_index(self) -> Dict[str, object]:
+        """The index, brought up to date with ``runs.jsonl``.
+
+        A missing index, or one from before ``offset``, is rebuilt from
+        the whole log; a corrupt one too, with a warning.
+        """
+        index = None
         try:
             with open(self.index_path, encoding="utf-8") as fh:
-                index = json.load(fh)
-            if (isinstance(index, dict)
-                    and index.get("schema") == INDEX_SCHEMA
-                    and isinstance(index.get("traces"), dict)):
-                return index
-            raise ValueError("unrecognized index document")
+                doc = json.load(fh)
+            if not (isinstance(doc, dict)
+                    and doc.get("schema") == INDEX_SCHEMA
+                    and isinstance(doc.get("traces"), dict)):
+                raise ValueError("unrecognized index document")
+            if (doc.get("v") == INDEX_SCHEMA_VERSION
+                    and isinstance(doc.get("offset"), int)):
+                index = doc
         except FileNotFoundError:
-            if self.runs_path.exists() and rebuild:
-                return self.rebuild_index()
-            return self._blank_index()
+            pass
         except (OSError, ValueError) as exc:
-            if not rebuild:
-                return self._blank_index()
             warnings.warn(
                 f"run ledger index {self.index_path} is corrupt ({exc}); "
                 "rebuilding from runs.jsonl",
@@ -169,7 +175,30 @@ class RunLedger:
             registry = get_registry()
             if registry.enabled:
                 registry.count("ledger.index_rebuilds", 1)
-            return self.rebuild_index()
+        if index is None:
+            index = self._blank_index()
+        self._fold_tail(index)
+        return index
+
+    def _fold_tail(self, index: Dict[str, object]) -> None:
+        """Fold the complete rows of ``runs.jsonl`` past ``index["offset"]``
+        into ``index`` and advance the offset past them."""
+        try:
+            with open(self.runs_path, "rb") as fh:
+                size = fh.seek(0, os.SEEK_END)
+                if index["offset"] > size:  # the log was truncated
+                    index.clear()
+                    index.update(self._blank_index())
+                fh.seek(index["offset"])
+                tail = fh.read()
+        except FileNotFoundError:
+            return
+        complete = tail[:tail.rfind(b"\n") + 1]  # a torn last row waits
+        lines = complete.decode("utf-8", errors="replace").splitlines()
+        for record, _bad in iter_jsonl(lines):
+            if record is not None:
+                self._fold_row(index, record)
+        index["offset"] += len(complete)
 
     def _fold_row(self, index: Dict[str, object], row: Dict[str, object]) -> None:
         index["rows"] = int(index.get("rows", 0)) + 1
@@ -215,14 +244,6 @@ class RunLedger:
                 pass
             raise
 
-    def rebuild_index(self) -> Dict[str, object]:
-        """Regenerate ``index.json`` by replaying every row of the log."""
-        index = self._blank_index()
-        for row in self.iter_rows():
-            self._fold_row(index, row)
-        self._write_index(index)
-        return index
-
     # -- reading ------------------------------------------------------------
 
     def iter_rows(self):
@@ -253,8 +274,9 @@ class RunLedger:
         return list(matching)
 
     def traces(self) -> Dict[str, Dict[str, object]]:
-        """Per-trace index summaries (``{trace_id: {rows, first_ts, ...}}``)."""
-        return dict(self._load_index().get("traces", {}))
+        """Per-trace index summaries (``{trace_id: {rows, first_ts, ...}}``),
+        current with ``runs.jsonl`` even when ``index.json`` lags it."""
+        return dict(self._load_index()["traces"])
 
 
 def get_ledger(directory: Optional[os.PathLike] = None) -> Optional[RunLedger]:

@@ -64,7 +64,6 @@ POLARITY_TABLE: Tuple[Tuple[str, str], ...] = (
     ("peak_fraction", "down_bad"),
     ("*_hit_rate", "down_bad"),
     ("*_rate", "down_bad"),
-    ("batched_speedup", "down_bad"),
     ("*speedup", "down_bad"),
 )
 

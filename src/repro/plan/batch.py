@@ -34,9 +34,10 @@ concrete:
   tensor's first touch, reproducing ``TensorStore.ensure`` zero-fill
   semantics exactly.
 
-Replaying the schedule is bit-identical to unbatched replay by
-construction (verified per-opcode by the batched-kernel registry tests and
-end-to-end by the suite sweep in ``tests/test_batch.py``).
+Replaying the schedule is bit-identical to the recursive executor
+(verified per opcode by the stacked-kernel tests, end to end by the suite
+sweep in ``tests/test_batch.py`` and on random programs and machines,
+disk round trip included, by ``tests/test_fuzz.py``).
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ class SingleItem:
     analyzer could not prove alias-free) the operand copy-mask the runtime
     overlap scan would otherwise recompute every run."""
 
-    __slots__ = ("start", "stop", "step", "inst", "opcode", "opval", "level",
+    __slots__ = ("start", "stop", "inst", "opcode", "opval", "level",
                  "run_attrs", "accumulate", "kernel", "in_specs",
                  "out_specs", "copy_mask", "n_in")
     batched = False
@@ -303,7 +304,6 @@ class SingleItem:
         inst = step.inst
         self.start = index
         self.stop = index + 1
-        self.step = step
         self.inst = inst
         self.opcode = inst.opcode
         self.opval = inst.opcode.value

@@ -118,7 +118,9 @@ class DiskPlanCache:
             try:
                 with open(path, encoding="utf-8") as f:
                     doc = json.load(f)
-            except FileNotFoundError:
+            except (FileNotFoundError, NotADirectoryError):
+                # No entry, or no directory to hold one (a file is in
+                # the way): a plain miss, which ``store`` then reports.
                 return None
             except (OSError, ValueError) as err:
                 warnings.warn(f"ignoring corrupt plan cache entry {path}: "

@@ -17,8 +17,9 @@ tripped through a versioned JSON document (:meth:`FractalPlan.to_doc` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import (Dict, List, Optional, Sequence, Tuple, get_args,
+                    get_type_hints)
 
 from ..core.executor import WRITEBACK_ATTRS, WalkStats
 from ..core.gcpause import gc_paused
@@ -105,38 +106,32 @@ class PlanStats(WalkStats):
     peak_live_bytes: int = 0
 
     def to_doc(self) -> dict:
-        return {
-            "kernel_calls": self.kernel_calls,
-            "lfu_calls": self.lfu_calls,
-            "instructions_per_level": {
-                str(k): v for k, v in self.instructions_per_level.items()},
-            "max_depth_reached": self.max_depth_reached,
-            "fanouts": self.fanouts,
-            "fanout_parts": self.fanout_parts,
-            "seq_steps": self.seq_steps,
-            "leaf_ops": dict(self.leaf_ops),
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "peak_live_bytes": self.peak_live_bytes,
-        }
+        """Every counter under its field name; dict keys become strings."""
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            doc[f.name] = ({str(k): v for k, v in value.items()}
+                           if isinstance(value, dict) else value)
+        return doc
 
     @staticmethod
     def from_doc(doc: dict) -> "PlanStats":
-        return PlanStats(
-            kernel_calls=int(doc["kernel_calls"]),
-            lfu_calls=int(doc["lfu_calls"]),
-            instructions_per_level={
-                int(k): int(v)
-                for k, v in doc["instructions_per_level"].items()},
-            max_depth_reached=int(doc["max_depth_reached"]),
-            fanouts=int(doc["fanouts"]),
-            fanout_parts=int(doc["fanout_parts"]),
-            seq_steps=int(doc["seq_steps"]),
-            leaf_ops={str(k): int(v) for k, v in doc["leaf_ops"].items()},
-            bytes_read=int(doc["bytes_read"]),
-            bytes_written=int(doc["bytes_written"]),
-            peak_live_bytes=int(doc.get("peak_live_bytes", 0)),
-        )
+        """The inverse of :meth:`to_doc`, typed by the field annotations.
+
+        Every :class:`WalkStats` counter is required; a counter PlanStats
+        adds on top (``peak_live_bytes``) keeps its default when absent.
+        """
+        hints = get_type_hints(PlanStats)
+        walk = {f.name for f in fields(WalkStats)}
+        values = {}
+        for f in fields(PlanStats):
+            if f.name not in walk and f.name not in doc:
+                continue
+            raw = doc[f.name]
+            args = get_args(hints[f.name])  # (key type, value type) of a dict
+            values[f.name] = ({args[0](k): int(v) for k, v in raw.items()}
+                              if args else int(raw))
+        return PlanStats(**values)
 
 
 @dataclass

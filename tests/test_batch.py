@@ -1,18 +1,18 @@
 """Vectorized leaf-batch replay tests: suite-wide bit-identity, the
 per-opcode stacked kernels, the tensor arena, schema-v3 cache
-round-trips/poisoning, batched counters, the default engine contract,
-and the sentinel wiring for the new metrics.
+round-trips/poisoning, batched counters, the replay engine's contract,
+the plan microbenchmark's gate and its sentinel wiring.
 
 The acceptance bar for the vectorization pass is *bit-identity*: for
-every paper benchmark on both machine instances, the default replay
-(through the schedule) must produce byte-for-byte the arrays recursion
-and the classic step loop produce, and every opcode's stacked kernel
-must reproduce ``k`` reference calls byte for byte in every operand
-layout a gather can hand it.  Everything else here defends the
-supporting structure -- every lowered fusion group runs stacked, the
-arena never aliases two concurrently-live tensors, a tampered
-BatchedStep table can never steer the executor, and a collapse of
-``batched_speedup`` trips the perf-trend sentinel.
+every paper benchmark on both machine instances, replay (through the
+schedule) must produce byte-for-byte the arrays recursion produces, and
+every opcode's stacked kernel must reproduce ``k`` reference calls byte
+for byte in every operand layout a gather can hand it.  Everything else
+here defends the supporting structure -- every lowered fusion group runs
+stacked, the arena never aliases two concurrently-live tensors, a
+tampered BatchedStep table can never steer the executor, the replay
+floor of ``tools/perf_gate.py`` fails below it, and a collapse of
+``replay_speedup`` trips the perf-trend sentinel.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _bound_tensors(w):
     return list(w.inputs.values()) + list(w.params.values())
 
 
-def _replay_outputs(machine, w, plan, batch=True):
+def _replay_outputs(machine, w, plan):
     """Run the workload (replaying ``plan``, or recursing when it is
     ``None``) and return the executor and its output arrays."""
     rng = np.random.default_rng(0)
@@ -90,34 +90,30 @@ def _replay_outputs(machine, w, plan, batch=True):
     for t in _bound_tensors(w):
         store.bind(t, rng.normal(size=t.shape))
     executor = FractalExecutor(machine, store)
-    executor.run_program(w.program, plan=plan, batch=batch)
+    executor.run_program(w.program, plan=plan)
     return executor, {n: store.read(t.region()) for n, t in w.outputs.items()}
 
 
-def _assert_bit_identical_to_recursion_and_classic(machine, w, plan):
-    """Default replay == recursion == ``batch=False``, byte for byte;
-    returns the executor of the default replay."""
+def _assert_bit_identical_to_recursion(machine, w, plan):
+    """Replay == recursion, byte for byte; returns the replay's executor."""
     _, recursive = _replay_outputs(machine, w, None)
-    _, classic = _replay_outputs(machine, w, plan, batch=False)
-    executor, default = _replay_outputs(machine, w, plan)
+    executor, replayed = _replay_outputs(machine, w, plan)
     for out_name in recursive:
-        assert bit_identical(classic[out_name], recursive[out_name]), out_name
-        assert bit_identical(default[out_name], recursive[out_name]), out_name
+        assert bit_identical(replayed[out_name], recursive[out_name]), out_name
     return executor
 
 
 # -- suite-wide bit-identity --------------------------------------------------
 
 class TestSuiteBitIdentity:
-    """Default (schedule) replay == recursion == the classic loop, byte
-    for byte, on every (benchmark, machine) combination of the paper
-    suite."""
+    """Schedule replay == recursion, byte for byte, on every (benchmark,
+    machine) combination of the paper suite."""
 
     @pytest.mark.parametrize("machine_key", ["f1", "f100"])
     @pytest.mark.parametrize("name", SUITE)
     def test_batched_replay_bit_identical(self, machine_key, name):
         machine, w, plan = _suite_plan(machine_key, name)
-        executor = _assert_bit_identical_to_recursion_and_classic(
+        executor = _assert_bit_identical_to_recursion(
             machine, w, plan)
         assert executor.stats.batched_steps == \
             plan.replay_schedule().batched_steps
@@ -269,7 +265,7 @@ class TestDefaultPolicy:
             assert not [item for item in schedule.items
                         if not item.batched and item.start in fused]
             assert schedule.batched_lanes == len(fused)
-            executor = _assert_bit_identical_to_recursion_and_classic(
+            executor = _assert_bit_identical_to_recursion(
                 machine, w, plan)
             assert executor.stats.batched_steps == schedule.batched_steps
             assert executor.stats.batched_lanes == schedule.batched_lanes
@@ -287,24 +283,21 @@ class TestDefaultPolicy:
 def _tiny_replay_check(program, bindings):
     """Replay ``program`` on ``tiny_machine`` from ``(tensor, array)``
     bindings; every lowered group must be a BatchedItem and the outputs
-    bit-identical to recursion and the classic loop.  Returns the
-    schedule's BatchedItems."""
+    bit-identical to recursion.  Returns the schedule's BatchedItems."""
     machine = tiny_machine()
     plan = compile_program(machine, program)
     items = [i for i in plan.replay_schedule().items if i.batched]
     assert len(items) == len(plan.batched)
     results = []
-    for use_plan, batch in ((None, True), (plan, False), (plan, True)):
+    for use_plan in (None, plan):
         store = TensorStore()
         for tensor, data in bindings:
             store.bind(tensor, data)
-        FractalExecutor(machine, store).run_program(program, plan=use_plan,
-                                                    batch=batch)
+        FractalExecutor(machine, store).run_program(program, plan=use_plan)
         results.append([store.read(r) for inst in program
                         for r in inst.outputs])
-    for got in results[1:]:
-        for g, want in zip(got, results[0]):
-            assert bit_identical(g, want)
+    for got, want in zip(results[1], results[0]):
+        assert bit_identical(got, want)
     return items
 
 
@@ -579,9 +572,8 @@ class TestBatchedCounters:
             np.maximum(np.linspace(-1, 1, 64), 0.0))
 
     def test_batched_replay_beats_and_reports_progress(self):
-        """The vectorized engine honors the classic loop's observability
-        contract: one watchdog beat per plan step (bulk per group) and
-        strided ``replay.progress`` events."""
+        """Replay's observability contract: one watchdog beat per plan
+        step (bulk per group) and strided ``replay.progress`` events."""
         import repro.core.executor as executor_mod
         from repro import obs
         from repro.obs import Watchdog
@@ -608,34 +600,85 @@ class TestBatchedCounters:
         assert wd.beats >= plan.n_steps
 
 
-# -- sentinel / run-history wiring --------------------------------------------
+# -- the replay gate and its sentinel wiring ------------------------------------
+
+def _perf_gate():
+    """``tools/perf_gate.py``, loaded by path (``tools/`` is no package);
+    ``sys.path``, which the script extends on import, is restored."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "perf_gate.py"
+    spec = importlib.util.spec_from_file_location("perf_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.path[:]
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+class TestReplayGate:
+    """``_gate_microbench`` holds the plan microbenchmark's ``speedup``
+    (cold recursion over schedule replay) to ``--min-replay-speedup``."""
+
+    @pytest.mark.parametrize("speedup,code", [
+        (3.99, 3), (4.0, 0), (6.1, 0), (0.5, 3)])
+    def test_floor(self, speedup, code, capsys):
+        from argparse import Namespace
+
+        micro = {"benchmark": "mm_fc", "speedup": speedup,
+                 "cold_recursive_s": 0.4, "warm_replay_s": 0.4 / speedup,
+                 "batched_steps": 640}
+        gate = _perf_gate()
+        assert gate._gate_microbench(
+            micro, Namespace(min_replay_speedup=4.0)) == code
+        out = capsys.readouterr().out
+        assert ("REGRESSED" in out) == (code == 3)
+
+    def test_report_without_microbench_passes(self):
+        from argparse import Namespace
+
+        assert _perf_gate()._gate_microbench(
+            {}, Namespace(min_replay_speedup=4.0)) == 0
+
 
 class TestSentinelWiring:
     def test_polarity_of_batching_metrics(self):
-        assert metric_polarity("batched_speedup") == "down_bad"
+        """The replay speedup regresses downward; the metric the classic
+        loop fed is gone from the polarity table."""
+        from repro.obs.sentinel import POLARITY_TABLE
+
         assert metric_polarity("replay_speedup") == "down_bad"
+        assert "batched_speedup" not in dict(POLARITY_TABLE)
 
     def test_speedup_collapse_flags_regression(self, tmp_path):
         history = RunHistory(tmp_path)
         history.append([
             {"benchmark": "mm_fc", "machine": "Cambricon-F100",
-             "metric": "batched_speedup", "value": v, "ts": 1000.0 + i,
+             "metric": "replay_speedup", "value": v, "ts": 1000.0 + i,
              "source": "test"}
-            for i, v in enumerate([2.3] * 10 + [1.05])
+            for i, v in enumerate([5.8] * 10 + [2.1])
         ])
         [entry] = analyze_history(history).entries
         assert entry.status == "regression"
 
     def test_points_from_report_extracts_batching_metrics(self):
+        """The microbenchmark's two series, ``replay_speedup`` and
+        ``warm_replay_s``; no point for the deleted classic-loop fields."""
         doc = {
             "benchmark": "paper-suite", "machine": "Cambricon-F1",
             "notes": {"plan_microbench": {
                 "benchmark": "mm_fc",
-                "speedup": 2.9, "warm_replay_s": 0.09,
+                "speedup": 5.9, "warm_replay_s": 0.07,
                 "batched_speedup": 2.3, "warm_batched_s": 0.04,
             }},
         }
         points = {p["metric"]: p for p in points_from_report(doc)}
-        assert points["batched_speedup"]["value"] == pytest.approx(2.3)
-        assert points["batched_speedup"]["benchmark"] == "mm_fc"
-        assert points["warm_batched_s"]["value"] == pytest.approx(0.04)
+        assert points["replay_speedup"]["value"] == pytest.approx(5.9)
+        assert points["replay_speedup"]["benchmark"] == "mm_fc"
+        assert points["warm_replay_s"]["value"] == pytest.approx(0.07)
+        assert "batched_speedup" not in points
+        assert "warm_batched_s" not in points

@@ -8,6 +8,8 @@ builder can produce.
 """
 
 import dataclasses
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +24,11 @@ from repro import (
     custom_machine,
 )
 from repro.analysis import program_signature
+from repro.analysis.signatures import external_tensors
 from repro.core.executor import WalkStats, run_reference
 from repro.core.verify import bit_identical
 from repro.frontend import decode_program, encode_program
-from repro.plan import compile_program
+from repro.plan import DiskPlanCache, compile_program, plan_key
 from repro.sim import FractalSimulator
 
 # -- strategies -----------------------------------------------------------------
@@ -120,14 +123,76 @@ class _RecordingExecutor(FractalExecutor):
         super()._run_step(kind, inst, level)
 
 
-@settings(deadline=None, max_examples=40)
-@given(machine=machines,
-       program=st.lists(random_instruction(), min_size=1, max_size=3),
-       seed=st.integers(0, 9999))
-def test_fuzz_cold_run_and_compile_walk_alike(machine, program, seed):
-    """Any machine x any short program: the cold run's sink receives the
-    compiled plan's steps in order, the cold counters equal ``plan.stats``,
-    and recursion, the classic loop and schedule replay agree bit for bit."""
+@st.composite
+def chained_program(draw, machine):
+    """A program for ``machine`` whose instructions share tensors.
+
+    A MatMul whose K is either small or just large enough to outgrow the
+    root's memory, so root SD splits K into an accumulate chain (K > N
+    makes the K split the tightest); optionally a MatMul that reads its
+    output as both operands; then vector instructions over a growing pool
+    of 1-D tensors: element-wise ops (possibly one tensor as both
+    operands), the sum of two overlapping slices of one tensor, an
+    in-place Act1D and HSum1D.  Each output joins the pool, so later
+    instructions read earlier results.
+    """
+    n = draw(st.integers(1, 48))
+    # The fp16 MatMul's footprint is 4nk + 2n^2 bytes.
+    k_chain = max(n + 1,
+                  (machine.level(0).mem_bytes - 2 * n * n) // (4 * n) + 1)
+    k = draw(st.integers(n, 256) | st.integers(k_chain, k_chain + 64))
+    x, w, y = Tensor("x", (n, k)), Tensor("w", (k, n)), Tensor("y", (n, n))
+    program = [Instruction(Opcode.MATMUL, (x.region(), w.region()),
+                           (y.region(),))]
+    if draw(st.booleans()):
+        z = Tensor("z", (n, n))
+        program.append(Instruction(Opcode.MATMUL, (y.region(), y.region()),
+                                   (z.region(),)))
+    pool = [Tensor("v", (draw(st.integers(1, 96)),))]
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.sampled_from(pool))
+        length = a.shape[0]
+        kind = draw(st.sampled_from(["eltwise", "overlap", "inplace", "hsum"]))
+        if kind == "inplace":
+            func = draw(st.sampled_from(["relu", "tanh", "neg"]))
+            program.append(Instruction(Opcode.ACT1D, (a.region(),),
+                                       (a.region(),), {"func": func}))
+            continue
+        if kind == "overlap" and length >= 3:
+            m = draw(st.integers(2, length - 1))
+            s = draw(st.integers(1, min(m - 1, length - m)))
+            opcode, ins, out = Opcode.ADD1D, (a[0:m], a[s:s + m]), Tensor("o", (m,))
+        elif kind == "hsum":
+            opcode, ins, out = Opcode.HSUM1D, (a.region(),), Tensor("h", (1,))
+        else:
+            b = draw(st.sampled_from(
+                [t for t in pool if t.shape == a.shape] + [None]))
+            b = b if b is not None else Tensor("u", a.shape)
+            opcode = draw(st.sampled_from(
+                [Opcode.ADD1D, Opcode.SUB1D, Opcode.MUL1D]))
+            ins, out = (a.region(), b.region()), Tensor("e", a.shape)
+        program.append(Instruction(opcode, ins, (out.region(),)))
+        pool.append(out)
+    return program
+
+
+#: a machine and a program for it: independent instructions, or a
+#: chained program sized against the machine's memory.
+machine_programs = st.one_of(
+    st.tuples(machines, st.lists(random_instruction(), min_size=1, max_size=3)),
+    machines.flatmap(lambda m: st.tuples(st.just(m), chained_program(m))),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=machine_programs, seed=st.integers(0, 9999))
+def test_fuzz_cold_run_and_compile_walk_alike(case, seed):
+    """Any machine x any short program, independent or chained: the cold
+    run's sink receives the compiled plan's steps in order, the cold
+    counters equal ``plan.stats``, recursion matches the reference kernels
+    within ``verify_program``'s tolerance, and schedule replay and a plan
+    reloaded from the disk cache agree with recursion bit for bit."""
+    machine, program = case
     rng = np.random.default_rng(seed)
     arrays = {r.tensor.uid: (r.tensor, rng.normal(size=r.tensor.shape))
               for inst in program for r in inst.inputs}
@@ -149,11 +214,24 @@ def test_fuzz_cold_run_and_compile_walk_alike(machine, program, seed):
         assert getattr(cold.stats, f.name) == getattr(plan.stats, f.name), f.name
     outputs = [r for inst in program for r in inst.outputs]
     want = [cold.store.read(r) for r in outputs]
-    for batch in (False, True):
+    reference = bound_store()
+    for inst in program:
+        run_reference(inst, reference)
+    for region, expected in zip(outputs, want):
+        np.testing.assert_allclose(expected, reference.read(region),
+                                   atol=1e-7, rtol=1e-6)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        disk = DiskPlanCache(tmp)
+        fp, digest = plan_key(machine, program)
+        disk.store(fp, digest, plan)
+        loaded = disk.load(fp, digest, external_tensors(program))
+    assert loaded is not None
+    for leg, replayed in (("schedule", plan), ("disk", loaded)):
         store = bound_store()
-        FractalExecutor(machine, store).run_plan(plan, batch=batch)
+        FractalExecutor(machine, store).run_plan(replayed)
         for region, expected in zip(outputs, want):
-            assert bit_identical(store.read(region), expected), (batch, region)
+            assert bit_identical(store.read(region), expected), (leg, region)
 
 
 # -- fuzz: timing stack -------------------------------------------------------------

@@ -5,12 +5,19 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from conftest import tiny_machine
 from repro import (
     FractalExecutor,
@@ -23,11 +30,13 @@ from repro import (
 )
 from repro import telemetry
 from repro.analysis import program_digest, program_signature
+from repro.analysis.signatures import external_tensors
 from repro.core.executor import WalkStats
 from repro.core.tensor import INT32
 from repro.core.verify import bit_identical
 from repro.ops import dispatch
 from repro.plan import (
+    PLAN_SCHEMA_VERSION,
     DiskPlanCache,
     PlanCache,
     PlanFormatError,
@@ -72,6 +81,42 @@ def _bind_inputs(program, store, rng):
                 store.bind(r.tensor, rng.normal(size=r.tensor.shape))
         for r in inst.outputs:
             written.add(r.tensor.uid)
+
+
+#: one process storing mm_fc's F1 plan: waits for the ``go`` file, then
+#: compiles through the shared disk cache, checks that its plan replays
+#: bit-identically to recursion and prints the replay's output digest.
+_STORER = """
+import os, sys, time
+from test_plan import _suite_outputs
+from repro import cambricon_f1
+from repro.plan import compile_cached
+from repro.workloads import profile_benchmark
+directory, go = sys.argv[1:3]
+machine, w = cambricon_f1(), profile_benchmark("mm_fc")
+while not os.path.exists(go):
+    time.sleep(0.001)
+plan = compile_cached(machine, w.program, disk_dir=directory)
+recursive, replayed = (_suite_outputs(machine, w, p) for p in (None, plan))
+assert replayed == recursive
+print(replayed)
+"""
+
+
+def _suite_outputs(machine, w, plan=None) -> str:
+    """Digest of a workload's outputs from fixed inputs (replaying ``plan``,
+    or recursing when it is ``None``)."""
+    rng = np.random.default_rng(0)
+    store = TensorStore()
+    for t in list(w.inputs.values()) + list(w.params.values()):
+        store.bind(t, rng.normal(size=t.shape))
+    FractalExecutor(machine, store).run_program(w.program, plan=plan)
+    digest = hashlib.sha256()
+    for t in w.outputs.values():
+        out = store.read(t.region())
+        digest.update(f"{out.dtype}{out.shape}".encode())
+        digest.update(out.tobytes())
+    return digest.hexdigest()
 
 
 def _run(machine, program, rng_seed=7, plan=None):
@@ -384,14 +429,52 @@ class TestDiskCache:
             plan_from_doc(doc, wrong)  # wrong shapes
 
     def test_unwritable_directory_is_soft(self, tmp_path):
+        """A cache directory under a regular file can be neither read nor
+        written: the compile still returns a plan that replays
+        bit-identically to recursion, warns once that it could not
+        persist, and writes nothing."""
         target = tmp_path / "not-a-dir"
         target.write_text("file in the way", encoding="utf-8")
-        machine = tiny_machine()
-        program = _matmul_program()
-        with pytest.warns(RuntimeWarning):
-            plan = compile_cached(machine, program, disk_dir=target,
+        machine, w = cambricon_f1(), profile_benchmark("mm_fc")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan = compile_cached(machine, w.program,
+                                  disk_dir=target / "plans",
                                   memory_cache=PlanCache())
-        assert plan.n_steps > 0
+        messages = [str(c.message) for c in caught
+                    if issubclass(c.category, RuntimeWarning)]
+        assert len(messages) == 1
+        assert messages[0].startswith("could not persist")
+        assert _suite_outputs(machine, w, plan) == _suite_outputs(machine, w)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-dir"]
+        assert target.read_text(encoding="utf-8") == "file in the way"
+
+    def test_two_processes_store_one_entry(self, tmp_path):
+        """Two processes compile one program through one disk cache at
+        once: both plans replay bit-identically, one entry and no temp
+        file remain, and a fresh load takes the entry without a warning."""
+        cache, go = tmp_path / "plans", tmp_path / "go"
+        tests = str(Path(__file__).resolve().parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1]), tests])}
+        procs = [subprocess.Popen(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", _STORER,
+             str(cache), str(go)],
+            env=env, stdout=subprocess.PIPE, text=True) for _ in range(2)]
+        go.touch()
+        digests = [proc.communicate(timeout=300)[0].strip() for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert digests[0] == digests[1]
+        assert len(list(cache.glob(f"plan-v{PLAN_SCHEMA_VERSION}-*.json"))) == 1
+        assert not list(cache.glob("*.tmp"))
+        machine, w = cambricon_f1(), profile_benchmark("mm_fc")
+        fp, digest = plan_key(machine, w.program)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loaded = DiskPlanCache(cache).load(fp, digest,
+                                               external_tensors(w.program))
+        assert loaded is not None
+        assert _suite_outputs(machine, w, loaded) == digests[0]
 
 
 # -- zero-copy store reads ----------------------------------------------------

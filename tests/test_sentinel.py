@@ -95,17 +95,6 @@ class TestRunHistory:
         ])
         assert len(rows) == 1
 
-    def test_index_tracks_counts_and_rebuilds_when_corrupt(self, tmp_path):
-        history = seeded_history(tmp_path, [1.0, 2.0, 3.0])
-        idx = history.index()
-        assert idx["points"] == 3
-        entry = idx["series"]["mm_fc\tCambricon-F1\tmakespan_s"]
-        assert entry["points"] == 3 and entry["last_value"] == 3.0
-        history.index_path.write_text("{ not json !!!")
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            idx = history.index()
-        assert idx["points"] == 3
-
     def test_torn_final_line_skipped(self, tmp_path):
         history = seeded_history(tmp_path, [1.0])
         with open(history.points_path, "a", encoding="utf-8") as fh:

@@ -1,10 +1,16 @@
 """Cross-process tracing, worker telemetry shipping, and the run ledger."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs, telemetry
 from repro.obs import (
     LEDGER_SCHEMA,
@@ -25,9 +31,26 @@ from repro.obs import (
     trace_scope,
     worker_capture,
 )
+from repro.obs.history import RunHistory
 from repro.obs.worker import ledger_fields
 
 pytestmark = pytest.mark.obs
+
+#: one appender process: waits for the ``go`` file, then makes 200 ledger
+#: records and 200 history appends under its own trace id.
+_APPENDER = """
+import os, sys, time
+from repro.obs.history import RunHistory
+from repro.obs.ledger import RunLedger
+directory, worker, go = sys.argv[1:4]
+ledger, history = RunLedger(directory), RunHistory(directory)
+while not os.path.exists(go):
+    time.sleep(0.001)
+for i in range(200):
+    ledger.record("run", trace_id="trace-" + worker)
+    history.append([{"benchmark": "b", "machine": worker, "metric": "x",
+                     "value": float(i)}])
+"""
 
 
 @pytest.fixture(autouse=True)
@@ -135,6 +158,43 @@ class TestRunLedger:
             ledger.record("run")
         ledger.index_path.unlink()
         assert RunLedger(tmp_path).traces()[ctx.trace_id]["rows"] == 1
+
+    def test_stale_index_heals_on_load(self, tmp_path):
+        """An index written before another writer's rows (a lost race, or
+        a writer that died between append and index write) is brought up
+        to date on the next load."""
+        ledger = RunLedger(tmp_path)
+        ledger.record("run", trace_id="t")
+        stale = ledger.index_path.read_text()
+        ledger.record("run", trace_id="t")
+        ledger.record("run", trace_id="t")
+        ledger.index_path.write_text(stale)
+        assert ledger.traces()["t"]["rows"] == 3
+        ledger.record("run", trace_id="t")
+        assert ledger.traces()["t"]["rows"] == 4
+
+    def test_two_processes_lose_no_rows_or_points(self, tmp_path):
+        """Two processes append to one ledger and one history at once: the
+        per-trace index counts equal the rows in ``runs.jsonl`` and the
+        history keeps every point."""
+        go = tmp_path / "go"
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        procs = [subprocess.Popen([sys.executable, "-c", _APPENDER,
+                                   str(tmp_path), str(worker), str(go)],
+                                  env=env)
+                 for worker in range(2)]
+        go.touch()
+        for proc in procs:
+            assert proc.wait(timeout=120) == 0
+        ledger = RunLedger(tmp_path)
+        per_trace = Counter(row["trace_id"] for row in ledger.rows())
+        assert per_trace == {"trace-0": 200, "trace-1": 200}
+        assert {t: s["rows"] for t, s in ledger.traces().items()} == per_trace
+        series = RunHistory(tmp_path).series()
+        assert sorted(len(points) for points in series.values()) == [200, 200]
+        assert not list(tmp_path.glob("*.tmp"))
+        assert not (tmp_path / "history_index.json").exists()
 
     def test_torn_final_line_skipped(self, tmp_path):
         ledger = RunLedger(tmp_path)

@@ -85,20 +85,15 @@ def main(argv=None) -> int:
                         help="emit the machine-readable diff")
     parser.add_argument("--min-replay-speedup", type=float, default=1.0,
                         metavar="X",
-                        help="floor for the warm-replay speedup recorded in "
-                             "notes.plan_microbench (cold recursive s / warm "
+                        help="floor for the replay speedup recorded in "
+                             "notes.plan_microbench (median over alternating "
+                             "repetitions of cold recursive s / schedule "
                              "replay s); exit 3 below it.  Default 1.0 = "
-                             "replay must never be slower; CI may demand 2.0")
-    parser.add_argument("--min-batched-speedup", type=float, default=1.0,
-                        metavar="X",
-                        help="floor for the batched-replay speedup recorded "
-                             "in notes.plan_microbench (warm unbatched s / "
-                             "warm batched s); exit 3 below it.  Default 1.0 "
-                             "= batching must never be slower; CI demands "
-                             "2.0 on f100")
+                             "replay must never be slower; CI demands "
+                             "4.0 on f100")
     parser.add_argument("--microbench-only", action="store_true",
                         help="skip the suite simulation + diff and gate only "
-                             "the plan microbenchmark floors (fast CI mode)")
+                             "the plan microbenchmark floor (fast CI mode)")
     args = parser.parse_args(argv)
 
     if args.microbench_only:
@@ -147,10 +142,10 @@ def main(argv=None) -> int:
     else:
         print(result.format_table())
 
-    # Plan-replay gates: wall-clock on this host (not diffed against the
+    # Plan-replay gate: wall-clock on this host (not diffed against the
     # baseline document, which may come from different hardware) -- the
-    # candidate's own replay ratios must clear their floors.  Reports
-    # predating the plan compiler simply skip them.
+    # candidate's own replay ratio must clear its floor.  Reports
+    # predating the plan compiler simply skip it.
     micro = (candidate.get("notes") or {}).get("plan_microbench") or {}
     code = _gate_microbench(micro, args)
     if code:
@@ -159,38 +154,26 @@ def main(argv=None) -> int:
 
 
 def _gate_microbench(micro: dict, args) -> int:
-    """Apply both microbench floors; 0 ok / 3 below a floor."""
+    """Apply the replay-speedup floor; 0 ok / 3 below it."""
     speedup = micro.get("speedup")
-    if speedup is not None:
-        verdict = "ok" if speedup >= args.min_replay_speedup else "REGRESSED"
-        print(f"plan replay speedup: {speedup:.2f}x "
-              f"(cold {micro.get('cold_recursive_s', 0) * 1e3:.1f} ms -> warm "
-              f"{micro.get('warm_replay_s', 0) * 1e3:.1f} ms on "
-              f"{micro.get('benchmark', '?')}; floor "
-              f"{args.min_replay_speedup:.2f}x) {verdict}")
-        if speedup < args.min_replay_speedup:
-            return 3
-    batched = micro.get("batched_speedup")
-    if batched is not None:
-        verdict = ("ok" if batched >= args.min_batched_speedup
-                   else "REGRESSED")
-        print(f"batched replay speedup: {batched:.2f}x "
-              f"(warm {micro.get('warm_replay_s', 0) * 1e3:.1f} ms -> "
-              f"batched {micro.get('warm_batched_s', 0) * 1e3:.1f} ms on "
-              f"{micro.get('benchmark', '?')}, "
-              f"{micro.get('batched_steps', 0)} batched step(s); floor "
-              f"{args.min_batched_speedup:.2f}x) {verdict}")
-        if batched < args.min_batched_speedup:
-            return 3
-    return 0
+    if speedup is None:
+        return 0
+    verdict = "ok" if speedup >= args.min_replay_speedup else "REGRESSED"
+    print(f"plan replay speedup: {speedup:.2f}x "
+          f"(cold {micro.get('cold_recursive_s', 0) * 1e3:.1f} ms -> warm "
+          f"{micro.get('warm_replay_s', 0) * 1e3:.1f} ms on "
+          f"{micro.get('benchmark', '?')}, "
+          f"{micro.get('batched_steps', 0)} batched step(s); floor "
+          f"{args.min_replay_speedup:.2f}x) {verdict}")
+    return 0 if speedup >= args.min_replay_speedup else 3
 
 
 def _microbench_gate(args) -> int:
     """``--microbench-only``: run just the plan microbenchmark and gate it.
 
     Skips the full suite simulation and baseline diff, so CI can enforce
-    the replay/batching floors on the expensive machine (f100) in seconds
-    instead of minutes.
+    the replay floor on the expensive machine (f100) in seconds instead of
+    minutes.
     """
     import conftest  # benchmarks/conftest.py (sys.path above)
 
