@@ -285,20 +285,22 @@ class FractalExecutor:
         once, cached on the plan) -- no ``shrink_sequential``, no
         ``decompose_parallel``, no rule searches -- producing results
         bit-identical to the recursive path.  Every lowered fusion group
-        runs as one stacked call (a BatchedItem whose operands gather as
-        strided views), every other step as a single with a precomputed
-        kernel, slices and copy-mask.  Plan-owned intermediates live in
-        one flat arena buffer attached up front; recycled slots are
-        re-zeroed exactly when the owning tensor's live interval opens,
-        reproducing ``TensorStore.ensure`` zero-fill semantics.
+        runs as one stacked call (a BatchedItem whose operands gather
+        through lattice views), every run of private g(.) chain links as
+        one fold (a FoldItem), and every other step as a single with a
+        precomputed kernel, slices and copy-mask.  Plan-owned
+        intermediates live in one flat arena buffer attached up front;
+        recycled slots are re-zeroed exactly when the owning tensor's
+        live interval opens, reproducing ``TensorStore.ensure`` zero-fill
+        semantics.
 
         The plan's precomputed stats are added up front (replay performs
         exactly that work; on a mid-replay failure the stats overstate the
         completed portion, which errs on the visible side).  Replay emits
-        one watchdog beat per plan step (bulk form for groups), one
-        ``replay.progress`` event per :data:`REPLAY_PROGRESS_STRIDE`
+        one watchdog beat per plan step (bulk form for groups and folds),
+        one ``replay.progress`` event per :data:`REPLAY_PROGRESS_STRIDE`
         steps, profiler step attribution per item, and per-opcode
-        ``ops.dispatch`` counts (one bulk increment per group).
+        ``ops.dispatch`` counts (one bulk increment per group or fold).
         """
         schedule = plan.replay_schedule()
         self.stats.add(plan.stats)
@@ -349,6 +351,9 @@ class FractalExecutor:
                     if item.batched:
                         self._exec_batched_item(item, store, fast,
                                                 registry, tracer)
+                    elif item.folded:
+                        self._exec_fold_item(item, store, fast, registry,
+                                             tracer, readonly)
                     else:
                         self._exec_single_item(item, store, fast, readonly)
                 except Exception as err:
@@ -370,13 +375,7 @@ class FractalExecutor:
         """One unfused schedule item: precomputed kernel, slices, mask."""
         if item.copy_mask is None:
             # Statically proven alias-free: read-only views, no scan.
-            operands = []
-            for tensor, sl in item.in_specs:
-                base = readonly.get(tensor.uid)
-                if base is None:
-                    base = readonly[tensor.uid] = store.ensure(tensor).view()
-                    base.flags.writeable = False
-                operands.append(base[sl])
+            operands = _readonly_operands(item.in_specs, store, readonly)
             store.zero_copy_reads += item.n_in
             store.static_zero_copy += item.n_in
         else:
@@ -406,27 +405,34 @@ class FractalExecutor:
             else:
                 store.ensure(tensor)[sl] = value
 
+    def _exec_fold_item(self, item, store: TensorStore, fast: bool,
+                        registry, tracer,
+                        readonly: Dict[int, np.ndarray]) -> None:
+        """One folded chain: ``k`` reference-kernel calls, each result
+        passed straight into the next; only the last one is stored."""
+        terms = _readonly_operands(item.terms, store, readonly)
+        # Two statically proven zero-copy reads per link, as its singles.
+        store.zero_copy_reads += item.n_in
+        store.static_zero_copy += item.n_in
+        value = _bulk_call(item, item.fold, terms, fast, registry, tracer)
+        tensor, sl = item.out_spec
+        store.ensure(tensor)[sl] = value
+
     def _exec_batched_item(self, item, store: TensorStore, fast: bool,
                            registry, tracer) -> None:
         """One BatchedStep: gather lanes, one stacked call, scatter back."""
         k = item.k
         operands = [g.gather(store) for g in item.gathers]
         # Every lane read is statically proven scan-free by fusion
-        # legality; view gathers are zero-copy, loop gathers materialize.
+        # legality; view gathers are zero-copy, copied gathers materialize.
         for g in item.gathers:
             if g.zero_copy:
                 store.zero_copy_reads += k
             else:
                 store.copied_reads += k
         store.static_zero_copy += item.n_in * k
-        if fast:
-            stacked = item.batched_kernel(operands, item.run_attrs)
-        else:
-            registry.count("ops.dispatch", k, labels={"opcode": item.opval})
-            obs.logger("ops").debug("dispatch.batched", opcode=item.opval,
-                                    lanes=k)
-            with tracer.span(f"op:{item.opval}", cat="op", lanes=k):
-                stacked = item.batched_kernel(operands, item.run_attrs)
+        stacked = _bulk_call(item, item.batched_kernel, operands, fast,
+                             registry, tracer)
         stacked = np.asarray(stacked, dtype=np.float64)
         want = (k,) + item.out_shape
         if stacked.shape != want:
@@ -513,6 +519,33 @@ class FractalExecutor:
             else store.read(r, copy=False)
             for r in inst.inputs
         ]
+
+
+def _readonly_operands(specs, store: TensorStore,
+                       readonly: Dict[int, np.ndarray]) -> List[np.ndarray]:
+    """Read-only views of ``(tensor, slices)`` operand specs, sliced from
+    one read-only whole-tensor view per tensor, made on first use."""
+    operands = []
+    for tensor, sl in specs:
+        base = readonly.get(tensor.uid)
+        if base is None:
+            base = readonly[tensor.uid] = store.ensure(tensor).view()
+            base.flags.writeable = False
+        operands.append(base[sl])
+    return operands
+
+
+def _bulk_call(item, call, operands, fast: bool, registry, tracer):
+    """``call(operands, item.run_attrs)`` standing for ``item.k`` kernel
+    calls: with telemetry on, one bulk ``ops.dispatch`` increment and one
+    ``op:`` span carrying ``lanes=k``."""
+    if fast:
+        return call(operands, item.run_attrs)
+    k = item.k
+    registry.count("ops.dispatch", k, labels={"opcode": item.opval})
+    obs.logger("ops").debug("dispatch.batched", opcode=item.opval, lanes=k)
+    with tracer.span(f"op:{item.opval}", cat="op", lanes=k):
+        return call(operands, item.run_attrs)
 
 
 def run_reference(inst: Instruction, store: TensorStore) -> None:

@@ -393,6 +393,25 @@ def events_summary(log: Optional[EventLog] = None) -> Dict[str, object]:
     return (log or _LOG).summary()
 
 
+def append_jsonl(path, text: str) -> None:
+    """Append ``text``, whole ``\\n``-terminated JSONL rows, to ``path``
+    in one write.
+
+    A torn last line (a writer killed mid-row) is ended first, so the new
+    rows never join the fragment into one undecodable line.  Two writers
+    racing to end the same fragment add at most one blank line, which
+    :func:`iter_jsonl` skips.
+    """
+    data = text.encode("utf-8")
+    with open(path, "a+b") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size:
+            fh.seek(size - 1)
+            if fh.read(1) != b"\n":
+                data = b"\n" + data
+        fh.write(data)
+
+
 def iter_jsonl(lines: Iterable[str]):
     """Parse JSONL event lines, skipping blanks and corrupt records.
 

@@ -46,7 +46,7 @@ import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .events import iter_jsonl
+from .events import append_jsonl, iter_jsonl
 from .ledger import _OFF_VALUES, default_ledger_dir, ledger_enabled
 
 HISTORY_SCHEMA = "repro.obs.history"
@@ -114,9 +114,8 @@ class RunHistory:
         if not rows:
             return rows
         self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.points_path, "a", encoding="utf-8") as fh:
-            fh.write("".join(json.dumps(row, default=repr) + "\n"
-                             for row in rows))
+        append_jsonl(self.points_path, "".join(
+            json.dumps(row, default=repr) + "\n" for row in rows))
         from ..telemetry import get_registry
         registry = get_registry()
         if registry.enabled:

@@ -52,7 +52,7 @@ from collections import deque
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .events import iter_jsonl
+from .events import append_jsonl, iter_jsonl
 
 LEDGER_SCHEMA = "repro.obs.ledger"
 LEDGER_SCHEMA_VERSION = 1
@@ -123,8 +123,7 @@ class RunLedger:
             if value is not None:
                 row[key] = value
         self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.runs_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(row, default=repr) + "\n")
+        append_jsonl(self.runs_path, json.dumps(row, default=repr) + "\n")
         # Loading folds every row past the index's offset: this one, and
         # any a concurrent writer appended.
         self._write_index(self._load_index())

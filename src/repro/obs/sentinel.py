@@ -36,7 +36,6 @@ series so the self-contained no-JS HTML report can draw sparklines.
 from __future__ import annotations
 
 import html
-import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence, Tuple

@@ -13,19 +13,27 @@ concrete:
   re-derived/compared on every cache load so a tampered table can never
   steer the executor;
 * :func:`build_schedule` compiles the step list into a
-  :class:`ReplaySchedule`: an interleaving of :class:`BatchedItem` groups
-  and :class:`SingleItem` steps with every per-replay decision -- kernel
-  callables, operand slice tuples, aliasing copy-masks, gather/scatter
-  addressing -- resolved once per plan instead of once per run.  Every
-  opcode has a stacked kernel (:mod:`repro.ops.batch`), so each
-  BatchedStep becomes one BatchedItem and only unfused steps are
-  SingleItems;
-* gathers and scatters use **offset arithmetic**: when a group's lanes
-  tile one tensor at a constant element stride (the shape fractal
-  decomposition emits), the stacked ``(k, ...)`` operand is an
-  ``as_strided`` view of the backing array (zero bytes moved; a stride of
-  0 expresses a broadcast operand shared by every lane), with a counted
-  per-lane copy loop as the general fallback;
+  :class:`ReplaySchedule`: an interleaving of :class:`BatchedItem`
+  groups, :class:`FoldItem` chains and :class:`SingleItem` steps with
+  every per-replay decision -- kernel callables, operand slice tuples,
+  aliasing copy-masks, gather/scatter addressing -- resolved once per
+  plan instead of once per run.  Every opcode has a stacked kernel
+  (:mod:`repro.ops.batch`), so each BatchedStep becomes one BatchedItem;
+* a node's g(.) reduction is a chain of ``Add1D`` (or ``Mul1D``) links,
+  each reading the previous link's output, so no fusion group holds it.
+  A run of such links whose intermediates the plan proves private
+  becomes one **FoldItem**: the reference kernel once per link, each
+  result passed straight into the next, only the last one stored (the
+  intermediates get no write, no arena slot, no re-zero);
+* gathers and scatters use **lattice addressing**: when a group's lanes
+  are tiles of one shape on one tensor, their element offsets factor
+  into nested ``(count, stride)`` levels, one per decomposition level
+  (stride 0 where a tile repeats), and one ``as_strided`` view of shape
+  ``counts + lane shape`` addresses every lane.  With one level the
+  stacked ``(k, ...)`` operand is that view (zero bytes moved; a stride
+  of 0 expresses a broadcast operand shared by every lane); with several
+  it is one C-contiguous copy made by numpy in one call.  Only lanes
+  spread over several tensors take a per-lane copy loop;
 * :func:`build_arena_layout` first-fit allocates every plan-owned
   intermediate into one flat buffer using the same live-interval sweep
   that produced ``PlanStats.peak_live_bytes``, at schedule-item
@@ -42,13 +50,15 @@ disk round trip included, by ``tests/test_fuzz.py``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..core.isa import Instruction, Opcode
+from ..core.isa import Opcode
 from ..core.tensor import Region, Tensor
 from .plan import FractalPlan, PlanStep
 
@@ -56,6 +66,7 @@ __all__ = [
     "ArenaLayout",
     "BatchedItem",
     "BatchedStep",
+    "FoldItem",
     "ReplaySchedule",
     "SingleItem",
     "batched_table",
@@ -174,66 +185,84 @@ class _SliceTable(dict):
         return sl
 
 
-class _StridedAccess:
-    """All lanes address one tensor at a constant element stride.
+class _LatticeAccess:
+    """All lanes address one tensor on a lattice of element offsets.
 
-    The stacked ``(k, ...)`` operand is pure offset arithmetic: an
-    ``as_strided`` view at ``origin + i * delta`` elements per lane
-    (``delta == 0`` is a broadcast operand shared by every lane).  Falls
-    back to the loop path if the backing array is ever non-contiguous.
+    Lane ``i`` sits at ``origin`` plus one stride per decomposition level
+    for its mixed-radix digits over ``counts`` (outermost level first; a
+    stride of 0 repeats a tile), so one ``as_strided`` view of shape
+    ``counts + lane shape`` addresses every lane.  With one level the
+    lanes sit at a constant stride and the gather is that view itself
+    (zero bytes moved; stride 0 is a broadcast operand shared by every
+    lane).  Levels never merge (:func:`_lattice_levels` takes the longest
+    progressions), so with several levels the gather reshapes the view
+    into one C-contiguous ``(k, ...)`` copy -- the stack a per-lane loop
+    builds, made in one numpy call.  Falls back to the loop path if the
+    backing array is ever non-contiguous.
     """
 
-    __slots__ = ("tensor", "origin", "delta", "shape", "byte_strides",
-                 "lane_slices", "k")
-    #: gathers are views (the executor tallies them as zero-copy reads).
-    zero_copy = True
+    __slots__ = ("tensor", "origin", "counts", "shape", "byte_strides",
+                 "regions", "k", "zero_copy", "repeats")
 
-    def __init__(self, tensor: Tensor, origin: int, delta: int,
-                 shape: Tuple[int, ...], byte_strides: Tuple[int, ...],
-                 lane_slices: List[Tuple[Tensor, Tuple[slice, ...]]],
-                 k: int) -> None:
+    def __init__(self, tensor: Tensor, origin: int,
+                 levels: Tuple[Tuple[int, int], ...],
+                 shape: Tuple[int, ...], strides: Tuple[int, ...],
+                 regions: Sequence[Region]) -> None:
         self.tensor = tensor
         self.origin = origin
-        self.delta = delta
+        self.counts = tuple(count for count, _ in levels)
         self.shape = shape
-        self.byte_strides = byte_strides
-        self.lane_slices = lane_slices
-        self.k = k
+        self.byte_strides = tuple(
+            st * _ITEMSIZE for st in [st for _, st in levels] + list(strides))
+        self.regions = regions
+        self.k = len(regions)
+        #: one-level gathers are views (tallied as zero-copy reads);
+        #: deeper ones are one copy (tallied as copied reads, as a loop's).
+        self.zero_copy = len(levels) == 1
+        #: some level places one tile at several lanes.
+        self.repeats = any(count > 1 and not st for count, st in levels)
 
     def _view(self, base: np.ndarray) -> np.ndarray:
         flat = base.reshape(-1)
         anchor = flat[self.origin:] if self.origin else flat
-        return as_strided(anchor, shape=(self.k,) + self.shape,
-                          strides=(self.delta * _ITEMSIZE,) + self.byte_strides)
+        return as_strided(anchor, shape=self.counts + self.shape,
+                          strides=self.byte_strides)
+
+    def _lane_slices(self) -> List[Tuple[Tensor, Tuple[slice, ...]]]:
+        return [(r.tensor, tuple(slice(lo, hi) for lo, hi in r.bounds))
+                for r in self.regions]
 
     def gather(self, store) -> np.ndarray:
         base = store.ensure(self.tensor)
         if not base.flags.c_contiguous:
-            return _loop_gather(store, self.lane_slices, self.shape)
+            return _loop_gather(store, self._lane_slices(), self.shape)
         view = self._view(base)
+        if not self.zero_copy:
+            view = view.reshape((self.k,) + self.shape)
         view.flags.writeable = False
         return view
 
     def scatter(self, store, stacked: np.ndarray, accumulate: bool) -> None:
         base = store.ensure(self.tensor)
         if not base.flags.c_contiguous:
-            _loop_scatter(store, self.lane_slices, stacked, accumulate)
+            _loop_scatter(store, self._lane_slices(), stacked, accumulate)
             return
         view = self._view(base)
+        stacked = stacked.reshape(view.shape)
         if accumulate:
             view += stacked
         else:
-            view[:] = stacked
+            view[...] = stacked
 
 
 class _LoopAccess:
-    """General case: per-lane slice addressing (lanes may even live on
-    different tensors).  Gather materializes the stack; scatter writes
-    lane by lane."""
+    """Lanes spread over several tensors: per-lane slice addressing.
+    Gather materializes the stack; scatter writes lane by lane."""
 
     __slots__ = ("lane_slices", "shape", "k")
     #: gathers materialize a stacked copy (tallied as copied reads).
     zero_copy = False
+    repeats = False
 
     def __init__(self, lane_slices: List[Tuple[Tensor, Tuple[slice, ...]]],
                  shape: Tuple[int, ...]) -> None:
@@ -267,23 +296,57 @@ def _loop_scatter(store, lane_slices, stacked, accumulate) -> None:
             ensure(tensor)[sl] = stacked[i]
 
 
+def _lattice_levels(offs: np.ndarray
+                    ) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """Factor lane offsets into nested ``(count, stride)`` levels.
+
+    Outermost level first: lane ``i``, whose mixed-radix digits over the
+    counts are ``(i_1, ..., i_L)``, sits at ``offs[0] + sum(i_l *
+    stride_l)``.  The innermost level is the longest arithmetic prefix;
+    every block of that length must repeat it, and the blocks' first
+    offsets are factored the same way.  Taking the longest prefix loses
+    no lattice: a progression runs past an inner level only when the
+    next level's stride is that level's whole span, and then the two
+    levels are one.  ``None`` when no lattice covers every lane.
+    """
+    levels: List[Tuple[int, int]] = []
+    while len(offs) > 1:
+        delta = offs[1] - offs[0]
+        breaks = np.flatnonzero(np.diff(offs) != delta)
+        count = int(breaks[0]) + 1 if len(breaks) else len(offs)
+        if len(offs) % count:
+            return None
+        blocks = offs.reshape(-1, count)
+        if not (blocks == blocks[:, :1] + delta * np.arange(count)).all():
+            return None
+        levels.append((count, int(delta)))
+        offs = blocks[:, 0]
+    return tuple(reversed(levels)) or ((1, 0),)
+
+
 def _build_access(regions: Sequence[Region], slices: _SliceTable):
-    """The cheapest addressing mode covering one operand position's lanes."""
-    lane_slices = [(r.tensor, slices[r.bounds]) for r in regions]
+    """The cheapest addressing mode covering one operand position's lanes:
+    a lattice view when every lane is one tile shape on one tensor, else
+    a per-lane loop."""
     lead = regions[0]
-    shape = lead.shape
-    if any(r.tensor.uid != lead.tensor.uid or r.shape != shape
-           for r in regions[1:]):
-        return _LoopAccess(lane_slices, shape)
-    strides = _elem_strides(lead.tensor.shape)
-    offs = [sum(lo * st for (lo, _), st in zip(r.bounds, strides))
-            for r in regions]
-    deltas = {offs[i + 1] - offs[i] for i in range(len(offs) - 1)}
-    if len(deltas) != 1:
-        return _LoopAccess(lane_slices, shape)
-    byte_strides = tuple(st * _ITEMSIZE for st in strides)
-    return _StridedAccess(lead.tensor, offs[0], deltas.pop(), shape,
-                          byte_strides, lane_slices, len(regions))
+    uid = lead.tensor.uid
+    if all(r.tensor.uid == uid for r in regions):
+        ndim, k = len(lead.bounds), len(regions)
+        bounds = np.fromiter(
+            chain.from_iterable(chain.from_iterable(r.bounds
+                                                    for r in regions)),
+            dtype=np.int64, count=2 * ndim * k).reshape(k, ndim, 2)
+        lows = bounds[:, :, 0]
+        extents = bounds[:, :, 1] - lows
+        if (extents == extents[0]).all():
+            strides = _elem_strides(lead.tensor.shape)
+            offs = lows @ np.array(strides, dtype=np.int64)
+            levels = _lattice_levels(offs)
+            if levels is not None:
+                return _LatticeAccess(lead.tensor, int(offs[0]), levels,
+                                      lead.shape, strides, regions)
+    return _LoopAccess([(r.tensor, slices[r.bounds]) for r in regions],
+                       lead.shape)
 
 
 # -- schedule items ---------------------------------------------------------
@@ -298,6 +361,7 @@ class SingleItem:
                  "run_attrs", "accumulate", "kernel", "in_specs",
                  "out_specs", "copy_mask", "n_in")
     batched = False
+    folded = False
 
     def __init__(self, index: int, step: PlanStep, kernel,
                  slices: _SliceTable) -> None:
@@ -332,6 +396,7 @@ class BatchedItem:
                  "run_attrs", "accumulate", "gathers", "scatter",
                  "out_shape", "out_nelems", "batched_kernel", "n_in")
     batched = True
+    folded = False
 
     def __init__(self, bstep: BatchedStep, batched_kernel,
                  slices: _SliceTable) -> None:
@@ -351,8 +416,107 @@ class BatchedItem:
             for j in range(self.n_in))
         outs = [inst.outputs[0] for inst in insts]
         self.scatter = _build_access(outs, slices)
+        # Fusion legality makes a group's outputs pairwise disjoint, so no
+        # output lattice places one tile at two lanes.
+        assert not self.scatter.repeats, "fused lanes write one tile"
         self.out_shape = outs[0].shape
         self.out_nelems = outs[0].nelems
+
+
+class FoldItem:
+    """A run of ``k`` chained g(.) links (``Add1D`` or ``Mul1D``) as one
+    item: the opcode's reference kernel runs once per link, and each
+    result passes straight into the next call as its first operand.  Only
+    the last link's output is stored; the intermediates get no write, no
+    arena slot and no re-zero.  Bit-identical to ``k`` singles: each link
+    runs the same kernel on the same operands in the same order, and the
+    float64 store round trip it skips is exact."""
+
+    __slots__ = ("start", "stop", "k", "opcode", "opval", "level",
+                 "run_attrs", "kernel", "terms", "out_spec", "n_in")
+    batched = False
+    folded = True
+    accumulate = False
+
+    def __init__(self, index: int, steps: Sequence[PlanStep], kernel,
+                 slices: _SliceTable) -> None:
+        lead = steps[0]
+        self.start = index
+        self.stop = index + len(steps)
+        self.k = len(steps)
+        self.opcode = lead.inst.opcode
+        self.opval = lead.inst.opcode.value
+        self.level = lead.level
+        self.run_attrs = lead.run_attrs
+        self.kernel = kernel
+        #: the first link's first operand, then every link's second one
+        terms = [lead.inst.inputs[0]] + [s.inst.inputs[1] for s in steps]
+        self.terms = tuple((r.tensor, slices[r.bounds]) for r in terms)
+        out = steps[-1].inst.outputs[0]
+        self.out_spec = (out.tensor, slices[out.bounds])
+        self.n_in = 2 * self.k
+
+    def fold(self, terms: Sequence[np.ndarray], attrs) -> np.ndarray:
+        """The chain's value: every link's kernel call, in order."""
+        kernel = self.kernel
+        value = terms[0]
+        for i in range(1, len(terms)):
+            value = kernel((value, terms[i]), attrs)
+        return value
+
+
+#: the g(.) operators :func:`repro.core.decomposition.base.chain_reduce`
+#: emits; a chain of their links folds into one :class:`FoldItem`.
+_FOLD_OPCODES = (Opcode.ADD1D, Opcode.MUL1D)
+
+
+def _foldable(step: PlanStep) -> bool:
+    inst = step.inst
+    return (inst.opcode in _FOLD_OPCODES and not step.accumulate
+            and step.safe_zero_copy and len(inst.inputs) == 2
+            and len(inst.outputs) == 1)
+
+
+def _fold_links(plan: FractalPlan) -> Set[int]:
+    """Indices ``i`` whose step feeds step ``i + 1`` through a link of a
+    foldable chain, proven from the plan's steps.
+
+    Both steps run one of :data:`_FOLD_OPCODES` with one kind, level and
+    attributes; neither accumulates and both are alias-free; every region
+    of the two has one shape (so each kernel result is already the next
+    operand's shape); step ``i + 1``'s first input is exactly step ``i``'s
+    output; and that region covers a plan-owned tensor that no other step
+    reads or writes.
+    """
+    steps = plan.steps
+    external = set(plan.external_uids())
+    candidates: Dict[int, int] = {}  # intermediate uid -> writing step
+    for i in range(len(steps) - 1):
+        step = steps[i + 1]
+        if step.inst.opcode not in _FOLD_OPCODES:
+            continue
+        prev = steps[i]
+        if not (_foldable(prev) and _foldable(step)):
+            continue
+        mid = prev.inst.outputs[0]
+        head, term = step.inst.inputs
+        shape = mid.tensor.shape
+        if (head.tensor.uid != mid.tensor.uid or head.bounds != mid.bounds
+                or mid.tensor.uid in external or not _covers(mid)
+                or step.inst.opcode is not prev.inst.opcode
+                or step.kind != prev.kind or step.level != prev.level
+                or step.run_attrs != prev.run_attrs
+                or term.shape != shape
+                or step.inst.outputs[0].shape != shape
+                or any(r.shape != shape for r in prev.inst.inputs)):
+            continue
+        candidates[mid.tensor.uid] = i
+    if not candidates:
+        return set()
+    touches = Counter(r.tensor.uid for step in steps
+                      for r in step.inst.inputs + step.inst.outputs
+                      if r.tensor.uid in candidates)
+    return {i for uid, i in candidates.items() if touches[uid] == 2}
 
 
 # -- the replay schedule ----------------------------------------------------
@@ -385,20 +549,31 @@ def build_schedule(plan: FractalPlan) -> ReplaySchedule:
     """Compile ``plan.steps`` + ``plan.batched`` into a ReplaySchedule.
 
     Every BatchedStep becomes one BatchedItem running its opcode's
-    stacked kernel; every step outside a lowered group becomes a
-    SingleItem.
+    stacked kernel.  Outside the lowered groups, each run of linked chain
+    steps (:func:`_fold_links`) becomes one FoldItem, and every other
+    step a SingleItem.
     """
     from ..ops.batch import batched_kernel_for
     from ..ops.dispatch import kernel_for
 
     slices = _SliceTable()
     items: List[object] = []
+    links = _fold_links(plan)
 
     def singles(lo: int, hi: int) -> None:
-        for index in range(lo, hi):
+        index = lo
+        while index < hi:
+            stop = index + 1
+            while stop < hi and stop - 1 in links:
+                stop += 1
             step = plan.steps[index]
-            items.append(SingleItem(index, step, kernel_for(step.inst.opcode),
-                                    slices))
+            kernel = kernel_for(step.inst.opcode)
+            if stop - index > 1:
+                items.append(FoldItem(index, plan.steps[index:stop], kernel,
+                                      slices))
+            else:
+                items.append(SingleItem(index, step, kernel, slices))
+            index = stop
 
     pos = 0
     lanes = 0
@@ -440,7 +615,9 @@ class ArenaLayout:
 
 
 def _item_regions(item, plan: FractalPlan):
-    """``(region, is_input)`` pairs an item touches, inputs first."""
+    """``(region, is_input)`` pairs an item touches, inputs first.  A fold
+    touches its chain's operands and last output, never the
+    intermediates it does not store."""
     if item.batched:
         steps = plan.steps[item.start:item.stop]
         for step in steps:
@@ -449,6 +626,12 @@ def _item_regions(item, plan: FractalPlan):
         for step in steps:
             for r in step.inst.outputs:
                 yield r, False
+    elif item.folded:
+        steps = plan.steps[item.start:item.stop]
+        yield steps[0].inst.inputs[0], True
+        for step in steps:
+            yield step.inst.inputs[1], True
+        yield steps[-1].inst.outputs[0], False
     else:
         inst = item.inst
         for r in inst.inputs:

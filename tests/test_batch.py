@@ -1,7 +1,8 @@
 """Vectorized leaf-batch replay tests: suite-wide bit-identity, the
-per-opcode stacked kernels, the tensor arena, schema-v3 cache
-round-trips/poisoning, batched counters, the replay engine's contract,
-the plan microbenchmark's gate and its sentinel wiring.
+per-opcode stacked kernels, lattice gathers and scatters, folded
+reduction chains, the tensor arena, schema-v3 cache round-trips/poisoning,
+batched counters, the replay engine's contract, the plan
+microbenchmark's gate and its sentinel wiring.
 
 The acceptance bar for the vectorization pass is *bit-identity*: for
 every paper benchmark on both machine instances, replay (through the
@@ -43,15 +44,19 @@ from repro.ops.batch import _BATCHED_KERNELS, batched_kernel_for
 from repro.ops.dispatch import kernel_for
 from repro.plan import (
     DiskPlanCache,
+    FractalPlan,
     PlanCache,
     PlanFormatError,
+    PlanStep,
+    SingleItem,
     batched_table,
     compile_cached,
     compile_program,
     machine_fingerprint,
     plan_from_doc,
 )
-from repro.plan.batch import _build_access, _SliceTable
+from repro.plan.batch import (FoldItem, _build_access, _LatticeAccess,
+                              _LoopAccess, _SliceTable)
 from repro.analysis import program_digest
 from repro.workloads import profile_benchmark, profile_benchmark_names
 
@@ -131,12 +136,30 @@ STACKED_CASES = ALL_OPCODE_CASES + [
 ]
 
 
+#: lattice layouts: the tile each lane reads along a tensor's first axis
+#: (``grid`` tiles the first and the last axis of a rank-2+ tensor).
+_LATTICES = {
+    # two tiles x two repeats, the stride-0 level inner, then outer
+    "repeat-inner": (0, 0, 1, 1),
+    "repeat-outer": (0, 1, 0, 1),
+    # a 2x2 grid; the last axis holds three tiles, so rows never abut
+    "grid": ((0, 0), (0, 1), (1, 0), (1, 1)),
+    # three levels: 2 x 9 tiles, 2 x 3 tiles, 2 x 1 tile
+    "lattice3": (0, 1, 3, 4, 9, 10, 12, 13),
+}
+
+#: the levels ``_build_access`` must find for each single-tensor layout
+_LEVELS = {"stack": 1, "view": 1, "broadcast": 1, "repeat-inner": 2,
+           "repeat-outer": 2, "grid": 2, "lattice3": 3}
+
+
 def _layouts(n_in):
     """Per-operand gather layouts: ``stack`` lanes tile a tensor along its
     first axis (a contiguous stack), ``broadcast`` every lane reads one
     region (a stride-0 stack), ``view`` lanes tile a tensor along its last
     axis (non-contiguous lane views), ``loop`` lanes live on separate
-    tensors (a loop-gathered copy)."""
+    tensors (a loop-gathered copy), and each :data:`_LATTICES` layout
+    places lanes on a lattice of one tensor (a lattice-gathered copy)."""
     yield ("stack",) * n_in
     yield ("loop",) * n_in
     yield ("view",) * n_in
@@ -145,6 +168,18 @@ def _layouts(n_in):
             modes = [rest] * n_in
             modes[j] = "broadcast"
             yield tuple(modes)
+    for lattice in _LATTICES:
+        yield (lattice,) * n_in
+        for j in range(n_in if n_in > 1 else 0):
+            modes = ["stack"] * n_in
+            modes[j] = lattice
+            yield tuple(modes)
+
+
+def _lanes(modes):
+    """The lane count of a layout: a lattice's, else 4."""
+    return max((len(_LATTICES[m]) for m in modes if m in _LATTICES),
+               default=4)
 
 
 def _lane_regions(mode, shape, k, name):
@@ -153,6 +188,25 @@ def _lane_regions(mode, shape, k, name):
         return [Tensor(name, shape).region()] * k
     if mode == "loop":
         return [Tensor(f"{name}{i}", shape).region() for i in range(k)]
+    if mode in _LATTICES:
+        tiles = _LATTICES[mode]
+        assert len(tiles) == k
+        last = len(shape) - 1
+        if mode == "grid" and last:
+            big = list(shape)
+            big[0] *= 2
+            big[last] *= 3
+            full = Tensor(name, tuple(big)).region()
+            return [full.slice_dim(0, i * shape[0], (i + 1) * shape[0])
+                    .slice_dim(last, j * shape[last], (j + 1) * shape[last])
+                    for i, j in tiles]
+        if mode == "grid":  # rank 1: the grid's rows side by side
+            tiles = [3 * i + j for i, j in tiles]
+        big = list(shape)
+        big[0] *= max(tiles) + 1
+        full = Tensor(name, tuple(big)).region()
+        return [full.slice_dim(0, t * shape[0], (t + 1) * shape[0])
+                for t in tiles]
     axis = 0 if mode == "stack" else len(shape) - 1
     big = list(shape)
     big[axis] *= k
@@ -177,7 +231,14 @@ def _stacked_and_reference(opcode, shapes, out_shape, attrs, modes, k):
                     data = np.sort(data, axis=-1)
                 store.bind(r.tensor, data)
     slices = _SliceTable()
-    operands = [_build_access(p, slices).gather(store) for p in positions]
+    accesses = [_build_access(p, slices) for p in positions]
+    for mode, access in zip(modes, accesses):
+        if mode == "loop":
+            assert isinstance(access, _LoopAccess), mode
+        else:
+            assert isinstance(access, _LatticeAccess), mode
+            assert len(access.counts) == _LEVELS[mode], (mode, access.counts)
+    operands = [access.gather(store) for access in accesses]
     stacked = np.asarray(batched_kernel_for(opcode)(operands, attrs),
                          dtype=np.float64)
     reference = kernel_for(opcode)
@@ -205,7 +266,7 @@ class TestStackedKernels:
         opcode, shapes, out_shape, attrs = case
         for modes in _layouts(len(shapes)):
             stacked, refs = _stacked_and_reference(
-                opcode, shapes, out_shape, attrs, modes, k=4)
+                opcode, shapes, out_shape, attrs, modes, k=_lanes(modes))
             for lane, ref in enumerate(refs):
                 assert bit_identical(stacked[lane], ref.reshape(out_shape)), (
                     f"{opcode.value} lane {lane}, layout {modes}")
@@ -222,6 +283,57 @@ class TestStackedKernels:
 
     def test_case_table_covers_every_opcode(self):
         assert {case[0] for case in STACKED_CASES} == set(Opcode)
+
+
+class TestLatticeAddressing:
+    """Lanes of one tensor that repeat tiles or sit on a grid are
+    addressed by one lattice view: a gather is one C-contiguous copy equal
+    to the per-lane loop's stack, and a scatter writes through the view
+    exactly as the loop writes lane by lane."""
+
+    @pytest.mark.parametrize("mode", list(_LATTICES))
+    def test_gather_is_the_loop_stack(self, mode):
+        k = _lanes((mode,))
+        regions = _lane_regions(mode, (3, 5), k, "x")
+        store = TensorStore()
+        store.bind(regions[0].tensor, np.random.default_rng(7).normal(
+            size=regions[0].tensor.shape))
+        slices = _SliceTable()
+        access = _build_access(regions, slices)
+        assert isinstance(access, _LatticeAccess) and not access.zero_copy
+        got = access.gather(store)
+        want = _LoopAccess([(r.tensor, slices[r.bounds]) for r in regions],
+                           (3, 5)).gather(store)
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert bit_identical(got, want)
+
+    @pytest.mark.parametrize("accumulate", [False, True])
+    @pytest.mark.parametrize("mode", ["stack", "view", "grid", "lattice3"])
+    def test_scatter_matches_the_loop(self, mode, accumulate):
+        k = _lanes((mode,))
+        regions = _lane_regions(mode, (3, 5), k, "y")
+        rng = np.random.default_rng(8)
+        initial = rng.normal(size=regions[0].tensor.shape)
+        stacked = rng.normal(size=(k, 3, 5))
+        slices = _SliceTable()
+        access = _build_access(regions, slices)
+        assert isinstance(access, _LatticeAccess) and not access.repeats
+        results = []
+        for scatter in (access, _LoopAccess(
+                [(r.tensor, slices[r.bounds]) for r in regions], (3, 5))):
+            store = TensorStore()
+            store.bind(regions[0].tensor, initial)
+            scatter.scatter(store, stacked, accumulate)
+            results.append(store.read(regions[0].tensor.region()))
+        assert bit_identical(results[0], results[1])
+
+    @pytest.mark.parametrize("mode", ["broadcast", "repeat-inner",
+                                      "repeat-outer"])
+    def test_repeated_tiles_are_flagged(self, mode):
+        """A lattice with a stride-0 level places one tile at several
+        lanes; a BatchedItem refuses one as an output."""
+        regions = _lane_regions(mode, (3, 5), _lanes((mode,)), "z")
+        assert _build_access(regions, _SliceTable()).repeats
 
 
 # -- the stacked-kernel registry ---------------------------------------------
@@ -329,33 +441,244 @@ class TestStackedReplayEndToEnd:
         assert [(i.opcode, i.k) for i in items] == [(Opcode.MERGE1D, 3)]
 
 
+# -- folded reduction chains --------------------------------------------------
+
+def _fold_plan(opcode=Opcode.HSUM1D, n=4096, out=None):
+    """One horizontal reduction of an ``n``-element vector into ``out``,
+    compiled for a (4, 4) tiny machine, whose splits leave chains of three
+    links at both levels."""
+    machine = tiny_machine(fanouts=(4, 4))
+    x = Tensor("x", (n,))
+    out = out if out is not None else Tensor("s", (1,)).region()
+    program = [Instruction(opcode, (x.region(),), (out,))]
+    return machine, program, x, compile_program(machine, program)
+
+
+def _owners(schedule):
+    """Plan step index -> the schedule item that runs it."""
+    return {i: item for item in schedule.items
+            for i in range(item.start, item.stop)}
+
+
+def _bindings(plan, rng):
+    """Values for every external, near 1 so long products stay finite."""
+    return [(t, rng.uniform(0.9, 1.1, size=t.shape)) for t in plan.externals]
+
+
+def _plan_results(machine, plan, bindings, replay):
+    """Every external after replaying ``plan`` or running its steps one by
+    one through the cold run's walk sink (the oracle for edited plans)."""
+    store = TensorStore()
+    for tensor, data in bindings:
+        store.bind(tensor, data)
+    executor = FractalExecutor(machine, store)
+    if replay:
+        executor.run_plan(plan)
+    else:
+        for step in plan.steps:
+            executor._run_step(step.kind, step.inst, step.level)
+    return [store.read(t.region()) for t in plan.externals]
+
+
+def _edited(plan, steps, externals=None):
+    """``plan`` with other steps (and externals); a fresh schedule."""
+    return FractalPlan(
+        machine_fingerprint=plan.machine_fingerprint,
+        signature_digest=plan.signature_digest, steps=steps,
+        stats=plan.stats, externals=list(externals or plan.externals),
+        fusion_groups=list(plan.fusion_groups))
+
+
+class TestFoldedChains:
+    """A run of g(.) chain links replays as one FoldItem: the reference
+    kernel once per link, no stored intermediates, bit-identical to
+    recursion.  Links the plan does not prove private stay singles."""
+
+    def _assert_folds_every_chain(self, machine, program, plan, opcode,
+                                  bindings):
+        schedule = plan.replay_schedule()
+        folds = [i for i in schedule.items if isinstance(i, FoldItem)]
+        assert folds and all(f.opcode is opcode and f.k == 3 for f in folds)
+        assert not [i for i in schedule.items
+                    if isinstance(i, SingleItem) and i.opcode is opcode]
+        bound = {t.uid for t, _ in schedule.arena.bindings}
+        for fold in folds:
+            for step in plan.steps[fold.start:fold.stop - 1]:
+                assert step.inst.outputs[0].tensor.uid not in bound
+        results = []
+        for use_plan in (None, plan):
+            store = TensorStore()
+            for tensor, data in bindings:
+                store.bind(tensor, data)
+            FractalExecutor(machine, store).run_program(program,
+                                                        plan=use_plan)
+            results.append(store.read(program[0].outputs[0].tensor.region()))
+        assert bit_identical(results[1], results[0])
+        return folds
+
+    def test_hsum_chains_fold_one_element_terms(self):
+        machine, program, x, plan = _fold_plan(Opcode.HSUM1D)
+        folds = self._assert_folds_every_chain(
+            machine, program, plan, Opcode.ADD1D,
+            [(x, np.random.default_rng(21).normal(size=x.shape))])
+        for fold in folds:
+            for tensor, sl in fold.terms:
+                assert np.zeros(tensor.shape)[sl].size == 1
+
+    def test_hprod_chains_fold_mul_links(self):
+        machine, program, x, plan = _fold_plan(Opcode.HPROD1D, n=600)
+        self._assert_folds_every_chain(
+            machine, program, plan, Opcode.MUL1D,
+            [(x, np.random.default_rng(22).uniform(0.9, 1.1, size=x.shape))])
+
+    def test_chain_into_an_external_slice_folds(self):
+        y = Tensor("y", (4,))
+        machine, program, x, plan = _fold_plan(out=y[2:3])
+        rng = np.random.default_rng(23)
+        folds = self._assert_folds_every_chain(
+            machine, program, plan, Opcode.ADD1D,
+            [(x, rng.normal(size=x.shape)), (y, rng.normal(size=y.shape))])
+        tensor, sl = folds[-1].out_spec
+        assert tensor is y and sl == (slice(2, 3),)
+
+    def test_replay_dispatches_one_count_per_link(self):
+        """With telemetry on, a fold counts its ``k`` links in one bulk
+        ``ops.dispatch`` increment under one ``op:`` span with
+        ``lanes=k``: replay counts every plan step once."""
+        machine, _, _, plan = _fold_plan()
+        schedule = plan.replay_schedule()
+        want: Dict[str, int] = {}
+        for step in plan.steps:
+            opval = step.inst.opcode.value
+            want[opval] = want.get(opval, 0) + 1
+        rng = np.random.default_rng(24)
+        with telemetry.enabled_scope() as (registry, tracer):
+            telemetry.reset()
+            _plan_results(machine, plan, _bindings(plan, rng), replay=True)
+            for opval, n in want.items():
+                assert registry.value("ops.dispatch",
+                                      {"opcode": opval}) == n, opval
+            lanes = [span.args.get("lanes") for span in tracer.spans()
+                     if span.name == "op:Add1D"]
+        # Every Add1D link of this plan is folded: one span per fold.
+        folds = [i for i in schedule.items if isinstance(i, FoldItem)]
+        assert lanes == [fold.k for fold in folds]
+
+    def test_f100_resnet_schedule_folds_every_chain(self):
+        """F100 ResNet-152's 13,944 ``Add1D`` links all fold, and a
+        per-lane loop is left only for lanes on several tensors."""
+        _, _, plan = _suite_plan("f100", "ResNet-152")
+        items = plan.replay_schedule().items
+        assert not [i for i in items
+                    if isinstance(i, SingleItem) and i.opcode is Opcode.ADD1D]
+        assert sum(i.k for i in items if isinstance(i, FoldItem)) == sum(
+            1 for s in plan.steps if s.inst.opcode is Opcode.ADD1D) - sum(
+            i.k for i in items if i.batched and i.opcode is Opcode.ADD1D)
+        accesses = [a for i in items if i.batched
+                    for a in i.gathers + (i.scatter,)]
+        assert any(isinstance(a, _LatticeAccess) and len(a.counts) > 1
+                   for a in accesses)
+        for access in accesses:
+            if isinstance(access, _LoopAccess):
+                assert len({t.uid for t, _ in access.lane_slices}) > 1
+
+    def _edit_case(self, edit):
+        """Apply ``edit(plan, start)`` to the last fold's chain (steps
+        ``start .. start + 2``) and return the edited plan, its step owners
+        and whether its replay matches running its steps one by one."""
+        machine, _, _, plan = _fold_plan()
+        [*_, fold] = [i for i in plan.replay_schedule().items
+                      if isinstance(i, FoldItem)]
+        edited = edit(plan, fold.start)
+        bindings = _bindings(edited, np.random.default_rng(25))
+        replayed = _plan_results(machine, edited, bindings, replay=True)
+        stepwise = _plan_results(machine, edited, bindings, replay=False)
+        same = all(bit_identical(a, b) for a, b in zip(replayed, stepwise))
+        return fold.start, _owners(edited.replay_schedule()), same
+
+    def test_intermediate_read_by_a_third_step_stays_single(self):
+        def edit(plan, start):
+            mid = plan.steps[start].inst.outputs[0]
+            probe = Tensor("probe", mid.shape)
+            reader = PlanStep.from_instruction("lfu", Instruction(
+                Opcode.ACT1D, (mid,), (probe.region(),),
+                {"func": "identity"}), plan.steps[start].level)
+            return _edited(plan, plan.steps + [reader],
+                           plan.externals + [probe])
+
+        start, owners, same = self._edit_case(edit)
+        assert isinstance(owners[start], SingleItem)
+        assert owners[start + 1] is owners[start + 2]  # still a fold
+        assert same
+
+    def test_accumulating_link_stays_single(self):
+        def edit(plan, start):
+            steps = list(plan.steps)
+            step = steps[start + 1]
+            inst = Instruction(step.inst.opcode, step.inst.inputs,
+                               step.inst.outputs, {"accumulate": True})
+            steps[start + 1] = PlanStep.from_instruction(step.kind, inst,
+                                                         step.level)
+            return _edited(plan, steps)
+
+        start, owners, same = self._edit_case(edit)
+        for i in (start, start + 1, start + 2):
+            assert isinstance(owners[i], SingleItem), i
+        assert same
+
+    def test_link_through_the_second_operand_stays_single(self):
+        def edit(plan, start):
+            steps = list(plan.steps)
+            step = steps[start + 1]
+            a, b = step.inst.inputs
+            inst = Instruction(step.inst.opcode, (b, a), step.inst.outputs,
+                               dict(step.inst.attrs))
+            steps[start + 1] = PlanStep.from_instruction(step.kind, inst,
+                                                         step.level)
+            return _edited(plan, steps)
+
+        start, owners, same = self._edit_case(edit)
+        assert isinstance(owners[start], SingleItem)
+        assert owners[start + 1] is owners[start + 2]
+        assert same
+
+
 # -- the tensor arena ---------------------------------------------------------
 
 class TestArenaLayout:
     """K-Means on F1 owns hundreds of small intermediates -- enough churn
     to exercise recycling, re-zeroing, and the free-list coalescing."""
 
-    def _schedule(self, name="K-Means"):
-        _, _, plan = _suite_plan("f1", name)
+    def _schedule(self, name="K-Means", machine_key="f1"):
+        _, _, plan = _suite_plan(machine_key, name)
         return plan, plan.replay_schedule()
 
     def _live_intervals(self, plan, items):
         """Independent re-derivation of each plan-owned tensor's live
-        interval in schedule-item ordinals (the allocator's oracle)."""
+        interval in schedule-item ordinals (the allocator's oracle).  A
+        fold touches its first link's operands, every later link's second
+        operand and its last link's output; the links' intermediates are
+        never stored, so they have no interval."""
         external = set(plan.external_uids())
         first: Dict[int, int] = {}
         last: Dict[int, int] = {}
         sizes: Dict[int, int] = {}
         for ordinal, item in enumerate(items):
             steps = plan.steps[item.start:item.stop]
-            for step in steps:
-                for r in list(step.inst.inputs) + list(step.inst.outputs):
-                    uid = r.tensor.uid
-                    if uid in external:
-                        continue
-                    first.setdefault(uid, ordinal)
-                    last[uid] = ordinal
-                    sizes[uid] = r.tensor.nelems
+            if isinstance(item, FoldItem):
+                regions = ([steps[0].inst.inputs[0]]
+                           + [step.inst.inputs[1] for step in steps]
+                           + [steps[-1].inst.outputs[0]])
+            else:
+                regions = [r for step in steps
+                           for r in step.inst.inputs + step.inst.outputs]
+            for r in regions:
+                uid = r.tensor.uid
+                if uid in external:
+                    continue
+                first.setdefault(uid, ordinal)
+                last[uid] = ordinal
+                sizes[uid] = r.tensor.nelems
         return first, last, sizes
 
     def _assert_no_live_overlap(self, plan, schedule):
@@ -392,11 +715,13 @@ class TestArenaLayout:
         self._assert_high_water(*self._schedule())
 
     def test_liveness_oracle_holds_on_a_mixed_schedule(self):
-        """ResNet-152 interleaves stacked groups with unfused singles:
-        the oracle must hold across both item kinds."""
-        plan, schedule = self._schedule("ResNet-152")
+        """F100 mm_fc interleaves stacked groups with unfused items, folds
+        among them, and still recycles: the oracle must hold across every
+        item kind."""
+        plan, schedule = self._schedule("mm_fc", "f100")
         kinds = [item.batched for item in schedule.items]
         assert {(True, False), (False, True)} <= set(zip(kinds, kinds[1:]))
+        assert any(isinstance(item, FoldItem) for item in schedule.items)
         self._assert_no_live_overlap(plan, schedule)
         self._assert_high_water(plan, schedule)
 

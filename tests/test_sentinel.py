@@ -101,6 +101,19 @@ class TestRunHistory:
             fh.write('{"schema": "repro.obs.history", "v": 1, "val')
         assert len(list(history.iter_points())) == 1
 
+    def test_torn_line_does_not_swallow_the_next_point(self, tmp_path):
+        """Points appended after a torn last line end that line first, so
+        only the fragment is lost."""
+        history = seeded_history(tmp_path, [1.0])
+        with open(history.points_path, "a", encoding="utf-8") as fh:
+            fh.write('{"schema": "repro.obs.history", "v": 1, "val')
+        for value in (2.0, 3.0):
+            history.append([{"benchmark": "mm_fc",
+                             "machine": "Cambricon-F1",
+                             "metric": "makespan_s", "value": value}])
+        key = ("mm_fc", "Cambricon-F1", "makespan_s")
+        assert [v for _, v in history.series()[key]] == [1.0, 2.0, 3.0]
+
     @pytest.mark.parametrize("value", ["off", "0", "none", "disabled"])
     def test_off_values_disable(self, value, monkeypatch):
         monkeypatch.setenv("REPRO_HISTORY", value)

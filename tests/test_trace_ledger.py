@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -203,6 +202,17 @@ class TestRunLedger:
             fh.write('{"schema": "repro.obs.ledger", "v": 1, "kind": "tor')
         rows = ledger.rows()
         assert len(rows) == 1 and rows[0]["benchmark"] == "ok"
+
+    def test_torn_line_does_not_swallow_the_next_row(self, tmp_path):
+        """A row recorded after a torn last line ends that line first, so
+        only the fragment is lost."""
+        ledger = RunLedger(tmp_path)
+        ledger.record("run", benchmark="a")
+        with open(ledger.runs_path, "a", encoding="utf-8") as fh:
+            fh.write('{"schema": "repro.obs.ledger", "v": 1, "kind": "tor')
+        ledger.record("run", benchmark="b")
+        ledger.record("run", benchmark="c")
+        assert [r["benchmark"] for r in ledger.rows()] == ["a", "b", "c"]
 
     def test_rows_last_is_bounded_tail_and_skips_torn_lines(self, tmp_path):
         """``rows(last=N)`` streams through a bounded deque (PR 9
