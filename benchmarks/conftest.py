@@ -31,16 +31,15 @@ sys.stdout.reconfigure(line_buffering=True)
 
 from repro import cambricon_f1, cambricon_f100, obs, telemetry
 
-# Keep the suite's run-ledger rows and run-history time series next to
-# its other artifacts unless the caller routed them elsewhere (or
-# disabled them outright).  The history store feeds `repro sentinel`
-# (docs/OBSERVABILITY.md), so it lands at reports/history.jsonl where CI
-# persists it.
+# Keep the suite's run-ledger rows next to its other artifacts unless
+# the caller routed them elsewhere (or disabled them outright).  Each
+# row carries its metrics, which `repro sentinel --ledger` reads as time
+# series (docs/OBSERVABILITY.md), so they land at
+# reports/ledger/runs.jsonl where CI persists them.
 _bench_reports = Path(os.environ.get(
     "REPRO_BENCH_REPORT_DIR",
     str(Path(__file__).resolve().parent / "reports")))
 os.environ.setdefault("REPRO_LEDGER", str(_bench_reports / "ledger"))
-os.environ.setdefault("REPRO_HISTORY", str(_bench_reports))
 from repro.perf import attribute_report
 from repro.sim import FractalSimulator
 from repro.workloads import PAPER_BENCHMARKS, paper_benchmark

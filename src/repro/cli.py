@@ -886,16 +886,16 @@ def cmd_events_tail(args) -> int:
 
 
 def cmd_sentinel(args) -> int:
-    """Statistical perf-trend verdict over the run-history store.
+    """Statistical perf-trend verdict over the run ledger.
 
-    Reads the ``history.jsonl`` time series (``repro.obs.history``),
-    runs the rolling median/MAD regression detector per
-    ``(benchmark, machine, metric)`` series, and prints a verdict table
+    Reads the metrics that ledger rows carry as
+    ``(benchmark, machine, metric)`` time series, runs the rolling
+    median/MAD regression detector on each, and prints a verdict table
     (``--json`` for the ``repro.obs.sentinel`` document, ``--html`` for
     the self-contained trend report).  Exit codes follow ``repro diff``:
-    **0** no regression, **2** usage error (disabled/missing history,
-    bad window/threshold, unwritable ``--html``), **3** at least one
-    series regressed past the threshold.
+    **0** no regression, **2** usage error (disabled/missing ledger,
+    bad window/threshold/min-points, unwritable ``--html``), **3** at
+    least one series regressed past the threshold.
     """
     import json
 
@@ -909,15 +909,15 @@ def cmd_sentinel(args) -> int:
         print(f"sentinel: --threshold must be positive "
               f"(got {args.threshold})", file=sys.stderr)
         return 2
-    history = obs.get_history(args.history)
-    if history is None:
-        print(f"sentinel: the run-history store is disabled "
-              f"(REPRO_HISTORY={os.environ.get('REPRO_HISTORY')!r}, "
-              f"REPRO_LEDGER={os.environ.get('REPRO_LEDGER')!r})",
-              file=sys.stderr)
+    if args.min_points < 1:
+        print(f"sentinel: --min-points must be at least 1 "
+              f"(got {args.min_points})", file=sys.stderr)
         return 2
-    if not history.points_path.exists():
-        print(f"sentinel: no run history at {history.points_path} "
+    ledger = _open_ledger("sentinel", args.ledger)
+    if ledger is None:
+        return 2
+    if not ledger.runs_path.exists():
+        print(f"sentinel: no run ledger at {ledger.runs_path} "
               f"(runs record it automatically; see docs/OBSERVABILITY.md)",
               file=sys.stderr)
         return 2
@@ -928,7 +928,7 @@ def cmd_sentinel(args) -> int:
     config = obs.SentinelConfig(window=args.window,
                                 threshold=args.threshold,
                                 min_points=args.min_points)
-    result = obs.analyze_history(history, config=config,
+    result = obs.analyze_history(ledger, config=config,
                                  benchmark=args.benchmark,
                                  machine=args.filter_machine,
                                  metric_glob=args.metric)
@@ -947,8 +947,7 @@ def cmd_sentinel(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(obs.format_table(result))
-    obs.record_run("sentinel", history=False,
-                   series=len(result.entries),
+    obs.record_run("sentinel", series=len(result.entries),
                    regressions=len(result.regressions),
                    exit_code=result.exit_code)
     return result.exit_code
@@ -960,7 +959,8 @@ TRACE_DOC_VERSION = 1
 
 
 def _open_ledger(command: str, directory):
-    """Shared `trace ls`/`trace show` ledger resolution (None + msg on 2)."""
+    """Shared `trace ls`/`trace show`/`sentinel` ledger resolution
+    (None + msg on 2)."""
     from . import obs
 
     ledger = obs.get_ledger(directory)
@@ -1602,10 +1602,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sentinel",
                        help="statistical perf-trend verdict over the run "
-                            "history; exit 3 on regression")
-    p.add_argument("--history", metavar="DIR",
-                   help="run-history directory (default $REPRO_HISTORY, "
-                        "else the run-ledger directory)")
+                            "ledger; exit 3 on regression")
+    p.add_argument("--ledger", metavar="DIR",
+                   help="ledger directory (default $REPRO_LEDGER or "
+                        "~/.cache/repro/ledger)")
     p.add_argument("--window", type=int, default=10, metavar="N",
                    help="rolling baseline size in points (default 10)")
     p.add_argument("--threshold", type=float, default=3.0, metavar="Z",

@@ -7,7 +7,7 @@ need input rows ``[p0*sh, (p1-1)*sh + kh)``).
 
 from __future__ import annotations
 
-from ..isa import DependencyKind, Instruction, Opcode, POOL_OPCODES
+from ..isa import DependencyKind, Instruction, POOL_OPCODES
 from .base import Split, SplitRule, input_redundancy, register_rules
 from .conv import _spatial_chunks
 

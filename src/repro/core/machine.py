@@ -9,7 +9,7 @@ level, which is also what makes the recursive timing simulation cacheable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 GB = 1 << 30

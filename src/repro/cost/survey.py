@@ -7,7 +7,6 @@ system; the data points below are the published numbers the paper plots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 

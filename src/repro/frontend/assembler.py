@@ -22,7 +22,7 @@ case-insensitively (``MatMul``, ``Cv2D``, ``Sort1D``, ...).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.isa import Instruction, Opcode, SourceLoc
 from ..core.tensor import DType, FP16, FP32, INT32, Region, Tensor

@@ -31,7 +31,7 @@ import struct
 from typing import Dict, List, Tuple
 
 from ..core.isa import Instruction, Opcode
-from ..core.tensor import DType, FP16, FP32, INT32, Region, Tensor
+from ..core.tensor import FP16, FP32, INT32, Region, Tensor
 
 MAGIC = b"FISA"
 VERSION = 1

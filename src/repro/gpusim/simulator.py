@@ -13,11 +13,11 @@ reports for K-Means/LVQ emerges from launch counts, not from tuning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..core.isa import Instruction
 from .device import GPUDevice
-from .kernels import KernelLaunch, lower_to_kernels
+from .kernels import lower_to_kernels
 
 
 @dataclass

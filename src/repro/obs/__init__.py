@@ -5,14 +5,19 @@ makes a run **operable**: a schema-versioned structured event log with
 propagated run context, a flight recorder that dumps crash bundles when a
 run dies, a live ``/metrics`` + ``/healthz`` + ``/events`` + ``/alerts``
 HTTP endpoint with a stall watchdog and SLO rule engine, and a
-longitudinal layer -- the run ledger, the run-history store and the
-perf-trend sentinel -- that remembers runs and flags statistical
-regressions across them.  See docs/OBSERVABILITY.md for the event
-schema, the crash-bundle layout and the watchdog semantics.
+longitudinal layer -- the run ledger, whose rows carry their own
+metrics, and the perf-trend sentinel that reads them -- that remembers
+runs and flags statistical regressions across them.  See
+docs/OBSERVABILITY.md for the event schema, the crash-bundle layout and
+the watchdog semantics.
 
-Like the registry and the tracer, everything here is **disabled by
-default** and the instrumented hot paths pay a single flag check (the
-<5% overhead budget from docs/TELEMETRY.md covers all three subsystems).
+Like the registry and the tracer, the event log, flight recorder,
+profiler and server are **disabled by default**, and the instrumented
+hot paths pay a single flag check (the <5% overhead budget from
+docs/TELEMETRY.md covers all three subsystems).  The run ledger is the
+exception: CLI commands, sweeps and crash scopes append one row each to
+``~/.cache/repro/ledger`` unless ``$REPRO_LEDGER`` points elsewhere or
+turns it off (``REPRO_LEDGER=off``).
 
 Quick start::
 
@@ -50,19 +55,6 @@ from .flight import (
     FlightRecorder,
     crash_scope,
     read_bundle_manifest,
-)
-from .history import (
-    HISTORY_SCHEMA,
-    HISTORY_SCHEMA_VERSION,
-    RunHistory,
-    default_history_dir,
-    get_history,
-    history_enabled,
-    points_from_report,
-    points_from_row,
-    record_points,
-    record_report_history,
-    record_row_history,
 )
 from .ledger import (
     LEDGER_SCHEMA,
@@ -189,17 +181,6 @@ __all__ = [
     "ledger_enabled",
     "record_report",
     "record_run",
-    "HISTORY_SCHEMA",
-    "HISTORY_SCHEMA_VERSION",
-    "RunHistory",
-    "default_history_dir",
-    "get_history",
-    "history_enabled",
-    "points_from_report",
-    "points_from_row",
-    "record_points",
-    "record_report_history",
-    "record_row_history",
     "SENTINEL_SCHEMA",
     "SENTINEL_SCHEMA_VERSION",
     "POLARITY_TABLE",

@@ -9,21 +9,20 @@ which trace each row belongs to.
 
 The ledger is a directory (``$REPRO_LEDGER``, else
 ``$XDG_CACHE_HOME/repro/ledger``, else ``~/.cache/repro/ledger``)
-holding:
+holding one file, ``runs.jsonl``: one schema-versioned JSON object per
+row, append-only (open in ``"a"``, write one line, flush).  Rows are
+never rewritten; corruption can only tear the final line, which readers
+skip via :func:`repro.obs.events.iter_jsonl`.  Every reader
+(:meth:`RunLedger.rows`, :meth:`RunLedger.traces`,
+:meth:`RunLedger.series`) scans the rows, so concurrent appenders cannot
+leave a stale summary behind.
 
-* ``runs.jsonl`` -- the source of truth: one schema-versioned JSON
-  object per row, append-only (open in ``"a"``, write one line, flush).
-  Rows are never rewritten; corruption can only tear the final line,
-  which readers skip via :func:`repro.obs.events.iter_jsonl`.
-* ``index.json`` -- a derived per-trace summary (row counts, first/last
-  timestamps, kinds, benchmarks, machines) for cheap ``repro trace ls``.
-  It records the byte ``offset`` of ``runs.jsonl`` it covers, and every
-  load folds in the complete rows past that offset, so an index that
-  lost a race with a concurrent writer (or whose writer died before
-  writing it) heals on the next load.  Written atomically (tmp +
-  ``os.replace``); when it is missing or corrupt it is rebuilt from
-  ``runs.jsonl``, with a warning when corrupt -- the index is a cache,
-  never the truth.
+Each row carries its own ``metrics``, ``{benchmark: {metric: value}}``,
+distilled once when it is written: :func:`record_run` keeps the row's
+numeric headline fields, :func:`record_report` the RunReport's
+longitudinal headlines.  :meth:`RunLedger.series` groups them into the
+``(benchmark, machine, metric)`` time series that the perf-trend
+sentinel (:mod:`repro.obs.sentinel`) reads.
 
 Row schema (``repro.obs.ledger`` v1)::
 
@@ -33,6 +32,7 @@ Row schema (``repro.obs.ledger`` v1)::
      "fingerprint": "9f2c...", "program_digest": "a11b...",
      "makespan_s": 0.012, "attribution": {"compulsory": 0.6, ...},
      "cache": {"plan.compile_hits{tier=memory}": 3, ...},
+     "metrics": {"mm_fc": {"makespan_s": 0.012}},
      "crash_bundle": "crash_bundles/run-mm_fc-.../", ...}
 
 Adding fields never bumps ``v`` (the RunReport policy); consumers ignore
@@ -44,28 +44,29 @@ read-only cache directory can never take a run down.
 from __future__ import annotations
 
 import json
+import math
 import os
-import tempfile
 import time
-import warnings
 from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .events import append_jsonl, iter_jsonl
 
 LEDGER_SCHEMA = "repro.obs.ledger"
 LEDGER_SCHEMA_VERSION = 1
 
-INDEX_SCHEMA = "repro.obs.ledger.index"
-#: v2 added ``offset``; a v1 index is rebuilt from the log.
-INDEX_SCHEMA_VERSION = 2
-
 #: $REPRO_LEDGER values that disable persistence entirely.
 _OFF_VALUES = {"off", "0", "none", "disabled"}
 
-#: index summary fields accumulated per trace, in row order.
+#: per-trace summary fields accumulated in row order.
 _TRACE_LIST_FIELDS = ("kinds", "benchmarks", "machines")
+
+#: (benchmark, machine, metric)
+SeriesKey = Tuple[str, str, str]
+
+#: ``{benchmark: {metric: value}}`` -- one row's ``metrics`` field.
+Metrics = Dict[str, Dict[str, float]]
 
 
 def ledger_enabled() -> bool:
@@ -86,14 +87,20 @@ def default_ledger_dir() -> Path:
     return base / "repro" / "ledger"
 
 
+def _finite(value) -> Optional[float]:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        return None
+    return float(value)
+
+
 class RunLedger:
-    """Append-only JSONL run history with a derived atomic index."""
+    """Append-only JSONL run history; every reader scans the rows."""
 
     def __init__(self, directory: Optional[os.PathLike] = None):
         self.directory = Path(directory) if directory is not None \
             else default_ledger_dir()
         self.runs_path = self.directory / "runs.jsonl"
-        self.index_path = self.directory / "index.json"
 
     # -- writing ------------------------------------------------------------
 
@@ -124,124 +131,11 @@ class RunLedger:
                 row[key] = value
         self.directory.mkdir(parents=True, exist_ok=True)
         append_jsonl(self.runs_path, json.dumps(row, default=repr) + "\n")
-        # Loading folds every row past the index's offset: this one, and
-        # any a concurrent writer appended.
-        self._write_index(self._load_index())
         from ..telemetry import get_registry
         registry = get_registry()
         if registry.enabled:
             registry.count("ledger.rows", 1, {"kind": kind})
         return row
-
-    # -- index maintenance --------------------------------------------------
-
-    def _blank_index(self) -> Dict[str, object]:
-        return {
-            "schema": INDEX_SCHEMA,
-            "v": INDEX_SCHEMA_VERSION,
-            "rows": 0,
-            "updated": 0.0,
-            "offset": 0,
-            "traces": {},
-        }
-
-    def _load_index(self) -> Dict[str, object]:
-        """The index, brought up to date with ``runs.jsonl``.
-
-        A missing index, or one from before ``offset``, is rebuilt from
-        the whole log; a corrupt one too, with a warning.
-        """
-        index = None
-        try:
-            with open(self.index_path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if not (isinstance(doc, dict)
-                    and doc.get("schema") == INDEX_SCHEMA
-                    and isinstance(doc.get("traces"), dict)):
-                raise ValueError("unrecognized index document")
-            if (doc.get("v") == INDEX_SCHEMA_VERSION
-                    and isinstance(doc.get("offset"), int)):
-                index = doc
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError) as exc:
-            warnings.warn(
-                f"run ledger index {self.index_path} is corrupt ({exc}); "
-                "rebuilding from runs.jsonl",
-                RuntimeWarning, stacklevel=3,
-            )
-            from ..telemetry import get_registry
-            registry = get_registry()
-            if registry.enabled:
-                registry.count("ledger.index_rebuilds", 1)
-        if index is None:
-            index = self._blank_index()
-        self._fold_tail(index)
-        return index
-
-    def _fold_tail(self, index: Dict[str, object]) -> None:
-        """Fold the complete rows of ``runs.jsonl`` past ``index["offset"]``
-        into ``index`` and advance the offset past them."""
-        try:
-            with open(self.runs_path, "rb") as fh:
-                size = fh.seek(0, os.SEEK_END)
-                if index["offset"] > size:  # the log was truncated
-                    index.clear()
-                    index.update(self._blank_index())
-                fh.seek(index["offset"])
-                tail = fh.read()
-        except FileNotFoundError:
-            return
-        complete = tail[:tail.rfind(b"\n") + 1]  # a torn last row waits
-        lines = complete.decode("utf-8", errors="replace").splitlines()
-        for record, _bad in iter_jsonl(lines):
-            if record is not None:
-                self._fold_row(index, record)
-        index["offset"] += len(complete)
-
-    def _fold_row(self, index: Dict[str, object], row: Dict[str, object]) -> None:
-        index["rows"] = int(index.get("rows", 0)) + 1
-        ts = float(row.get("ts", 0.0))
-        index["updated"] = max(float(index.get("updated", 0.0)), ts)
-        trace_id = row.get("trace_id")
-        if not trace_id:
-            return
-        traces: Dict[str, Dict[str, object]] = index["traces"]
-        entry = traces.get(str(trace_id))
-        if entry is None:
-            entry = traces[str(trace_id)] = {
-                "rows": 0,
-                "first_ts": ts,
-                "last_ts": ts,
-                "kinds": [],
-                "benchmarks": [],
-                "machines": [],
-            }
-        entry["rows"] = int(entry["rows"]) + 1
-        entry["first_ts"] = min(float(entry["first_ts"]), ts)
-        entry["last_ts"] = max(float(entry["last_ts"]), ts)
-        for field, key in zip(_TRACE_LIST_FIELDS,
-                              ("kind", "benchmark", "machine")):
-            value = row.get(key)
-            bucket = entry.setdefault(field, [])
-            if value is not None and value not in bucket:
-                bucket.append(value)
-
-    def _write_index(self, index: Dict[str, object]) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                   prefix="index.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(index, fh, indent=2, sort_keys=True, default=repr)
-                fh.write("\n")
-            os.replace(tmp, self.index_path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     # -- reading ------------------------------------------------------------
 
@@ -273,9 +167,62 @@ class RunLedger:
         return list(matching)
 
     def traces(self) -> Dict[str, Dict[str, object]]:
-        """Per-trace index summaries (``{trace_id: {rows, first_ts, ...}}``),
-        current with ``runs.jsonl`` even when ``index.json`` lags it."""
-        return dict(self._load_index()["traces"])
+        """Per-trace summaries (``{trace_id: {rows, first_ts, ...}}``),
+        folded from every row in one scan."""
+        traces: Dict[str, Dict[str, object]] = {}
+        for row in self.iter_rows():
+            trace_id = row.get("trace_id")
+            if not trace_id:
+                continue
+            ts = float(row.get("ts", 0.0))
+            entry = traces.get(str(trace_id))
+            if entry is None:
+                entry = traces[str(trace_id)] = {
+                    "benchmarks": [],
+                    "first_ts": ts,
+                    "kinds": [],
+                    "last_ts": ts,
+                    "machines": [],
+                    "rows": 0,
+                }
+            entry["rows"] += 1
+            entry["first_ts"] = min(entry["first_ts"], ts)
+            entry["last_ts"] = max(entry["last_ts"], ts)
+            for field, key in zip(_TRACE_LIST_FIELDS,
+                                  ("kind", "benchmark", "machine")):
+                value = row.get(key)
+                if value is not None and value not in entry[field]:
+                    entry[field].append(value)
+        return traces
+
+    def series(
+        self,
+        benchmark: Optional[str] = None,
+        machine: Optional[str] = None,
+        metric: Optional[str] = None,
+    ) -> Dict[SeriesKey, List[Tuple[float, float]]]:
+        """Grouped ``{(benchmark, machine, metric): [(ts, value), ...]}``.
+
+        Reads each row's ``metrics`` and nothing else: a report row's
+        top-level ``makespan_s`` is already among them, so reading both
+        would count it twice.  Points keep log order (appends are
+        chronological); the optional filters match exactly.
+        """
+        out: Dict[SeriesKey, List[Tuple[float, float]]] = {}
+        for row in self.iter_rows():
+            metrics = row.get("metrics")
+            mach = str(row.get("machine") or "-")
+            if not isinstance(metrics, dict) or machine not in (None, mach):
+                continue
+            for bench, table in metrics.items():
+                if not isinstance(table, dict) or benchmark not in (None, bench):
+                    continue
+                for name, value in table.items():
+                    value = _finite(value)
+                    if value is not None and metric in (None, name):
+                        out.setdefault((bench, mach, name), []).append(
+                            (float(row.get("ts", 0.0)), value))
+        return out
 
 
 def get_ledger(directory: Optional[os.PathLike] = None) -> Optional[RunLedger]:
@@ -285,30 +232,125 @@ def get_ledger(directory: Optional[os.PathLike] = None) -> Optional[RunLedger]:
     return RunLedger(directory)
 
 
+# ---------------------------------------------------------------------------
+# Distillers: row fields and RunReport documents -> a row's ``metrics``
+# ---------------------------------------------------------------------------
+
+#: numeric row fields that :func:`record_run` keeps as metrics.
+_ROW_METRICS = ("makespan_s", "compile_s", "peak_live_bytes")
+
+
+def row_metrics(fields: Dict[str, object]) -> Metrics:
+    """The finite numeric headline fields of one row, under its benchmark."""
+    table = {}
+    for metric in _ROW_METRICS:
+        value = _finite(fields.get(metric))
+        if value is not None:
+            table[metric] = value
+    return {str(fields.get("benchmark") or "-"): table} if table else {}
+
+
+def _counter_sum(counters: Dict[str, object], prefix: str) -> Optional[float]:
+    """Sum every ``name{labels}`` snapshot series starting with prefix."""
+    total, seen = 0.0, False
+    for key, value in counters.items():
+        if key == prefix or key.startswith(prefix + "{"):
+            fv = _finite(value)
+            if fv is not None:
+                total += fv
+                seen = True
+    return total if seen else None
+
+
+def _rate(counters: Dict[str, object], hit_prefix: str,
+          miss_prefix: str) -> Optional[float]:
+    hits = _counter_sum(counters, hit_prefix)
+    misses = _counter_sum(counters, miss_prefix)
+    if hits is None and misses is None:
+        return None
+    hits, misses = hits or 0.0, misses or 0.0
+    total = hits + misses
+    return hits / total if total > 0 else None
+
+
+def report_metrics(doc: Dict[str, object]) -> Metrics:
+    """Distill one RunReport document into a row's ``metrics``.
+
+    Pulls every longitudinal headline the stack already measures: the
+    simulated makespan and attained throughput, the attribution taxonomy
+    seconds, the plan-replay microbenchmark speedup, the static memory
+    high-water mark, cache and zero-copy hit rates, and the per-benchmark
+    tables of a BENCH suite report (each under its own benchmark).
+    """
+    bench = str(doc.get("benchmark") or "-")
+    notes = doc.get("notes") or {}
+    out: Metrics = {}
+
+    def add(metric: str, value, benchmark=None) -> None:
+        fv = _finite(value)
+        if fv is not None:
+            out.setdefault(str(benchmark or bench), {})[metric] = fv
+
+    sim = doc.get("simulator") or {}
+    add("makespan_s", sim.get("total_time_s"))
+    add("attained_ops", sim.get("attained_ops"))
+    attribution = doc.get("attribution") or {}
+    for cat, seconds in sorted((attribution.get("totals_s") or {}).items()):
+        add(f"attr_{cat}_s", seconds)
+
+    counters = doc.get("counters") or {}
+    add("peak_live_bytes", _counter_sum(counters, "plan.peak_live_bytes"))
+    add("sig_cache_hit_rate", _rate(counters, "sim.sig_cache.hits",
+                                    "sim.sig_cache.misses"))
+    zero = (_counter_sum(counters, "store.zero_copy_reads") or 0.0) + \
+        (_counter_sum(counters, "store.static_zero_copy") or 0.0)
+    copied = _counter_sum(counters, "store.copied_reads")
+    if zero or copied is not None:
+        reads = zero + (copied or 0.0)
+        if reads > 0:
+            add("zero_copy_rate", zero / reads)
+
+    micro = notes.get("plan_microbench") or {}
+    if isinstance(micro, dict):
+        add("replay_speedup", micro.get("speedup"), micro.get("benchmark"))
+        add("warm_replay_s", micro.get("warm_replay_s"),
+            micro.get("benchmark"))
+
+    benchmarks = notes.get("benchmarks") or {}
+    if isinstance(benchmarks, dict):
+        for name, table in sorted(benchmarks.items()):
+            if not isinstance(table, dict):
+                continue
+            add("makespan_s", table.get("total_time_s"), name)
+            add("attained_ops", table.get("attained_ops"), name)
+            add("peak_fraction", table.get("peak_fraction"), name)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fail-soft write helpers
+# ---------------------------------------------------------------------------
+
+
 def record_run(kind: str, directory: Optional[os.PathLike] = None,
-               history: bool = True,
                **fields) -> Optional[Dict[str, object]]:
     """Fail-soft append: never raises, returns the row or None.
 
     The write sites (CLI commands, sweeps, crash scopes) must keep
     working on read-only filesystems and with the ledger disabled.
 
-    Numeric headline fields of the row (makespan_s, compile_s, ...) are
-    also distilled into the run-history store for the perf-trend
-    sentinel; pass ``history=False`` when the caller records richer
-    history itself (:func:`record_report` does, to avoid double points).
+    Unless the caller passes ``metrics`` (:func:`record_report` does),
+    the row's numeric headline fields become them (:func:`row_metrics`).
     """
     ledger = get_ledger(directory)
-    row: Optional[Dict[str, object]] = None
-    if ledger is not None:
-        try:
-            row = ledger.record(kind, **fields)
-        except (OSError, ValueError):
-            row = None
-    if history:
-        from .history import record_row_history
-        record_row_history(kind, row if row is not None else fields)
-    return row
+    if ledger is None:
+        return None
+    if "metrics" not in fields:
+        fields["metrics"] = row_metrics(fields) or None
+    try:
+        return ledger.record(kind, **fields)
+    except (OSError, ValueError):
+        return None
 
 
 def _cache_tiers(counters: Dict[str, object]) -> Dict[str, object]:
@@ -329,15 +371,17 @@ def record_report(report, kind: str = "run",
 
     Pulls the stable provenance out of the (much larger) report document:
     benchmark/machine, trace ids from ``notes``, makespan from the
-    simulator section, the attribution taxonomy fractions, and any cache
-    tiers that fired.  Extra fields (fingerprint, program digest, crash
-    bundle path) ride along verbatim.
+    simulator section, the attribution taxonomy fractions, any cache
+    tiers that fired, and the report's :func:`report_metrics`.  Extra
+    fields (fingerprint, program digest, crash bundle path) ride along
+    verbatim.
     """
     try:
         doc = report.to_dict() if hasattr(report, "to_dict") else dict(report)
         fields: Dict[str, object] = {
             "benchmark": doc.get("benchmark"),
             "machine": doc.get("machine"),
+            "metrics": report_metrics(doc) or None,
         }
         notes = doc.get("notes") or {}
         if notes.get("trace_id"):
@@ -355,12 +399,6 @@ def record_report(report, kind: str = "run",
         if tiers:
             fields["cache"] = tiers
         fields.update(extra)
-        # The full report distills into richer history points than the
-        # ledger row, so suppress the row-level hook and record from the
-        # report document instead (one point per metric, not two).
-        row = record_run(kind, directory=directory, history=False, **fields)
-        from .history import record_report_history
-        record_report_history(doc, source=kind)
-        return row
+        return record_run(kind, directory=directory, **fields)
     except Exception:
         return None

@@ -2,10 +2,10 @@
 
 ``tools/perf_gate.py`` diffs each run against a single hand-committed
 baseline -- a point-in-time check that drifts stale and cannot tell a
-one-off blip from a trend.  The sentinel instead reads the run-history
-store (:mod:`repro.obs.history`) and asks, per
-``(benchmark, machine, metric)`` series, whether the *latest* point is
-statistically out of family with its own recent past:
+one-off blip from a trend.  The sentinel instead reads the metrics that
+run-ledger rows carry (:meth:`repro.obs.ledger.RunLedger.series`) and
+asks, per ``(benchmark, machine, metric)`` series, whether the *latest*
+point is statistically out of family with its own recent past:
 
 * **Step detector** -- robust z-score of the latest value against the
   rolling median of the preceding window, with sigma = 1.4826 x MAD
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .history import RunHistory
+from .ledger import RunLedger
 
 SENTINEL_SCHEMA = "repro.obs.sentinel"
 SENTINEL_SCHEMA_VERSION = 1
@@ -218,16 +218,16 @@ def _verdict(polarity: str, raw_status: str) -> str:
 
 
 def analyze_history(
-    history: RunHistory,
+    ledger: RunLedger,
     config: SentinelConfig = SentinelConfig(),
     benchmark: Optional[str] = None,
     machine: Optional[str] = None,
     metric_glob: Optional[str] = None,
 ) -> SentinelResult:
-    """Run the detector over every matching series of a history store."""
+    """Run the detector over every matching series of a run ledger."""
     entries: List[SentinelEntry] = []
     for (bench, mach, metric), points in sorted(
-            history.series(benchmark=benchmark, machine=machine).items()):
+            ledger.series(benchmark=benchmark, machine=machine).items()):
         if metric_glob and not fnmatchcase(metric, metric_glob):
             continue
         values = [v for _ts, v in points]

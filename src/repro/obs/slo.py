@@ -35,7 +35,7 @@ into its alerts strip.  :meth:`SLOEngine.document` renders the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry.counters import CounterRegistry, format_series

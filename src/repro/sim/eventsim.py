@@ -10,12 +10,11 @@ the queueing semantics, the property test catches it.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .pipeline import PipelineSchedule, StageTimes
+from .pipeline import StageTimes
 
 #: stage name -> (resource it occupies, index in the per-instruction chain)
 _STAGES = ("id", "ld", "ex", "rd", "wb")

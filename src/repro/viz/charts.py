@@ -3,7 +3,7 @@ renderer, all on top of the raw SVG builder."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .svg import Scale, SVGDocument, fmt_tick

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import FractalExecutor, Instruction, Tensor, TensorStore, custom_machine
+from repro import FractalExecutor, Instruction, TensorStore, custom_machine
 from repro.core.executor import run_reference
 
 KB = 1 << 10

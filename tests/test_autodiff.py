@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import custom_machine
-from repro.compiler import SGD, Tape, Var
+from repro.compiler import SGD, Tape
 from repro.runtime import HostRuntime
 
 

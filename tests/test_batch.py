@@ -38,8 +38,8 @@ from repro import (
     telemetry,
 )
 from repro.core.verify import bit_identical
-from repro.obs import RunHistory, analyze_history, metric_polarity
-from repro.obs.history import points_from_report
+from repro.obs import RunLedger, analyze_history, metric_polarity
+from repro.obs.ledger import report_metrics
 from repro.ops.batch import _BATCHED_KERNELS, batched_kernel_for
 from repro.ops.dispatch import kernel_for
 from repro.plan import (
@@ -980,14 +980,11 @@ class TestSentinelWiring:
         assert "batched_speedup" not in dict(POLARITY_TABLE)
 
     def test_speedup_collapse_flags_regression(self, tmp_path):
-        history = RunHistory(tmp_path)
-        history.append([
-            {"benchmark": "mm_fc", "machine": "Cambricon-F100",
-             "metric": "replay_speedup", "value": v, "ts": 1000.0 + i,
-             "source": "test"}
-            for i, v in enumerate([5.8] * 10 + [2.1])
-        ])
-        [entry] = analyze_history(history).entries
+        ledger = RunLedger(tmp_path)
+        for i, v in enumerate([5.8] * 10 + [2.1]):
+            ledger.record("test", machine="Cambricon-F100", ts=1000.0 + i,
+                          metrics={"mm_fc": {"replay_speedup": v}})
+        [entry] = analyze_history(ledger).entries
         assert entry.status == "regression"
 
     def test_points_from_report_extracts_batching_metrics(self):
@@ -1001,9 +998,5 @@ class TestSentinelWiring:
                 "batched_speedup": 2.3, "warm_batched_s": 0.04,
             }},
         }
-        points = {p["metric"]: p for p in points_from_report(doc)}
-        assert points["replay_speedup"]["value"] == pytest.approx(5.9)
-        assert points["replay_speedup"]["benchmark"] == "mm_fc"
-        assert points["warm_replay_s"]["value"] == pytest.approx(0.07)
-        assert "batched_speedup" not in points
-        assert "warm_batched_s" not in points
+        assert report_metrics(doc) == {
+            "mm_fc": {"replay_speedup": 5.9, "warm_replay_s": 0.07}}

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import FractalExecutor, Instruction, Opcode, Tensor, TensorStore
-from repro.core.executor import run_reference
 from repro.frontend import (
     EncodingError,
     assemble,

@@ -9,8 +9,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 

@@ -14,8 +14,6 @@ from repro.runtime import (
 )
 from repro.workloads.datasets import clustered_samples
 
-from conftest import tiny_machine
-
 
 @pytest.fixture
 def runtime():

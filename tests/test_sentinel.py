@@ -1,4 +1,4 @@
-"""Perf-trend sentinel tests: run history, detector math, SLO alerts.
+"""Perf-trend sentinel tests: ledger series, detector math, SLO alerts.
 
 The PR 9 acceptance scenarios live here: ``repro sentinel`` exits 3 on a
 synthetically injected >= 3-sigma makespan regression over a 10-run
@@ -17,7 +17,7 @@ from repro import obs, telemetry
 from repro.cli import main
 from repro.obs import (
     MetricsServer,
-    RunHistory,
+    RunLedger,
     SentinelConfig,
     SLOEngine,
     Watchdog,
@@ -28,6 +28,7 @@ from repro.obs import (
     parse_slo_rule,
     sentinel_document,
 )
+from repro.obs.ledger import report_metrics
 from repro.obs.sentinel import POLARITY_TABLE
 from repro.telemetry.counters import CounterRegistry
 
@@ -55,14 +56,17 @@ def clean_global_obs():
 
 def seeded_history(tmp_path, values, metric="makespan_s",
                    benchmark="mm_fc", machine="Cambricon-F1"):
-    """A RunHistory holding one deterministic series."""
-    history = RunHistory(tmp_path)
-    history.append([
-        {"benchmark": benchmark, "machine": machine, "metric": metric,
-         "value": float(v), "ts": 1000.0 + i, "source": "test"}
-        for i, v in enumerate(values)
-    ])
-    return history
+    """A RunLedger whose rows carry one deterministic series (appended to
+    whatever the directory already holds)."""
+    ledger = RunLedger(tmp_path)
+    for i, v in enumerate(values):
+        ledger.record("test", benchmark=benchmark, machine=machine,
+                      ts=1000.0 + i, metrics={benchmark: {metric: v}})
+    return ledger
+
+
+def values_of(ledger, key=("mm_fc", "Cambricon-F1", "makespan_s")):
+    return [v for _ts, v in ledger.series().get(key, [])]
 
 
 def noisy_series(n=10, base=0.01, jitter=0.0005, seed=7):
@@ -71,79 +75,61 @@ def noisy_series(n=10, base=0.01, jitter=0.0005, seed=7):
 
 
 # ---------------------------------------------------------------------------
-# Run-history store
+# Run-ledger series
 # ---------------------------------------------------------------------------
 
 
 class TestRunHistory:
     def test_append_stamps_schema_and_groups_series(self, tmp_path):
-        history = seeded_history(tmp_path, [1.0, 2.0])
-        points = list(history.iter_points())
-        assert all(p["schema"] == obs.HISTORY_SCHEMA for p in points)
-        series = history.series()
-        key = ("mm_fc", "Cambricon-F1", "makespan_s")
-        assert [v for _, v in series[key]] == [1.0, 2.0]
+        ledger = seeded_history(tmp_path, [1.0, 2.0])
+        assert all(r["schema"] == obs.LEDGER_SCHEMA for r in ledger.rows())
+        assert values_of(ledger) == [1.0, 2.0]
+        assert [ts for ts, _v in ledger.series()[
+            ("mm_fc", "Cambricon-F1", "makespan_s")]] == [1000.0, 1001.0]
 
     def test_non_finite_and_non_numeric_points_skipped(self, tmp_path):
-        history = RunHistory(tmp_path)
-        rows = history.append([
-            {"benchmark": "b", "machine": "m", "metric": "x", "value": 1.0},
-            {"benchmark": "b", "machine": "m", "metric": "x",
-             "value": float("nan")},
-            {"benchmark": "b", "machine": "m", "metric": "x", "value": "no"},
-            {"benchmark": "b", "machine": "m", "metric": "x", "value": True},
-        ])
-        assert len(rows) == 1
+        ledger = seeded_history(
+            tmp_path, [1.0, float("nan"), float("inf"), "no", True, None])
+        assert values_of(ledger) == [1.0]
+        # a record_run row whose headline fields are not finite numbers
+        # carries no metrics at all
+        row = obs.record_run("simulate", directory=tmp_path,
+                             benchmark="mm_fc", makespan_s=float("nan"),
+                             compile_s=False)
+        assert "metrics" not in row
 
     def test_torn_final_line_skipped(self, tmp_path):
-        history = seeded_history(tmp_path, [1.0])
-        with open(history.points_path, "a", encoding="utf-8") as fh:
-            fh.write('{"schema": "repro.obs.history", "v": 1, "val')
-        assert len(list(history.iter_points())) == 1
+        ledger = seeded_history(tmp_path, [1.0])
+        with open(ledger.runs_path, "a", encoding="utf-8") as fh:
+            fh.write('{"schema": "repro.obs.ledger", "v": 1, "metr')
+        assert values_of(ledger) == [1.0]
 
     def test_torn_line_does_not_swallow_the_next_point(self, tmp_path):
-        """Points appended after a torn last line end that line first, so
+        """Rows appended after a torn last line end that line first, so
         only the fragment is lost."""
-        history = seeded_history(tmp_path, [1.0])
-        with open(history.points_path, "a", encoding="utf-8") as fh:
-            fh.write('{"schema": "repro.obs.history", "v": 1, "val')
-        for value in (2.0, 3.0):
-            history.append([{"benchmark": "mm_fc",
-                             "machine": "Cambricon-F1",
-                             "metric": "makespan_s", "value": value}])
-        key = ("mm_fc", "Cambricon-F1", "makespan_s")
-        assert [v for _, v in history.series()[key]] == [1.0, 2.0, 3.0]
-
-    @pytest.mark.parametrize("value", ["off", "0", "none", "disabled"])
-    def test_off_values_disable(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_HISTORY", value)
-        assert not obs.history_enabled()
-        assert obs.get_history() is None
-        assert obs.record_points([{"benchmark": "b", "machine": "m",
-                                   "metric": "x", "value": 1.0}]) == 0
-
-    def test_defaults_to_ledger_dir(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_HISTORY", raising=False)
-        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger"))
-        assert obs.default_history_dir() == tmp_path / "ledger"
+        ledger = seeded_history(tmp_path, [1.0])
+        with open(ledger.runs_path, "a", encoding="utf-8") as fh:
+            fh.write('{"schema": "repro.obs.ledger", "v": 1, "metr')
+        seeded_history(tmp_path, [2.0, 3.0])
+        assert values_of(ledger) == [1.0, 2.0, 3.0]
 
     def test_record_run_hook_distills_numeric_fields(self, tmp_path,
                                                      monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path))
-        monkeypatch.delenv("REPRO_HISTORY", raising=False)
-        obs.record_run("profile", benchmark="mm_fc", machine="tiny",
-                       makespan_s=0.5, classification="compute")
-        series = RunHistory(tmp_path).series()
+        row = obs.record_run("profile", benchmark="mm_fc", machine="tiny",
+                             makespan_s=0.5, classification="compute")
+        assert row["metrics"] == {"mm_fc": {"makespan_s": 0.5}}
+        series = RunLedger(tmp_path).series()
         assert [v for _, v in series[("mm_fc", "tiny", "makespan_s")]] == [0.5]
         # non-numeric fields don't become series
         assert not any(k[2] == "classification" for k in series)
 
     def test_record_report_distills_once_not_twice(self, tmp_path,
                                                    monkeypatch):
-        """record_report writes report-grade history and suppresses the
-        row-level hook -- one makespan point per run, not two."""
+        """A report row's top-level makespan_s and its metrics' makespan
+        both come from the simulator section; the series reads only
+        ``metrics`` -- one makespan point per run, not two."""
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path))
-        monkeypatch.delenv("REPRO_HISTORY", raising=False)
         telemetry.enable()
         report = telemetry.build_run_report(
             benchmark="mm_fc", machine="tiny",
@@ -151,12 +137,90 @@ class TestRunHistory:
             notes={"benchmarks": {"VGG-16": {"total_time_s": 1.5,
                                              "attained_ops": 2e12,
                                              "peak_fraction": 0.8}}})
-        obs.record_report(report, kind="bench-suite")
-        series = RunHistory(tmp_path).series()
+        doc = {**report.to_dict(), "simulator": {"total_time_s": 0.25}}
+        row = obs.record_report(doc, kind="bench-suite")
+        assert row["makespan_s"] == 0.25
+        series = RunLedger(tmp_path).series()
+        assert [v for _, v in series[("mm_fc", "tiny", "makespan_s")]] \
+            == [0.25]
         sub = series[("VGG-16", "tiny", "makespan_s")]
         assert [v for _, v in sub] == [1.5]
         assert [v for _, v in series[("VGG-16", "tiny", "peak_fraction")]] \
             == [0.8]
+
+    #: every series one fixed sequence of writes leaves behind.
+    PINNED_SERIES = {
+        ("K-NN", "Cambricon-F1", "makespan_s"): [0.004, 0.0044, 0.005],
+        ("K-NN", "Cambricon-F1", "attained_ops"): [1.1e13],
+        ("K-NN", "Cambricon-F1", "peak_fraction"): [0.78],
+        ("VGG-16", "Cambricon-F1", "makespan_s"): [0.079],
+        ("VGG-16", "Cambricon-F1", "attained_ops"): [1.25e13],
+        ("VGG-16", "Cambricon-F1", "peak_fraction"): [0.84],
+        ("mm_fc", "Cambricon-F1", "compile_s"): [0.003],
+        ("mm_fc", "Cambricon-F1", "peak_live_bytes"): [4096.0],
+        ("mm_fc", "Cambricon-F1", "replay_speedup"): [5.9],
+        ("mm_fc", "Cambricon-F1", "warm_replay_s"): [0.07],
+        ("-", "Cambricon-F1", "makespan_s"): [0.25],
+        ("paper-suite", "Cambricon-F1", "makespan_s"): [4.9],
+        ("paper-suite", "Cambricon-F1", "attained_ops"): [1.2e13],
+        ("paper-suite", "Cambricon-F1", "attr_compute_s"): [4.5],
+        ("paper-suite", "Cambricon-F1", "attr_dma_s"): [0.4],
+        ("paper-suite", "Cambricon-F1", "peak_live_bytes"): [8192.0],
+        ("paper-suite", "Cambricon-F1", "sig_cache_hit_rate"): [0.75],
+        ("paper-suite", "Cambricon-F1", "zero_copy_rate"): [0.8],
+    }
+
+    def test_series_pinned_across_every_writer(self, tmp_path, monkeypatch):
+        """One fixed sequence of writes -- CLI rows, a sweep cell without
+        a benchmark, a sentinel row, a suite report and a profile --
+        yields exactly these series, each value once and in write order."""
+        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path))
+        f1 = "Cambricon-F1"
+        obs.record_run("simulate", benchmark="K-NN", machine=f1,
+                       makespan_s=0.004)
+        obs.record_run("simulate", benchmark="K-NN", machine=f1,
+                       makespan_s=float("nan"))
+        obs.record_run("compile", benchmark="mm_fc", machine=f1,
+                       compile_s=0.003, peak_live_bytes=4096, steps=96)
+        obs.record_run("sweep-cell", machine=f1, variant="base",
+                       makespan_s=0.25)
+        obs.record_report({
+            "benchmark": "paper-suite", "machine": f1,
+            "simulator": {"total_time_s": 4.9, "attained_ops": 1.2e13},
+            "attribution": {"totals_s": {"compute": 4.5, "dma": 0.4}},
+            "counters": {
+                "sim.sig_cache.hits{machine=F1}": 30,
+                "sim.sig_cache.misses{machine=F1}": 10,
+                "store.zero_copy_reads": 6,
+                "store.static_zero_copy": 2,
+                "store.copied_reads": 2,
+                "plan.peak_live_bytes": 8192,
+            },
+            "notes": {
+                "plan_microbench": {"benchmark": "mm_fc", "speedup": 5.9,
+                                    "warm_replay_s": 0.07},
+                "benchmarks": {
+                    "K-NN": {"total_time_s": 0.0044, "attained_ops": 1.1e13,
+                             "peak_fraction": 0.78},
+                    "VGG-16": {"total_time_s": 0.079,
+                               "attained_ops": 1.25e13,
+                               "peak_fraction": 0.84},
+                },
+            },
+        }, kind="bench-suite")
+        obs.record_run("simulate", benchmark="K-NN", machine=f1,
+                       makespan_s=True)
+        obs.record_run("simulate", benchmark="K-NN", machine=f1,
+                       makespan_s=0.005)
+        obs.record_run("sentinel", series=18, regressions=0, exit_code=0)
+        obs.record_profile({"schema": "repro.obs.profile", "v": 1,
+                            "hz": 200.0, "duration_s": 1.0, "samples": 8,
+                            "stacks": [], "benchmark": "mm_fc",
+                            "machine": f1},
+                           path="p.json", command="flame", runs=3)
+        series = RunLedger(tmp_path).series()
+        assert {key: [v for _ts, v in points]
+                for key, points in series.items()} == self.PINNED_SERIES
 
     def test_points_from_report_extracts_rates(self):
         doc = {
@@ -172,19 +236,12 @@ class TestRunHistory:
             },
             "notes": {},
         }
-        points = {p["metric"]: p["value"] for p in obs.points_from_report(doc)}
+        [points] = report_metrics(doc).values()
         assert points["makespan_s"] == 0.25
         assert points["sig_cache_hit_rate"] == pytest.approx(0.75)
         assert points["zero_copy_rate"] == pytest.approx(0.8)
         assert points["peak_live_bytes"] == 4096
         assert points["attr_compute_s"] == pytest.approx(0.2)
-
-    def test_record_points_fail_soft_on_unwritable_dir(self, tmp_path):
-        target = tmp_path / "file-not-dir"
-        target.write_text("x")
-        assert obs.record_points(
-            [{"benchmark": "b", "machine": "m", "metric": "x", "value": 1.0}],
-            directory=target / "sub") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +307,9 @@ class TestDetectorMath:
     def test_polarity_maps_direction_to_verdict(self, tmp_path):
         # makespan up = regression; hit-rate up = improvement
         up = noisy_series(10) + [0.02]
-        hist = seeded_history(tmp_path, up, metric="makespan_s")
-        hist.append([
-            {"benchmark": "mm_fc", "machine": "Cambricon-F1",
-             "metric": "sig_cache_hit_rate", "value": v, "ts": 2000.0 + i}
-            for i, v in enumerate([0.5] * 10 + [0.9])
-        ])
+        seeded_history(tmp_path, up, metric="makespan_s")
+        hist = seeded_history(tmp_path, [0.5] * 10 + [0.9],
+                              metric="sig_cache_hit_rate")
         statuses = {e.metric: e.status
                     for e in analyze_history(hist).entries}
         assert statuses["makespan_s"] == "regression"
@@ -270,7 +324,7 @@ class TestDetectorMath:
 
 
 # ---------------------------------------------------------------------------
-# Sentinel over a history store + CLI
+# Sentinel over a run ledger + CLI
 # ---------------------------------------------------------------------------
 
 
@@ -286,10 +340,10 @@ class TestSentinelAcceptance:
         """Acceptance: exit 3 with the injection, 0 without, same seed."""
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger"))
         self._seed(tmp_path / "clean")
-        assert main(["sentinel", "--history", str(tmp_path / "clean")]) == 0
+        assert main(["sentinel", "--ledger", str(tmp_path / "clean")]) == 0
         capsys.readouterr()
         self._seed(tmp_path / "bad", inject=True)
-        code = main(["sentinel", "--history", str(tmp_path / "bad"),
+        code = main(["sentinel", "--ledger", str(tmp_path / "bad"),
                      "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 3
@@ -301,10 +355,17 @@ class TestSentinelAcceptance:
 
     def test_cli_usage_errors_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger"))
-        assert main(["sentinel", "--history", str(tmp_path / "none")]) == 2
+        assert main(["sentinel", "--ledger", str(tmp_path / "none")]) == 2
         assert main(["sentinel", "--window", "1"]) == 2
         assert main(["sentinel", "--threshold", "-1"]) == 2
-        monkeypatch.setenv("REPRO_HISTORY", "off")
+        # below 1 the detector would take the median of an empty
+        # baseline: rejected up front, even on a ledger with a series
+        seeded_history(tmp_path / "one", [0.01])
+        for bad in ("0", "-3"):
+            assert main(["sentinel", "--ledger", str(tmp_path / "one"),
+                         "--min-points", bad]) == 2
+        assert "--min-points must be at least 1" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_LEDGER", "off")
         assert main(["sentinel"]) == 2
         capsys.readouterr()
 
@@ -313,7 +374,7 @@ class TestSentinelAcceptance:
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger"))
         self._seed(tmp_path / "bad", inject=True)
         out = tmp_path / "trend.html"
-        code = main(["sentinel", "--history", str(tmp_path / "bad"),
+        code = main(["sentinel", "--ledger", str(tmp_path / "bad"),
                      "--html", str(out)])
         capsys.readouterr()
         assert code == 3
@@ -326,7 +387,7 @@ class TestSentinelAcceptance:
     def test_warmup_history_is_clean(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger"))
         seeded_history(tmp_path / "young", [0.01, 0.02, 5.0])
-        assert main(["sentinel", "--history", str(tmp_path / "young")]) == 0
+        assert main(["sentinel", "--ledger", str(tmp_path / "young")]) == 0
         assert "warmup" in capsys.readouterr().out
 
     def test_document_round_trips_config(self, tmp_path):

@@ -9,7 +9,6 @@ from repro import Instruction, Opcode, Tensor, custom_machine
 from repro.core.machine import KB, MB
 from repro.sim.sweep import (
     FEATURE_VARIANTS,
-    SweepRecord,
     format_table,
     run_sweep,
     to_csv,

@@ -1,7 +1,7 @@
 """Region algebra tests: slicing, splitting, overlap, identity."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core.tensor import FP16, FP32, Region, Tensor, total_bytes
 

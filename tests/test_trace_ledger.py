@@ -30,25 +30,22 @@ from repro.obs import (
     trace_scope,
     worker_capture,
 )
-from repro.obs.history import RunHistory
 from repro.obs.worker import ledger_fields
 
 pytestmark = pytest.mark.obs
 
 #: one appender process: waits for the ``go`` file, then makes 200 ledger
-#: records and 200 history appends under its own trace id.
+#: records, each with one metric, under its own trace id.
 _APPENDER = """
 import os, sys, time
-from repro.obs.history import RunHistory
 from repro.obs.ledger import RunLedger
 directory, worker, go = sys.argv[1:4]
-ledger, history = RunLedger(directory), RunHistory(directory)
+ledger = RunLedger(directory)
 while not os.path.exists(go):
     time.sleep(0.001)
 for i in range(200):
-    ledger.record("run", trace_id="trace-" + worker)
-    history.append([{"benchmark": "b", "machine": worker, "metric": "x",
-                     "value": float(i)}])
+    ledger.record("run", trace_id="trace-" + worker, machine=worker,
+                  metrics={"b": {"x": float(i)}})
 """
 
 
@@ -139,61 +136,43 @@ class TestRunLedger:
         assert summary["rows"] == 2
         assert summary["kinds"] == ["simulate", "sweep-cell"]
         assert summary["benchmarks"] == ["K-NN"]
-
-    def test_corrupt_index_warns_and_rebuilds(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        with ensure_trace() as ctx:
-            ledger.record("run")
-            ledger.record("run")
-            ledger.index_path.write_text("{ not json !!!")
-            with pytest.warns(RuntimeWarning, match="corrupt"):
-                ledger.record("run")
-        assert ledger.traces()[ctx.trace_id]["rows"] == 3
-        assert len(ledger.rows(trace_id=ctx.trace_id)) == 3
-
-    def test_missing_index_rebuilt_from_runs(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        with ensure_trace() as ctx:
-            ledger.record("run")
-        ledger.index_path.unlink()
-        assert RunLedger(tmp_path).traces()[ctx.trace_id]["rows"] == 1
-
-    def test_stale_index_heals_on_load(self, tmp_path):
-        """An index written before another writer's rows (a lost race, or
-        a writer that died between append and index write) is brought up
-        to date on the next load."""
-        ledger = RunLedger(tmp_path)
-        ledger.record("run", trace_id="t")
-        stale = ledger.index_path.read_text()
-        ledger.record("run", trace_id="t")
-        ledger.record("run", trace_id="t")
-        ledger.index_path.write_text(stale)
-        assert ledger.traces()["t"]["rows"] == 3
-        ledger.record("run", trace_id="t")
-        assert ledger.traces()["t"]["rows"] == 4
+        # one scan folds every row: first/last timestamps span the
+        # trace, lists keep first-seen order, untraced rows count nowhere
+        ledger.record("run", trace_id="t", ts=5.0, machine="f1")
+        ledger.record("sweep-cell", trace_id="t", ts=3.0, benchmark="LVQ",
+                      machine="f100")
+        ledger.record("run", ts=9.0, benchmark="untraced")
+        assert ledger.traces()["t"] == {
+            "benchmarks": ["LVQ"], "first_ts": 3.0,
+            "kinds": ["run", "sweep-cell"], "last_ts": 5.0,
+            "machines": ["f1", "f100"], "rows": 2}
+        assert set(ledger.traces()) == {ctx.trace_id, "t"}
 
     def test_two_processes_lose_no_rows_or_points(self, tmp_path):
-        """Two processes append to one ledger and one history at once: the
-        per-trace index counts equal the rows in ``runs.jsonl`` and the
-        history keeps every point."""
+        """Two processes append to one ledger at once: the per-trace
+        summaries count every row in ``runs.jsonl``, each process keeps
+        all 200 of its points, and the ledger is still one file."""
         go = tmp_path / "go"
+        directory = tmp_path / "ledger"
         env = {**os.environ,
                "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
         procs = [subprocess.Popen([sys.executable, "-c", _APPENDER,
-                                   str(tmp_path), str(worker), str(go)],
+                                   str(directory), str(worker), str(go)],
                                   env=env)
                  for worker in range(2)]
         go.touch()
         for proc in procs:
             assert proc.wait(timeout=120) == 0
-        ledger = RunLedger(tmp_path)
+        ledger = RunLedger(directory)
         per_trace = Counter(row["trace_id"] for row in ledger.rows())
         assert per_trace == {"trace-0": 200, "trace-1": 200}
         assert {t: s["rows"] for t, s in ledger.traces().items()} == per_trace
-        series = RunHistory(tmp_path).series()
-        assert sorted(len(points) for points in series.values()) == [200, 200]
-        assert not list(tmp_path.glob("*.tmp"))
-        assert not (tmp_path / "history_index.json").exists()
+        series = ledger.series()
+        assert {key: [v for _ts, v in points]
+                for key, points in series.items()} == {
+            ("b", str(worker), "x"): [float(i) for i in range(200)]
+            for worker in range(2)}
+        assert [p.name for p in directory.iterdir()] == ["runs.jsonl"]
 
     def test_torn_final_line_skipped(self, tmp_path):
         ledger = RunLedger(tmp_path)
@@ -251,6 +230,28 @@ class TestRunLedger:
         target = tmp_path / "file-not-dir"
         target.write_text("x")
         assert record_run("run", directory=target / "sub") is None
+
+    def test_record_run_directory_keeps_row_and_series_together(
+            self, tmp_path, monkeypatch):
+        """``directory=`` receives the row and the series it carries, in
+        its one file; nothing is created under ``$REPRO_LEDGER``."""
+        env_dir, target = tmp_path / "env", tmp_path / "target"
+        monkeypatch.setenv("REPRO_LEDGER", str(env_dir))
+        with ensure_trace():
+            record_run("profile", directory=target, benchmark="mm_fc",
+                       machine="tiny", makespan_s=0.5)
+            record_report({"benchmark": "K-NN", "machine": "tiny",
+                           "simulator": {"total_time_s": 0.25}},
+                          directory=target)
+        ledger = RunLedger(target)
+        assert len(ledger.traces()) == 1
+        assert {key: [v for _ts, v in points]
+                for key, points in ledger.series().items()} == {
+            ("mm_fc", "tiny", "makespan_s"): [0.5],
+            ("K-NN", "tiny", "makespan_s"): [0.25],
+        }
+        assert [p.name for p in target.iterdir()] == ["runs.jsonl"]
+        assert not env_dir.exists()
 
     def test_record_counts_when_registry_enabled(self, tmp_path):
         telemetry.enable()

@@ -10,7 +10,6 @@ from repro.core.isa import Opcode
 from repro.workloads import (
     PAPER_BENCHMARKS,
     alexnet,
-    kmeans_workload,
     knn_workload,
     lvq_workload,
     matmul_workload,

@@ -43,12 +43,11 @@ DEFAULT_BASELINE = ROOT / "benchmarks" / "baselines" / "BENCH_reference.json"
 
 def fresh_suite_document(machine_key: str) -> dict:
     """Simulate the paper suite and return the BENCH_<machine>.json dict."""
-    # The suite's reports land in a throwaway tmp dir, but its run-history
-    # points must outlive the gate so `repro sentinel` accumulates a real
-    # time series -- pin $REPRO_HISTORY to benchmarks/reports/ before
-    # conftest's import-time setdefault can route it into the tmp dir.
-    os.environ.setdefault("REPRO_HISTORY",
-                          str(ROOT / "benchmarks" / "reports"))
+    # The suite's reports land in a throwaway tmp dir, but its ledger row
+    # and the metrics it carries must outlive the gate so `repro sentinel`
+    # accumulates a real time series: importing conftest before
+    # $REPRO_BENCH_REPORT_DIR points at the tmp dir defaults
+    # $REPRO_LEDGER to benchmarks/reports/ledger/.
     import conftest  # benchmarks/conftest.py (sys.path above)
 
     from repro import cambricon_f1, cambricon_f100
