@@ -39,5 +39,5 @@ def test_fig10_mboi(benchmark):
     pool = curves["Pool2D"]
     assert pool[-1][1] < pool[0][1] * 3
     # measured tracks theory within a small factor everywhere
-    for m, meas, theo in mm:
+    for _m, meas, theo in mm:
         assert theo / 8 < meas < theo * 8

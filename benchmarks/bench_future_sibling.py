@@ -13,7 +13,7 @@ improved upon.
 """
 
 from conftest import show
-from repro import Tensor, Instruction, Opcode, cambricon_f1
+from repro import Instruction, Opcode, Tensor, cambricon_f1
 from repro.core.machine import GB
 from repro.sim import FractalSimulator
 from repro.workloads import knn_workload, resnet152

@@ -9,7 +9,7 @@ principles (cuBLAS tiling, launch latency, host link).
 """
 
 from conftest import show
-from repro.gpusim import GPUSimulator, GTX_1080TI_DEVICE, V100_DEVICE
+from repro.gpusim import GTX_1080TI_DEVICE, V100_DEVICE, GPUSimulator
 from repro.model.gpu import DGX1, GTX1080TI
 from repro.workloads import PAPER_BENCHMARKS, paper_benchmark
 

@@ -17,7 +17,7 @@
 from conftest import show
 from repro import cambricon_f1, cambricon_f100
 from repro.core.machine import CORE_PEAK_OPS, GB, KB, MB, LevelSpec, Machine
-from repro.gpusim import GPUSimulator, GTX_1080TI_DEVICE
+from repro.gpusim import GTX_1080TI_DEVICE
 from repro.gpusim.kernels import lower_to_kernels
 from repro.sim import FractalSimulator
 from repro.workloads import PAPER_BENCHMARKS, paper_benchmark, vgg16

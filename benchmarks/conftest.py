@@ -29,7 +29,7 @@ import pytest
 
 sys.stdout.reconfigure(line_buffering=True)
 
-from repro import cambricon_f1, cambricon_f100, obs, telemetry
+from repro import cambricon_f1, cambricon_f100, obs, telemetry  # noqa: E402
 
 # Keep the suite's run-ledger rows next to its other artifacts unless
 # the caller routed them elsewhere (or disabled them outright).  Each
@@ -40,9 +40,9 @@ _bench_reports = Path(os.environ.get(
     "REPRO_BENCH_REPORT_DIR",
     str(Path(__file__).resolve().parent / "reports")))
 os.environ.setdefault("REPRO_LEDGER", str(_bench_reports / "ledger"))
-from repro.perf import attribute_report
-from repro.sim import FractalSimulator
-from repro.workloads import PAPER_BENCHMARKS, paper_benchmark
+from repro.perf import attribute_report  # noqa: E402
+from repro.sim import FractalSimulator  # noqa: E402
+from repro.workloads import PAPER_BENCHMARKS, paper_benchmark  # noqa: E402
 
 
 @dataclass

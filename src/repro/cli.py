@@ -947,7 +947,8 @@ def cmd_sentinel(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(obs.format_table(result))
-    obs.record_run("sentinel", series=len(result.entries),
+    obs.record_run("sentinel", directory=args.ledger,
+                   series=len(result.entries),
                    regressions=len(result.regressions),
                    exit_code=result.exit_code)
     return result.exit_code
@@ -1127,9 +1128,10 @@ def cmd_compile(args) -> int:
 
     Prints the plan's compile-time statistics (steps, kernel/LFU calls,
     bytes moved) and the cache keys it is stored under.  With ``--verify``
-    recursion, schedule replay and the plan reloaded through a fresh disk
-    cache run on the same random inputs, and both replays must match
-    recursion bit for bit.  Exit codes: **0** ok, **1** a ``--verify``
+    recursion, schedule replay, the plan reloaded through a fresh disk
+    cache and a compiled ``InferenceSession`` (called first on other
+    inputs) run on the same random inputs, and all three replays must
+    match recursion bit for bit.  Exit codes: **0** ok, **1** a ``--verify``
     mismatch, **2** unknown benchmark.
     """
     import tempfile
@@ -1140,6 +1142,7 @@ def cmd_compile(args) -> int:
     from .core.verify import bit_identical
     from .plan import (DiskPlanCache, compile_cached, fingerprint_digest,
                        machine_fingerprint, plan_key)
+    from .runtime import InferenceSession
     from .workloads import profile_benchmark, resolve_profile_benchmark
 
     machine = _machine(args)
@@ -1175,8 +1178,9 @@ def cmd_compile(args) -> int:
     if not args.verify:
         return 0
 
-    # Recursion is the reference; schedule replay and the plan reloaded
-    # through a fresh disk cache (store, load, re-verify) must match it
+    # Recursion is the reference; schedule replay, the plan reloaded
+    # through a fresh disk cache (store, load, re-verify) and a compiled
+    # session's second call, after one on other inputs, must match it
     # bit for bit.
     with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
         disk = DiskPlanCache(tmp)
@@ -1200,6 +1204,16 @@ def cmd_compile(args) -> int:
         FractalExecutor(machine, store).run_program(w.program, plan=use_plan)
         results.append({name: store.read(t.region())
                         for name, t in w.outputs.items()})
+    session = InferenceSession(w, machine)
+    session.load_parameters({name: arrays[t.uid]
+                             for name, t in w.params.items()})
+    session.compile()
+    session(**{full.split(".")[-1]: rng.normal(size=t.shape)
+               for full, t in w.inputs.items()})
+    second = session(**{full.split(".")[-1]: arrays[t.uid]
+                        for full, t in w.inputs.items()})
+    modes += (("a bound session's second call", session.plan),)
+    results.append({name: second[name.split(".")[-1]] for name in w.outputs})
     for (mode, _), candidate in zip(modes[1:], results[1:]):
         for name in results[0]:
             if not bit_identical(candidate[name], results[0][name]):
@@ -1207,8 +1221,9 @@ def cmd_compile(args) -> int:
                       f"between recursion and {mode}", file=sys.stderr)
                 return 1
     schedule = plan.replay_schedule()
-    print(f"  verify              recursion, schedule replay and the disk "
-          f"round trip bit-identical ({len(results[0])} output(s), "
+    print(f"  verify              recursion, schedule replay, the disk "
+          f"round trip and a bound session's second call bit-identical "
+          f"({len(results[0])} output(s), "
           f"{schedule.batched_steps} batched step(s))")
     return 0
 

@@ -288,28 +288,38 @@ class FractalExecutor:
         runs as one stacked call (a BatchedItem whose operands gather
         through lattice views), every run of private g(.) chain links as
         one fold (a FoldItem), and every other step as a single with a
-        precomputed kernel, slices and copy-mask.  Plan-owned
-        intermediates live in one flat arena buffer attached up front;
-        recycled slots are re-zeroed exactly when the owning tensor's
-        live interval opens, reproducing ``TensorStore.ensure`` zero-fill
-        semantics.
+        precomputed kernel and copy-mask.
 
-        The plan's precomputed stats are added up front (replay performs
-        exactly that work; on a mid-replay failure the stats overstate the
-        completed portion, which errs on the visible side).  Replay emits
-        one watchdog beat per plan step (bulk form for groups and folds),
-        one ``replay.progress`` event per :data:`REPLAY_PROGRESS_STRIDE`
-        steps, profiler step attribution per item, and per-opcode
-        ``ops.dispatch`` counts (one bulk increment per group or fold).
+        The replay runs through the store's binding of the schedule
+        (:meth:`TensorStore.bound`, bound on the first replay on this
+        store): the arena and every operand and output view are built
+        once, and a replay only zeroes what relies on zero-fill -- the
+        unbound externals first, each arena slot in the layout's
+        ``zero_items`` when its live interval opens -- and runs the
+        kernels on the prebuilt views.
+
+        The plan's precomputed stats and the binding's read tallies are
+        added up front (replay performs exactly that work; on a mid-replay
+        failure they overstate the completed portion, which errs on the
+        visible side).  Replay emits one watchdog beat per plan step (bulk
+        form for groups and folds), one ``replay.progress`` event per
+        :data:`REPLAY_PROGRESS_STRIDE` steps, profiler step attribution
+        per item, and per-opcode ``ops.dispatch`` counts (one bulk
+        increment per group or fold).
         """
         schedule = plan.replay_schedule()
+        store = self.store
+        binding = store.bound(schedule)
         self.stats.add(plan.stats)
         self.stats.batched_steps += schedule.batched_steps
         self.stats.batched_lanes += schedule.batched_lanes
+        self.stats.alias_scan_skips += binding.alias_scan_skips
+        store.zero_copy_reads += binding.zero_copy_reads
+        store.copied_reads += binding.copied_reads
+        store.static_zero_copy += binding.static_zero_copy
         tracer = telemetry.get_tracer()
         registry = telemetry.get_registry()
         log = obs.logger("executor")
-        store = self.store
         # Hoisted once per replay: with telemetry dark, singles call their
         # kernel directly and groups skip span/count bookkeeping.
         fast = not tracer.enabled and not registry.enabled
@@ -320,25 +330,16 @@ class FractalExecutor:
                      steps=plan.n_steps,
                      batched_steps=schedule.batched_steps,
                      batched_lanes=schedule.batched_lanes)
-            arena = schedule.arena
-            zero_queue: List = []
-            if arena.total_elems:
-                views = store.attach_arena(arena.bindings, arena.total_elems)
-                zero_queue = [(ordinal, views[bi])
-                              for ordinal, bi in arena.zero_items]
-            zq_pos, zq_len = 0, len(zero_queue)
-            # Read-only whole-tensor views, made on first use: a slice of
-            # one inherits the flag, which costs less than setting it on
-            # every operand slice.
-            readonly: Dict[int, np.ndarray] = {}
+            for array in binding.zero_externals:
+                array.fill(0.0)
             set_step = _prof.set_step if _prof.profiling() else None
             beat = obs.beat
             stride = REPLAY_PROGRESS_STRIDE
             next_progress = stride
-            for ordinal, item in enumerate(schedule.items):
-                while zq_pos < zq_len and zero_queue[zq_pos][0] <= ordinal:
-                    zero_queue[zq_pos][1][...] = 0.0
-                    zq_pos += 1
+            for item, operands, outputs, zeros in binding.entries:
+                if zeros is not None:
+                    for span in zeros:
+                        span.fill(0.0)
                 stop = item.stop
                 beat("executor", stop - item.start)
                 while next_progress < stop:
@@ -349,13 +350,13 @@ class FractalExecutor:
                     set_step(item.opval, item.level)
                 try:
                     if item.batched:
-                        self._exec_batched_item(item, store, fast,
-                                                registry, tracer)
+                        _exec_batched_item(item, operands, outputs, fast,
+                                           registry, tracer)
                     elif item.folded:
-                        self._exec_fold_item(item, store, fast, registry,
-                                             tracer, readonly)
+                        outputs[...] = _bulk_call(item, item.fold, operands,
+                                                  fast, registry, tracer)
                     else:
-                        self._exec_single_item(item, store, fast, readonly)
+                        _exec_single_item(item, operands, outputs, fast)
                 except Exception as err:
                     log.error("replay.fail", opcode=item.opval,
                               level=item.level, step=item.start,
@@ -369,79 +370,6 @@ class FractalExecutor:
                 plan.stats.peak_live_bytes)
         self._publish_counters()
         return store
-
-    def _exec_single_item(self, item, store: TensorStore, fast: bool,
-                          readonly: Dict[int, np.ndarray]) -> None:
-        """One unfused schedule item: precomputed kernel, slices, mask."""
-        if item.copy_mask is None:
-            # Statically proven alias-free: read-only views, no scan.
-            operands = _readonly_operands(item.in_specs, store, readonly)
-            store.zero_copy_reads += item.n_in
-            store.static_zero_copy += item.n_in
-        else:
-            operands = self._read_operands(item.inst, item.copy_mask)
-        if fast:
-            result = item.kernel(operands, item.run_attrs)
-            outputs = result if isinstance(result, tuple) else (result,)
-        else:
-            outputs = ops.execute(item.opcode, operands, item.run_attrs)
-        out_specs = item.out_specs
-        if len(outputs) != len(out_specs):
-            raise RuntimeError(
-                f"{item.opcode} produced {len(outputs)} outputs, "
-                f"expected {len(out_specs)}")
-        accumulate = item.accumulate
-        for (tensor, sl, shape, nelems), value in zip(out_specs, outputs):
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape != shape:
-                if value.size != nelems:
-                    verb = "accumulate" if accumulate else "write"
-                    raise ValueError(
-                        f"{verb} shape mismatch: region {shape}, "
-                        f"value {value.shape}")
-                value = value.reshape(shape)
-            if accumulate:
-                store.ensure(tensor)[sl] += value
-            else:
-                store.ensure(tensor)[sl] = value
-
-    def _exec_fold_item(self, item, store: TensorStore, fast: bool,
-                        registry, tracer,
-                        readonly: Dict[int, np.ndarray]) -> None:
-        """One folded chain: ``k`` reference-kernel calls, each result
-        passed straight into the next; only the last one is stored."""
-        terms = _readonly_operands(item.terms, store, readonly)
-        # Two statically proven zero-copy reads per link, as its singles.
-        store.zero_copy_reads += item.n_in
-        store.static_zero_copy += item.n_in
-        value = _bulk_call(item, item.fold, terms, fast, registry, tracer)
-        tensor, sl = item.out_spec
-        store.ensure(tensor)[sl] = value
-
-    def _exec_batched_item(self, item, store: TensorStore, fast: bool,
-                           registry, tracer) -> None:
-        """One BatchedStep: gather lanes, one stacked call, scatter back."""
-        k = item.k
-        operands = [g.gather(store) for g in item.gathers]
-        # Every lane read is statically proven scan-free by fusion
-        # legality; view gathers are zero-copy, copied gathers materialize.
-        for g in item.gathers:
-            if g.zero_copy:
-                store.zero_copy_reads += k
-            else:
-                store.copied_reads += k
-        store.static_zero_copy += item.n_in * k
-        stacked = _bulk_call(item, item.batched_kernel, operands, fast,
-                             registry, tracer)
-        stacked = np.asarray(stacked, dtype=np.float64)
-        want = (k,) + item.out_shape
-        if stacked.shape != want:
-            if stacked.size != k * item.out_nelems:
-                raise ValueError(
-                    f"batched write shape mismatch: lanes {want}, "
-                    f"value {stacked.shape}")
-            stacked = stacked.reshape(want)
-        item.scatter.scatter(store, stacked, item.accumulate)
 
     def _publish_counters(self) -> None:
         """Mirror stats deltas into the telemetry registry (if enabled)."""
@@ -490,8 +418,7 @@ class FractalExecutor:
                               error=f"{type(err).__name__}: {err}")
             raise
 
-    def _read_operands(self, inst: Instruction,
-                       copy_mask: Optional[Tuple[bool, ...]] = None) -> List:
+    def _read_operands(self, inst: Instruction) -> List:
         """Kernel operands for ``inst``, zero-copy wherever it is safe.
 
         Inputs are handed to kernels as read-only views into the store
@@ -499,20 +426,12 @@ class FractalExecutor:
         the instruction's *output* regions -- the aliasing guard: the
         write-back would then stomp bytes a lazy/kept reference might still
         read, so those operands are materialized as copies, exactly as the
-        old unconditional-copy path did.
-
-        ``copy_mask`` is the same per-operand verdict precomputed once per
-        plan from the analyzer's interference result (schedule replay,
-        :class:`repro.plan.batch.SingleItem`): passing it skips the dynamic
-        overlap scan entirely -- counted in ``executor.alias_scan_skips``.
+        old unconditional-copy path did.  Schedule replay takes the same
+        verdict from each :class:`repro.plan.batch.SingleItem`'s
+        precomputed copy-mask instead of scanning (counted in
+        ``executor.alias_scan_skips``).
         """
         store = self.store
-        if copy_mask is not None:
-            self.stats.alias_scan_skips += 1
-            return [
-                store.read(r) if needs_copy else store.read(r, copy=False)
-                for r, needs_copy in zip(inst.inputs, copy_mask)
-            ]
         outputs = inst.outputs
         return [
             store.read(r) if any(r.overlaps(o) for o in outputs)
@@ -521,18 +440,53 @@ class FractalExecutor:
         ]
 
 
-def _readonly_operands(specs, store: TensorStore,
-                       readonly: Dict[int, np.ndarray]) -> List[np.ndarray]:
-    """Read-only views of ``(tensor, slices)`` operand specs, sliced from
-    one read-only whole-tensor view per tensor, made on first use."""
-    operands = []
-    for tensor, sl in specs:
-        base = readonly.get(tensor.uid)
-        if base is None:
-            base = readonly[tensor.uid] = store.ensure(tensor).view()
-            base.flags.writeable = False
-        operands.append(base[sl])
-    return operands
+def _exec_single_item(item, operands, outputs, fast: bool) -> None:
+    """One unfused schedule item on its bound views: operands the
+    copy-mask marks are copied first (they overlap an output)."""
+    mask = item.copy_mask
+    if mask is not None:
+        operands = [view.copy() if copy else view
+                    for view, copy in zip(operands, mask)]
+    if fast:
+        result = item.kernel(operands, item.run_attrs)
+        values = result if isinstance(result, tuple) else (result,)
+    else:
+        values = ops.execute(item.opcode, operands, item.run_attrs)
+    if len(values) != len(outputs):
+        raise RuntimeError(
+            f"{item.opcode} produced {len(values)} outputs, "
+            f"expected {len(outputs)}")
+    accumulate = item.accumulate
+    for out, value in zip(outputs, values):
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != out.shape:
+            if value.size != out.size:
+                verb = "accumulate" if accumulate else "write"
+                raise ValueError(
+                    f"{verb} shape mismatch: region {out.shape}, "
+                    f"value {value.shape}")
+            value = value.reshape(out.shape)
+        if accumulate:
+            out += value
+        else:
+            out[...] = value
+
+
+def _exec_batched_item(item, gathers, scatter, fast: bool, registry,
+                       tracer) -> None:
+    """One BatchedStep: gather lanes, one stacked call, scatter back."""
+    stacked = _bulk_call(item, item.batched_kernel,
+                         [g.gather() for g in gathers], fast, registry,
+                         tracer)
+    stacked = np.asarray(stacked, dtype=np.float64)
+    want = (item.k,) + item.out_shape
+    if stacked.shape != want:
+        if stacked.size != item.k * item.out_nelems:
+            raise ValueError(
+                f"batched write shape mismatch: lanes {want}, "
+                f"value {stacked.shape}")
+        stacked = stacked.reshape(want)
+    scatter.scatter(stacked, item.accumulate)
 
 
 def _bulk_call(item, call, operands, fast: bool, registry, tracer):

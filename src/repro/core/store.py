@@ -8,7 +8,7 @@ the *timing* simulator is the component that accounts for the copies.)
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Set
 
 import numpy as np
 
@@ -17,6 +17,11 @@ from .tensor import Region, Tensor
 
 class TensorStore:
     """Maps logical tensors to backing numpy arrays.
+
+    Every array the store holds is C-contiguous float64, so a replay
+    binding (:class:`repro.plan.batch.ReplayBinding`) can address it by
+    offset and stride.  The store keeps the binding of the last schedule
+    replayed on it (:meth:`bound`) until one of its arrays changes.
 
     ``zero_copy_reads`` / ``copied_reads`` are plain-int tallies of the
     :meth:`read` fast and slow paths (mirrored into the telemetry registry
@@ -32,31 +37,84 @@ class TensorStore:
     def __init__(self):
         self._arrays: Dict[int, np.ndarray] = {}
         self._tensors: Dict[int, Tensor] = {}
-        self._arena: Optional[np.ndarray] = None
+        #: uids whose array :meth:`ensure` zero-filled, and uids whose array
+        #: is the caller's own (:meth:`share`); any other array is a copy
+        #: the caller bound with :meth:`bind`.
+        self._scratch: Set[int] = set()
+        self._shared: Set[int] = set()
         self.zero_copy_reads: int = 0
         self.copied_reads: int = 0
         self.static_zero_copy: int = 0
-        #: size of the last arena attached by :meth:`attach_arena` (the
-        #: executor mirrors it as the ``store.arena_bytes`` gauge).
+        #: the replay binding of the last schedule :meth:`bound` bound, and
+        #: the size of its arena (the executor mirrors it as the
+        #: ``store.arena_bytes`` gauge).
+        self.binding = None
         self.arena_bytes: int = 0
 
     def bind(self, tensor: Tensor, array: np.ndarray) -> None:
-        """Attach a concrete array (copied) as the tensor's contents."""
+        """Copy ``array`` into the store as the tensor's contents.
+
+        Binding a tensor the caller bound before copies into its buffer in
+        place, which keeps the store's replay binding valid; any other bind
+        drops the binding.
+        """
         arr = np.asarray(array, dtype=np.float64)
         if arr.shape != tensor.shape:
             raise ValueError(f"shape mismatch: tensor {tensor.shape}, array {arr.shape}")
-        self._arrays[tensor.uid] = arr.copy()
-        self._tensors[tensor.uid] = tensor
+        uid = tensor.uid
+        current = self._arrays.get(uid)
+        if (current is not None and uid not in self._scratch
+                and uid not in self._shared):
+            current[...] = arr
+            return
+        self._attach(tensor, arr.copy())
+
+    def share(self, tensor: Tensor, array: np.ndarray) -> None:
+        """Attach ``array`` itself as the tensor's contents, copied only if
+        it is not C-contiguous float64.  Nothing the store runs may write
+        the tensor: its writes would land in the caller's array."""
+        arr = np.ascontiguousarray(array, dtype=np.float64)
+        if arr.shape != tensor.shape:
+            raise ValueError(f"shape mismatch: tensor {tensor.shape}, array {arr.shape}")
+        self._attach(tensor, arr)
+        self._shared.add(tensor.uid)
+
+    def _attach(self, tensor: Tensor, arr: np.ndarray) -> None:
+        uid = tensor.uid
+        self._arrays[uid] = arr
+        self._tensors[uid] = tensor
+        self._scratch.discard(uid)
+        self._shared.discard(uid)
+        self.binding = None
+
+    def caller_bound(self, tensor: Tensor) -> bool:
+        """Did :meth:`bind` or :meth:`share` give the tensor its contents?"""
+        return tensor.uid in self._arrays and tensor.uid not in self._scratch
 
     def ensure(self, tensor: Tensor) -> np.ndarray:
         """Materialize (zero-filled) storage for ``tensor`` if absent."""
         if tensor.uid not in self._arrays:
             self._arrays[tensor.uid] = np.zeros(tensor.shape, dtype=np.float64)
             self._tensors[tensor.uid] = tensor
+            self._scratch.add(tensor.uid)
         return self._arrays[tensor.uid]
 
     def has(self, tensor: Tensor) -> bool:
         return tensor.uid in self._arrays
+
+    def bound(self, schedule):
+        """The store's binding of ``schedule``
+        (:class:`repro.plan.batch.ReplayBinding`), bound on first use."""
+        binding = self.binding
+        if binding is None or binding.schedule is not schedule:
+            binding = schedule.bind(self)
+            self.binding = binding
+            self.arena_bytes = binding.arena.nbytes
+        return binding
+
+    def reset_tallies(self) -> None:
+        """Zero the read tallies, so that they count from here on."""
+        self.zero_copy_reads = self.copied_reads = self.static_zero_copy = 0
 
     def read(self, region: Region, copy: bool = True) -> np.ndarray:
         """The region's contents.
@@ -107,35 +165,6 @@ class TensorStore:
         base = self.ensure(region.tensor)
         slices = tuple(slice(lo, hi) for lo, hi in region.bounds)
         base[slices] += self._coerce(region, value, "accumulate")
-
-    def attach_arena(self, bindings: Sequence[Tuple[Tensor, int]],
-                     total_elems: int) -> List[np.ndarray]:
-        """Back a set of tensors with slots of one flat preallocated buffer.
-
-        ``bindings`` maps each tensor to its element offset (from
-        :class:`repro.plan.batch.ArenaLayout`); a fresh zeroed float64
-        buffer of ``total_elems`` is allocated and each tensor is bound to
-        a contiguous view of it, so batched replay resolves intermediates
-        with offset arithmetic instead of growing ``_arrays`` one
-        ``np.zeros`` at a time.  Returns the views in binding order (the
-        executor re-zeroes recycled slots through them).  Existing
-        bindings for the same uids are replaced; the caller guarantees
-        slot lifetimes do not overlap while their tensors are live.
-        """
-        buf = np.zeros(int(total_elems), dtype=np.float64)
-        self._arena = buf
-        self.arena_bytes = buf.nbytes
-        views: List[np.ndarray] = []
-        arrays, tensors = self._arrays, self._tensors
-        for tensor, offset in bindings:
-            shape = tensor.shape
-            view = buf[offset:offset + tensor.nelems]
-            if len(shape) != 1:  # rank-1 slots are already shaped
-                view = view.reshape(shape)
-            arrays[tensor.uid] = view
-            tensors[tensor.uid] = tensor
-            views.append(view)
-        return views
 
     def tensor(self, uid: int) -> Optional[Tensor]:
         return self._tensors.get(uid)

@@ -28,7 +28,7 @@ concrete:
 * gathers and scatters use **lattice addressing**: when a group's lanes
   are tiles of one shape on one tensor, their element offsets factor
   into nested ``(count, stride)`` levels, one per decomposition level
-  (stride 0 where a tile repeats), and one ``as_strided`` view of shape
+  (stride 0 where a tile repeats), and one strided view of shape
   ``counts + lane shape`` addresses every lane.  With one level the
   stacked ``(k, ...)`` operand is that view (zero bytes moved; a stride
   of 0 expresses a broadcast operand shared by every lane); with several
@@ -38,9 +38,13 @@ concrete:
   intermediate into one flat buffer using the same live-interval sweep
   that produced ``PlanStats.peak_live_bytes``, at schedule-item
   granularity so a slot is never recycled while a lane of the current
-  group still reads it.  Reused slots are re-zeroed at the owning
-  tensor's first touch, reproducing ``TensorStore.ensure`` zero-fill
-  semantics exactly.
+  group still reads it.  It lists every tensor whose first touch would
+  observe its initial contents, which a replay zeroes, reproducing
+  ``TensorStore.ensure`` zero-fill semantics exactly;
+* a :class:`ReplayBinding` binds a schedule to one store, once: it
+  allocates the arena and resolves every operand and output to an
+  array view, so a replay runs kernels on prebuilt views.  A store keeps
+  its binding between replays (``TensorStore.bound``).
 
 Replaying the schedule is bit-identical to the recursive executor
 (verified per opcode by the stacked-kernel tests, end to end by the suite
@@ -56,8 +60,8 @@ from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
+from ..core.gcpause import gc_paused
 from ..core.isa import Opcode
 from ..core.tensor import Region, Tensor
 from .plan import FractalPlan, PlanStep
@@ -67,6 +71,7 @@ __all__ = [
     "BatchedItem",
     "BatchedStep",
     "FoldItem",
+    "ReplayBinding",
     "ReplaySchedule",
     "SingleItem",
     "batched_table",
@@ -190,69 +195,35 @@ class _LatticeAccess:
 
     Lane ``i`` sits at ``origin`` plus one stride per decomposition level
     for its mixed-radix digits over ``counts`` (outermost level first; a
-    stride of 0 repeats a tile), so one ``as_strided`` view of shape
-    ``counts + lane shape`` addresses every lane.  With one level the
-    lanes sit at a constant stride and the gather is that view itself
-    (zero bytes moved; stride 0 is a broadcast operand shared by every
-    lane).  Levels never merge (:func:`_lattice_levels` takes the longest
-    progressions), so with several levels the gather reshapes the view
-    into one C-contiguous ``(k, ...)`` copy -- the stack a per-lane loop
-    builds, made in one numpy call.  Falls back to the loop path if the
-    backing array is ever non-contiguous.
+    stride of 0 repeats a tile), so one strided view of shape ``counts +
+    lane shape`` addresses every lane.  With one level the lanes sit at a
+    constant stride and the gather is that view itself (zero bytes moved;
+    stride 0 is a broadcast operand shared by every lane).  Levels never
+    merge (:func:`_lattice_levels` takes the longest progressions), so
+    with several levels the gather reshapes the view into one
+    C-contiguous ``(k, ...)`` copy -- the stack a per-lane loop builds,
+    made in one numpy call.
     """
 
     __slots__ = ("tensor", "origin", "counts", "shape", "byte_strides",
-                 "regions", "k", "zero_copy", "repeats")
+                 "k", "zero_copy", "repeats")
 
     def __init__(self, tensor: Tensor, origin: int,
                  levels: Tuple[Tuple[int, int], ...],
                  shape: Tuple[int, ...], strides: Tuple[int, ...],
-                 regions: Sequence[Region]) -> None:
+                 k: int) -> None:
         self.tensor = tensor
         self.origin = origin
         self.counts = tuple(count for count, _ in levels)
         self.shape = shape
         self.byte_strides = tuple(
             st * _ITEMSIZE for st in [st for _, st in levels] + list(strides))
-        self.regions = regions
-        self.k = len(regions)
+        self.k = k
         #: one-level gathers are views (tallied as zero-copy reads);
         #: deeper ones are one copy (tallied as copied reads, as a loop's).
         self.zero_copy = len(levels) == 1
         #: some level places one tile at several lanes.
         self.repeats = any(count > 1 and not st for count, st in levels)
-
-    def _view(self, base: np.ndarray) -> np.ndarray:
-        flat = base.reshape(-1)
-        anchor = flat[self.origin:] if self.origin else flat
-        return as_strided(anchor, shape=self.counts + self.shape,
-                          strides=self.byte_strides)
-
-    def _lane_slices(self) -> List[Tuple[Tensor, Tuple[slice, ...]]]:
-        return [(r.tensor, tuple(slice(lo, hi) for lo, hi in r.bounds))
-                for r in self.regions]
-
-    def gather(self, store) -> np.ndarray:
-        base = store.ensure(self.tensor)
-        if not base.flags.c_contiguous:
-            return _loop_gather(store, self._lane_slices(), self.shape)
-        view = self._view(base)
-        if not self.zero_copy:
-            view = view.reshape((self.k,) + self.shape)
-        view.flags.writeable = False
-        return view
-
-    def scatter(self, store, stacked: np.ndarray, accumulate: bool) -> None:
-        base = store.ensure(self.tensor)
-        if not base.flags.c_contiguous:
-            _loop_scatter(store, self._lane_slices(), stacked, accumulate)
-            return
-        view = self._view(base)
-        stacked = stacked.reshape(view.shape)
-        if accumulate:
-            view += stacked
-        else:
-            view[...] = stacked
 
 
 class _LoopAccess:
@@ -269,31 +240,6 @@ class _LoopAccess:
         self.lane_slices = lane_slices
         self.shape = shape
         self.k = len(lane_slices)
-
-    def gather(self, store) -> np.ndarray:
-        return _loop_gather(store, self.lane_slices, self.shape)
-
-    def scatter(self, store, stacked: np.ndarray, accumulate: bool) -> None:
-        _loop_scatter(store, self.lane_slices, stacked, accumulate)
-
-
-def _loop_gather(store, lane_slices, shape) -> np.ndarray:
-    out = np.empty((len(lane_slices),) + shape, dtype=np.float64)
-    ensure = store.ensure
-    for i, (tensor, sl) in enumerate(lane_slices):
-        out[i] = ensure(tensor)[sl]
-    out.flags.writeable = False
-    return out
-
-
-def _loop_scatter(store, lane_slices, stacked, accumulate) -> None:
-    ensure = store.ensure
-    if accumulate:
-        for i, (tensor, sl) in enumerate(lane_slices):
-            ensure(tensor)[sl] += stacked[i]
-    else:
-        for i, (tensor, sl) in enumerate(lane_slices):
-            ensure(tensor)[sl] = stacked[i]
 
 
 def _lattice_levels(offs: np.ndarray
@@ -344,7 +290,7 @@ def _build_access(regions: Sequence[Region], slices: _SliceTable):
             levels = _lattice_levels(offs)
             if levels is not None:
                 return _LatticeAccess(lead.tensor, int(offs[0]), levels,
-                                      lead.shape, strides, regions)
+                                      lead.shape, strides, k)
     return _LoopAccess([(r.tensor, slices[r.bounds]) for r in regions],
                        lead.shape)
 
@@ -377,8 +323,8 @@ class SingleItem:
         self.kernel = kernel
         self.in_specs = tuple((r.tensor, slices[r.bounds])
                               for r in inst.inputs)
-        self.out_specs = tuple((r.tensor, slices[r.bounds], r.shape,
-                                r.nelems) for r in inst.outputs)
+        self.out_specs = tuple((r.tensor, slices[r.bounds])
+                               for r in inst.outputs)
         self.n_in = len(inst.inputs)
         if step.safe_zero_copy:
             self.copy_mask = None
@@ -544,6 +490,12 @@ class ReplaySchedule:
         one of them."""
         return self.batched_steps > 0
 
+    def bind(self, store) -> "ReplayBinding":
+        """This schedule bound to ``store``, with the cyclic collector
+        paused (the binding allocates an object or two per item)."""
+        with gc_paused():
+            return ReplayBinding(self, store)
+
 
 def build_schedule(plan: FractalPlan) -> ReplaySchedule:
     """Compile ``plan.steps`` + ``plan.batched`` into a ReplaySchedule.
@@ -597,17 +549,21 @@ class ArenaLayout:
     """First-fit packing of the plan's intermediates into one flat buffer.
 
     ``bindings`` maps each plan-owned (non-external) tensor to its element
-    offset, in first-touch order; ``zero_items`` lists ``(item_ordinal,
-    binding_index)`` pairs whose slot reuses previously-dirtied bytes and
-    must be re-zeroed when the tensor's live interval opens (reproducing
-    ``TensorStore.ensure`` zero-fill semantics).  Intervals are measured
-    in schedule-item ordinals, so a slot is never recycled while any lane
-    of the current batched group still reads its old occupant.
+    offset, in first-touch order.  A tensor whose first touch reads,
+    accumulates or writes part of it observes its initial contents, which
+    ``TensorStore.ensure`` semantics make zeros: ``zero_items`` lists the
+    ``(item_ordinal, binding_index)`` pairs of such intermediates, to be
+    zeroed when the live interval opens, and ``zero_externals`` such
+    externals, to be zeroed at the start of a replay unless the caller
+    bound them.  Intervals are measured in schedule-item ordinals, so a
+    slot is never recycled while any lane of the current batched group
+    still reads its old occupant.
     """
 
     total_elems: int
     bindings: List[Tuple[Tensor, int]]
     zero_items: List[Tuple[int, int]]
+    zero_externals: List[Tensor]
 
     @property
     def nbytes(self) -> int:
@@ -656,25 +612,29 @@ def build_arena_layout(plan: FractalPlan, items: Sequence[object]
     tensors: Dict[int, Tensor] = {}
     order: List[int] = []
     #: dead-zero elimination: a tensor whose first touch is a full
-    #: non-accumulate overwrite never observes its initial contents, so a
-    #: recycled slot needs no re-zero for it.  Any other first touch (a
-    #: read, an accumulate, a partial write -- including one lane of a
-    #: group writing its slice of a shared tensor) keeps ``ensure``'s
-    #: zero-fill semantics conservatively.
+    #: non-accumulate overwrite never observes its initial contents, so it
+    #: needs no zeroing.  Any other first touch (a read, an accumulate, a
+    #: partial write -- including one lane of a group writing its slice
+    #: of a shared tensor) keeps ``ensure``'s zero-fill semantics
+    #: conservatively.
     needs_zero: Dict[int, bool] = {}
+    zero_externals: List[Tensor] = []
     for ordinal, item in enumerate(items):
         accumulate = item.accumulate
         for r, is_input in _item_regions(item, plan):
             uid = r.tensor.uid
-            if uid in external:
-                continue
-            if uid not in first:
-                first[uid] = ordinal
-                order.append(uid)
-                tensors[uid] = r.tensor
-                needs_zero[uid] = (is_input or accumulate
-                                   or not _covers(r))
-            last[uid] = ordinal
+            if uid not in needs_zero:
+                zero = needs_zero[uid] = (is_input or accumulate
+                                          or not _covers(r))
+                if uid in external:
+                    if zero:
+                        zero_externals.append(r.tensor)
+                else:
+                    first[uid] = ordinal
+                    order.append(uid)
+                    tensors[uid] = r.tensor
+            if uid not in external:
+                last[uid] = ordinal
 
     allocs_at: Dict[int, List[int]] = {}
     frees_at: Dict[int, List[int]] = {}
@@ -684,7 +644,6 @@ def build_arena_layout(plan: FractalPlan, items: Sequence[object]
 
     free_blocks: List[Tuple[int, int]] = []  # (offset, size), offset-sorted
     end = 0
-    used_max = 0
     offsets: Dict[int, int] = {}
     bindings: List[Tuple[Tensor, int]] = []
     binding_index: Dict[int, int] = {}
@@ -735,13 +694,255 @@ def build_arena_layout(plan: FractalPlan, items: Sequence[object]
             offsets[uid] = off
             binding_index[uid] = len(bindings)
             bindings.append((tensors[uid], off))
-            if off < used_max and needs_zero[uid]:
-                # Recycled bytes a first read/accumulate/partial write
-                # would observe: re-zero at interval open.
+            if needs_zero[uid]:
+                # A first read/accumulate/partial write would observe the
+                # slot: the last occupant's bytes, or a previous replay's.
                 zero_items.append((ordinal, binding_index[uid]))
-            used_max = max(used_max, off + n)
         for uid in frees_at.get(ordinal, ()):
             release(offsets[uid], tensors[uid].nelems)
 
     return ArenaLayout(total_elems=end, bindings=bindings,
-                       zero_items=zero_items)
+                       zero_items=zero_items, zero_externals=zero_externals)
+
+
+# -- binding a schedule to one store -----------------------------------------
+
+def _view(buffer: np.ndarray, offset: int, shape: Tuple[int, ...],
+          strides: Tuple[int, ...]) -> np.ndarray:
+    """The view of C-contiguous ``buffer`` at byte ``offset`` with byte
+    ``strides``, read-only when the buffer is.  Made straight from the
+    buffer, it keeps nothing alive but the buffer's memory
+    (``as_strided`` keeps an interface object per view)."""
+    return np.ndarray(shape, buffer.dtype, buffer, offset, strides)
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+class _Stack:
+    """A bound lattice access: one strided view of every lane.  A gather
+    is the view itself, or with ``shape`` one C-contiguous copy of it
+    (several levels); a scatter writes the stack through it."""
+
+    __slots__ = ("view", "shape")
+
+    def __init__(self, view: np.ndarray,
+                 shape: Optional[Tuple[int, ...]] = None) -> None:
+        self.view = view
+        self.shape = shape
+
+    def gather(self) -> np.ndarray:
+        if self.shape is None:
+            return self.view
+        out = self.view.reshape(self.shape)
+        out.flags.writeable = False
+        return out
+
+    def scatter(self, stacked: np.ndarray, accumulate: bool) -> None:
+        view = self.view
+        stacked = stacked.reshape(view.shape)
+        if accumulate:
+            view += stacked
+        else:
+            view[...] = stacked
+
+
+class _Lanes:
+    """A bound loop access: ``(lanes, base, index)`` parts, each moving
+    ``stack[lanes]`` from or to ``base[index]``.  A lane outside the arena
+    is one part, addressed per replay from its tensor's array; the lanes
+    inside it make one part whose index holds the arena offset of every
+    lane element.  Fused outputs are pairwise disjoint, so a scatter's
+    index never repeats an element."""
+
+    __slots__ = ("parts", "shape")
+
+    def __init__(self, parts, shape: Tuple[int, ...]) -> None:
+        self.parts = parts
+        self.shape = shape
+
+    def gather(self) -> np.ndarray:
+        out = np.empty(self.shape, dtype=np.float64)
+        for lanes, base, index in self.parts:
+            out[lanes] = base[index]
+        out.flags.writeable = False
+        return out
+
+    def scatter(self, stacked: np.ndarray, accumulate: bool) -> None:
+        for lanes, base, index in self.parts:
+            if accumulate:
+                base[index] += stacked[lanes]
+            else:
+                base[index] = stacked[lanes]
+
+
+class _Binder:
+    """Resolves regions and accesses to arrays while one binding is built:
+    an external lives in the store's array for it, a plan-owned
+    intermediate in its arena slot.  A read-only view is made from a
+    read-only buffer, and operands that name one region share one view.
+    Nothing keeps the binder once the binding is built."""
+
+    def __init__(self, store, arena: Optional[np.ndarray] = None,
+                 slots: Optional[Dict[int, int]] = None) -> None:
+        self.store = store
+        self.slots = slots or {}
+        if arena is None:
+            arena = np.empty(0)
+        #: writable -> the arena; ``"ids"`` -> each arena element's
+        #: offset, made on first use
+        self._arenas = {True: arena, False: _readonly(arena)}
+        self._externals: Dict[Tuple[int, bool], np.ndarray] = {}
+        self._places: Dict[Tuple, Tuple] = {}
+        self._views: Dict[Tuple[int, int, bool], np.ndarray] = {}
+
+    def _buffer(self, tensor: Tensor, writable) -> Tuple[np.ndarray, int]:
+        """``(buffer, element offset)`` of ``tensor``, read-only unless
+        ``writable`` (``"ids"``: each arena element's offset)."""
+        slot = self.slots.get(tensor.uid)
+        if slot is not None:
+            buffer = self._arenas.get(writable)
+            if buffer is None:
+                buffer = self._arenas["ids"] = np.arange(
+                    self._arenas[True].size)
+            return buffer, slot
+        key = (tensor.uid, writable)
+        buffer = self._externals.get(key)
+        if buffer is None:
+            buffer = self.store.ensure(tensor)
+            if not writable:
+                buffer = _readonly(buffer)
+            self._externals[key] = buffer
+        return buffer, 0
+
+    def _view(self, tensor: Tensor, sl, writable) -> np.ndarray:
+        """``tensor[sl]`` in :meth:`_buffer`; ``sl`` comes from the
+        schedule's slice table, so its identity names the bounds."""
+        place = self._places.get((tensor.shape, id(sl)))
+        if place is None:
+            strides = _elem_strides(tensor.shape)
+            place = self._places[tensor.shape, id(sl)] = (
+                sum(s.start * st for s, st in zip(sl, strides)),
+                tuple(s.stop - s.start for s in sl),
+                tuple(_ITEMSIZE * st for st in strides))
+        buffer, off = self._buffer(tensor, writable)
+        return np.ndarray(place[1], buffer.dtype, buffer,
+                          _ITEMSIZE * (off + place[0]), place[2])
+
+    def region(self, tensor: Tensor, sl, writable: bool) -> np.ndarray:
+        """The view of ``tensor[sl]``, one per region."""
+        key = (tensor.uid, id(sl), writable)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = self._view(tensor, sl, writable)
+        return view
+
+    def access(self, access, writable: bool):
+        """``access`` bound as a gather, or (``writable``) a scatter."""
+        if isinstance(access, _LatticeAccess):
+            buffer, off = self._buffer(access.tensor, writable)
+            view = _view(buffer, _ITEMSIZE * (off + access.origin),
+                         access.counts + access.shape, access.byte_strides)
+            copy = not (writable or access.zero_copy)
+            return _Stack(view, (access.k,) + access.shape if copy else None)
+        lanes = access.lane_slices
+        inside = [i for i, (t, _) in enumerate(lanes) if t.uid in self.slots]
+        parts = [(i, self.store.ensure(t), sl)
+                 for i, (t, sl) in enumerate(lanes) if t.uid not in self.slots]
+        if inside:
+            index = np.array([self._view(*lanes[i], "ids") for i in inside])
+            parts.append((slice(None) if len(inside) == access.k else inside,
+                          self._arenas[True], index))
+        return _Lanes(tuple(parts), (access.k,) + access.shape)
+
+
+def _zero_views(arena: np.ndarray, spans) -> Optional[Tuple[np.ndarray, ...]]:
+    """Views of the arena ``(lo, hi)`` spans, adjacent ones merged."""
+    if not spans:
+        return None
+    merged: List[List[int]] = []
+    for lo, hi in sorted(spans):
+        if merged and merged[-1][1] == lo:
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return tuple(arena[lo:hi] for lo, hi in merged)
+
+
+class ReplayBinding:
+    """One :class:`ReplaySchedule` bound to one store, built once.
+
+    The binding allocates the arena and resolves every item's operands
+    and outputs: read-only views for singles and fold terms, the lattice
+    view of each one-level gather and the strided source of each
+    multi-level one, a writable view per lattice scatter, and per-lane
+    addressing of loop lanes from bound base arrays.  ``entries`` holds
+    ``(item, operands, outputs, zeros)`` per item, where ``zeros`` are the
+    arena slots to zero before the item runs (:class:`ArenaLayout`'s
+    ``zero_items``) or ``None``.  ``zero_externals`` are the arrays of the
+    layout's ``zero_externals`` that the caller did not bind, zeroed at
+    the start of every replay.  The read tallies count one replay.
+
+    The binding keeps the store's arrays, never the store, so it makes no
+    reference cycle.  It is valid while the store's arrays stay the ones
+    it resolved: ``TensorStore`` drops its binding whenever one changes.
+    """
+
+    __slots__ = ("schedule", "arena", "entries", "zero_externals",
+                 "zero_copy_reads", "copied_reads", "static_zero_copy",
+                 "alias_scan_skips")
+
+    def __init__(self, schedule: ReplaySchedule, store) -> None:
+        layout = schedule.arena
+        self.schedule = schedule
+        arena = self.arena = np.zeros(layout.total_elems, dtype=np.float64)
+        # Asked before the binder allocates what the caller left unbound.
+        self.zero_externals = tuple(store.ensure(t)
+                                    for t in layout.zero_externals
+                                    if not store.caller_bound(t))
+        spans: Dict[int, List[Tuple[int, int]]] = {}
+        for ordinal, bi in layout.zero_items:
+            tensor, off = layout.bindings[bi]
+            spans.setdefault(ordinal, []).append((off, off + tensor.nelems))
+        binder = _Binder(store, arena,
+                         {t.uid: off for t, off in layout.bindings})
+        zero_copy = copied = static = skips = 0
+        entries = []
+        for ordinal, item in enumerate(schedule.items):
+            n_in = item.n_in
+            if item.batched:
+                k = item.k
+                ins = tuple(binder.access(g, False) for g in item.gathers)
+                outs = binder.access(item.scatter, True)
+                views = sum(g.zero_copy for g in item.gathers)
+                zero_copy += views * k
+                copied += (n_in - views) * k
+                static += n_in * k
+            elif item.folded:
+                ins = tuple(binder.region(t, sl, False) for t, sl in item.terms)
+                outs = binder.region(*item.out_spec, True)
+                zero_copy += n_in
+                static += n_in
+            else:
+                ins = tuple(binder.region(t, sl, False)
+                            for t, sl in item.in_specs)
+                outs = tuple(binder.region(t, sl, True)
+                             for t, sl in item.out_specs)
+                if item.copy_mask is None:
+                    zero_copy += n_in
+                    static += n_in
+                else:
+                    skips += 1
+                    copies = sum(item.copy_mask)
+                    copied += copies
+                    zero_copy += n_in - copies
+            entries.append((item, ins, outs,
+                            _zero_views(arena, spans.get(ordinal))))
+        self.entries = entries
+        self.zero_copy_reads = zero_copy
+        self.copied_reads = copied
+        self.static_zero_copy = static
+        self.alias_scan_skips = skips

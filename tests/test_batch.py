@@ -55,8 +55,8 @@ from repro.plan import (
     machine_fingerprint,
     plan_from_doc,
 )
-from repro.plan.batch import (FoldItem, _build_access, _LatticeAccess,
-                              _LoopAccess, _SliceTable)
+from repro.plan.batch import (FoldItem, _Binder, _build_access,
+                              _LatticeAccess, _LoopAccess, _SliceTable)
 from repro.analysis import program_digest
 from repro.workloads import profile_benchmark, profile_benchmark_names
 
@@ -238,7 +238,8 @@ def _stacked_and_reference(opcode, shapes, out_shape, attrs, modes, k):
         else:
             assert isinstance(access, _LatticeAccess), mode
             assert len(access.counts) == _LEVELS[mode], (mode, access.counts)
-    operands = [access.gather(store) for access in accesses]
+    binder = _Binder(store)
+    operands = [binder.access(access, False).gather() for access in accesses]
     stacked = np.asarray(batched_kernel_for(opcode)(operands, attrs),
                          dtype=np.float64)
     reference = kernel_for(opcode)
@@ -301,9 +302,11 @@ class TestLatticeAddressing:
         slices = _SliceTable()
         access = _build_access(regions, slices)
         assert isinstance(access, _LatticeAccess) and not access.zero_copy
-        got = access.gather(store)
-        want = _LoopAccess([(r.tensor, slices[r.bounds]) for r in regions],
-                           (3, 5)).gather(store)
+        binder = _Binder(store)
+        got = binder.access(access, False).gather()
+        want = binder.access(_LoopAccess(
+            [(r.tensor, slices[r.bounds]) for r in regions], (3, 5)),
+            False).gather()
         assert got.flags.c_contiguous and not got.flags.writeable
         assert bit_identical(got, want)
 
@@ -323,9 +326,48 @@ class TestLatticeAddressing:
                 [(r.tensor, slices[r.bounds]) for r in regions], (3, 5))):
             store = TensorStore()
             store.bind(regions[0].tensor, initial)
-            scatter.scatter(store, stacked, accumulate)
+            _Binder(store).access(scatter, True).scatter(stacked, accumulate)
             results.append(store.read(regions[0].tensor.region()))
         assert bit_identical(results[0], results[1])
+
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_arena_lanes_match_lane_by_lane(self, accumulate):
+        """Loop lanes that live in the arena gather and scatter through
+        one arena index, a lane outside it through its own slices: both
+        move exactly the bytes per-lane slicing moves."""
+        rng = np.random.default_rng(9)
+        tensors = [Tensor(f"p{i}", (2, 6)) for i in range(4)]
+        regions = [t.region().slice_dim(1, 1, 4) for t in tensors]
+        slices = _SliceTable()
+        access = _build_access(regions, slices)
+        assert isinstance(access, _LoopAccess)
+        stacked = rng.normal(size=(4, 2, 3))
+        for placed, parts in ((tensors, 1), (tensors[1:], 2)):
+            slots = {t.uid: 3 + 13 * i for i, t in enumerate(placed)}
+            arena = rng.normal(size=60)
+            store = TensorStore()
+            store.bind(tensors[0], rng.normal(size=(2, 6)))
+
+            def lane_views(buf, base):
+                return [buf[slots[t.uid]:slots[t.uid] + 12].reshape(2, 6)
+                        [slices[r.bounds]] if t.uid in slots
+                        else base[slices[r.bounds]]
+                        for t, r in zip(tensors, regions)]
+
+            binder = _Binder(store, arena, slots)
+            gather = binder.access(access, False)
+            assert len(gather.parts) == parts  # one part for the arena lanes
+            assert bit_identical(gather.gather(), np.stack(
+                lane_views(arena, store.array(tensors[0]))))
+            want, want_base = arena.copy(), store.array(tensors[0]).copy()
+            for lane, view in enumerate(lane_views(want, want_base)):
+                if accumulate:
+                    view += stacked[lane]
+                else:
+                    view[...] = stacked[lane]
+            binder.access(access, True).scatter(stacked, accumulate)
+            assert bit_identical(arena, want)
+            assert bit_identical(store.array(tensors[0]), want_base)
 
     @pytest.mark.parametrize("mode", ["broadcast", "repeat-inner",
                                       "repeat-outer"])
@@ -734,17 +776,50 @@ class TestArenaLayout:
             assert 0 <= bi < len(arena.bindings)
             assert 0 <= ordinal < n_items
 
-    def test_attach_arena_binds_views_of_one_buffer(self):
-        _, schedule = self._schedule()
+    def test_zero_items_cover_every_zero_fill_first_touch(self):
+        """Every intermediate whose first touch reads, accumulates or
+        writes part of it is zeroed at its interval open, the first
+        occupant of a slot included: a bound arena keeps the bytes of
+        the last replay."""
+        plan, schedule = self._schedule()
+        arena = schedule.arena
+        zeroed = {arena.bindings[bi][0].uid: ordinal
+                  for ordinal, bi in arena.zero_items}
+        first, _, _ = self._live_intervals(plan, schedule.items)
+        for ordinal, item in enumerate(schedule.items):
+            accumulate = item.accumulate
+            for step in plan.steps[item.start:item.stop]:
+                for r, is_input in ([(r, True) for r in step.inst.inputs]
+                                    + [(r, False) for r in step.inst.outputs]):
+                    uid = r.tensor.uid
+                    if first.get(uid) != ordinal or isinstance(item, FoldItem):
+                        continue
+                    covers = r.bounds == tuple((0, d) for d in r.tensor.shape)
+                    if is_input or accumulate or not covers:
+                        assert zeroed.get(uid) == ordinal, uid
+
+    def test_binding_views_one_arena_buffer(self):
+        """A binding allocates one arena and slices every operand on an
+        intermediate straight from it: the store holds no per-tensor
+        arena view."""
+        plan, schedule = self._schedule()
         arena = schedule.arena
         store = TensorStore()
-        views = store.attach_arena(arena.bindings, arena.total_elems)
-        assert store.arena_bytes == arena.nbytes
-        assert len(views) == len(arena.bindings)
-        for (tensor, _off), view in zip(arena.bindings, views):
-            assert view.shape == tensor.shape
-            assert view.base is not None  # a view, not an allocation
-            np.testing.assert_array_equal(store.read(tensor.region()), view)
+        binding = store.bound(schedule)
+        assert store.bound(schedule) is binding  # bound once
+        assert store.arena_bytes == arena.nbytes == binding.arena.nbytes
+        owned = {t.uid for t, _ in arena.bindings}
+        assert not [uid for uid in owned if store.tensor(uid) is not None]
+        for item, operands, outputs, _ in binding.entries:
+            if item.batched:
+                continue
+            views = tuple(operands) + (
+                (outputs,) if item.folded else tuple(outputs))
+            specs = (item.terms + (item.out_spec,) if item.folded
+                     else item.in_specs + item.out_specs)
+            for view, (tensor, _) in zip(views, specs):
+                if tensor.uid in owned:
+                    assert view.base is binding.arena
 
 
 # -- schema v3: disk round-trip, migration, poisoning -------------------------

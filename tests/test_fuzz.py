@@ -190,8 +190,9 @@ def test_fuzz_cold_run_and_compile_walk_alike(case, seed):
     """Any machine x any short program, independent or chained: the cold
     run's sink receives the compiled plan's steps in order, the cold
     counters equal ``plan.stats``, recursion matches the reference kernels
-    within ``verify_program``'s tolerance, and schedule replay and a plan
-    reloaded from the disk cache agree with recursion bit for bit."""
+    within ``verify_program``'s tolerance, and schedule replay, a plan
+    reloaded from the disk cache and a second replay on one bound store
+    agree with recursion bit for bit."""
     machine, program = case
     rng = np.random.default_rng(seed)
     arrays = {r.tensor.uid: (r.tensor, rng.normal(size=r.tensor.shape))
@@ -232,6 +233,21 @@ def test_fuzz_cold_run_and_compile_walk_alike(case, seed):
         FractalExecutor(machine, store).run_plan(replayed)
         for region, expected in zip(outputs, want):
             assert bit_identical(store.read(region), expected), (leg, region)
+    # A store keeps its binding between replays: replay on other inputs,
+    # bind the reference inputs in place, and replay again.  The second
+    # replay sees no state the first one left behind.
+    store = TensorStore()
+    for tensor, arr in arrays.values():
+        store.bind(tensor, rng.normal(size=tensor.shape))
+    executor = FractalExecutor(machine, store)
+    executor.run_plan(plan)
+    binding = store.binding
+    for tensor, arr in arrays.values():
+        store.bind(tensor, arr)
+    executor.run_plan(plan)
+    assert store.binding is binding
+    for region, expected in zip(outputs, want):
+        assert bit_identical(store.read(region), expected), ("rebound", region)
 
 
 # -- fuzz: timing stack -------------------------------------------------------------

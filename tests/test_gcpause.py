@@ -1,7 +1,8 @@
 """The cyclic-collector pause around plan builders and the simulator.
 
-``compile_program``, ``FractalPlan.replay_schedule``, ``FractalPlan.rebind``,
-``DiskPlanCache.store``/``load`` and ``FractalSimulator.simulate`` run with
+``compile_program``, ``FractalPlan.replay_schedule``, ``ReplaySchedule.bind``,
+``FractalPlan.rebind``, ``DiskPlanCache.store``/``load`` and
+``FractalSimulator.simulate`` run with
 the cyclic garbage collector paused (:func:`repro.core.gcpause.gc_paused`).
 That frees nothing late only because they make no reference cycles:
 reference counting alone reclaims everything they drop.  These tests hold
@@ -23,8 +24,8 @@ import pytest
 from conftest import tiny_machine
 from repro import telemetry
 from repro.analysis.signatures import external_tensors
-from repro.core import (Instruction, Opcode, Tensor, cambricon_f1, cambricon_f100,
-                        gc_paused)
+from repro.core import (Instruction, Opcode, Tensor, TensorStore, cambricon_f1,
+                        cambricon_f100, gc_paused)
 from repro.core import executor as executor_mod
 from repro.plan import DiskPlanCache, FractalPlan, PlanStep, compile_program, plan_key
 from repro.plan import batch as batch_mod
@@ -101,6 +102,10 @@ class TestNoCycles:
 
         plan, garbage = _cyclic_garbage(build)
         assert garbage == [], "compile_program + replay_schedule()"
+
+        schedule = plan.replay_schedule()
+        _, garbage = _cyclic_garbage(lambda: TensorStore().bound(schedule))
+        assert garbage == [], "bind"
 
         externals = external_tensors(profile_benchmark(name).program)
         rebound, garbage = _cyclic_garbage(lambda: plan.rebind(externals))
@@ -182,6 +187,11 @@ def _replay_schedule(s):
     return compile_program(s.machine, s.program).replay_schedule
 
 
+def _bind(s):
+    schedule = s.plan.replay_schedule()
+    return lambda: TensorStore().bound(schedule)
+
+
 def _rebind(s):
     return lambda: s.plan.rebind(s.externals)
 
@@ -205,6 +215,7 @@ def _simulate(s):
 BUILDERS = {
     "compile_program": (_compile, (compiler_mod, "lower_plan")),
     "replay_schedule": (_replay_schedule, (batch_mod, "build_schedule")),
+    "bind": (_bind, (batch_mod, "ReplayBinding")),
     "rebind": (_rebind, (PlanStep, "from_instruction")),
     "store": (_store, (FractalPlan, "to_doc")),
     "load": (_load, (cache_mod, "verify_plan")),

@@ -353,6 +353,19 @@ class TestSentinelAcceptance:
         assert entry["metric"] == "makespan_s"
         assert abs(entry["step_z"]) >= 3.0
 
+    def test_cli_records_its_row_in_the_ledger_it_read(self, tmp_path,
+                                                        capsys, monkeypatch):
+        """``--ledger DIR`` reads DIR and appends the sentinel's own row
+        there: nothing is created under ``$REPRO_LEDGER``."""
+        elsewhere = tmp_path / "elsewhere"
+        monkeypatch.setenv("REPRO_LEDGER", str(elsewhere))
+        ledger = self._seed(tmp_path / "queried")
+        assert main(["sentinel", "--ledger", str(tmp_path / "queried")]) == 0
+        capsys.readouterr()
+        kinds = [row["kind"] for row in RunLedger(ledger.directory).rows()]
+        assert kinds == ["test"] * 10 + ["sentinel"]
+        assert not elsewhere.exists()
+
     def test_cli_usage_errors_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger"))
         assert main(["sentinel", "--ledger", str(tmp_path / "none")]) == 2

@@ -41,8 +41,9 @@ def stage_ruff() -> bool:
         print("[lint] ruff not installed -- skipping style stage "
               "(pip install ruff to enable)")
         return True
-    print("[lint] ruff check src tests tools")
-    return _run([sys.executable, "-m", "ruff", "check", "src", "tests", "tools"]) == 0
+    print("[lint] ruff check src tests tools benchmarks")
+    return _run([sys.executable, "-m", "ruff", "check", "src", "tests", "tools",
+                 "benchmarks"]) == 0
 
 
 def _telemetry_lint_config() -> tuple:
