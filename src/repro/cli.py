@@ -1128,11 +1128,13 @@ def cmd_compile(args) -> int:
 
     Prints the plan's compile-time statistics (steps, kernel/LFU calls,
     bytes moved) and the cache keys it is stored under.  With ``--verify``
-    recursion, schedule replay, the plan reloaded through a fresh disk
-    cache and a compiled ``InferenceSession`` (called first on other
-    inputs) run on the same random inputs, and all three replays must
-    match recursion bit for bit.  Exit codes: **0** ok, **1** a ``--verify``
-    mismatch, **2** unknown benchmark.
+    the plan's steps and stats must equal a walk of the program without
+    the compile's memo (:func:`_walk_mismatch`); then recursion, schedule
+    replay, the plan reloaded through a fresh disk cache and a compiled
+    ``InferenceSession`` (called first on other inputs) run on the same
+    random inputs, and all three replays must match recursion bit for
+    bit.  Exit codes: **0** ok, **1** a ``--verify`` mismatch, **2**
+    unknown benchmark.
     """
     import tempfile
 
@@ -1178,6 +1180,10 @@ def cmd_compile(args) -> int:
     if not args.verify:
         return 0
 
+    mismatch = _walk_mismatch(machine, w.program, plan)
+    if mismatch is not None:
+        print(f"compile: --verify FAILED: {mismatch}", file=sys.stderr)
+        return 1
     # Recursion is the reference; schedule replay, the plan reloaded
     # through a fresh disk cache (store, load, re-verify) and a compiled
     # session's second call, after one on other inputs, must match it
@@ -1221,11 +1227,48 @@ def cmd_compile(args) -> int:
                       f"between recursion and {mode}", file=sys.stderr)
                 return 1
     schedule = plan.replay_schedule()
-    print(f"  verify              recursion, schedule replay, the disk "
-          f"round trip and a bound session's second call bit-identical "
+    print(f"  verify              steps and stats equal the walk without "
+          f"a memo; recursion, schedule replay, the disk round trip and a "
+          f"bound session's second call bit-identical "
           f"({len(results[0])} output(s), "
           f"{schedule.batched_steps} batched step(s))")
     return 0
+
+
+def _walk_mismatch(machine, program, plan):
+    """How ``plan`` differs from a walk of ``program`` with a recording
+    sink and no memo, or ``None``: kinds and levels step for step, the
+    steps' :func:`~repro.analysis.program_signature`, chain ids one to one
+    in order, and ``plan.stats`` field by field."""
+    from dataclasses import fields
+
+    from .analysis import program_signature
+    from .core.executor import WalkStats, walk
+
+    stats, places, insts = WalkStats(), [], []
+
+    def record(kind, inst, level):
+        places.append((kind, level))
+        insts.append(inst)
+
+    for inst in program:
+        walk(inst, 0, machine, stats, record)
+    if [(s.kind, s.level) for s in plan.steps] != places:
+        return "step kinds or levels differ from the walk's"
+    if program_signature([s.inst for s in plan.steps]) != \
+            program_signature(insts):
+        return "steps differ from the walk's"
+    chains = {}
+    for step, inst in zip(plan.steps, insts):
+        got, want = step.inst.attrs.get("acc_chain"), inst.attrs.get("acc_chain")
+        if chains.setdefault(got, want) != want:
+            return "chain ids are not one to one with the walk's"
+    if len(set(chains.values())) != len(chains):
+        return "chain ids are not one to one with the walk's"
+    for f in fields(WalkStats):
+        if getattr(plan.stats, f.name) != getattr(stats, f.name):
+            return f"plan.stats.{f.name} differs from the walk's"
+    return None
 
 
 def _plan_externals_from_doc(doc: dict) -> list:

@@ -91,6 +91,11 @@ class DemotionDecoder:
 
     PIPELINE_WINDOW = 3
 
+    #: first static-segment owner of an accumulation chain; chains are
+    #: numbered from here in first-seen order, above any FISA-instruction
+    #: index an SD partial's owner takes.
+    CHAIN_OWNER_BASE = 1 << 40
+
     def __init__(
         self,
         memory: NodeMemoryManager,
@@ -101,6 +106,7 @@ class DemotionDecoder:
         self.ttt = ttt
         self.local_uids: Set[int] = set(local_uids or ())
         self._static_blocks: Dict[int, Block] = {}
+        self._chain_owners: Dict[int, int] = {}
         self._window: List[Tuple[int, List[Region]]] = []
         self.decoded_count = 0
         self.total_elided_bytes = 0
@@ -223,7 +229,10 @@ class DemotionDecoder:
         key: the first part establishes residency (loading the prior value
         from the parent if this node itself received an accumulating
         instruction), middle parts touch it for free, and the last part
-        issues the single write-back and retires the entry.
+        issues the single write-back and retires the entry.  The segment's
+        owner for a chain is its first-seen ordinal at this decoder, not
+        its process-wide ``acc_chain`` id, so a simulation depends only on
+        the node's own program.
         """
         if not (acc or acc_local):
             self._store_external(region, decoded)
@@ -231,7 +240,10 @@ class DemotionDecoder:
         key = ("acc", region.key())
         block = self._static_blocks.get(key)
         if block is None:
-            static_owner = chain if chain is not None else owner
+            static_owner = owner
+            if chain is not None:
+                static_owner = self._chain_owners.setdefault(
+                    chain, self.CHAIN_OWNER_BASE + len(self._chain_owners))
             try:
                 block = self.memory.alloc_static(
                     region.nbytes, tag=f"acc:{region.tensor.name}", owner=static_owner

@@ -50,7 +50,8 @@ class _Counter:
         return value
 
 
-#: accumulation chains get ids whose parity drives static-segment recycling.
+#: accumulation chain ids, unique per process; the demotion decoder
+#: numbers the chains it sees itself, so no result depends on them.
 _chain_counter = _Counter()
 
 
@@ -412,17 +413,21 @@ def _reemit(first: Instruction, steps: Sequence[Instruction],
     The two share a :func:`_template_key`, so each tensor of ``first``'s
     operands maps to one tensor of ``inst``'s by one shift.  Every other
     tensor in ``steps`` is a partial created under ``first`` and gets a
-    fresh twin.  ``first``'s split drew the chain ids ``drawn``; the copy
-    draws as many, each at the same offset, so its ids -- whose parity the
-    static segment reads -- are the ones splitting ``inst`` would have
-    drawn.  ``first``'s own chain id becomes ``inst``'s.
-    Order, bounds, opcodes, ``loc`` and the other attrs are unchanged, so
-    each step keeps its template's signature.
+    fresh twin.  ``first``'s subtree drew the chain ids ``drawn``; the copy
+    draws as many, each at the same offset, so its ids are the ones
+    decomposing ``inst`` would have drawn and the steps equal an
+    untemplated decomposition's, chain ids included.  ``first``'s own chain
+    id becomes ``inst``'s.  Order, bounds, opcodes, ``loc`` and the other
+    attrs are unchanged, so each step keeps its template's signature.
+    Twin regions skip bounds validation (:meth:`Region.unchecked`): each is
+    a validated region shifted inside a validated operand, or a validated
+    region of a same-shape fresh partial.
     """
+    # tensor uid -> (the tensor its regions move to, their shift or None)
     moves: Dict[int, Tuple[Tensor, Optional[Tuple[int, ...]]]] = {}
     for old, new in zip(first.inputs + first.outputs, inst.inputs + inst.outputs):
-        moves[old.tensor.uid] = (new.tensor, tuple(
-            n - o for (n, _), (o, _) in zip(new.bounds, old.bounds)))
+        shift = tuple([n - o for (n, _), (o, _) in zip(new.bounds, old.bounds)])
+        moves[old.tensor.uid] = (new.tensor, shift if any(shift) else None)
     offset = _chain_counter.value - drawn.start
     _chain_counter.value += len(drawn)
     moved: Dict[int, Region] = {}  # id(template region) -> its twin
@@ -438,12 +443,10 @@ def _reemit(first: Instruction, steps: Sequence[Instruction],
             target = moves[t.uid] = (fresh, None)
         tensor, shift = target
         if shift is None:
-            twin = Region(tensor, r.bounds)
-        elif tensor is t and not any(shift):
-            twin = r
+            twin = r if tensor is t else Region.unchecked(tensor, r.bounds)
         else:
-            twin = Region(tensor, tuple((lo + s, hi + s)
-                                        for (lo, hi), s in zip(r.bounds, shift)))
+            twin = Region.unchecked(tensor, tuple([
+                (lo + s, hi + s) for (lo, hi), s in zip(r.bounds, shift)]))
         moved[id(r)] = twin
         return twin
 

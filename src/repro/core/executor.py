@@ -10,9 +10,11 @@ call and LFU reduction, in execution order, to a *sink*.  A cold
 numpy kernels; :func:`repro.plan.compile_program` passes one that records
 it as a plan step.  Both share this one recursion, so a plan replays
 exactly the steps a cold run executes and its precomputed counters are a
-cold run's by construction.  :meth:`FractalExecutor.run_plan` is the one
-replay engine: it walks the plan's replay schedule, stacked fusion groups
-and single steps in plan order.
+cold run's by construction.  A compile also passes a :class:`WalkMemo`, so
+each distinct subtree is walked once and its repeats re-emitted by region
+offset.  :meth:`FractalExecutor.run_plan` is the one replay engine: it
+walks the plan's replay schedule, stacked fusion groups and single steps
+in plan order.
 
 The point of the executor is *verification*: for any machine shape, the
 result must be bit-identical (up to float tolerance) to running the
@@ -30,6 +32,7 @@ import numpy as np
 from .. import obs, ops, telemetry
 from ..obs import prof as _prof
 from .decomposition import decompose_parallel, shrink_sequential
+from .decomposition.base import _chain_counter, _reemit, _template_key
 from .isa import Instruction
 from .machine import Machine
 from .store import TensorStore
@@ -130,8 +133,51 @@ class ExecutionStats(WalkStats):
         return out
 
 
+class WalkMemo:
+    """The subtrees one compile has walked, and the steps it emitted.
+
+    A non-leaf node's subtree is decided by its SD template key
+    (:func:`repro.core.decomposition.base._template_key`: the signature,
+    whether ``acc_chain`` is carried and the offsets between operands that
+    share a tensor) and its level; the machine is fixed within a compile,
+    and no decomposition rule reads a region's absolute position or its
+    tensor's shape.  ``templates`` maps that key to the first node with it,
+    the ``[start, end)`` span of the emission list its walk produced, its
+    :class:`WalkStats` and the range of chain ids it drew.
+
+    ``record`` is the walk's sink, and ``kinds``, ``insts`` and ``levels``
+    are the emission list, one entry per step.  Owned by one compile and
+    dropped with it: no template outlives the call, and nothing here
+    refers back to the memo.
+    """
+
+    __slots__ = ("kinds", "insts", "levels", "templates")
+
+    def __init__(self):
+        self.kinds: List[str] = []
+        self.insts: List[Instruction] = []
+        self.levels: List[int] = []
+        self.templates: Dict[Tuple, Tuple] = {}
+
+    def record(self, kind: str, inst: Instruction, level: int) -> None:
+        self.kinds.append(kind)
+        self.insts.append(inst)
+        self.levels.append(level)
+
+    def reemit(self, template: Tuple, inst: Instruction,
+               stats: WalkStats) -> None:
+        """Emit ``template``'s steps over the operands of ``inst``, which
+        shares its key, and add its counters to ``stats``."""
+        first, start, end, counted, drawn = template
+        stats.add(counted)
+        self.kinds.extend(self.kinds[start:end])
+        self.levels.extend(self.levels[start:end])
+        self.insts.extend(_reemit(first, self.insts[start:end], inst, drawn))
+
+
 def walk(inst: Instruction, level: int, machine: Machine, stats: WalkStats,
-         sink: Callable[[str, Instruction, int], None]) -> None:
+         sink: Callable[[str, Instruction, int], None],
+         memo: Optional[WalkMemo] = None) -> None:
     """Walk the fractal recursion of ``inst`` from ``level`` down.
 
     Counts every node into ``stats`` and calls ``sink(kind, inst, level)``
@@ -139,12 +185,27 @@ def walk(inst: Instruction, level: int, machine: Machine, stats: WalkStats,
     at the level of the node that owns the LFUs), in execution order.  SD
     and PD are looked up as this module's globals on every call.
 
+    With a ``memo`` (whose ``record`` must be the sink), a non-leaf node
+    whose key the memo holds is not walked: the template's steps are
+    re-emitted by region offset, with fresh partials and chain ids drawn
+    at the template's offsets, and its counters added.  The steps and
+    counters equal the walk's without a memo, which stays the oracle.
+
     A module-level function, not a closure: a nested function that calls
     itself holds itself through its closure cell, and that cycle would keep
     whatever the sink built alive until a full collection.
     """
-    stats.count(level)
     spec = machine.level(level)
+    if memo is not None and not spec.is_leaf:
+        key = (_template_key(inst), level)
+        template = memo.templates.get(key)
+        if template is not None:
+            memo.reemit(template, inst, stats)
+            return
+        # Count the subtree apart, so that a later hit can add it whole.
+        outer, stats = stats, WalkStats()
+        start, first_id = len(memo.insts), _chain_counter.value
+    stats.count(level)
     if spec.is_leaf:
         stats.kernel_calls += 1
         mnemonic = inst.opcode.value
@@ -160,7 +221,7 @@ def walk(inst: Instruction, level: int, machine: Machine, stats: WalkStats,
         split = decompose_parallel(step, spec.fanout)
         if split is None:
             # Degenerate granularity: a single FFU inherits the whole step.
-            walk(step, level + 1, machine, stats, sink)
+            walk(step, level + 1, machine, stats, sink, memo)
             continue
         stats.fanouts += 1
         stats.fanout_parts += len(split.parts)
@@ -169,12 +230,16 @@ def walk(inst: Instruction, level: int, machine: Machine, stats: WalkStats,
                           opcode=step.opcode.value, parts=len(split.parts),
                           reductions=len(split.reduction))
         for part in split.parts:
-            walk(part, level + 1, machine, stats, sink)
+            walk(part, level + 1, machine, stats, sink, memo)
         for red in split.reduction:
             stats.lfu_calls += 1
             stats.bytes_read += sum(r.nbytes for r in red.inputs)
             stats.bytes_written += sum(r.nbytes for r in red.outputs)
             sink("lfu", red, level)
+    if memo is not None:
+        memo.templates[key] = (inst, start, len(memo.insts), stats,
+                               range(first_id, _chain_counter.value))
+        outer.add(stats)
 
 
 #: replay emits one ``replay.progress`` debug event per this many steps,
@@ -503,8 +568,11 @@ def _bulk_call(item, call, operands, fast: bool, registry, tracer):
 
 
 def run_reference(inst: Instruction, store: TensorStore) -> None:
-    """Run one instruction directly on the reference kernel (ground truth)."""
+    """Run one instruction directly on the reference kernel (ground truth);
+    an ``accumulate`` instruction adds its result to the prior value."""
     inputs = [store.read(r) for r in inst.inputs]
     outputs = ops.execute(inst.opcode, inputs, inst.attrs)
+    write = (store.write_accumulate if inst.attrs.get("accumulate", False)
+             else store.write)
     for region, value in zip(inst.outputs, outputs):
-        store.write(region, value)
+        write(region, value)

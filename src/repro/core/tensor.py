@@ -128,6 +128,22 @@ class Region:
             self, "bounds", _normalize_bounds(self.bounds, self.tensor.shape)
         )
 
+    @classmethod
+    def unchecked(cls, tensor: Tensor,
+                  bounds: Tuple[Tuple[int, int], ...]) -> "Region":
+        """A region built without validating ``bounds``.
+
+        Only for bounds valid by construction: a validated region shifted
+        inside a validated operand on ``tensor``, or a validated region's
+        bounds on a tensor of the same shape.  Anything read from outside
+        the program goes through the checking constructor.
+        """
+        region = object.__new__(cls)
+        attrs = region.__dict__
+        attrs["tensor"] = tensor
+        attrs["bounds"] = bounds
+        return region
+
     # -- geometry ---------------------------------------------------------
 
     @property

@@ -8,23 +8,24 @@ g(.) reductions on the LFUs -- with a sink that records each leaf kernel
 and LFU reduction as a plan step instead of executing it.  The resulting
 :class:`~repro.plan.plan.FractalPlan` therefore holds the executor's exact
 execution order.  Because all FFUs of a node run isomorphic
-sub-instructions (the paper's structural claim), the expensive part of
-functional execution on repeated shapes is precisely this walk; compiling
-it once and replaying the flat plan is the functional analogue of the
-timing simulator's signature memoization.
+sub-instructions (the paper's structural claim), most subtrees of the walk
+repeat: the compile walks each distinct subtree once and re-emits its
+repeats by region offset (:class:`~repro.core.executor.WalkMemo`), and
+replaying the flat plan is the functional analogue of the timing
+simulator's signature memoization.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .. import obs
 from ..analysis.signatures import external_tensors, program_digest
 # perfbench/spans.py times SD and PD by patching these names in this module
 # too; the walker itself calls them through repro.core.executor.
 from ..core.decomposition import decompose_parallel, shrink_sequential  # noqa: F401
-from ..core.executor import walk
+from ..core.executor import WalkMemo, walk
 from ..core.gcpause import gc_paused
 from ..core.isa import Instruction
 from ..core.machine import Machine
@@ -66,20 +67,16 @@ def compile_program(
     replays to bit-identical results (same kernels, same operands, same
     order) and the plan's stats are the counters a cold run would have
     collected, ready for replays to add without re-deriving anything.
-    The whole build runs with the cyclic collector paused
-    (:func:`repro.core.gcpause.gc_paused`).
+    A :class:`~repro.core.executor.WalkMemo` scoped to this call walks
+    each distinct subtree once; its steps equal the walk's without one,
+    chain ids included.  The whole build runs with the cyclic collector
+    paused (:func:`repro.core.gcpause.gc_paused`).
     """
     with gc_paused():
         program = list(program)
         t0 = time.perf_counter()
         stats = PlanStats()
-        steps: List[PlanStep] = []
-
-        # The record sink refers to ``steps`` but not to itself, so it
-        # closes no reference cycle around the plan.
-        def record(kind: str, inst: Instruction, level: int) -> None:
-            steps.append(PlanStep.from_instruction(kind, inst, level))
-
+        memo = WalkMemo()
         log = obs.logger("plan")
         log.info("compile.start", machine=machine.name,
                  instructions=len(program))
@@ -87,7 +84,10 @@ def compile_program(
         # so flamegraphs separate decomposition cost from replay cost.
         with _prof.step_scope("plan.compile"):
             for inst in program:
-                walk(inst, 0, machine, stats, record)
+                walk(inst, 0, machine, stats, memo.record, memo)
+        steps = list(map(PlanStep.from_instruction, memo.kinds, memo.insts,
+                         memo.levels))
+        del memo
         plan = FractalPlan(
             machine_fingerprint=machine_fingerprint(machine),
             signature_digest=program_digest(program),

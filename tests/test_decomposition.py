@@ -278,13 +278,18 @@ def shrink_both(inst, capacity_bytes, **kwargs):
     return got, want, middle - start
 
 
-def assert_same_steps(inst, got, want, chain_shift):
+def assert_same_steps(roots, got, want, chain_shift):
     """``got`` equals ``want`` up to a one-to-one renaming of the partial
-    tensors SD created.  Chain ids it created are the oracle's plus
-    ``chain_shift``; the root's own tensors and chain id are unchanged."""
+    tensors the decomposition of ``roots`` (an instruction or a program)
+    created.  Chain ids it created are the oracle's plus ``chain_shift``;
+    the roots' own tensors and chain ids are unchanged."""
     assert len(got) == len(want)
-    external = {r.tensor.uid for r in inst.inputs + inst.outputs}
-    root_chain = inst.attrs.get("acc_chain")
+    if isinstance(roots, Instruction):
+        roots = [roots]
+    external = {r.tensor.uid for inst in roots
+                for r in inst.inputs + inst.outputs}
+    root_chains = {inst.attrs["acc_chain"] for inst in roots
+                   if "acc_chain" in inst.attrs}
     tensors = {}
     for g, w in zip(got, want):
         assert g.opcode is w.opcode
@@ -294,7 +299,7 @@ def assert_same_steps(inst, got, want, chain_shift):
         assert ("acc_chain" in g.attrs) == ("acc_chain" in w.attrs)
         if "acc_chain" in w.attrs:
             chain = w.attrs["acc_chain"]
-            shift = 0 if chain == root_chain else chain_shift
+            shift = 0 if chain in root_chains else chain_shift
             assert g.attrs["acc_chain"] == chain + shift
         assert (len(g.inputs), len(g.outputs)) == (len(w.inputs), len(w.outputs))
         for gr, wr in zip(g.inputs + g.outputs, w.inputs + w.outputs):

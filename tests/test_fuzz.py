@@ -46,6 +46,11 @@ machines = st.builds(
 )
 
 
+#: attrs of an instruction that writes its output, or of one that adds
+#: its result to the output's prior value (its first touch accumulates).
+accumulating = st.sampled_from([{}, {"accumulate": True}])
+
+
 @st.composite
 def random_instruction(draw):
     kind = draw(st.sampled_from(["matmul", "conv", "pool", "eltwise",
@@ -56,7 +61,7 @@ def random_instruction(draw):
         a, b = Tensor("a", (m, k)), Tensor("b", (k, n))
         c = Tensor("c", (m, n))
         return Instruction(Opcode.MATMUL, (a.region(), b.region()),
-                           (c.region(),))
+                           (c.region(),), draw(accumulating))
     if kind == "conv":
         n, hw, cin, cout = rng_dim(1, 3), rng_dim(3, 8), rng_dim(1, 3), rng_dim(1, 4)
         x = Tensor("x", (n, hw, hw, cin))
@@ -74,7 +79,8 @@ def random_instruction(draw):
         n = rng_dim(1, 64)
         a, b, o = (Tensor(s, (n,)) for s in "abo")
         op = draw(st.sampled_from([Opcode.ADD1D, Opcode.SUB1D, Opcode.MUL1D]))
-        return Instruction(op, (a.region(), b.region()), (o.region(),))
+        return Instruction(op, (a.region(), b.region()), (o.region(),),
+                           draw(accumulating))
     if kind == "sort":
         n = rng_dim(1, 48)
         x, o = Tensor("x", (n,)), Tensor("o", (n,))
@@ -134,7 +140,8 @@ def chained_program(draw, machine):
     of 1-D tensors: element-wise ops (possibly one tensor as both
     operands), the sum of two overlapping slices of one tensor, an
     in-place Act1D and HSum1D.  Each output joins the pool, so later
-    instructions read earlier results.
+    instructions read earlier results.  The first MatMul and the
+    element-wise ops may accumulate into their (fresh) outputs.
     """
     n = draw(st.integers(1, 48))
     # The fp16 MatMul's footprint is 4nk + 2n^2 bytes.
@@ -143,7 +150,7 @@ def chained_program(draw, machine):
     k = draw(st.integers(n, 256) | st.integers(k_chain, k_chain + 64))
     x, w, y = Tensor("x", (n, k)), Tensor("w", (k, n)), Tensor("y", (n, n))
     program = [Instruction(Opcode.MATMUL, (x.region(), w.region()),
-                           (y.region(),))]
+                           (y.region(),), draw(accumulating))]
     if draw(st.booleans()):
         z = Tensor("z", (n, n))
         program.append(Instruction(Opcode.MATMUL, (y.region(), y.region()),
@@ -171,7 +178,8 @@ def chained_program(draw, machine):
             opcode = draw(st.sampled_from(
                 [Opcode.ADD1D, Opcode.SUB1D, Opcode.MUL1D]))
             ins, out = (a.region(), b.region()), Tensor("e", a.shape)
-        program.append(Instruction(opcode, ins, (out.region(),)))
+        attrs = draw(accumulating) if opcode is not Opcode.HSUM1D else {}
+        program.append(Instruction(opcode, ins, (out.region(),), attrs))
         pool.append(out)
     return program
 
@@ -187,12 +195,14 @@ machine_programs = st.one_of(
 @settings(deadline=None, max_examples=200)
 @given(case=machine_programs, seed=st.integers(0, 9999))
 def test_fuzz_cold_run_and_compile_walk_alike(case, seed):
-    """Any machine x any short program, independent or chained: the cold
-    run's sink receives the compiled plan's steps in order, the cold
-    counters equal ``plan.stats``, recursion matches the reference kernels
-    within ``verify_program``'s tolerance, and schedule replay, a plan
-    reloaded from the disk cache and a second replay on one bound store
-    agree with recursion bit for bit."""
+    """Any machine x any short program, independent or chained, some of
+    whose instructions accumulate: the cold run's sink receives the
+    compiled plan's steps in order, the cold counters equal
+    ``plan.stats``, recursion matches the reference kernels (an
+    accumulating instruction adds to the output's prior value) within
+    ``verify_program``'s tolerance, and schedule replay, a plan reloaded
+    from the disk cache and a second replay on one bound store agree with
+    recursion bit for bit."""
     machine, program = case
     rng = np.random.default_rng(seed)
     arrays = {r.tensor.uid: (r.tensor, rng.normal(size=r.tensor.shape))

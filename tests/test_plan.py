@@ -26,12 +26,15 @@ from repro import (
     Tensor,
     TensorStore,
     cambricon_f1,
+    cambricon_f100,
     custom_machine,
 )
 from repro import telemetry
 from repro.analysis import program_digest, program_signature
 from repro.analysis.signatures import external_tensors
-from repro.core.executor import WalkStats
+from repro.core import executor as executor_mod
+from repro.core.decomposition import base
+from repro.core.executor import WalkStats, walk
 from repro.core.tensor import INT32
 from repro.core.verify import bit_identical
 from repro.ops import dispatch
@@ -47,7 +50,8 @@ from repro.plan import (
     plan_key,
     reset_plan_cache,
 )
-from repro.workloads import profile_benchmark
+from repro.workloads import PROFILE_BENCHMARKS, profile_benchmark
+from test_decomposition import assert_same_steps
 
 KB = 1 << 10
 
@@ -193,6 +197,113 @@ class TestReplayIdentity:
         executor = FractalExecutor(machine)
         plan = executor.compile(program)
         assert plan.n_steps == plan.stats.kernel_calls + plan.stats.lfu_calls
+
+
+# -- the compile's walk memo against the unmemoized walk -----------------------
+
+def _walk_without_memo(machine, program):
+    """(kind, inst, level) of every step :func:`walk` hands a recording
+    sink without a memo, and its counters: the oracle of a compile."""
+    stats, steps = WalkStats(), []
+
+    def record(kind, inst, level):
+        steps.append((kind, inst, level))
+
+    for inst in program:
+        walk(inst, 0, machine, stats, record)
+    return steps, stats
+
+
+def assert_compile_equals_walk(machine, program, monkeypatch):
+    """``compile_program`` emits the unmemoized walk's steps, step for
+    step (kinds, levels, opcodes, bounds, attrs, signatures, partials one
+    to one, chain ids at one shift), and its counters field by field.
+    Returns how many times each called PD, nested calls included."""
+    calls = [0]
+    real = base.decompose_parallel
+
+    def counting(inst, n):
+        calls[0] += 1
+        return real(inst, n)
+
+    monkeypatch.setattr(base, "decompose_parallel", counting)
+    monkeypatch.setattr(executor_mod, "decompose_parallel", counting)
+    start = base._chain_counter.value
+    want, want_stats = _walk_without_memo(machine, program)
+    middle = base._chain_counter.value
+    walked, calls[0] = calls[0], 0
+    plan = compile_program(machine, program)
+    # The memo reserves the chain ids each re-emitted subtree would draw.
+    assert base._chain_counter.value - middle == middle - start
+    assert ([(s.kind, s.level) for s in plan.steps]
+            == [(kind, level) for kind, _, level in want])
+    assert_same_steps(program, [s.inst for s in plan.steps],
+                      [inst for _, inst, _ in want], middle - start)
+    for f in dataclasses.fields(WalkStats):
+        assert getattr(plan.stats, f.name) == getattr(want_stats, f.name), f.name
+    return walked, calls[0]
+
+
+def _shared_operand_pairs():
+    """Two sibling Adds of one shape at one level, ``Add(x, x)`` and
+    ``Add(x, y)``: footprint counts ``x`` once in the first."""
+    x, y = Tensor("x", (64, 96)), Tensor("y", (64, 96))
+    o, p = Tensor("o", (64, 96)), Tensor("p", (64, 96))
+    return [Instruction(Opcode.ADD1D, (x.region(), x.region()), (o.region(),)),
+            Instruction(Opcode.ADD1D, (x.region(), y.region()), (p.region(),))]
+
+
+def _offset_matmuls():
+    """Two MatMuls reading one tensor at different offsets: B is A itself,
+    then the slab beside it."""
+    t = Tensor("t", (48, 96))
+    c, d = Tensor("c", (48, 48)), Tensor("d", (48, 48))
+    return [Instruction(Opcode.MATMUL, (t[:, 0:48], t[:, 0:48]), (c.region(),)),
+            Instruction(Opcode.MATMUL, (t[:, 0:48], t[:, 48:96]), (d.region(),))]
+
+
+def _accumulating_beside_plain():
+    """An accumulating MatMul beside a plain one, and a chain link beside
+    an accumulating Add of one signature (whether ``acc_chain`` is
+    carried is part of the key)."""
+    a, b = Tensor("a", (40, 160)), Tensor("b", (160, 40))
+    c, d = Tensor("c", (40, 40)), Tensor("d", (40, 40))
+    x, y = Tensor("x", (1,)), Tensor("y", (1,))
+    o, p = Tensor("o", (1,)), Tensor("p", (1,))
+    return [
+        Instruction(Opcode.MATMUL, (a.region(), b.region()), (c.region(),),
+                    {"accumulate": True}),
+        Instruction(Opcode.MATMUL, (a.region(), b.region()), (d.region(),)),
+        Instruction(Opcode.ADD1D, (x.region(), y.region()), (o.region(),),
+                    {"accumulate": True, "acc_chain": 10 ** 9}),
+        Instruction(Opcode.ADD1D, (x.region(), y.region()), (p.region(),),
+                    {"accumulate": True}),
+    ]
+
+
+class TestCompileMemo:
+    """``compile_program`` walks each distinct subtree once and re-emits
+    its repeats; the plan equals the walk's without a memo."""
+
+    @pytest.mark.parametrize("machine", [cambricon_f1, cambricon_f100],
+                             ids=["f1", "f100"])
+    @pytest.mark.parametrize("name", sorted(PROFILE_BENCHMARKS))
+    def test_profile_plan_equals_walk(self, name, machine, monkeypatch):
+        """Every profile plan; PD runs once per distinct subtree, not once
+        per node: on F100 ResNet-152 the unmemoized walk makes 13,811
+        calls."""
+        walked, compiled = assert_compile_equals_walk(
+            machine(), profile_benchmark(name).program, monkeypatch)
+        assert compiled <= walked
+        if (name, machine) == ("ResNet-152", cambricon_f100):
+            assert walked > 10_000
+            assert compiled * 20 < walked
+
+    @pytest.mark.parametrize("build", [_shared_operand_pairs, _offset_matmuls,
+                                       _accumulating_beside_plain],
+                             ids=lambda b: b.__name__.lstrip("_"))
+    def test_siblings_that_must_not_share_a_template(self, build, monkeypatch):
+        assert_compile_equals_walk(tiny_machine(), build(), monkeypatch)
 
 
 # -- structural signatures ----------------------------------------------------

@@ -296,8 +296,9 @@ def _tiny_reductions():
 
 def _tiny_parity():
     """Sort partials hold one end of the static segment while the MatMul's
-    chains pick an end by id parity: renumbering the chains of re-emitted
-    subtrees (fresh ids drawn in emission order) changes this simulation."""
+    chains pick an end by the parity of their owner: an owner taken from
+    the process-wide chain id would make this simulation depend on how
+    many ids were drawn before it."""
     x, s = Tensor("x", (8192,)), Tensor("s", (8192,))
     h, o = Tensor("h", (96, 160)), Tensor("o", (1,))
     return tiny_machine(), [
@@ -314,11 +315,11 @@ def _f100_paper_matmul():
 class TestTemplatedSDExactness:
     """Templated SD changes how the steps are built, not which steps: a
     simulation matches the untemplated oracle in every statistic, the
-    static-segment parity path that chain ids drive included.
+    static-segment parity path that accumulation chains drive included.
 
-    The static segment takes a chain id as its owner and picks a stack end
-    by its parity, so a simulation depends on the process-wide chain
-    counter.  Both runs start it at the same value, once of each parity.
+    The demotion decoder numbers chain owners itself, so the chain counter
+    the runs start from does not matter (:class:`TestChainCounterStart`);
+    both runs still start it at the same value, once of each parity.
     """
 
     FIELDS = ("total_time", "work", "root_traffic", "per_level_busy",
@@ -365,3 +366,25 @@ class TestTemplatedSDExactness:
         # re-emitted instead of split.
         assert templated["chain_steps"] == oracle["chain_steps"] > 0
         assert templated["splits"] < oracle["splits"]
+
+
+class TestChainCounterStart:
+    """A simulation depends only on its program: the static segment's
+    chain owners are numbered per decoder, in first-seen order, so the
+    report is the same however many chain ids were drawn before it."""
+
+    @pytest.mark.parametrize("build", [_tiny_parity, _tiny_reductions],
+                             ids=lambda b: b.__name__.lstrip("_"))
+    def test_report_independent_of_counter_start(self, build, monkeypatch):
+        runs = []
+        for start in (0, 7, 10 ** 6, 10 ** 6 + 1):
+            with monkeypatch.context() as m:
+                m.setattr(base._chain_counter, "value", start)
+                machine, program = build()
+                sim = FractalSimulator(machine, collect_profiles=False)
+                runs.append((sim.simulate(program), sim.cache_stats))
+        (want, want_cache), rest = runs[0], runs[1:]
+        for got, got_cache in rest:
+            for name in TestTemplatedSDExactness.FIELDS:
+                assert getattr(got, name) == getattr(want, name), name
+            assert got_cache == want_cache
