@@ -24,13 +24,19 @@ When an allocation does not fit (oversized unsplittable steps, or partial
 sets larger than the static segment) DD falls back to *streaming*: the
 operand is processed directly against parent memory, charged as DMA traffic
 with no local residency (so no TTT record).
+
+A caller that already knows how a step decodes need not decode it:
+:meth:`DemotionDecoder.skip` passes the step, and the next
+:meth:`DemotionDecoder.decode` first writes the skipped step's TTT records.
+:meth:`DemotionDecoder.static_view` says what a decode would read of the
+state that outlives a step, which the caller must compare first.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..isa import Instruction
 from ..memory.allocator import AllocationError, Block, NodeMemoryManager
@@ -107,7 +113,11 @@ class DemotionDecoder:
         self.local_uids: Set[int] = set(local_uids or ())
         self._static_blocks: Dict[int, Block] = {}
         self._chain_owners: Dict[int, int] = {}
-        self._window: List[Tuple[int, List[Region]]] = []
+        self._window: List[Tuple[int, Sequence[Region]]] = []
+        #: the latest step when :meth:`skip` passed it: its cycle, the step
+        #: and its TTT records as :meth:`written` gives them
+        self._skipped: Optional[Tuple[int, Instruction,
+                                      Tuple[Tuple[int, bool, int], ...]]] = None
         self.decoded_count = 0
         self.total_elided_bytes = 0
         self.total_streamed_bytes = 0
@@ -125,6 +135,7 @@ class DemotionDecoder:
         ``owner`` is the index of the FISA-level instruction this step was
         sequentially decomposed from (selects the static-segment parity).
         """
+        self._resume()
         self.memory.begin_fisa_cycle(index)
         if self.ttt is not None:
             self.ttt.begin_cycle(index)
@@ -159,13 +170,92 @@ class DemotionDecoder:
                 self._handle_output(region, decoded, acc, acc_local, chain,
                                     owner if owner is not None else index)
 
-        self._push_window(index, list(inst.outputs))
+        self._push_window(index, inst.outputs)
         self.decoded_count += 1
         self.total_elided_bytes += decoded.elided_bytes
         self.total_streamed_bytes += decoded.streamed_bytes
         if decoded.stall_on is not None:
             self.stall_count += 1
         return decoded
+
+    # -- steps decoded elsewhere ---------------------------------------------------
+
+    def static_view(self, inst: Instruction) -> Optional[Tuple]:
+        """What decoding ``inst`` would read of state that outlives a step.
+
+        Per operand: ``"local"`` for an SD partial resident in the static
+        segment, and for an output of an accumulation chain ``"acc"`` or
+        ``"spilled"`` by where its running sum lives; None otherwise.
+        Returns None instead when the decode would change that state --
+        allocate, free or spill static space, or number a chain -- so such
+        a step is always decoded.
+        """
+        local = self.local_uids
+        blocks = self._static_blocks
+        view: List[Optional[str]] = []
+        for region in inst.inputs:
+            if not local or region.tensor.uid not in local:
+                view.append(None)
+            elif region.tensor.uid in blocks:
+                view.append("local")
+            else:
+                return None
+        attrs = inst.attrs
+        acc_local = attrs.get("acc_local_out", False)
+        acc = acc_local or attrs.get("accumulate", False)
+        for region in inst.outputs:
+            if local and region.tensor.uid in local:
+                if region.tensor.uid not in blocks:
+                    return None
+                view.append("local")
+            elif acc:
+                block = blocks.get(("acc", region.key()))
+                if block is None or not acc_local:
+                    return None  # opens or closes a chain
+                view.append("acc" if block.offset >= 0 else "spilled")
+            else:
+                view.append(None)
+        return tuple(view)
+
+    def written(self, index: int, inst: Instruction) -> Tuple[Tuple[int, bool, int], ...]:
+        """The TTT records decoding ``inst`` as step ``index`` wrote, as
+        (operand position, inputs first; is_output; offset within the
+        cycle's recycled segment).  Call it right after that decode."""
+        if self.ttt is None:
+            return ()
+        keys = [r.key() for r in inst.inputs + inst.outputs]
+        base = self.memory.recycled[index % NodeMemoryManager.N_RECYCLED].base
+        return tuple((keys.index(key), rec.is_output, rec.local_offset - base)
+                     for key, rec in self.ttt.written(index).items())
+
+    def skip(self, index: int, inst: Instruction,
+             records: Tuple[Tuple[int, bool, int], ...]) -> None:
+        """Pass step ``index`` without decoding it.
+
+        The caller knows the step decodes as an earlier one did: the same
+        transfers, hits and stall offset, and ``records`` (as
+        :meth:`written` gives them) for the TTT records.  Only what a later
+        decode reads is kept: the step joins the RAW window, and its
+        records reach the TTT when the next step is decoded.  A step that
+        can be skipped touches no static state (:meth:`static_view`), and
+        the recycled segments' blocks are dead once their cycle ends.
+        """
+        self._skipped = (index, inst, records)
+        self._push_window(index, inst.outputs)
+
+    def _resume(self) -> None:
+        """Write the last skipped step's TTT records, as its decode would."""
+        if self._skipped is None:
+            return
+        cycle, inst, records = self._skipped
+        self._skipped = None
+        if self.ttt is None:
+            return
+        self.ttt.begin_cycle(cycle)
+        base = self.memory.recycled[cycle % NodeMemoryManager.N_RECYCLED].base
+        regions = inst.inputs + inst.outputs
+        for pos, is_output, offset in records:
+            self.ttt.record(regions[pos], base + offset, is_output=is_output)
 
     # -- operand classes ------------------------------------------------------
 
@@ -274,13 +364,14 @@ class DemotionDecoder:
 
     def _raw_writer(self, region: Region) -> Optional[int]:
         """Index of the most recent in-flight instruction writing ``region``."""
+        uid = region.tensor.uid
         for idx, outputs in reversed(self._window):
             for out in outputs:
-                if out.overlaps(region):
+                if out.tensor.uid == uid and out.overlaps(region):
                     return idx
         return None
 
-    def _push_window(self, index: int, outputs: List[Region]) -> None:
+    def _push_window(self, index: int, outputs: Sequence[Region]) -> None:
         self._window.append((index, outputs))
         if len(self._window) > self.PIPELINE_WINDOW:
             self._window.pop(0)

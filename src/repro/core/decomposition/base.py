@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ... import obs, telemetry
 from ..isa import DependencyKind, Instruction, Opcode
-from ..tensor import Region, Tensor
+from ..tensor import Region, Tensor, total_bytes
 
 _partial_counter = itertools.count()
 
@@ -254,13 +254,9 @@ def sequentialize_add_reduction(split: Split, inst: Instruction) -> Split:
     Splits whose g(.) is not a same-shape Add chain (Merge, scalar-combine
     of unequal shapes) are returned unchanged.
     """
-    if split.dependency is not DependencyKind.OUTPUT_DEPENDENT or not split.reduction:
-        return split
-    if any(r.opcode is not Opcode.ADD1D for r in split.reduction):
+    if not _accumulates(split, inst):
         return split
     out = inst.outputs[0]
-    if any(p.outputs[0].shape != out.shape for p in split.parts):
-        return split
     parent_acc = bool(inst.attrs.get("accumulate", False))
     parent_local = bool(inst.attrs.get("acc_local_out", False))
     chain_id = next(_chain_counter)
@@ -277,6 +273,18 @@ def sequentialize_add_reduction(split: Split, inst: Instruction) -> Split:
                  axis=split.axis + "+acc", redundant_bytes=split.redundant_bytes)
 
 
+def _accumulates(split: Split, inst: Instruction) -> bool:
+    """Whether :func:`sequentialize_add_reduction` rewrites ``split``: an
+    output-dependent split whose g(.) is a chain of Adds over partials
+    shaped like ``inst``'s output."""
+    if split.dependency is not DependencyKind.OUTPUT_DEPENDENT or not split.reduction:
+        return False
+    if any(r.opcode is not Opcode.ADD1D for r in split.reduction):
+        return False
+    shape = inst.outputs[0].shape
+    return all(p.outputs[0].shape == shape for p in split.parts)
+
+
 def best_shrink_split(inst: Instruction) -> Optional[Split]:
     """The binary split that most reduces the working set.
 
@@ -287,6 +295,11 @@ def best_shrink_split(inst: Instruction) -> Optional[Split]:
     ordering tuned for FFU fan-out can split one axis down to extent 1
     before touching the axis that actually carries the bytes -- e.g. slicing
     a MatMul's N to single columns while the left matrix stays whole.
+
+    An Add-reduction candidate is scored as
+    :func:`sequentialize_add_reduction` would rewrite it -- every part
+    writing the output, no g(.) -- but only the winner is rewritten, so
+    only a kept split draws an accumulation-chain id.
     """
     best: Optional[Split] = None
     best_score = None
@@ -294,14 +307,20 @@ def best_shrink_split(inst: Instruction) -> Optional[Split]:
     for order, rule in enumerate(rules_for(inst.opcode)):
         if rule.extent(inst) < 2:
             continue
-        split = sequentialize_add_reduction(rule.apply(inst, 2), inst)
-        fp = max(footprint(p) for p in split.parts)
+        split = rule.apply(inst, 2)
+        if _accumulates(split, inst):
+            out = inst.outputs[0]
+            fp = max(total_bytes(p.inputs + (out,)) for p in split.parts)
+            reduces = 0
+        else:
+            fp = max(footprint(p) for p in split.parts)
+            reduces = 1 if split.reduction else 0
         if fp >= current_fp:
             continue  # no progress along this axis
-        score = (fp, 1 if split.reduction else 0, order)
+        score = (fp, reduces, order)
         if best_score is None or score < best_score:
             best, best_score = split, score
-    return best
+    return None if best is None else sequentialize_add_reduction(best, inst)
 
 
 def shrink_sequential(
@@ -324,7 +343,9 @@ def shrink_sequential(
     (:func:`_reemit`), with fresh partial tensors and the chain ids its own
     split would have drawn.  The cost grows with the number of distinct
     shapes, not with the steps emitted.  ``max_steps`` bounds the
-    split-tree nodes, re-emitted ones included.
+    split-tree nodes, re-emitted ones included.  The steps come as a
+    :class:`SequentialSteps`, which lists the copies, unless ``inst``
+    fits as it is.
     """
     if footprint(inst) <= capacity_bytes and max_steps > 0:
         return [inst]
@@ -336,6 +357,23 @@ def shrink_sequential(
         registry.count("decompose.sequential_steps", len(out),
                        labels={"opcode": inst.opcode.value})
     return out
+
+
+class SequentialSteps(list):
+    """The steps of one sequential decomposition, in order.
+
+    ``copies`` lists each run SD re-emitted from a template as ``(start,
+    end, source)``: ``self[start:end]`` are ``self[source:source + end -
+    start]`` moved by one region offset per tensor, partials renewed, and
+    share their signature objects.  Runs do not overlap, and each source
+    run lies before its copy.
+    """
+
+    __slots__ = ("copies",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.copies: List[Tuple[int, int, int]] = []
 
 
 class _ShrinkWalk:
@@ -352,7 +390,7 @@ class _ShrinkWalk:
     def __init__(self, capacity: int, max_steps: int):
         self.capacity = capacity
         self.budget = max_steps
-        self.out: List[Instruction] = []
+        self.out = SequentialSteps()
         self.templates: Dict[Tuple, Tuple[Instruction, int, int, int, range]] = {}
 
     def charge(self, nodes: int) -> None:
@@ -373,6 +411,7 @@ def _shrink(walk: _ShrinkWalk, inst: Instruction) -> int:
     if template is not None:
         first, start, end, nodes, drawn = template
         walk.charge(nodes - 1)
+        out.copies.append((len(out), len(out) + end - start, start))
         out.extend(_reemit(first, out[start:end], inst, drawn))
         return nodes
     start, nodes, first_id = len(out), 1, _chain_counter.value

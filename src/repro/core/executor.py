@@ -146,20 +146,23 @@ class WalkMemo:
     :class:`WalkStats` and the range of chain ids it drew.
 
     ``record`` is the walk's sink, and ``kinds``, ``insts`` and ``levels``
-    are the emission list, one entry per step.  Owned by one compile and
-    dropped with it: no template outlives the call, and nothing here
-    refers back to the memo.
+    are the emission list, one entry per step; ``sources`` gives, per step,
+    the index of the walked step it re-emits (its own index if walked).
+    Owned by one compile and dropped with it: no template outlives the
+    call, and nothing here refers back to the memo.
     """
 
-    __slots__ = ("kinds", "insts", "levels", "templates")
+    __slots__ = ("kinds", "insts", "levels", "sources", "templates")
 
     def __init__(self):
         self.kinds: List[str] = []
         self.insts: List[Instruction] = []
         self.levels: List[int] = []
+        self.sources: List[int] = []
         self.templates: Dict[Tuple, Tuple] = {}
 
     def record(self, kind: str, inst: Instruction, level: int) -> None:
+        self.sources.append(len(self.insts))
         self.kinds.append(kind)
         self.insts.append(inst)
         self.levels.append(level)
@@ -170,6 +173,7 @@ class WalkMemo:
         shares its key, and add its counters to ``stats``."""
         first, start, end, counted, drawn = template
         stats.add(counted)
+        self.sources.extend(self.sources[start:end])
         self.kinds.extend(self.kinds[start:end])
         self.levels.extend(self.levels[start:end])
         self.insts.extend(_reemit(first, self.insts[start:end], inst, drawn))

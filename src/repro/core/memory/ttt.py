@@ -81,6 +81,13 @@ class TensorTranspositionTable:
         self.misses += 1
         return None
 
+    def written(self, cycle: int) -> Dict[Tuple, TTTRecord]:
+        """The records written in ``cycle``, by region key (none unless it
+        is the latest cycle begun)."""
+        if self._cycle != cycle:
+            return {}
+        return self._banks[cycle % 2]
+
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses

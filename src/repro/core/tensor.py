@@ -134,14 +134,17 @@ class Region:
         """A region built without validating ``bounds``.
 
         Only for bounds valid by construction: a validated region shifted
-        inside a validated operand on ``tensor``, or a validated region's
-        bounds on a tensor of the same shape.  Anything read from outside
-        the program goes through the checking constructor.
+        inside a validated operand on ``tensor``, a validated region's
+        bounds on a tensor of the same shape, or a validated region
+        narrowed within its own bounds (:meth:`slice_dim`,
+        :meth:`split_dim_halo`).  Anything read from outside the program
+        goes through the checking constructor.
         """
         region = object.__new__(cls)
-        attrs = region.__dict__
-        attrs["tensor"] = tensor
-        attrs["bounds"] = bounds
+        # Set as the dataclass constructor does: writing ``__dict__``
+        # directly would give each region its own dict object.
+        object.__setattr__(region, "tensor", tensor)
+        object.__setattr__(region, "bounds", bounds)
         return region
 
     # -- geometry ---------------------------------------------------------
@@ -175,7 +178,11 @@ class Region:
     # -- slicing ----------------------------------------------------------
 
     def slice_dim(self, dim: int, start: int, stop: int) -> "Region":
-        """Sub-region along one dimension, in *region-local* coordinates."""
+        """Sub-region along one dimension, in *region-local* coordinates.
+
+        The check below keeps the slice inside this region's bounds, so
+        the result needs no second check against the tensor.
+        """
         lo, hi = self.bounds[dim]
         new_lo, new_hi = lo + start, lo + stop
         if not (lo <= new_lo < new_hi <= hi):
@@ -184,7 +191,7 @@ class Region:
             )
         bounds = list(self.bounds)
         bounds[dim] = (new_lo, new_hi)
-        return Region(self.tensor, tuple(bounds))
+        return Region.unchecked(self.tensor, tuple(bounds))
 
     def __getitem__(self, slices) -> "Region":
         if not isinstance(slices, tuple):
@@ -236,16 +243,17 @@ class Region:
         spatial convolution/pooling splits (Table 2 "Overlapped" redundancy).
         """
         core = self.split_dim(dim, parts)
-        lo0, _ = self.bounds[dim]
-        extent = self.shape[dim]
+        lo0, hi0 = self.bounds[dim]
         out = []
         for chunk in core:
             lo, hi = chunk.bounds[dim]
             lo = max(lo0, lo - halo_lo)
-            hi = min(lo0 + extent, hi + halo_hi)
+            hi = min(hi0, hi + halo_hi)
+            if not lo < hi:
+                raise ValueError(f"halo ({halo_lo}, {halo_hi}) empties a chunk of dim {dim}")
             bounds = list(chunk.bounds)
             bounds[dim] = (lo, hi)
-            out.append(Region(chunk.tensor, tuple(bounds)))
+            out.append(Region.unchecked(chunk.tensor, tuple(bounds)))
         return tuple(out)
 
     # -- relations --------------------------------------------------------

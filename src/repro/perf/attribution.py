@@ -150,13 +150,18 @@ def attribute_schedule(
 def merge_scaled(
     dst: Dict[int, Dict[str, float]],
     src: Dict[int, Dict[str, float]],
-    scale: float,
+    scales: Sequence[float],
 ) -> None:
-    """``dst[level][cat] += scale * src[level][cat]`` for every entry."""
+    """``dst[level][cat] += scale * src[level][cat]`` for every entry, once
+    per scale in ``scales``, in order (the sums are those of one call per
+    scale)."""
     for level, cats in src.items():
         acc = dst.setdefault(level, dict.fromkeys(CATEGORIES, 0.0))
         for cat, seconds in cats.items():
-            acc[cat] = acc.get(cat, 0.0) + scale * seconds
+            total = acc.get(cat, 0.0)
+            for scale in scales:
+                total = total + scale * seconds
+            acc[cat] = total
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ simulator's signature memoization.
 from __future__ import annotations
 
 import time
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .. import obs
 from ..analysis.signatures import external_tensors, program_digest
@@ -85,8 +85,18 @@ def compile_program(
         with _prof.step_scope("plan.compile"):
             for inst in program:
                 walk(inst, 0, machine, stats, memo.record, memo)
-        steps = list(map(PlanStep.from_instruction, memo.kinds, memo.insts,
-                         memo.levels))
+        # A re-emitted step takes its source's run_attrs, write-back mode
+        # and zero-copy flag: moving every operand of a tensor by one
+        # offset changes none of them (chain ids are not run_attrs).
+        steps: List[PlanStep] = []
+        for kind, inst, level, source in zip(memo.kinds, memo.insts,
+                                             memo.levels, memo.sources):
+            if source == len(steps):
+                steps.append(PlanStep.from_instruction(kind, inst, level))
+            else:
+                walked = steps[source]
+                steps.append(PlanStep(kind, inst, level, walked.run_attrs,
+                                      walked.accumulate, walked.safe_zero_copy))
         del memo
         plan = FractalPlan(
             machine_fingerprint=machine_fingerprint(machine),

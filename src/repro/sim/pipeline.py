@@ -40,6 +40,8 @@ class StageTimes:
 
 @dataclass
 class Interval:
+    __slots__ = ("start", "end")
+
     start: float
     end: float
 
@@ -51,6 +53,8 @@ class Interval:
 @dataclass
 class InstructionSchedule:
     """Placed intervals of one instruction's stages."""
+
+    __slots__ = ("index", "label", "id_iv", "ld_iv", "ex_iv", "rd_iv", "wb_iv")
 
     index: int
     label: str
@@ -115,11 +119,12 @@ def schedule_pipeline(
     # purpose is to keep that many instructions in flight.
     dec_free = ld_free = wb_free = ffu_free = lfu_free = 0.0
     wb_end: Dict[int, float] = {}
+    idle = out.idle_causes
+    placed = out.instructions
+    decoder_busy = dma_busy = ffu_busy = lfu_busy = 0.0
 
-    def charge_idle(key: str, seconds: float) -> None:
-        if seconds > 0.0:
-            out.idle_causes[key] = out.idle_causes.get(key, 0.0) + seconds
-
+    # ``b if b > a else a`` is ``max(a, b)``, inlined: the loop runs once
+    # per SD step.
     for i, st in enumerate(stages):
         id_start = dec_free
         id_end = id_start + st.decode
@@ -129,53 +134,54 @@ def schedule_pipeline(
         stall_end: Optional[float] = None
         if st.stall_on is not None and st.stall_on in wb_end:
             stall_end = wb_end[st.stall_on]
-            ld_ready = max(ld_ready, stall_end)
-        ld_start = max(ld_ready, ld_free)
-        if st.load > 0.0:
+            ld_ready = stall_end if stall_end > ld_ready else ld_ready
+        ld_start = ld_free if ld_free > ld_ready else ld_ready
+        if st.load > 0.0 and ld_start - ld_free > 0.0:
             cause = ("dma_ld.raw_stall"
                      if stall_end is not None and stall_end >= id_end
                      else "dma_ld.decode_wait")
-            charge_idle(cause, ld_start - ld_free)
+            idle[cause] = idle.get(cause, 0.0) + (ld_start - ld_free)
         ld_end = ld_start + st.load
         ld_free = ld_end
 
         ex_dur = st.exec
         if use_concatenation and i > 0 and st.pre_assignable:
-            ex_dur = max(0.0, st.exec - st.exec_fill)
-        ex_start = max(ld_end, ffu_free)
-        if ex_dur > 0.0:
-            charge_idle("ffu.operand_wait", ex_start - ffu_free)
+            ex_dur = st.exec - st.exec_fill
+            ex_dur = ex_dur if ex_dur > 0.0 else 0.0
+        ex_start = ffu_free if ffu_free > ld_end else ld_end
+        if ex_dur > 0.0 and ex_start - ffu_free > 0.0:
+            idle["ffu.operand_wait"] = (idle.get("ffu.operand_wait", 0.0)
+                                        + (ex_start - ffu_free))
         ex_end = ex_start + ex_dur
         ffu_free = ex_end
 
-        rd_start = max(ex_end, lfu_free)
-        if st.reduce > 0.0:
-            charge_idle("lfu.exec_wait", rd_start - lfu_free)
+        rd_start = lfu_free if lfu_free > ex_end else ex_end
+        if st.reduce > 0.0 and rd_start - lfu_free > 0.0:
+            idle["lfu.exec_wait"] = (idle.get("lfu.exec_wait", 0.0)
+                                     + (rd_start - lfu_free))
         rd_end = rd_start + st.reduce
         lfu_free = rd_end
 
-        wb_start = max(rd_end, wb_free)
-        if st.writeback > 0.0:
-            charge_idle("dma_wb.upstream_wait", wb_start - wb_free)
+        wb_start = wb_free if wb_free > rd_end else rd_end
+        if st.writeback > 0.0 and wb_start - wb_free > 0.0:
+            idle["dma_wb.upstream_wait"] = (idle.get("dma_wb.upstream_wait", 0.0)
+                                            + (wb_start - wb_free))
         wb_finish = wb_start + st.writeback
         wb_free = wb_finish
         wb_end[i] = wb_finish
 
-        out.instructions.append(
-            InstructionSchedule(
-                index=i,
-                label=st.label,
-                id_iv=Interval(id_start, id_end),
-                ld_iv=Interval(ld_start, ld_end),
-                ex_iv=Interval(ex_start, ex_end),
-                rd_iv=Interval(rd_start, rd_end),
-                wb_iv=Interval(wb_start, wb_finish),
-            )
-        )
-        out.decoder_busy += st.decode
-        out.dma_busy += st.load + st.writeback
-        out.ffu_busy += ex_dur
-        out.lfu_busy += st.reduce
+        placed.append(InstructionSchedule(
+            i, st.label, Interval(id_start, id_end), Interval(ld_start, ld_end),
+            Interval(ex_start, ex_end), Interval(rd_start, rd_end),
+            Interval(wb_start, wb_finish)))
+        decoder_busy += st.decode
+        dma_busy += st.load + st.writeback
+        ffu_busy += ex_dur
+        lfu_busy += st.reduce
+    out.decoder_busy = decoder_busy
+    out.dma_busy = dma_busy
+    out.ffu_busy = ffu_busy
+    out.lfu_busy = lfu_busy
 
     if out.instructions:
         out.total_time = max(s.wb_iv.end for s in out.instructions)

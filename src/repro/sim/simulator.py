@@ -18,8 +18,9 @@ at the full parent rate when data broadcasting is enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .. import obs, telemetry
 from ..core.controller.demotion import DemotionDecoder
@@ -63,17 +64,18 @@ class NodeStats:
     forwarded_stores: int = 0
     forwarded_store_bytes: int = 0
 
-    def merge(self, other: "NodeStats") -> None:
-        self.steps += other.steps
-        self.preassignable += other.preassignable
-        self.ttt_hits += other.ttt_hits
-        self.ttt_lookups += other.ttt_lookups
-        self.elided_bytes += other.elided_bytes
-        self.streamed_bytes += other.streamed_bytes
-        self.commissioned += other.commissioned
-        self.raw_stalls += other.raw_stalls
-        self.forwarded_stores += other.forwarded_stores
-        self.forwarded_store_bytes += other.forwarded_store_bytes
+    def merge(self, other: "NodeStats", times: int = 1) -> None:
+        """Add ``other``'s counts ``times`` over."""
+        self.steps += other.steps * times
+        self.preassignable += other.preassignable * times
+        self.ttt_hits += other.ttt_hits * times
+        self.ttt_lookups += other.ttt_lookups * times
+        self.elided_bytes += other.elided_bytes * times
+        self.streamed_bytes += other.streamed_bytes * times
+        self.commissioned += other.commissioned * times
+        self.raw_stalls += other.raw_stalls * times
+        self.forwarded_stores += other.forwarded_stores * times
+        self.forwarded_store_bytes += other.forwarded_store_bytes * times
 
     @property
     def preassign_fraction(self) -> float:
@@ -217,6 +219,21 @@ class SimReport:
         return self.attained_ops / peak_ops if peak_ops else 0.0
 
 
+def _runs(pairs: Iterable[Tuple[object, object]]) -> Iterator[Tuple[object, List]]:
+    """Consecutive ``(object, value)`` pairs that share their object, as
+    (object, the values in order)."""
+    for _, run in groupby(pairs, key=lambda pair: id(pair[0])):
+        run = list(run)
+        yield run[0][0], [value for _, value in run]
+
+
+def _add_repeated(total: float, value: float, times: int) -> float:
+    """``total + value + value + ...`` (``times`` additions, in order)."""
+    for _ in range(times):
+        total += value
+    return total
+
+
 def _key_contained(key: Tuple, regions: Sequence[Region]) -> bool:
     uid, bounds = key
     for reg in regions:
@@ -268,6 +285,61 @@ class _PlanSummary:
     child: Optional[NodeResult]
     #: bytes this step makes the node's memory port serve to its children
     served_bytes: int = 0
+
+
+@dataclass
+class _StepOutcome:
+    """What one decoded step did, for steps in the same state.
+
+    Its stage times (``stall`` is the RAW stall as an offset back), the
+    embedded child, the TTT records it wrote (``records`` as
+    :meth:`DemotionDecoder.written` gives them, ``carried`` without the
+    offsets), the reductions it left commissioned, the counters it added,
+    and how many later steps took it.
+    """
+
+    stage: StageTimes
+    stall: Optional[int]
+    child: Optional[NodeResult]
+    records: Tuple[Tuple[int, bool, int], ...]
+    carried: Tuple[Tuple[int, bool], ...]
+    reduction: Optional[List[Instruction]]
+    delta: Tuple[int, ...]
+    uses: int = 0
+
+
+#: let a step SD re-emitted take its source step's outcome instead of
+#: being decoded; off, every step runs the per-step path (the tests'
+#: oracle)
+_REUSE_OUTCOMES = True
+
+_RESULT_COUNTERS = ("load_bytes", "store_bytes", "bc_load_bytes",
+                    "priv_load_bytes", "sibling_load_bytes", "served_bytes")
+_STATS_COUNTERS = tuple(f.name for f in fields(NodeStats))
+_CACHE_COUNTERS = ("sig_hits", "sig_misses", "plan_hits", "plan_misses",
+                   "nodes_simulated", "leaf_nodes")
+
+
+def _counter_fields(result: NodeResult, cache: CacheStats):
+    return ((result, _RESULT_COUNTERS), (result.stats, _STATS_COUNTERS),
+            (cache, _CACHE_COUNTERS))
+
+
+def _read_counters(result: NodeResult, cache: CacheStats) -> Tuple[int, ...]:
+    """Every integer counter a step of ``result``'s node adds to."""
+    return tuple(getattr(obj, name)
+                 for obj, names in _counter_fields(result, cache)
+                 for name in names)
+
+
+def _add_counters(result: NodeResult, cache: CacheStats,
+                  delta: Tuple[int, ...], times: int) -> None:
+    values = iter(delta)
+    for obj, names in _counter_fields(result, cache):
+        for name in names:
+            value = next(values)
+            if value:
+                setattr(obj, name, getattr(obj, name) + value * times)
 
 
 class FractalSimulator:
@@ -482,6 +554,14 @@ class FractalSimulator:
                 program_uids.add(r.tensor.uid)
         steps: List[Tuple[int, Instruction]] = []
         local_uids: Set[int] = set()
+        # source[i]: the first step that step i copies, moved by one region
+        # offset per tensor, together with the steps before it that the
+        # decoder still sees (the RAW window and the previous cycle's TTT
+        # records); -1 if none.  Steps with one source decode alike when
+        # the rest of the state they read is alike (docs/PERFORMANCE.md,
+        # "Simulating a periodic stream").
+        source: List[int] = []
+        window = DemotionDecoder.PIPELINE_WINDOW
         # A single-instruction program would schedule as one monolithic
         # LD -> EX -> WB with no overlap, so SD additionally chunks it into
         # ~4 steps (the three recycled segments exist precisely to keep that
@@ -498,7 +578,14 @@ class FractalSimulator:
                                         max(fp // 4, min_chunk, 1))
             else:
                 sd.capacity_bytes = memory.recycled_segment_bytes
-            for step in sd.decompose(inst):
+            seq = sd.decompose(inst)
+            base = len(steps)
+            source.extend([-1] * len(seq))
+            for start, end, first in getattr(seq, "copies", ()):
+                for k in range(base + start + window, base + end):
+                    j = k - start + first
+                    source[k] = j if source[j] < 0 else source[j]
+            for step in seq:
                 steps.append((orig_idx, step))
                 for r in step.inputs + step.outputs:
                     t = r.tensor
@@ -585,6 +672,28 @@ class FractalSimulator:
                            (spec.mem_bandwidth / 2) / _REDUCTION_BYTES_PER_OP)
         rc = ReductionController(lfu_rate, ffu_red_rate)
 
+        in_regions = bool(resident_regions or sibling_regions or broadcast_regions)
+
+        def placement(i: int, step: Instruction) -> Tuple:
+            """What a step's outcome reads of this node's absolute regions:
+            per operand, whether it lies in the resident, sibling and
+            broadcast regions, and per output whether its store would be
+            forwarded or deferred.  Moving a step does not carry these."""
+            if is_root:
+                return ()
+            flags: List[Tuple[bool, ...]] = []
+            if in_regions:
+                flags.extend((_key_contained(k, resident_regions),
+                              _key_contained(k, sibling_regions),
+                              _key_contained(k, broadcast_regions))
+                             for k in map(Region.key, step.inputs + step.outputs))
+            for region in step.outputs:
+                flags.append((region.tensor.uid in readers
+                              and store_forwardable(i, region),
+                              bool(deferred_stores)
+                              and _key_contained(region.key(), deferred_stores)))
+            return tuple(flags)
+
         result = NodeResult(level=level, total_time=0.0, startup_time=0.0,
                             load_bytes=0, store_bytes=0, work=0)
         stage_list: List[StageTimes] = []
@@ -592,9 +701,51 @@ class FractalSimulator:
         pending_commission: List[Instruction] = []
         seq_ctx = _SeqContext()
         node_plan_cache: Dict[Tuple, _PlanSummary] = {}
+        # A decoded step's outcome, by the state it read: its source (or
+        # itself) and what a copy does not carry -- the previous step's TTT
+        # records, the static view and the placement.  A later step in an
+        # equal state takes the outcome instead of being decoded.  Only a
+        # step past the warm-up that hits the plan-summary cache with
+        # nothing commissioned and leaves the static state alone records
+        # one.
+        reuse = _REUSE_OUTCOMES and max(source, default=-1) >= 0
+        outcomes: Dict[Tuple, _StepOutcome] = {}
+        records_of: List[Tuple] = [()] * len(steps)  # (position, is_output)
 
         for i, (orig_idx, step) in enumerate(steps):
+            j = source[i]
+            state = None
+            if reuse and not pending_commission and i >= _PLAN_WARMUP:
+                static = dd.static_view(step)
+                if static is not None:
+                    state = (i if j < 0 else j, records_of[i - 1], static,
+                             placement(i, step))
+                    done = outcomes.get(state)
+                    if done is not None:
+                        dd.skip(i, step, done.records)
+                        records_of[i] = done.carried
+                        stage = done.stage
+                        if done.stall is not None:
+                            stage = replace(stage, stall_on=i - done.stall)
+                        stage_list.append(stage)
+                        if done.child is not None:
+                            embeds.append((len(stage_list) - 1, done.child))
+                        if done.reduction is not None:
+                            pending_commission = list(done.reduction)
+                        done.uses += 1
+                        continue
+            sig = step.signature()
+            summary = None
+            if i >= _PLAN_WARMUP:
+                summary = node_plan_cache.get(sig)
+            if summary is None:
+                state = None
+            if state is not None:
+                before = _read_counters(result, self.cache_stats)
             decoded = dd.decode(i, step, owner=orig_idx)
+            if reuse:
+                written = dd.written(i, step)
+                records_of[i] = tuple((pos, out) for pos, out, _ in written)
             ld_time = wb_time = 0.0
             if not is_root:
                 # The root's operands already reside in root (global) memory;
@@ -635,10 +786,6 @@ class FractalSimulator:
             # after a warm-up window the residency/defer context has
             # stabilized, so structurally identical steps reuse one summary
             # instead of re-planning a 32-way split 65k times.
-            sig = step.signature()
-            summary = None
-            if i >= _PLAN_WARMUP:
-                summary = node_plan_cache.get(sig)
             if summary is None:
                 self.cache_stats.plan_misses += 1
                 summary = self._plan_step(level, plan_at(i), defer_at(i), seq_ctx)
@@ -698,6 +845,22 @@ class FractalSimulator:
             result.stats.elided_bytes += decoded.elided_bytes
             result.stats.streamed_bytes += decoded.streamed_bytes
             result.stats.raw_stalls += int(decoded.stall_on is not None)
+            if state is not None:
+                after = _read_counters(result, self.cache_stats)
+                outcomes[state] = _StepOutcome(
+                    stage=stage_list[-1],
+                    stall=None if decoded.stall_on is None else i - decoded.stall_on,
+                    child=step_child,
+                    records=written,
+                    carried=records_of[i],
+                    reduction=summary.reduction if pending_commission else None,
+                    delta=tuple(a - b for a, b in zip(after, before)))
+
+        # Steps that took an earlier outcome add its counters: all integers,
+        # so adding them in bulk gives the per-step sums exactly.
+        for done in outcomes.values():
+            if done.uses:
+                _add_counters(result, self.cache_stats, done.delta, done.uses)
 
         # Flush reductions commissioned by the final step.
         if pending_commission:
@@ -719,22 +882,25 @@ class FractalSimulator:
         busy["compute"] += sched.ffu_busy
         busy["lfu"] += sched.lfu_busy
         self._record_node_accounting(result, level, sched)
-        for stage_idx, child in embeds:
+        # Children merge in step order; a run of steps embedding one child
+        # adds its figures once per step, so each sum is the per-step one.
+        for child, stages in _runs((child, idx) for idx, child in embeds):
+            times = len(stages)
             for lv, b in child.per_level_busy.items():
                 acc = result.per_level_busy.setdefault(
                     lv, {"dma": 0.0, "compute": 0.0, "lfu": 0.0})
                 for k, v in b.items():
-                    acc[k] += v
+                    acc[k] = _add_repeated(acc[k], v, times)
             for lv, d in child.per_level_dma.items():
                 acc = result.per_level_dma.setdefault(
                     lv, {"load_bytes": 0.0, "store_bytes": 0.0, "busy_s": 0.0})
                 for k, v in d.items():
-                    acc[k] = acc.get(k, 0.0) + v
+                    acc[k] = _add_repeated(acc.get(k, 0.0), v, times)
             for lv, causes in child.per_level_idle.items():
                 acc = result.per_level_idle.setdefault(lv, {})
                 for k, v in causes.items():
-                    acc[k] = acc.get(k, 0.0) + v
-            result.stats.merge(child.stats)
+                    acc[k] = _add_repeated(acc.get(k, 0.0), v, times)
+            result.stats.merge(child.stats, times)
 
         # Critical-path stall taxonomy: this node's control/DMA/reduction
         # time is its own; EX time on the critical path is delegated to the
@@ -747,16 +913,18 @@ class FractalSimulator:
         for cat in ("control", "dma", "reduction", "idle"):
             own_attr[cat] += totals[cat]
         child_of_stage = dict(embeds)
-        for inst_idx, seconds in exec_path:
-            child = child_of_stage.get(inst_idx)
+        path = [(child_of_stage.get(inst_idx), seconds)
+                for inst_idx, seconds in exec_path]
+        for child, segments in _runs(path):
             if (child is not None and child.attribution
                     and child.total_time > 0.0):
                 merge_scaled(attr, child.attribution,
-                             seconds / child.total_time)
+                             [seconds / child.total_time for seconds in segments])
             else:
                 # Commission flushes and degenerate children count as this
                 # level's compute.
-                own_attr["compute"] += seconds
+                for seconds in segments:
+                    own_attr["compute"] += seconds
         result.attribution = attr
 
         if self.collect_profiles:
@@ -805,23 +973,23 @@ class FractalSimulator:
             groups: Dict[Tuple, List] = {}
             slot_keys: List[frozenset] = []
             for slot, part in enumerate(plan.parts):
+                operands = part.inputs + part.outputs
+                keys = [r.key() for r in operands]
+                n_in = len(part.inputs)
                 resident: Tuple[Region, ...] = ()
+                resident_keys: Set[Tuple] = set()
                 if self.machine.use_ttt:
                     recent = ctx.recent_for_slot(slot)
-                    resident = tuple(r for r in part.inputs + part.outputs
-                                     if r.key() in recent
-                                     and r.nbytes <= hold_bytes)
+                    resident = tuple(r for r, k in zip(operands, keys)
+                                     if k in recent and r.nbytes <= hold_bytes)
+                    resident_keys = {r.key() for r in resident}
                 deferred = defer_slots[slot] if slot < len(defer_slots) else ()
                 sibling = self._sibling_overlaps(plan.parts, slot,
                                                  shared_regions)
-                bc = tuple(_key_contained(r.key(), shared_regions)
-                           for r in part.inputs)
-                res = tuple(r.key() in {x.key() for x in resident}
-                            for r in part.inputs + part.outputs)
-                dfr = tuple(_key_contained(r.key(), deferred)
-                            for r in part.outputs)
-                sib = tuple(_key_contained(r.key(), sibling)
-                            for r in part.inputs)
+                bc = tuple(_key_contained(k, shared_regions) for k in keys[:n_in])
+                res = tuple(k in resident_keys for k in keys)
+                dfr = tuple(_key_contained(k, deferred) for k in keys[n_in:])
+                sib = tuple(_key_contained(k, sibling) for k in keys[:n_in])
                 gk = (part.signature(), bc, res, dfr, sib)
                 prev = groups.get(gk)
                 if prev is not None:
@@ -830,8 +998,7 @@ class FractalSimulator:
                     groups[gk] = [part, 1, resident, deferred, sibling]
                 # Outputs count as resident too: the next chain step reads
                 # its own running sum, and pipeline forwarding reuses results.
-                slot_keys.append(frozenset(
-                    r.key() for r in part.inputs + part.outputs))
+                slot_keys.append(frozenset(keys))
             max_bc = 0
             for part, count, resident, deferred, sibling in groups.values():
                 child = self._simulate_child(level + 1, part, shared_regions,

@@ -156,6 +156,80 @@ class TestDemotionDecoder:
         assert base.outputs[0].key() in keys
 
 
+def _skip_stream():
+    """Steps that hit the TTT on the previous step's operand and output,
+    stall on a slice of a recent output, and run an accumulation chain
+    that opens, stays open and closes."""
+    a, w = Tensor("a", (64,)), Tensor("w", (4,))
+    o, p, r = Tensor("o", (64,)), Tensor("p", (64,)), Tensor("r", (64,))
+    steps = []
+    for k in range(1, 14):
+        lo = 4 * k
+        steps.append(Instruction(Opcode.ADD1D, (a[lo:lo + 4], w.region()),
+                                 (o[lo:lo + 4],)))
+        steps.append(Instruction(Opcode.MUL1D, (w.region(), o[lo:lo + 4]),
+                                 (p[lo:lo + 4],)))
+        steps.append(Instruction(Opcode.ACT1D, (o[lo - 2:lo + 2],),
+                                 (r[lo - 2:lo + 2],), {"func": "relu"}))
+        if k == 5:
+            base = matmul_inst(4, 16, 4, names=("x", "y", "z"))
+            (x, y), out = base.inputs, base.outputs[0]
+            for i in range(4):
+                attrs = {"accumulate": i > 0, "acc_local_out": i < 3,
+                         "acc_chain": 3}
+                steps.append(Instruction(Opcode.MATMUL,
+                                         (x[:, 4 * i:4 * i + 4], y[4 * i:4 * i + 4, :]),
+                                         (out,), attrs))
+    return steps
+
+
+class TestSkippedSteps:
+    """A decoder that skips steps, given the TTT records their decode
+    wrote, decodes every other step as a decoder that decoded all of them:
+    the same transfers, hits, stall and records, TTT offsets included."""
+
+    @pytest.mark.parametrize("with_ttt", [True, False])
+    def test_decodes_after_skips_equal_decoding_every_step(self, with_ttt):
+        steps = _skip_stream()
+        every, _, every_ttt = make_dd(with_ttt=with_ttt)
+        skipping, _, skipping_ttt = make_dd(with_ttt=with_ttt)
+        after_skip = {"hits": 0, "stalls": 0}
+        was_skipped = False
+        for i, step in enumerate(steps):
+            static = skipping.static_view(step)
+            assert static == every.static_view(step)
+            want = every.decode(i, step, owner=0)
+            records = every.written(i, step)
+            if i % 4 in (1, 2) and static is not None:
+                skipping.skip(i, step, records)
+                was_skipped = True
+                continue
+            assert skipping.decode(i, step, owner=0) == want
+            assert skipping.written(i, step) == records
+            if with_ttt:
+                # both banks: this cycle's records and the skipped step's
+                assert skipping_ttt._banks == every_ttt._banks
+            if was_skipped:
+                after_skip["hits"] += want.ttt_hits > 0
+                after_skip["stalls"] += want.stall_on is not None
+            was_skipped = False
+        # Decodes right after a skip hit the skipped step's records and
+        # stall on its output.
+        assert after_skip["stalls"] > 0
+        assert (after_skip["hits"] > 0) == with_ttt
+
+    def test_static_view_marks_chain_state(self):
+        """Opening and closing a chain change static state, so those steps
+        have no view; a step inside the chain reads its running sum."""
+        chain = [s for s in _skip_stream() if s.opcode is Opcode.MATMUL]
+        dd, _, _ = make_dd()
+        views = []
+        for i, step in enumerate(chain):
+            views.append(dd.static_view(step))
+            dd.decode(i, step, owner=0)
+        assert views == [None, (None, None, "acc"), (None, None, "acc"), None]
+
+
 class TestParallelDecomposer:
     def test_shared_operands_detected(self):
         split = decompose_parallel(matmul_inst(8, 8, 8), 4)

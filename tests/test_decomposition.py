@@ -590,3 +590,73 @@ def test_sort_decomposition_correct(size):
     inst = sort_inst(size)
     arrays = {inst.inputs[0]: rng.normal(size=(size,))}
     assert_fractal_matches(inst, arrays)
+
+
+def _best_rewriting_every_candidate(inst):
+    """best_shrink_split scoring as it did by rewriting every Add-reduction
+    candidate (each rewrite draws a chain id); the winner must not move."""
+    best = best_score = None
+    current = footprint(inst)
+    for order, rule in enumerate(rules_for(inst.opcode)):
+        if rule.extent(inst) < 2:
+            continue
+        split = sequentialize_add_reduction(rule.apply(inst, 2), inst)
+        fp = max(footprint(p) for p in split.parts)
+        if fp >= current:
+            continue
+        score = (fp, 1 if split.reduction else 0, order)
+        if best_score is None or score < best_score:
+            best, best_score = split, score
+    return best
+
+
+def _split_shape(split, inst):
+    """A split up to its partials' identities and chain ids."""
+    if split is None:
+        return None
+    own = {r.tensor.uid for r in inst.inputs + inst.outputs}
+    return [(i.opcode, sorted((k, v) for k, v in i.attrs.items() if k != "acc_chain"),
+             "acc_chain" in i.attrs,
+             [(r.tensor.uid if r.tensor.uid in own else r.tensor.shape, r.bounds)
+              for r in i.inputs + i.outputs])
+            for i in split.parts + split.reduction]
+
+
+class TestChainIdsOfKeptSplits:
+    """best_shrink_split scores an Add-reduction candidate as it would be
+    rewritten, and rewrites only the winner: a losing candidate draws no
+    accumulation-chain id."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(inst=sd_roots())
+    def test_winner_unchanged(self, inst):
+        want = _best_rewriting_every_candidate(inst)
+        start = base._chain_counter.value
+        got = best_shrink_split(inst)
+        assert _split_shape(got, inst) == _split_shape(want, inst)
+        kept_chain = (got is not None and got.parts[0].attrs.get("acc_chain")
+                      != inst.attrs.get("acc_chain"))
+        assert base._chain_counter.value - start == int(kept_chain)
+
+    def test_losing_add_candidate_draws_no_id(self):
+        """A K split makes progress on this MatMul but loses to M and N."""
+        inst = matmul_inst(64, 16, 64)
+        k_split = {r.name: r for r in rules_for(Opcode.MATMUL)}["Left, Vertical (K)"]
+        assert max(map(footprint, k_split.apply(inst, 2).parts)) < footprint(inst)
+        start = base._chain_counter.value
+        split = best_shrink_split(inst)
+        assert "acc_chain" not in split.parts[0].attrs
+        assert base._chain_counter.value == start
+
+    def test_vgg16_f1_compile_draws_only_kept_ids(self):
+        """Compiling VGG-16 on F1 keeps two K splits, one per fc layer
+        that outgrows the root's memory, and draws their two ids; scoring
+        every candidate by rewriting it drew seven."""
+        from repro import cambricon_f1
+        from repro.plan import compile_program
+        from repro.workloads import profile_benchmark
+
+        program = profile_benchmark("VGG-16").program
+        start = base._chain_counter.value
+        compile_program(cambricon_f1(), program)
+        assert base._chain_counter.value - start == 2

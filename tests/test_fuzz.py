@@ -28,7 +28,7 @@ from repro.analysis.signatures import external_tensors
 from repro.core.executor import WalkStats, run_reference
 from repro.core.verify import bit_identical
 from repro.frontend import decode_program, encode_program
-from repro.plan import DiskPlanCache, compile_program, plan_key
+from repro.plan import DiskPlanCache, PlanStep, compile_program, plan_key
 from repro.sim import FractalSimulator
 
 # -- strategies -----------------------------------------------------------------
@@ -219,6 +219,9 @@ def test_fuzz_cold_run_and_compile_walk_alike(case, seed):
     plan = compile_program(machine, program)
     assert ([(kind, level) for kind, level, _ in cold.received]
             == [(step.kind, step.level) for step in plan.steps])
+    # re-emitted steps carry their source's fields: the same ones
+    assert plan.steps == [PlanStep.from_instruction(s.kind, s.inst, s.level)
+                          for s in plan.steps]
     assert (program_signature([inst for _, _, inst in cold.received])
             == program_signature([step.inst for step in plan.steps]))
     for f in dataclasses.fields(WalkStats):

@@ -43,6 +43,7 @@ from repro.plan import (
     DiskPlanCache,
     PlanCache,
     PlanFormatError,
+    PlanStep,
     compile_cached,
     compile_program,
     machine_fingerprint,
@@ -241,6 +242,10 @@ def assert_compile_equals_walk(machine, program, monkeypatch):
                       [inst for _, inst, _ in want], middle - start)
     for f in dataclasses.fields(WalkStats):
         assert getattr(plan.stats, f.name) == getattr(want_stats, f.name), f.name
+    # A re-emitted step takes its source's run_attrs, write-back mode and
+    # zero-copy flag; they are the ones its own instruction gives.
+    for step in plan.steps:
+        assert step == PlanStep.from_instruction(step.kind, step.inst, step.level)
     return walked, calls[0]
 
 

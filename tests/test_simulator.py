@@ -1,19 +1,22 @@
 """Timing-simulator tests: physical invariants, optimization ablation
 directions, caching consistency, report bookkeeping, and exactness under
-templated sequential decomposition."""
+templated sequential decomposition and reused step outcomes."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (Instruction, Opcode, Tensor, cambricon_f1, cambricon_f100,
                    custom_machine)
 from repro.core.controller import sequential
+from repro.core.controller.demotion import DemotionDecoder
 from repro.core.decomposition import base, shrink_sequential
 from repro.core.machine import GB, KB, MB
-from repro.sim import FractalSimulator
-from repro.workloads import paper_benchmark
+from repro.sim import FractalSimulator, simulator
+from repro.workloads import PAPER_BENCHMARKS, paper_benchmark
 
 from conftest import tiny_machine
 from test_decomposition import shrink_oracle
+from test_fuzz import chained_program, random_instruction
 
 
 def matmul_inst(m, k, n):
@@ -388,3 +391,213 @@ class TestChainCounterStart:
             for name in TestTemplatedSDExactness.FIELDS:
                 assert getattr(got, name) == getattr(want, name), name
             assert got_cache == want_cache
+
+
+# -- reused step outcomes: exact in every figure ----------------------------------
+
+def _simulate_steps(machine, program, reuse, collect_profiles=False):
+    """Simulate ``program``; ``reuse=False`` runs every step through the
+    per-step loop (decode, stage accounting), the oracle."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulator, "_REUSE_OUTCOMES", reuse)
+        sim = FractalSimulator(machine, collect_profiles=collect_profiles)
+        return sim.simulate(program), sim.cache_stats
+
+
+def _assert_equals_oracle(machine, program, collect_profiles=False):
+    want, want_cache = _simulate_steps(machine, program, False, collect_profiles)
+    got, got_cache = _simulate_steps(machine, program, True, collect_profiles)
+    for name in TestTemplatedSDExactness.FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got_cache == want_cache
+    return got, want
+
+
+def _paper_matmul_f1(**flags):
+    machine = cambricon_f1()
+    return (machine.with_features(**flags) if flags else machine,
+            paper_benchmark("MATMUL").program)
+
+
+#: machines whose memories are small against the fuzz's programs, so SD
+#: emits long streams of re-emitted steps: about a third of the examples
+#: take reused outcomes, open and spilled chains among them
+small_machines = st.builds(
+    lambda fanouts, mem_exp: custom_machine(
+        "small",
+        list(fanouts),
+        [1 << (mem_exp - i) for i in range(len(fanouts) + 1)],
+        [1e8] * (len(fanouts) + 1),
+        core_peak_ops=1e11,
+    ),
+    fanouts=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    mem_exp=st.integers(8, 10),
+)
+
+
+class TestReusedOutcomes:
+    """A step SD re-emitted from a template takes its source's outcome
+    once the state it reads recurs, instead of being decoded; every report
+    field and cache counter equals the per-step loop's."""
+
+    @pytest.mark.parametrize("machine", ["f1", "f100"])
+    @pytest.mark.parametrize("program", sorted(PAPER_BENCHMARKS))
+    def test_table5_pair_equals_oracle(self, program, machine):
+        make = {"f1": cambricon_f1, "f100": cambricon_f100}[machine]
+        _assert_equals_oracle(make(), paper_benchmark(program).program)
+
+    @pytest.mark.parametrize("flags", [{"use_ttt": False},
+                                       {"use_broadcast": False},
+                                       {"use_concatenation": False},
+                                       {"use_sibling_links": True}],
+                             ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
+    def test_matmul_f1_features_equal_oracle(self, flags):
+        _assert_equals_oracle(*_paper_matmul_f1(**flags))
+
+    def test_matmul_f1_profiles_equal_oracle(self):
+        got, want = _assert_equals_oracle(*_paper_matmul_f1(),
+                                          collect_profiles=True)
+        assert got.root.child_embeds
+        assert got.root.own_segments == want.root.own_segments
+        assert got.root.child_embeds == want.root.child_embeds
+
+    def test_matmul_f1_decodes_a_tenth(self, monkeypatch):
+        """Each FMP node decodes its steps that open or close a chain and
+        the first few of each copy; the per-step loop decodes all 65,544."""
+        calls = []
+        decode = DemotionDecoder.decode
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return decode(self, *args, **kwargs)
+
+        monkeypatch.setattr(DemotionDecoder, "decode", counting)
+        machine, program = _paper_matmul_f1()
+        FractalSimulator(machine, collect_profiles=False).simulate(program)
+        assert len(calls) <= 6554
+
+    def test_copies_of_a_multi_instruction_program(self):
+        """A MatMul that SD copies many times, in a program whose other
+        steps sit in the decoder's window: a copy's first steps follow
+        steps their source's did not, so they must not take its outcome
+        (found by the hypothesis test below; reusing from a copy's first
+        step changes total_time, busy time, attribution and stats)."""
+        machine = custom_machine("small", [2, 4], [512, 256, 128], [1e8] * 3,
+                                 core_peak_ops=1e11)
+        x, w, y = Tensor("x", (36, 67)), Tensor("w", (67, 36)), Tensor("y", (36, 36))
+        v, e = Tensor("v", (72,)), Tensor("e", (72,))
+        relu = Instruction(Opcode.ACT1D, (v.region(),), (v.region(),),
+                           {"func": "relu"})
+        program = [Instruction(Opcode.MATMUL, (x.region(), w.region()), (y.region(),)),
+                   relu, relu,
+                   Instruction(Opcode.ADD1D, (v.region(), v.region()), (e.region(),))]
+        _assert_equals_oracle(machine, program)
+
+    # SD replaced by a stream of ``runs`` runs of ``back`` steps, each run
+    # declared a copy of the one before it (they are: one offset per
+    # tensor).  ``step(k)`` builds step k.
+
+    @staticmethod
+    def _declared_stream(monkeypatch, step, back=33, runs=10, tail=(),
+                         below=None):
+        """Install the stream, then the steps ``tail``, for SD calls with
+        capacity below ``below`` (all calls if None); returns the list
+        each skipped step appends to."""
+        steps = base.SequentialSteps()
+        steps.extend(step(k) for k in range(back * runs))
+        steps.extend(tail)
+        steps.copies.extend((r * back, (r + 1) * back, (r - 1) * back)
+                            for r in range(1, runs))
+        real = sequential.shrink_sequential
+        monkeypatch.setattr(
+            sequential, "shrink_sequential",
+            lambda inst, cap: steps if below is None or cap < below else real(inst, cap))
+        skips = []
+        skip = DemotionDecoder.skip
+        monkeypatch.setattr(DemotionDecoder, "skip",
+                            lambda dd, *args: skips.append(1) or skip(dd, *args))
+        return skips
+
+    def test_previous_steps_records_decide_hits(self, monkeypatch):
+        """Every step re-reads one slice of ``b``, which the TTT then holds
+        on every other step; a copy whose source sits an odd number of
+        steps back hits where its source missed.  Only the previous
+        step's records tell the two apart."""
+        n = 330
+        a, b, o = (Tensor(name, (4 * n,)) for name in "abo")
+        skips = self._declared_stream(monkeypatch, lambda k: Instruction(
+            Opcode.ADD1D, (a[4 * k:4 * k + 4], b[0:4]), (o[4 * k:4 * k + 4],)))
+        program = [Instruction(Opcode.ADD1D, (a.region(), b.region()), (o.region(),))]
+        got, _ = _assert_equals_oracle(tiny_machine(), program)
+        assert got.stats.ttt_hits >= n // 2 - 1
+        assert len(skips) > n // 2
+
+    def test_stall_offsets_move_with_the_step(self, monkeypatch):
+        """Each step reads a slice overlapping the previous step's output,
+        which the TTT cannot forward: every step stalls on the one before,
+        and a step taking an earlier outcome stalls on its own
+        predecessor."""
+        n, w = 330, 1024  # a 2 KB write-back outlasts the next decode
+        a, o = Tensor("a", (w * n,)), Tensor("o", (w * n + w // 2,))
+        skips = self._declared_stream(monkeypatch, lambda k: Instruction(
+            Opcode.ADD1D, (a[w * k:w * k + w], o[w * k:w * k + w]),
+            (o[w * k + w // 2:w * k + w + w // 2],)))
+        program = [Instruction(Opcode.ADD1D, (a.region(), o[0:w * n]),
+                               (o[w // 2:w * n + w // 2],))]
+        got, _ = _assert_equals_oracle(tiny_machine(), program)
+        assert got.stats.raw_stalls >= n - 1
+        assert got.per_level_idle[1]["dma_ld.raw_stall"] > 0
+        assert len(skips) > n // 2
+
+    def test_spilled_chains_read_apart(self, monkeypatch):
+        """Chains of three steps whose running sums are too large for two
+        to share the static segment: a chain spills when the other end
+        is taken, and copies one run apart hold chains of the other
+        parity, so a step inside a chain must not take the outcome of its
+        source when one sum is resident and the other spilled."""
+        elems, chains = 5120, 110  # 10 KB sums; 16 KB static segment
+        x, y = Tensor("x", (elems * chains,)), Tensor("y", (elems * chains,))
+        o = Tensor("o", (elems * chains,))
+
+        def step(k):
+            c, part = divmod(k, 3)
+            span = slice(elems * c, elems * (c + 1))
+            attrs = {"accumulate": part > 0, "acc_local_out": part < 2,
+                     "acc_chain": c}
+            return Instruction(Opcode.ADD1D, (x[span], y[span]), (o[span],), attrs)
+
+        skips = self._declared_stream(monkeypatch, step)
+        program = [Instruction(Opcode.ADD1D, (x.region(), y.region()), (o.region(),))]
+        got, _ = _assert_equals_oracle(tiny_machine(), program)
+        assert got.stats.streamed_bytes > 0
+        assert len(skips) > 0
+
+    def test_store_forwarding_is_checked_per_step(self, monkeypatch):
+        """Below the root, where steps write back: one step after the
+        copies reads the last copy's output, so that store is forwarded,
+        while the store its source made was not.  The stream runs in the
+        level-1 node (the root keeps the instruction whole: fan-out 1)."""
+        n = 330
+        a, o = Tensor("a", (4 * n,)), Tensor("o", (4 * n,))
+        r = Tensor("r", (4,))
+        reader = Instruction(Opcode.ACT1D, (o[4 * n - 4:4 * n],), (r.region(),),
+                             {"func": "relu"})
+        skips = self._declared_stream(
+            monkeypatch,
+            lambda k: Instruction(Opcode.ADD1D, (a[4 * k:4 * k + 4], a[4 * k:4 * k + 4]),
+                                  (o[4 * k:4 * k + 4],)),
+            tail=[reader], below=64 * KB)
+        machine = custom_machine("deep", [1, 2], [1 * MB, 32 * KB, 4 * KB],
+                                 [1e9] * 3)
+        program = [Instruction(Opcode.ADD1D, (a.region(), a.region()), (o.region(),))]
+        got, _ = _assert_equals_oracle(machine, program)
+        assert got.stats.forwarded_stores >= 1
+        assert len(skips) > n // 2
+
+    @settings(deadline=None, max_examples=25)
+    @given(case=st.one_of(
+        st.tuples(small_machines,
+                  st.lists(random_instruction(), min_size=1, max_size=3)),
+        small_machines.flatmap(lambda m: st.tuples(st.just(m), chained_program(m)))))
+    def test_small_machines_equal_oracle(self, case):
+        _assert_equals_oracle(*case)

@@ -180,3 +180,39 @@ def test_split_halo_stays_in_bounds(extent, parts, halo):
     for chunk in r.split_dim_halo(0, parts, halo, halo):
         lo, hi = chunk.bounds[0]
         assert 0 <= lo < hi <= extent
+
+
+@st.composite
+def sub_regions(draw):
+    """A random sub-region of a random tensor of rank 1 to 4."""
+    shape = tuple(draw(st.lists(dims, min_size=1, max_size=4)))
+    bounds = []
+    for extent in shape:
+        lo = draw(st.integers(0, extent - 1))
+        bounds.append((lo, draw(st.integers(lo + 1, extent))))
+    return Region(Tensor("s", shape), tuple(bounds))
+
+
+@given(region=sub_regions(), data=st.data())
+def test_unchecked_slices_equal_checked_regions(region, data):
+    """slice_dim and split_dim_halo build their results without the
+    constructor's check; every result is a region the checking
+    constructor accepts with the same bounds, and a slice out of range
+    still raises."""
+    dim = data.draw(st.integers(0, region.ndim - 1))
+    extent = region.shape[dim]
+    start = data.draw(st.integers(0, extent - 1))
+    stop = data.draw(st.integers(start + 1, extent))
+    parts = data.draw(st.integers(1, 4))
+    halo = data.draw(st.integers(0, 3))
+    results = [region.slice_dim(dim, start, stop),
+               *region.split_dim(dim, parts),
+               *region.split_dim_halo(dim, parts, halo, halo)]
+    for sub in results:
+        assert sub.bounds == Region(region.tensor, sub.bounds).bounds
+        assert region.contains(sub)
+    bad_start = data.draw(st.integers(-3, extent + 3))
+    bad_stop = data.draw(st.integers(-3, extent + 3))
+    if not 0 <= bad_start < bad_stop <= extent:
+        with pytest.raises(ValueError):
+            region.slice_dim(dim, bad_start, bad_stop)
