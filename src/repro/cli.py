@@ -1129,12 +1129,13 @@ def cmd_compile(args) -> int:
     Prints the plan's compile-time statistics (steps, kernel/LFU calls,
     bytes moved) and the cache keys it is stored under.  With ``--verify``
     the plan's steps and stats must equal a walk of the program without
-    the compile's memo (:func:`_walk_mismatch`); then recursion, schedule
-    replay, the plan reloaded through a fresh disk cache and a compiled
-    ``InferenceSession`` (called first on other inputs) run on the same
-    random inputs, and all three replays must match recursion bit for
-    bit.  Exit codes: **0** ok, **1** a ``--verify`` mismatch, **2**
-    unknown benchmark.
+    the compile's memo (:func:`_walk_mismatch`), and the plan reloaded
+    through a fresh disk cache must equal the compiled one the same way,
+    zero-copy flags included; then recursion, schedule replay, the
+    reloaded plan and a compiled ``InferenceSession`` (called first on
+    other inputs) run on the same random inputs, and all three replays
+    must match recursion bit for bit.  Exit codes: **0** ok, **1** a
+    ``--verify`` mismatch, **2** unknown benchmark.
     """
     import tempfile
 
@@ -1197,6 +1198,16 @@ def cmd_compile(args) -> int:
         print("compile: --verify FAILED: the plan did not survive the disk "
               "round trip", file=sys.stderr)
         return 1
+    mismatch = _steps_mismatch(
+        loaded, [(s.kind, s.level) for s in plan.steps],
+        [s.inst for s in plan.steps], plan.stats, "the compiled plan's")
+    if mismatch is None and ([s.safe_zero_copy for s in loaded.steps]
+                             != [s.safe_zero_copy for s in plan.steps]):
+        mismatch = "zero-copy flags differ from the compiled plan's"
+    if mismatch is not None:
+        print(f"compile: --verify FAILED: the reloaded plan's {mismatch}",
+              file=sys.stderr)
+        return 1
     rng = np.random.default_rng(args.seed)
     bound = list(w.inputs.values()) + list(w.params.values())
     arrays = {t.uid: rng.normal(size=t.shape) for t in bound}
@@ -1228,7 +1239,8 @@ def cmd_compile(args) -> int:
                 return 1
     schedule = plan.replay_schedule()
     print(f"  verify              steps and stats equal the walk without "
-          f"a memo; recursion, schedule replay, the disk round trip and a "
+          f"a memo, and the reloaded plan's equal the plan's own; "
+          f"recursion, schedule replay, the disk round trip and a "
           f"bound session's second call bit-identical "
           f"({len(results[0])} output(s), "
           f"{schedule.batched_steps} batched step(s))")
@@ -1237,12 +1249,7 @@ def cmd_compile(args) -> int:
 
 def _walk_mismatch(machine, program, plan):
     """How ``plan`` differs from a walk of ``program`` with a recording
-    sink and no memo, or ``None``: kinds and levels step for step, the
-    steps' :func:`~repro.analysis.program_signature`, chain ids one to one
-    in order, and ``plan.stats`` field by field."""
-    from dataclasses import fields
-
-    from .analysis import program_signature
+    sink and no memo, or ``None`` (:func:`_steps_mismatch`)."""
     from .core.executor import WalkStats, walk
 
     stats, places, insts = WalkStats(), [], []
@@ -1253,21 +1260,34 @@ def _walk_mismatch(machine, program, plan):
 
     for inst in program:
         walk(inst, 0, machine, stats, record)
+    return _steps_mismatch(plan, places, insts, stats, "the walk's")
+
+
+def _steps_mismatch(plan, places, insts, stats, whose):
+    """How ``plan`` differs from ``(kind, level)`` ``places``, ``insts``
+    and ``stats``, or ``None``: kinds and levels step for step, the steps'
+    :func:`~repro.analysis.program_signature`, chain ids one to one in
+    order, and ``plan.stats``' walk counters field by field."""
+    from dataclasses import fields
+
+    from .analysis import program_signature
+    from .core.executor import WalkStats
+
     if [(s.kind, s.level) for s in plan.steps] != places:
-        return "step kinds or levels differ from the walk's"
+        return f"step kinds or levels differ from {whose}"
     if program_signature([s.inst for s in plan.steps]) != \
             program_signature(insts):
-        return "steps differ from the walk's"
+        return f"steps differ from {whose}"
     chains = {}
     for step, inst in zip(plan.steps, insts):
         got, want = step.inst.attrs.get("acc_chain"), inst.attrs.get("acc_chain")
         if chains.setdefault(got, want) != want:
-            return "chain ids are not one to one with the walk's"
+            return f"chain ids are not one to one with {whose}"
     if len(set(chains.values())) != len(chains):
-        return "chain ids are not one to one with the walk's"
+        return f"chain ids are not one to one with {whose}"
     for f in fields(WalkStats):
         if getattr(plan.stats, f.name) != getattr(stats, f.name):
-            return f"plan.stats.{f.name} differs from the walk's"
+            return f"plan.stats.{f.name} differs from {whose}"
     return None
 
 
@@ -1309,6 +1329,7 @@ def cmd_plan_lint(args) -> int:
     import json
 
     from .analysis import diagnostics_document
+    from .core.gcpause import gc_paused
     from .plan import (PlanFormatError, analyze_plan, compile_cached,
                        plan_from_doc, verify_plan)
 
@@ -1325,11 +1346,14 @@ def cmd_plan_lint(args) -> int:
             if not isinstance(doc, dict):
                 raise PlanFormatError(
                     f"plan document is {type(doc).__name__}, expected object")
-            plan = plan_from_doc(doc, _plan_externals_from_doc(doc))
-            # Stored products must match a fresh analysis of the stored
-            # steps -- a mismatch means the file was tampered with or
-            # written by an incompatible analyzer: corrupt, exit 2.
-            analysis = verify_plan(plan)
+            # Rebuilt and re-verified as a disk-cache load does: with the
+            # cyclic collector paused.  Stored products must match a
+            # fresh analysis of the rebuilt steps -- a mismatch means the
+            # file was tampered with or written by an incompatible
+            # analyzer: corrupt, exit 2.
+            with gc_paused():
+                plan = plan_from_doc(doc, _plan_externals_from_doc(doc))
+                analysis = verify_plan(plan)
         except (PlanFormatError, ValueError, KeyError, TypeError) as err:
             print(f"plan-lint: corrupt plan {target}: {err}", file=sys.stderr)
             return 2

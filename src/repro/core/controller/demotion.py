@@ -118,10 +118,6 @@ class DemotionDecoder:
         #: and its TTT records as :meth:`written` gives them
         self._skipped: Optional[Tuple[int, Instruction,
                                       Tuple[Tuple[int, bool, int], ...]]] = None
-        self.decoded_count = 0
-        self.total_elided_bytes = 0
-        self.total_streamed_bytes = 0
-        self.stall_count = 0
 
     def mark_local(self, uid: int) -> None:
         """Register a tensor as node-local (an SD-created partial)."""
@@ -171,11 +167,6 @@ class DemotionDecoder:
                                     owner if owner is not None else index)
 
         self._push_window(index, inst.outputs)
-        self.decoded_count += 1
-        self.total_elided_bytes += decoded.elided_bytes
-        self.total_streamed_bytes += decoded.streamed_bytes
-        if decoded.stall_on is not None:
-            self.stall_count += 1
         return decoded
 
     # -- steps decoded elsewhere ---------------------------------------------------

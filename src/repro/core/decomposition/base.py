@@ -462,14 +462,66 @@ def _reemit(first: Instruction, steps: Sequence[Instruction],
     a validated region shifted inside a validated operand, or a validated
     region of a same-shape fresh partial.
     """
-    # tensor uid -> (the tensor its regions move to, their shift or None)
     moves: Dict[int, Tuple[Tensor, Optional[Tuple[int, ...]]]] = {}
-    for old, new in zip(first.inputs + first.outputs, inst.inputs + inst.outputs):
-        shift = tuple([n - o for (n, _), (o, _) in zip(new.bounds, old.bounds)])
-        moves[old.tensor.uid] = (new.tensor, shift if any(shift) else None)
-    offset = _chain_counter.value - drawn.start
+    for old, new, shift in _operand_moves(first, inst):
+        moves[old.uid] = (new, shift if any(shift) else None)
+    chains = _chain_renames(first, inst, drawn)
     _chain_counter.value += len(drawn)
-    moved: Dict[int, Region] = {}  # id(template region) -> its twin
+    return _translate(steps, moves, chains)
+
+
+def _operand_moves(first: Instruction, inst: Instruction
+                   ) -> Tuple[Tuple[Tensor, Tensor, Tuple[int, ...]], ...]:
+    """``(tensor of first, tensor of inst, shift)`` per operand tensor of
+    ``first``, in operand order: two instructions with one
+    :func:`_template_key` place each tensor's operands at one shift."""
+    moves: Dict[int, Tuple[Tensor, Tensor, Tuple[int, ...]]] = {}
+    for old, new in zip(first.inputs + first.outputs, inst.inputs + inst.outputs):
+        moves[old.tensor.uid] = (old.tensor, new.tensor, tuple([
+            n - o for (n, _), (o, _) in zip(new.bounds, old.bounds)]))
+    return tuple(moves.values())
+
+
+def _chain_renames(first: Instruction, inst: Instruction,
+                   drawn: range) -> Tuple[Tuple[int, int, int], ...]:
+    """The chain ids :func:`_reemit` renames, as ``(lo, hi, delta)``: an id
+    in ``[lo, hi)`` becomes ``id + delta``.  ``first``'s drawn ids move to
+    the ids the copy draws next, and ``first``'s own id becomes
+    ``inst``'s.  Called before the copy draws its ids."""
+    renames = []
+    if drawn:
+        renames.append((drawn.start, drawn.stop,
+                        _chain_counter.value - drawn.start))
+    if "acc_chain" in first.attrs:
+        chain = first.attrs["acc_chain"]
+        renames.append((chain, chain + 1, inst.attrs["acc_chain"] - chain))
+    return tuple(renames)
+
+
+def _translate(steps: Sequence[Instruction],
+               moves: Dict[int, Tuple[Tensor, Optional[Tuple[int, ...]]]],
+               chains: Sequence[Tuple[int, int, int]],
+               region: Callable[[Tensor, Tuple], Region] = Region.unchecked,
+               fresh: Optional[List[Tensor]] = None) -> List[Instruction]:
+    """``steps`` with every region moved and every chain id renamed.
+
+    A region of a tensor in ``moves`` (uid -> the tensor it moves to and
+    the shift, or None for none) moves there; any other tensor gets a
+    fresh same-shape partial twin, added to ``moves`` and appended to
+    ``fresh`` in the order they are made.  Moved regions are built with
+    ``region``; a twin's regions keep their validated bounds.  A chain id
+    in ``[lo, hi)`` of an interval of ``chains`` becomes ``id + delta``
+    (:func:`_chain_renames`); any other raises :class:`ValueError`.  Each
+    copy shares its step's signature object.
+    """
+
+    def rename(chain: int) -> int:
+        for lo, hi, delta in chains:
+            if lo <= chain < hi:
+                return chain + delta
+        raise ValueError(f"unknown chain id {chain}")
+
+    moved: Dict[int, Region] = {}  # id(source region) -> its twin
 
     def move(r: Region) -> Region:
         twin = moved.get(id(r))
@@ -478,14 +530,23 @@ def _reemit(first: Instruction, steps: Sequence[Instruction],
         t = r.tensor
         target = moves.get(t.uid)
         if target is None:
-            fresh = make_partial(t.shape, t.dtype, t.name[1:].rstrip("0123456789"))
-            target = moves[t.uid] = (fresh, None)
-        tensor, shift = target
-        if shift is None:
-            twin = r if tensor is t else Region.unchecked(tensor, r.bounds)
+            twin_tensor = make_partial(t.shape, t.dtype,
+                                       t.name[1:].rstrip("0123456789"))
+            if fresh is not None:
+                fresh.append(twin_tensor)
+            twin = Region.unchecked(twin_tensor, r.bounds)
+            moves[t.uid] = (twin_tensor, None)
         else:
-            twin = Region.unchecked(tensor, tuple([
-                (lo + s, hi + s) for (lo, hi), s in zip(r.bounds, shift)]))
+            tensor, shift = target
+            if shift is not None:
+                twin = region(tensor, tuple([
+                    (lo + s, hi + s) for (lo, hi), s in zip(r.bounds, shift)]))
+            elif tensor is t:
+                twin = r
+            elif tensor.shape == t.shape:
+                twin = Region.unchecked(tensor, r.bounds)
+            else:
+                twin = region(tensor, r.bounds)
         moved[id(r)] = twin
         return twin
 
@@ -494,9 +555,7 @@ def _reemit(first: Instruction, steps: Sequence[Instruction],
         attrs = step.attrs
         if "acc_chain" in attrs:
             attrs = dict(attrs)
-            chain = attrs["acc_chain"]
-            attrs["acc_chain"] = (chain + offset if chain in drawn
-                                  else inst.attrs["acc_chain"])
+            attrs["acc_chain"] = rename(attrs["acc_chain"])
         twin = Instruction(step.opcode, tuple(map(move, step.inputs)),
                            tuple(map(move, step.outputs)), attrs, step.loc)
         object.__setattr__(twin, "_sig", step.signature())

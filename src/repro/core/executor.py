@@ -32,7 +32,8 @@ import numpy as np
 from .. import obs, ops, telemetry
 from ..obs import prof as _prof
 from .decomposition import decompose_parallel, shrink_sequential
-from .decomposition.base import _chain_counter, _reemit, _template_key
+from .decomposition.base import (_chain_counter, _chain_renames,
+                                 _operand_moves, _reemit, _template_key)
 from .isa import Instruction
 from .machine import Machine
 from .store import TensorStore
@@ -148,11 +149,17 @@ class WalkMemo:
     ``record`` is the walk's sink, and ``kinds``, ``insts`` and ``levels``
     are the emission list, one entry per step; ``sources`` gives, per step,
     the index of the walked step it re-emits (its own index if walked).
+    ``spans`` lists each re-emission as ``(at, start, end, moves,
+    chains)``: steps ``[at, at + end - start)`` are steps ``[start, end)``
+    with each operand tensor of the template moved as ``moves`` says
+    (``(tensor, its twin, shift)``), every other tensor renewed, and chain
+    ids renamed by the ``(lo, hi, delta)`` intervals of ``chains``.
+    Spans do not overlap, and steps outside every span were walked.
     Owned by one compile and dropped with it: no template outlives the
     call, and nothing here refers back to the memo.
     """
 
-    __slots__ = ("kinds", "insts", "levels", "sources", "templates")
+    __slots__ = ("kinds", "insts", "levels", "sources", "templates", "spans")
 
     def __init__(self):
         self.kinds: List[str] = []
@@ -160,6 +167,7 @@ class WalkMemo:
         self.levels: List[int] = []
         self.sources: List[int] = []
         self.templates: Dict[Tuple, Tuple] = {}
+        self.spans: List[Tuple] = []
 
     def record(self, kind: str, inst: Instruction, level: int) -> None:
         self.sources.append(len(self.insts))
@@ -173,6 +181,9 @@ class WalkMemo:
         shares its key, and add its counters to ``stats``."""
         first, start, end, counted, drawn = template
         stats.add(counted)
+        self.spans.append((len(self.insts), start, end,
+                           _operand_moves(first, inst),
+                           _chain_renames(first, inst, drawn)))
         self.sources.extend(self.sources[start:end])
         self.kinds.extend(self.kinds[start:end])
         self.levels.extend(self.levels[start:end])

@@ -41,6 +41,11 @@ class TensorTranspositionTable:
     def __init__(self):
         self._banks: Tuple[Dict[Tuple, TTTRecord], Dict[Tuple, TTTRecord]] = ({}, {})
         self._cycle: Optional[int] = None
+        #: lookups that found a record, those that found none, and the
+        #: hits on an instruction's result.  A simulation looks up only
+        #: the steps it decodes: a step that takes an earlier step's
+        #: outcome (:meth:`repro.core.controller.demotion.DemotionDecoder.skip`)
+        #: adds nothing.
         self.hits = 0
         self.misses = 0
         self.forwards = 0
@@ -65,8 +70,8 @@ class TensorTranspositionTable:
         """Find a still-valid resident copy of ``region`` (exact match).
 
         Checks the current bank first (records from this cycle), then the
-        other bank (records from the previous cycle).  Counts hit/miss and
-        forward statistics for the evaluation.
+        other bank (records from the previous cycle), and counts the lookup
+        in ``hits``/``misses`` and ``forwards``.
         """
         if self._cycle is None:
             return None

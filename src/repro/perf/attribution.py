@@ -28,6 +28,7 @@ imports neither the simulator nor numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: the stall taxonomy (Fig-13 / Table-2 resources).  ``idle`` is a guard
@@ -71,8 +72,55 @@ class CriticalSegment:
         return self.end - self.start
 
 
-def _iv(instructions: Sequence, index: int, stage: str):
-    return getattr(instructions[index], f"{stage}_iv")
+#: stage -> the reader of its placed interval on a scheduled instruction
+_INTERVAL = {stage: attrgetter(f"{stage}_iv") for stage in _PREDECESSORS}
+
+
+def _walk(instructions: Sequence, stages: Sequence
+          ) -> List[Tuple[str, int, float, float]]:
+    """The critical path, latest segment first, as ``(stage, index, start,
+    end)`` tuples (an ``idle`` gap has index -1): :func:`critical_path`
+    without its segment objects."""
+    n = len(instructions)
+    if not n:
+        return []
+    wb = _INTERVAL["wb"]
+    index = max(range(n), key=lambda k: wb(instructions[k]).end)
+    stage = "wb"
+    reverse: List[Tuple[str, int, float, float]] = []
+    guard = 6 * n + 8
+    while guard > 0:
+        guard -= 1
+        iv = _INTERVAL[stage](instructions[index])
+        start = iv.start
+        reverse.append((stage, index, start, iv.end))
+        if start <= 0.0:
+            break
+        candidates = [(pred_stage, index + offset)
+                      for pred_stage, offset in _PREDECESSORS[stage]
+                      if index + offset >= 0]
+        if stage == "ld":
+            stall_on = getattr(stages[index], "stall_on", None)
+            if stall_on is not None and 0 <= stall_on < n:
+                candidates.append(("wb", stall_on))
+        chosen: Optional[Tuple[str, int]] = None
+        best_end = float("-inf")
+        best: Optional[Tuple[str, int]] = None
+        for cand in candidates:
+            end = _INTERVAL[cand[0]](instructions[cand[1]]).end
+            if end == start and chosen is None:
+                chosen = cand
+            if end > best_end:
+                best_end, best = end, cand
+        if chosen is None:
+            # Float-exactness guard: jump to the latest-finishing candidate
+            # and book the (theoretical) gap as idle.
+            if best is None or best_end >= start:
+                break
+            reverse.append(("idle", -1, best_end, start))
+            chosen = best
+        stage, index = chosen
+    return reverse
 
 
 def critical_path(instructions: Sequence, stages: Sequence) -> List[CriticalSegment]:
@@ -83,48 +131,8 @@ def critical_path(instructions: Sequence, stages: Sequence) -> List[CriticalSegm
     :class:`StageTimes`-like inputs (only ``stall_on`` is read).  Returns
     segments ordered by time whose durations sum exactly to the makespan.
     """
-    if not instructions:
-        return []
-    index = max(range(len(instructions)),
-                key=lambda k: instructions[k].wb_iv.end)
-    stage = "wb"
-    reverse: List[CriticalSegment] = []
-    guard = 6 * len(instructions) + 8
-    while guard > 0:
-        guard -= 1
-        iv = _iv(instructions, index, stage)
-        reverse.append(CriticalSegment(stage, index, iv.start, iv.end))
-        start = iv.start
-        if start <= 0.0:
-            break
-        candidates: List[Tuple[str, int]] = []
-        for pred_stage, offset in _PREDECESSORS[stage]:
-            j = index + offset
-            if j >= 0:
-                candidates.append((pred_stage, j))
-        if stage == "ld":
-            stall_on = getattr(stages[index], "stall_on", None)
-            if stall_on is not None and 0 <= stall_on < len(instructions):
-                candidates.append(("wb", stall_on))
-        chosen: Optional[Tuple[str, int]] = None
-        best_end = float("-inf")
-        best: Optional[Tuple[str, int]] = None
-        for cand in candidates:
-            end = _iv(instructions, cand[1], cand[0]).end
-            if end == start and chosen is None:
-                chosen = cand
-            if end > best_end:
-                best_end, best = end, cand
-        if chosen is None:
-            # Float-exactness guard: jump to the latest-finishing candidate
-            # and book the (theoretical) gap as idle.
-            if best is None or best_end >= start:
-                break
-            reverse.append(CriticalSegment("idle", -1, best_end, start))
-            chosen = best
-        stage, index = chosen
-    segments = list(reversed(reverse))
-    return segments
+    return [CriticalSegment(*segment)
+            for segment in reversed(_walk(instructions, stages))]
 
 
 def attribute_schedule(
@@ -136,14 +144,16 @@ def attribute_schedule(
     :data:`CATEGORIES` to critical-path seconds (summing to the makespan)
     and ``exec_path`` lists ``(instruction_index, seconds)`` for the EX
     segments -- the part a parent level can delegate to its child level.
+    The fold runs over :func:`critical_path`'s segments in time order, as
+    plain tuples.
     """
     totals = dict.fromkeys(CATEGORIES, 0.0)
     exec_path: List[Tuple[int, float]] = []
-    for seg in critical_path(instructions, stages):
-        category = STAGE_CATEGORY.get(seg.stage, "idle")
-        totals[category] += seg.duration
-        if seg.stage == "ex" and seg.duration > 0.0:
-            exec_path.append((seg.index, seg.duration))
+    for stage, index, start, end in reversed(_walk(instructions, stages)):
+        duration = end - start
+        totals[STAGE_CATEGORY.get(stage, "idle")] += duration
+        if stage == "ex" and duration > 0.0:
+            exec_path.append((index, duration))
     return totals, exec_path
 
 

@@ -45,7 +45,6 @@ from .batch import (
     build_arena_layout,
     build_schedule,
     lower_plan,
-    normalize_batched_docs,
 )
 from .cache import (
     DiskPlanCache,
@@ -97,7 +96,6 @@ __all__ = [
     "get_plan_cache",
     "lower_plan",
     "machine_fingerprint",
-    "normalize_batched_docs",
     "plan_from_doc",
     "plan_key",
     "reset_plan_cache",

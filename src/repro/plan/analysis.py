@@ -740,10 +740,14 @@ def verify_plan(plan: FractalPlan) -> PlanAnalysis:
         raise ValueError("plan safe_zero_copy flags do not match analysis")
     if [tuple(g) for g in plan.fusion_groups] != analysis.fusion_groups:
         raise ValueError("plan fusion groups do not match analysis")
-    from .batch import batched_table, lower_plan  # deferred: import order
+    # A plan that carries a lowering (a compiled one) must carry the one
+    # its verified groups give; a loaded plan has none yet and lowers
+    # once, when its replay schedule is built.
+    if plan.batched:
+        from .batch import batched_table, lower_plan  # deferred: import order
 
-    if batched_table(plan.ensure_lowered()) != batched_table(lower_plan(plan)):
-        raise ValueError(
-            "plan batched steps do not match a fresh lowering of its "
-            "fusion groups")
+        if batched_table(plan.batched) != batched_table(lower_plan(plan)):
+            raise ValueError(
+                "plan batched steps do not match a fresh lowering of its "
+                "fusion groups")
     return analysis

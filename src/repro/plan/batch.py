@@ -9,9 +9,9 @@ concrete:
 
 * :func:`lower_plan` lowers each legal group of ``k`` lanes into a
   :class:`BatchedStep` (one opcode, stacked ``(k, ...)`` operand tables,
-  shared run_attrs), serialized into the schema-v3 plan document and
-  re-derived/compared on every cache load so a tampered table can never
-  steer the executor;
+  shared run_attrs).  The lowering is derived state: the plan document
+  does not store it, and a loaded plan lowers its verified fusion groups
+  once, when its replay schedule is built;
 * :func:`build_schedule` compiles the step list into a
   :class:`ReplaySchedule`: an interleaving of :class:`BatchedItem`
   groups, :class:`FoldItem` chains and :class:`SingleItem` steps with
@@ -78,11 +78,10 @@ __all__ = [
     "build_arena_layout",
     "build_schedule",
     "lower_plan",
-    "normalize_batched_docs",
 ]
 
 
-# -- BatchedStep: the serialized lowering product ---------------------------
+# -- BatchedStep: the lowering product ---------------------------------------
 
 @dataclass(frozen=True)
 class BatchedStep:
@@ -106,23 +105,14 @@ class BatchedStep:
     def n_lanes(self) -> int:
         return self.stop - self.start
 
-    def to_doc(self) -> dict:
-        return {
-            "start": self.start,
-            "stop": self.stop,
-            "kind": self.kind,
-            "opcode": self.opcode.value,
-            "level": self.level,
-            "lanes": self.n_lanes,
-        }
-
 
 def lower_plan(plan: FractalPlan) -> List[BatchedStep]:
     """Lower every batchable fusion group of ``plan`` into BatchedSteps.
 
     Deterministic in the plan's analysis products: same steps + same
     ``fusion_groups`` always produce the same table (which is what lets
-    the cache-load path re-derive and compare it).  Groups whose steps
+    :func:`repro.plan.analysis.verify_plan` compare a plan's lowering with
+    a fresh one).  Groups whose steps
     are not single-output are left unlowered -- they replay as singles.
     """
     batched: List[BatchedStep] = []
@@ -150,16 +140,6 @@ def batched_table(batched: Sequence[BatchedStep]) -> List[Tuple]:
     """Comparable identity of a lowering (cache verification token)."""
     return [(b.start, b.stop, b.kind, b.opcode.value, b.level, b.n_lanes)
             for b in batched]
-
-
-def normalize_batched_docs(raw) -> List[Tuple]:
-    """A stored ``batched`` document section, as a comparable table."""
-    table = []
-    for entry in raw:
-        table.append((int(entry["start"]), int(entry["stop"]),
-                      str(entry["kind"]), str(entry["opcode"]),
-                      int(entry["level"]), int(entry["lanes"])))
-    return table
 
 
 # -- gather / scatter addressing -------------------------------------------

@@ -110,8 +110,12 @@ class DiskPlanCache:
              externals) -> Optional[FractalPlan]:
         """The entry's plan bound onto ``externals``, or ``None`` on a miss.
 
-        Parsing, rebuilding and re-verifying run with the cyclic collector
-        paused (:func:`repro.core.gcpause.gc_paused`).
+        :func:`~repro.plan.plan.plan_from_doc` rebuilds the walked steps
+        and re-emits the spans, checking what it does not prove, and
+        :func:`~repro.plan.analysis.verify_plan` re-analyses the result;
+        either failing warns and misses.  Parsing, rebuilding and
+        re-verifying run with the cyclic collector paused
+        (:func:`repro.core.gcpause.gc_paused`).
         """
         path = self._path(machine_fp, digest)
         with gc_paused():

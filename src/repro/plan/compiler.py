@@ -69,8 +69,10 @@ def compile_program(
     collected, ready for replays to add without re-deriving anything.
     A :class:`~repro.core.executor.WalkMemo` scoped to this call walks
     each distinct subtree once; its steps equal the walk's without one,
-    chain ids included.  The whole build runs with the cyclic collector
-    paused (:func:`repro.core.gcpause.gc_paused`).
+    chain ids included, and the plan keeps the spans it re-emitted
+    (``FractalPlan.spans``), which its document lists instead of their
+    steps.  The whole build runs with the cyclic collector paused
+    (:func:`repro.core.gcpause.gc_paused`).
     """
     with gc_paused():
         program = list(program)
@@ -97,20 +99,21 @@ def compile_program(
                 walked = steps[source]
                 steps.append(PlanStep(kind, inst, level, walked.run_attrs,
                                       walked.accumulate, walked.safe_zero_copy))
-        del memo
         plan = FractalPlan(
             machine_fingerprint=machine_fingerprint(machine),
             signature_digest=program_digest(program),
             steps=steps,
             stats=stats,
             externals=external_tensors(program),
+            spans=memo.spans,
         )
+        del memo
         # Analyze-on-compile: every plan that reaches the executor or a
         # cache tier carries zero-copy proofs, fusion groups and the
         # live-byte peak.
         analysis = annotate_plan(plan)
         # Lower-on-compile: the proven fusion groups become BatchedSteps so
-        # batched replay (and the schema-v3 document) never re-derives them.
+        # the first replay does not re-derive them.
         plan.batched = lower_plan(plan)
         plan.compile_seconds = time.perf_counter() - t0
         log.info("compile.end", steps=len(steps),

@@ -12,7 +12,10 @@ while skipping every ``shrink_sequential`` / ``decompose_parallel`` call.
 Plans are pure data: they can be rebound onto a structurally identical
 program with different tensors (:meth:`FractalPlan.rebind`) and round-
 tripped through a versioned JSON document (:meth:`FractalPlan.to_doc` /
-:func:`plan_from_doc`) for the on-disk cache.
+:func:`plan_from_doc`) for the on-disk cache.  The document keeps the
+compile's templates: it lists the steps the compile walked, and each span
+it re-emitted as the span's source range, one move per operand tensor and
+a chain-id map; loading re-emits those spans.
 """
 
 from __future__ import annotations
@@ -21,17 +24,19 @@ from dataclasses import dataclass, field, fields, replace
 from typing import (Dict, List, Optional, Sequence, Tuple, get_args,
                     get_type_hints)
 
+from ..core.decomposition.base import _translate
 from ..core.executor import WRITEBACK_ATTRS, WalkStats
 from ..core.gcpause import gc_paused
 from ..core.isa import Instruction, Opcode
 from ..core.tensor import DType, Region, Tensor
 
 #: version stamp of the serialized plan document; bump on any layout change
-#: (old entries then simply miss and are recompiled).  v3 added the
-#: ``batched`` BatchedStep table (verified against a fresh lowering on
-#: load), so v2 disk-cache entries miss and recompile.
+#: (old entries then simply miss and are recompiled).  v4 lists only the
+#: walked steps in full and each re-emitted span by its source range,
+#: operand moves and chain-id map, and drops v3's ``batched`` table, so v3
+#: disk-cache entries miss and recompile.
 PLAN_SCHEMA = "repro.plan"
-PLAN_SCHEMA_VERSION = 3
+PLAN_SCHEMA_VERSION = 4
 
 
 class PlanFormatError(ValueError):
@@ -161,9 +166,18 @@ class FractalPlan:
     analysis: Optional[dict] = None
     #: fusion groups lowered for stacked execution
     #: (:class:`repro.plan.batch.BatchedStep`); stamped by the compiler,
-    #: re-derived lazily by :meth:`ensure_lowered` for plans annotated by
-    #: hand, and schema-v3-serialized with verify-on-load.
+    #: and derived lazily by :meth:`ensure_lowered` for loaded plans and
+    #: plans annotated by hand.  Never serialized.
     batched: List = field(default_factory=list)
+    #: the spans the compile re-emitted from a template, in step order, as
+    #: ``(at, start, end, moves, chains)``: ``steps[at:at + end - start]``
+    #: are ``steps[start:end]`` with each ``(tensor, twin, shift)`` of
+    #: ``moves`` moved, every other tensor renewed, the chain ids in each
+    #: ``(lo, hi, delta)`` of ``chains`` moved by ``delta``, and each
+    #: source step's signature, ``run_attrs``, write-back mode and flag
+    #: shared (:class:`repro.core.executor.WalkMemo`).  Empty for a plan
+    #: built by hand; :meth:`to_doc` writes each span by its source range.
+    spans: List[Tuple] = field(default_factory=list)
     #: lazily built :class:`repro.plan.batch.ReplaySchedule` (kernel
     #: callables, gather/scatter addressing, arena layout); per-plan
     #: derived state, never serialized or compared.
@@ -247,6 +261,11 @@ class FractalPlan:
                 steps.append(PlanStep.from_instruction(
                     step.kind, new_inst, step.level,
                 ).with_safe(step.safe_zero_copy))
+            # Every tensor maps to one tensor, so each span stays a span.
+            spans = [(at, start, end,
+                      tuple((map_tensor(old), map_tensor(new), shift)
+                            for old, new, shift in moves), chains)
+                     for at, start, end, moves, chains in self.spans]
             return FractalPlan(
                 machine_fingerprint=self.machine_fingerprint,
                 signature_digest=self.signature_digest,
@@ -256,12 +275,26 @@ class FractalPlan:
                 compile_seconds=self.compile_seconds,
                 fusion_groups=list(self.fusion_groups),
                 analysis=self.analysis,
+                spans=spans,
             )
 
     # -- serialization -------------------------------------------------------
 
     def to_doc(self) -> dict:
-        """Versioned, JSON-serializable plan document (disk-cache payload)."""
+        """Versioned, JSON-serializable plan document (disk-cache payload).
+
+        ``steps`` lists, in order and in full, every step outside the
+        spans written compactly; ``spans`` lists each of those by its
+        ``at``, source range, moves (tensor ids and shift) and chain-id
+        intervals.  ``tensors`` lists the externals, then every tensor the
+        listed steps and moves name, in first-seen order; the fresh
+        partials a span makes on load take the ids after the table, in the
+        order they are made.  A span is written compactly when its copies
+        carry their sources' zero-copy flags, which is how the compile
+        makes them; a span whose flags were changed since is written in
+        full.  Each move and chain interval was recorded as the compile
+        re-emitted the span, so writing reads no copied step.
+        """
         tensor_ids: Dict[int, int] = {}
         tensors: List[dict] = []
         external_index = {t.uid: i for i, t in enumerate(self.externals)}
@@ -280,24 +313,44 @@ class FractalPlan:
                 })
             return got
 
+        step_docs: List[dict] = []
+        span_docs: List[dict] = []
+
+        def write(lo: int, hi: int) -> None:
+            for step in self.steps[lo:hi]:
+                inst = step.inst
+                step_docs.append({
+                    "kind": step.kind,
+                    "level": step.level,
+                    "opcode": inst.opcode.value,
+                    "attrs": dict(inst.attrs),
+                    "inputs": [[tid(r.tensor), [list(b) for b in r.bounds]]
+                               for r in inst.inputs],
+                    "outputs": [[tid(r.tensor), [list(b) for b in r.bounds]]
+                                for r in inst.outputs],
+                    "safe": step.safe_zero_copy,
+                })
+
         # Register externals first so ids are stable and every external is
         # present even if (degenerately) unreferenced by any step.
         for t in self.externals:
             tid(t)
-        steps = []
-        for step in self.steps:
-            inst = step.inst
-            steps.append({
-                "kind": step.kind,
-                "level": step.level,
-                "opcode": inst.opcode.value,
-                "attrs": dict(inst.attrs),
-                "inputs": [[tid(r.tensor), [list(b) for b in r.bounds]]
-                           for r in inst.inputs],
-                "outputs": [[tid(r.tensor), [list(b) for b in r.bounds]]
-                            for r in inst.outputs],
-                "safe": step.safe_zero_copy,
+        flags = [step.safe_zero_copy for step in self.steps]
+        done = 0
+        for at, start, end, moves, chains in self.spans:
+            if flags[at:at + end - start] != flags[start:end]:
+                continue  # written in full, with the steps around it
+            write(done, at)
+            span_docs.append({
+                "at": at,
+                "start": start,
+                "end": end,
+                "moves": [[tid(old), tid(new), list(shift)]
+                          for old, new, shift in moves],
+                "chains": [list(interval) for interval in chains],
             })
+            done = at + end - start
+        write(done, len(self.steps))
         return {
             "schema": PLAN_SCHEMA,
             "version": PLAN_SCHEMA_VERSION,
@@ -305,25 +358,38 @@ class FractalPlan:
             "signature_digest": self.signature_digest,
             "n_externals": len(self.externals),
             "tensors": tensors,
-            "steps": steps,
+            "steps": step_docs,
+            "spans": span_docs,
             "stats": self.stats.to_doc(),
             "compile_seconds": self.compile_seconds,
             "fusion_groups": [list(g) for g in self.fusion_groups],
             "analysis": self.analysis,
-            "batched": [b.to_doc() for b in self.ensure_lowered()],
         }
 
 
 _OPCODES = {op.value: op for op in Opcode}
+#: marks the end of a document's listed steps
+_END = object()
 
 
 def plan_from_doc(doc: dict, externals: Sequence[Tensor],
                   machine_fingerprint: Optional[Tuple] = None) -> FractalPlan:
     """Rebuild a plan from its document, bound onto ``externals``.
 
+    Listed steps are built through the checking :class:`Region`
+    constructor; each span is re-emitted from steps already rebuilt, with
+    no SD or PD, and its copies share their source steps' signature
+    objects, ``run_attrs``, write-back mode and zero-copy flag.  The plan
+    must come to exactly the ``kernel_calls + lfu_calls`` steps its stats
+    declare, and the rebuild stops as soon as it would pass them.  The
+    fusion groups are not lowered here: the replay schedule lowers them
+    once, on first use.
+
     Raises :class:`PlanFormatError` on any structural problem -- wrong
-    schema/version, truncated tables, unknown opcodes, shape mismatches --
-    so a corrupt cache entry is reported and skipped, never executed.
+    schema/version, truncated tables, unknown opcodes, tensor ids or
+    chain ids, shape mismatches, a span reaching outside the steps
+    rebuilt or moving a region outside its tensor -- so a corrupt cache
+    entry is reported and skipped, never executed.
     """
     try:
         if doc.get("schema") != PLAN_SCHEMA:
@@ -353,14 +419,86 @@ def plan_from_doc(doc: dict, externals: Sequence[Tensor],
                 t = Tensor(name=str(entry["name"]), shape=shape, dtype=dtype,
                            space=str(entry["space"]))
             tensors.append(t)
+        stats = PlanStats.from_doc(doc["stats"])
+        rebuilt = _Rebuild(tensors, stats.kernel_calls + stats.lfu_calls)
+        listed = iter(doc["steps"])
+        for raw in doc["spans"]:
+            rebuilt.listed_until(listed, int(raw["at"]))
+            rebuilt.reemit(raw)
+        rebuilt.listed_until(listed, None)
+        if len(rebuilt.steps) != rebuilt.declared:
+            raise PlanFormatError(
+                f"plan rebuilds {len(rebuilt.steps)} steps, its stats "
+                f"declare {rebuilt.declared}")
+        fusion_groups = [(int(a), int(b))
+                         for a, b in doc.get("fusion_groups", [])]
+        analysis = doc.get("analysis")
+        if analysis is not None and not isinstance(analysis, dict):
+            raise PlanFormatError("plan analysis section must be a mapping")
+        return FractalPlan(
+            machine_fingerprint=(machine_fingerprint
+                                 if machine_fingerprint is not None
+                                 else (doc["machine_fingerprint"],)),
+            signature_digest=str(doc["signature_digest"]),
+            steps=rebuilt.steps,
+            stats=stats,
+            externals=list(externals),
+            compile_seconds=float(doc.get("compile_seconds", 0.0)),
+            fusion_groups=fusion_groups,
+            analysis=analysis,
+            spans=rebuilt.spans,
+        )
+    except PlanFormatError:
+        raise
+    except (AttributeError, KeyError, IndexError, TypeError,
+            ValueError) as err:
+        raise PlanFormatError(f"malformed plan document: "
+                              f"{type(err).__name__}: {err}") from err
 
-        def region(spec) -> Region:
-            tid, bounds = spec
-            return Region(tensors[int(tid)],
-                          tuple((int(lo), int(hi)) for lo, hi in bounds))
 
-        steps: List[PlanStep] = []
-        for raw in doc["steps"]:
+class _Rebuild:
+    """The steps and spans :func:`plan_from_doc` has rebuilt so far.
+
+    ``tensors`` is the document's table; each fresh partial a span makes
+    is appended to it, so it takes the next implicit id.
+    """
+
+    __slots__ = ("tensors", "declared", "steps", "spans")
+
+    def __init__(self, tensors: List[Tensor], declared: int):
+        self.tensors = tensors
+        self.declared = declared
+        self.steps: List[PlanStep] = []
+        self.spans: List[Tuple] = []
+
+    def tensor(self, raw) -> Tensor:
+        """The tensor a document id names: one of the table or a fresh
+        partial already made."""
+        tid = int(raw)
+        if not 0 <= tid < len(self.tensors):
+            raise PlanFormatError(f"unknown tensor id {tid}")
+        return self.tensors[tid]
+
+    def region(self, spec) -> Region:
+        tid, bounds = spec
+        return Region(self.tensor(tid),
+                      tuple((int(lo), int(hi)) for lo, hi in bounds))
+
+    def listed_until(self, listed, stop: Optional[int]) -> None:
+        """Append listed steps until ``stop`` steps are rebuilt (until the
+        list ends when ``stop`` is None)."""
+        steps = self.steps
+        while stop is None or len(steps) < stop:
+            raw = next(listed, _END)
+            if raw is _END:
+                if stop is None:
+                    return
+                raise PlanFormatError(
+                    f"a span starts at step {stop}, after the last step")
+            if len(steps) >= self.declared:
+                raise PlanFormatError(
+                    f"plan passes the {self.declared} steps its stats "
+                    f"declare")
             kind = str(raw["kind"])
             if kind not in ("kernel", "lfu"):
                 raise PlanFormatError(f"unknown step kind {kind!r}")
@@ -369,8 +507,8 @@ def plan_from_doc(doc: dict, externals: Sequence[Tensor],
                 raise PlanFormatError(f"unknown opcode {raw['opcode']!r}")
             inst = Instruction(
                 opcode,
-                tuple(region(s) for s in raw["inputs"]),
-                tuple(region(s) for s in raw["outputs"]),
+                tuple(self.region(s) for s in raw["inputs"]),
+                tuple(self.region(s) for s in raw["outputs"]),
                 dict(raw["attrs"]),
             )
             # The stored flag, not the recomputed one: a tampered flag
@@ -378,48 +516,41 @@ def plan_from_doc(doc: dict, externals: Sequence[Tensor],
             steps.append(PlanStep.from_instruction(
                 kind, inst, int(raw["level"]),
             ).with_safe(bool(raw.get("safe", False))))
-        fusion_groups = [(int(a), int(b))
-                         for a, b in doc.get("fusion_groups", [])]
-        analysis = doc.get("analysis")
-        if analysis is not None and not isinstance(analysis, dict):
-            raise PlanFormatError("plan analysis section must be a mapping")
-        plan = FractalPlan(
-            machine_fingerprint=(machine_fingerprint
-                                 if machine_fingerprint is not None
-                                 else (doc["machine_fingerprint"],)),
-            signature_digest=str(doc["signature_digest"]),
-            steps=steps,
-            stats=PlanStats.from_doc(doc["stats"]),
-            externals=list(externals),
-            compile_seconds=float(doc.get("compile_seconds", 0.0)),
-            fusion_groups=fusion_groups,
-            analysis=analysis,
-        )
-        # The stored BatchedStep table must match a fresh lowering of the
-        # rebuilt plan exactly -- a tampered or stale table must never
-        # steer the batched executor, so on mismatch the document is
-        # rejected (the cache then recompiles).  The fresh lowering is
-        # what the plan carries; the stored table is only a check.
-        from .batch import (batched_table, lower_plan,
-                            normalize_batched_docs)
+        if len(steps) != stop:
+            raise PlanFormatError(
+                f"a span starts at step {stop}, inside the previous span")
 
-        plan.batched = lower_plan(plan)
-        stored = doc.get("batched")
-        if stored is None:
-            if plan.fusion_groups:
+    def reemit(self, raw: dict) -> None:
+        """Append the copies of one span over steps already rebuilt."""
+        steps = self.steps
+        at, start, end = len(steps), int(raw["start"]), int(raw["end"])
+        if not 0 <= start < end <= at:
+            raise PlanFormatError(
+                f"span source [{start}, {end}) is not inside the {at} "
+                f"steps rebuilt")
+        if at + end - start > self.declared:
+            raise PlanFormatError(
+                f"plan passes the {self.declared} steps its stats declare")
+        moves: Dict[int, Tuple[Tensor, Optional[Tuple[int, ...]]]] = {}
+        recorded = []
+        for old_id, new_id, raw_shift in raw["moves"]:
+            old, new = self.tensor(old_id), self.tensor(new_id)
+            shift = tuple(int(s) for s in raw_shift)
+            if old.dtype != new.dtype or not (
+                    len(old.shape) == len(new.shape) == len(shift)):
                 raise PlanFormatError(
-                    "plan document is missing its batched-step table")
-        else:
-            if not isinstance(stored, list):
-                raise PlanFormatError(
-                    "plan batched section must be a list")
-            if normalize_batched_docs(stored) != batched_table(plan.batched):
-                raise PlanFormatError(
-                    "batched-step table does not match a fresh lowering "
-                    "of the plan's fusion groups")
-        return plan
-    except PlanFormatError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError) as err:
-        raise PlanFormatError(f"malformed plan document: "
-                              f"{type(err).__name__}: {err}") from err
+                    f"move {old_id} -> {new_id} changes dtype or rank")
+            moves[old.uid] = (new, shift if any(shift) else None)
+            recorded.append((old, new, shift))
+        chains = tuple((int(lo), int(hi), int(delta))
+                       for lo, hi, delta in raw["chains"])
+        sources = steps[start:end]
+        # A moved region lands inside its tensor, which the checking
+        # constructor proves; a fresh partial has its source's shape.  An
+        # unknown chain id raises ValueError, a format error.
+        copies = _translate([s.inst for s in sources], moves, chains,
+                            region=Region, fresh=self.tensors)
+        steps.extend([PlanStep(s.kind, inst, s.level, s.run_attrs,
+                               s.accumulate, s.safe_zero_copy)
+                      for s, inst in zip(sources, copies)])
+        self.spans.append((at, start, end, tuple(recorded), chains))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Instruction, Opcode, Tensor, custom_machine
+from repro import (Instruction, Opcode, Tensor, cambricon_f1, cambricon_f100,
+                   custom_machine)
 from repro.core.machine import GB, KB, MB
 from repro.perf import (
     CATEGORIES,
@@ -19,10 +20,11 @@ from repro.perf import (
     attribution_section,
     critical_path,
 )
-from repro.sim import FractalSimulator
+from repro.perf.attribution import STAGE_CATEGORY
+from repro.sim import FractalSimulator, simulator
 from repro.sim.eventsim import EventDrivenPipeline
 from repro.sim.pipeline import IDLE_CAUSES, StageTimes, schedule_pipeline
-from repro.workloads import mm_fc_workload
+from repro.workloads import PAPER_BENCHMARKS, mm_fc_workload, paper_benchmark
 
 pytestmark = pytest.mark.perf
 
@@ -205,3 +207,44 @@ class TestWholeRunAttribution:
         json.dumps(section)  # no numpy scalars / non-string keys
         assert section["dominant"] in CATEGORIES
         assert section["classification"].endswith("-bound")
+
+
+def _fold_segments(segments):
+    """The taxonomy fold over :class:`CriticalSegment` objects, in time
+    order: what ``attribute_schedule`` computes without them."""
+    totals = dict.fromkeys(CATEGORIES, 0.0)
+    exec_path = []
+    for seg in segments:
+        totals[STAGE_CATEGORY.get(seg.stage, "idle")] += seg.duration
+        if seg.stage == "ex" and seg.duration > 0.0:
+            exec_path.append((seg.index, seg.duration))
+    return totals, exec_path
+
+
+class TestFoldWithoutSegments:
+    @pytest.mark.parametrize("machine_name", ["f1", "f100"])
+    @pytest.mark.parametrize("program", sorted(PAPER_BENCHMARKS))
+    def test_table5_node_schedules(self, program, machine_name, monkeypatch):
+        """On every node schedule a Table-5 simulation attributes, the
+        totals and EX path equal a fold over ``critical_path``'s
+        segments, bit for bit."""
+        real = simulator.attribute_schedule
+        checked = []
+
+        def compare(instructions, stages):
+            got = real(instructions, stages)
+            totals, exec_path = _fold_segments(
+                critical_path(instructions, stages))
+            assert [repr(v) for v in got[0].values()] == \
+                [repr(v) for v in totals.values()]
+            assert got[1] == exec_path
+            assert [repr(s) for _, s in got[1]] == \
+                [repr(s) for _, s in exec_path]
+            checked.append(len(instructions))
+            return got
+
+        monkeypatch.setattr(simulator, "attribute_schedule", compare)
+        make = {"f1": cambricon_f1, "f100": cambricon_f100}[machine_name]
+        FractalSimulator(make(), collect_profiles=False).simulate(
+            paper_benchmark(program).program)
+        assert checked

@@ -1,6 +1,6 @@
 """Vectorized leaf-batch replay tests: suite-wide bit-identity, the
 per-opcode stacked kernels, lattice gathers and scatters, folded
-reduction chains, the tensor arena, schema-v3 cache round-trips/poisoning,
+reduction chains, the tensor arena, plan-document round-trips/poisoning,
 batched counters, the replay engine's contract, the plan
 microbenchmark's gate and its sentinel wiring.
 
@@ -11,7 +11,7 @@ every opcode's stacked kernel must reproduce ``k`` reference calls byte
 for byte in every operand layout a gather can hand it.  Everything else
 here defends the supporting structure -- every lowered fusion group runs
 stacked, the arena never aliases two concurrently-live tensors, a
-tampered BatchedStep table can never steer the executor, the replay
+poisoned cache entry is recompiled, not replayed, the replay
 floor of ``tools/perf_gate.py`` fails below it, and a collapse of
 ``replay_speedup`` trips the perf-trend sentinel.
 """
@@ -43,10 +43,10 @@ from repro.obs.ledger import report_metrics
 from repro.ops.batch import _BATCHED_KERNELS, batched_kernel_for
 from repro.ops.dispatch import kernel_for
 from repro.plan import (
+    PLAN_SCHEMA_VERSION,
     DiskPlanCache,
     FractalPlan,
     PlanCache,
-    PlanFormatError,
     PlanStep,
     SingleItem,
     batched_table,
@@ -822,7 +822,7 @@ class TestArenaLayout:
                     assert view.base is binding.arena
 
 
-# -- schema v3: disk round-trip, migration, poisoning -------------------------
+# -- the plan document: disk round-trip, migration, poisoning -----------------
 
 def _groupy_plan():
     """A small plan with real fusion groups (tiny machine, one matmul)."""
@@ -837,13 +837,17 @@ def _groupy_plan():
 
 
 class TestSchemaV3Cache:
+    """The document since v3 lowered fusion groups; since v4 it stores no
+    lowering, and a loaded plan lowers its verified groups once."""
+
     def test_doc_round_trip_preserves_batched_table(self):
         machine, program, plan = _groupy_plan()
         doc = json.loads(json.dumps(plan.to_doc()))
-        assert doc["version"] == 3 and doc["batched"]
+        assert doc["version"] == 4 and "batched" not in doc
         back = plan_from_doc(doc, plan.externals,
                              machine_fingerprint=plan.machine_fingerprint)
-        assert batched_table(back.batched) == batched_table(plan.batched)
+        assert back.batched == []  # lowered on first use, not on load
+        assert batched_table(back.ensure_lowered()) == batched_table(plan.batched)
         rng = np.random.default_rng(5)
         arrays = {r.tensor.uid: rng.normal(size=r.tensor.shape)
                   for r in program[0].inputs}
@@ -857,21 +861,6 @@ class TestSchemaV3Cache:
             results.append(store.read(program[0].outputs[0]))
         np.testing.assert_array_equal(results[1], results[0])
 
-    def test_tampered_batched_table_is_rejected(self):
-        _, _, plan = _groupy_plan()
-        doc = plan.to_doc()
-        doc["batched"][0]["lanes"] += 1
-        with pytest.raises(PlanFormatError,
-                           match="batched-step table does not match"):
-            plan_from_doc(doc, plan.externals)
-
-    def test_missing_batched_table_is_rejected(self):
-        _, _, plan = _groupy_plan()
-        doc = plan.to_doc()
-        del doc["batched"]
-        with pytest.raises(PlanFormatError, match="batched-step table"):
-            plan_from_doc(doc, plan.externals)
-
     def test_poisoned_disk_entry_warns_and_recompiles(self, tmp_path):
         machine, program, plan = _groupy_plan()
         disk = DiskPlanCache(tmp_path)
@@ -880,37 +869,43 @@ class TestSchemaV3Cache:
         disk.store(fp, digest, plan)
         path = disk._path(fp, digest)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["batched"][0]["stop"] += 1  # cache poisoning
+        doc["fusion_groups"][0][1] += 1  # cache poisoning
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="batched-step table"):
+        with pytest.warns(RuntimeWarning, match="fusion groups do not match"):
             fresh = compile_cached(machine, program, disk_dir=tmp_path,
                                    memory_cache=PlanCache())
+        assert fresh.fusion_groups == plan.fusion_groups
         assert batched_table(fresh.batched) == batched_table(plan.batched)
 
-    def test_v2_entry_is_a_silent_miss(self, tmp_path):
-        """Pre-batching (v2) cache files live under a v2 filename: the v3
-        lookup never opens them, so migration is a plain miss + recompile
-        with no warning noise."""
+    def _old_entry_is_a_silent_miss(self, tmp_path, version):
+        """An older schema's cache file lives under its own filename: the
+        current lookup never opens it, so migration is a plain miss +
+        recompile with no warning noise."""
         machine, program, plan = _groupy_plan()
         disk = DiskPlanCache(tmp_path)
         fp = machine_fingerprint(machine)
         digest = program_digest(program)
-        v3_path = disk._path(fp, digest)
-        assert "plan-v3-" in v3_path.name
-        v2_path = v3_path.parent / v3_path.name.replace("plan-v3-",
-                                                        "plan-v2-")
-        v2_path.parent.mkdir(parents=True, exist_ok=True)
-        v2_doc = plan.to_doc()
-        v2_doc["version"] = 2
-        del v2_doc["batched"]
-        v2_path.write_text(json.dumps(v2_doc), encoding="utf-8")
+        path = disk._path(fp, digest)
+        assert f"plan-v{PLAN_SCHEMA_VERSION}-" in path.name
+        old_path = path.parent / path.name.replace(
+            f"plan-v{PLAN_SCHEMA_VERSION}-", f"plan-v{version}-")
+        old_path.parent.mkdir(parents=True, exist_ok=True)
+        old_doc = plan.to_doc()
+        old_doc["version"] = version
+        old_path.write_text(json.dumps(old_doc), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any warning fails the test
             fresh = compile_cached(machine, program, disk_dir=tmp_path,
                                    memory_cache=PlanCache())
         assert fresh.n_steps == plan.n_steps
-        assert v3_path.exists()  # the recompile persisted a v3 entry
-        assert v2_path.exists()  # ... without touching the stale v2 one
+        assert path.exists()  # the recompile persisted a current entry
+        assert old_path.exists()  # ... without touching the stale one
+
+    def test_v2_entry_is_a_silent_miss(self, tmp_path):
+        self._old_entry_is_a_silent_miss(tmp_path, 2)
+
+    def test_v3_entry_is_a_silent_miss(self, tmp_path):
+        self._old_entry_is_a_silent_miss(tmp_path, 3)
 
     def test_v2_document_under_v3_name_warns_and_recompiles(self, tmp_path):
         machine, program, plan = _groupy_plan()

@@ -586,9 +586,11 @@ class TestPlanLint:
                 (Region(x, ((4, 8), (0, 8))),),
                 (Region(y, ((0, 4), (0, 8))),), {}), 1),
         ]
+        # A plan document must declare its steps in its stats.
         plan = FractalPlan(machine_fingerprint=("test",),
                            signature_digest="f" * 64, steps=steps,
-                           stats=PlanStats(), externals=[x, y])
+                           stats=PlanStats(kernel_calls=len(steps)),
+                           externals=[x, y])
         annotate_plan(plan)  # digest matches the raced plan -> not "corrupt"
         path = tmp_path / "raced.json"
         path.write_text(json.dumps(plan.to_doc()))

@@ -97,7 +97,6 @@ class TestDemotionDecoder:
         dd.decode(0, i1)
         decoded = dd.decode(1, act)
         assert decoded.stall_on == 0
-        assert dd.stall_count == 1
 
     def test_raw_overlap_not_exact_stalls(self):
         """Partial overlap cannot be forwarded (exact-match TTT) -> stall."""

@@ -30,6 +30,7 @@ from repro.core.verify import bit_identical
 from repro.frontend import decode_program, encode_program
 from repro.plan import DiskPlanCache, PlanStep, compile_program, plan_key
 from repro.sim import FractalSimulator
+from test_plan import assert_same_plan
 
 # -- strategies -----------------------------------------------------------------
 
@@ -200,9 +201,10 @@ def test_fuzz_cold_run_and_compile_walk_alike(case, seed):
     compiled plan's steps in order, the cold counters equal
     ``plan.stats``, recursion matches the reference kernels (an
     accumulating instruction adds to the output's prior value) within
-    ``verify_program``'s tolerance, and schedule replay, a plan reloaded
-    from the disk cache and a second replay on one bound store agree with
-    recursion bit for bit."""
+    ``verify_program``'s tolerance, the plan reloaded from the disk cache
+    equals the compiled one (steps, flags, spans, stats, analysis), and
+    schedule replay, the reloaded plan and a second replay on one bound
+    store agree with recursion bit for bit."""
     machine, program = case
     rng = np.random.default_rng(seed)
     arrays = {r.tensor.uid: (r.tensor, rng.normal(size=r.tensor.shape))
@@ -241,6 +243,7 @@ def test_fuzz_cold_run_and_compile_walk_alike(case, seed):
         disk.store(fp, digest, plan)
         loaded = disk.load(fp, digest, external_tensors(program))
     assert loaded is not None
+    assert_same_plan(program, plan, loaded)
     for leg, replayed in (("schedule", plan), ("disk", loaded)):
         store = bound_store()
         FractalExecutor(machine, store).run_plan(replayed)

@@ -4,6 +4,7 @@ round-trips, corruption tolerance, and the zero-copy store fast path."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from conftest import tiny_machine
@@ -35,7 +37,7 @@ from repro.analysis.signatures import external_tensors
 from repro.core import executor as executor_mod
 from repro.core.decomposition import base
 from repro.core.executor import WalkStats, walk
-from repro.core.tensor import INT32
+from repro.core.tensor import INT32, Region
 from repro.core.verify import bit_identical
 from repro.ops import dispatch
 from repro.plan import (
@@ -50,6 +52,7 @@ from repro.plan import (
     plan_from_doc,
     plan_key,
     reset_plan_cache,
+    verify_plan,
 )
 from repro.workloads import PROFILE_BENCHMARKS, profile_benchmark
 from test_decomposition import assert_same_steps
@@ -246,7 +249,58 @@ def assert_compile_equals_walk(machine, program, monkeypatch):
     # zero-copy flag; they are the ones its own instruction gives.
     for step in plan.steps:
         assert step == PlanStep.from_instruction(step.kind, step.inst, step.level)
+    assert_doc_round_trip(program, plan)
     return walked, calls[0]
+
+
+def assert_same_plan(roots, plan, back):
+    """``back`` (a plan rebuilt from ``plan``'s document) equals ``plan``:
+    steps as :func:`assert_same_steps` checks them (chain ids unchanged,
+    partials one to one), kinds, levels, zero-copy flags, spans, stats,
+    fusion groups and the analysis digest; and each copy shares its
+    source step's signature object, ``run_attrs`` and flags."""
+    assert ([(s.kind, s.level, s.safe_zero_copy) for s in back.steps]
+            == [(s.kind, s.level, s.safe_zero_copy) for s in plan.steps])
+    assert_same_steps(roots, [s.inst for s in back.steps],
+                      [s.inst for s in plan.steps], 0)
+    twins = {}  # uid in plan -> uid in back
+    for s, b in zip(plan.steps, back.steps):
+        for r, q in zip(s.inst.inputs + s.inst.outputs,
+                        b.inst.inputs + b.inst.outputs):
+            twins[r.tensor.uid] = q.tensor.uid
+
+    def spans(p, uid):
+        return [(at, start, end,
+                 [(uid(old.uid), uid(new.uid), tuple(shift))
+                  for old, new, shift in moves], tuple(chains))
+                for at, start, end, moves, chains in p.spans]
+
+    assert spans(back, lambda u: u) == spans(plan, twins.__getitem__)
+    assert back.stats == plan.stats
+    assert back.fusion_groups == plan.fusion_groups
+    assert back.analysis == plan.analysis
+    assert verify_plan(back).digest() == plan.analysis["digest"]
+    for at, start, end, _, _ in back.spans:
+        for copy, source in zip(back.steps[at:at + end - start],
+                                back.steps[start:end]):
+            assert copy.inst.signature() is source.inst.signature()
+            assert copy.run_attrs is source.run_attrs
+            assert (copy.accumulate, copy.safe_zero_copy) == \
+                (source.accumulate, source.safe_zero_copy)
+
+
+def assert_doc_round_trip(roots, plan):
+    """The JSON round trip of ``plan.to_doc()`` through ``plan_from_doc``
+    equals ``plan`` (:func:`assert_same_plan`), and the document lists
+    only the steps outside the spans.  Returns the rebuilt plan."""
+    doc = json.loads(json.dumps(plan.to_doc()))
+    copied = sum(end - start for _, start, end, _, _ in plan.spans)
+    assert len(doc["steps"]) == plan.n_steps - copied
+    assert len(doc["spans"]) == len(plan.spans)
+    back = plan_from_doc(doc, plan.externals,
+                         machine_fingerprint=plan.machine_fingerprint)
+    assert_same_plan(roots, plan, back)
+    return back
 
 
 def _shared_operand_pairs():
@@ -286,6 +340,21 @@ def _accumulating_beside_plain():
     ]
 
 
+def _chained_siblings():
+    """Three MatMuls of one shape on a machine that cannot fan out: the
+    root splits each one's K into nested accumulation chains whose links
+    reach the leaves with their chain ids, a middle link that carries a
+    chain id repeats the one before it, and the last MatMul reads the
+    first one's A."""
+    machine = custom_machine("chain", [1, 1], [4 * KB] * 3, [1e9] * 3)
+    a, b, c = Tensor("a", (8, 256)), Tensor("b", (256, 8)), Tensor("c", (8, 8))
+    p, q, d = Tensor("p", (8, 256)), Tensor("q", (256, 8)), Tensor("d", (8, 8))
+    r, e = Tensor("r", (256, 8)), Tensor("e", (8, 8))
+    program = [Instruction(Opcode.MATMUL, (x.region(), y.region()), (z.region(),))
+               for x, y, z in ((a, b, c), (p, q, d), (a, r, e))]
+    return machine, program
+
+
 class TestCompileMemo:
     """``compile_program`` walks each distinct subtree once and re-emits
     its repeats; the plan equals the walk's without a memo."""
@@ -309,6 +378,21 @@ class TestCompileMemo:
                              ids=lambda b: b.__name__.lstrip("_"))
     def test_siblings_that_must_not_share_a_template(self, build, monkeypatch):
         assert_compile_equals_walk(tiny_machine(), build(), monkeypatch)
+
+    def test_chain_steps_inside_spans(self, monkeypatch):
+        """Re-emitted spans that carry chain ids and move a tensor onto
+        itself; no profile plan has either."""
+        machine, program = _chained_siblings()
+        assert_compile_equals_walk(machine, program, monkeypatch)
+        plan = compile_program(machine, program)
+        inside = [step for at, start, end, _, _ in plan.spans
+                  for step in plan.steps[at:at + end - start]]
+        assert any("acc_chain" in step.inst.attrs for step in inside)
+        assert any(old is new for _, _, _, moves, _ in plan.spans
+                   for old, new, _ in moves)
+        # a span whose node carries a chain id renames it
+        assert any(hi - lo == 1 and delta for _, _, _, _, chains in plan.spans
+                   for lo, hi, delta in chains)
 
 
 # -- structural signatures ----------------------------------------------------
@@ -591,6 +675,236 @@ class TestDiskCache:
                                                external_tensors(w.program))
         assert loaded is not None
         assert _suite_outputs(machine, w, loaded) == digests[0]
+
+
+# -- the templated document: what a load checks -------------------------------
+
+def _tamper_span_source_empty(doc):
+    doc["spans"][0]["end"] = doc["spans"][0]["start"]
+
+
+def _tamper_span_source_ahead(doc):
+    doc["spans"][0]["end"] = doc["spans"][0]["at"] + 1
+
+
+def _tamper_move_unknown_tensor(doc):
+    doc["spans"][0]["moves"][0][1] = len(doc["tensors"]) + 100
+
+
+def _tamper_move_negative_tensor(doc):
+    doc["spans"][0]["moves"][0][0] = -1
+
+
+def _tamper_move_changes_dtype(doc):
+    old, _, _ = doc["spans"][0]["moves"][0]
+    doc["tensors"].append({**doc["tensors"][old], "name": "%q0",
+                           "dtype": "int32", "space": "partial",
+                           "external": -1})
+    doc["spans"][0]["moves"][0][1] = len(doc["tensors"]) - 1
+
+
+def _tamper_shift_outside_tensor(doc):
+    _, new, shift = doc["spans"][0]["moves"][0]
+    shift[-1] += doc["tensors"][new]["shape"][-1]
+
+
+def _tamper_unknown_chain_id(doc):
+    doc["spans"][0]["chains"] = []
+
+
+def _tamper_spans_past_declared(doc):
+    last = doc["spans"][-1]
+    n = doc["stats"]["kernel_calls"] + doc["stats"]["lfu_calls"]
+    length = last["end"] - last["start"]
+    doc["spans"] += [{**last, "at": n + i * length} for i in range(10_000)]
+
+
+def _tamper_listed_step_names_fresh_partial(doc):
+    doc["steps"][0]["inputs"][0][0] = len(doc["tensors"])
+
+
+def _flip_first_flag(doc):
+    doc["steps"][0]["safe"] = not doc["steps"][0]["safe"]
+
+
+TAMPERS = [_tamper_span_source_empty, _tamper_span_source_ahead,
+           _tamper_move_unknown_tensor, _tamper_move_negative_tensor,
+           _tamper_move_changes_dtype, _tamper_shift_outside_tensor,
+           _tamper_unknown_chain_id, _tamper_spans_past_declared,
+           _tamper_listed_step_names_fresh_partial]
+
+
+@functools.lru_cache(maxsize=1)
+def _corruptible():
+    """``_chained_siblings``' plan, its document's text and the path of
+    every value in the document's tables (leaves and containers)."""
+    machine, program = _chained_siblings()
+    plan = compile_program(machine, program)
+    doc = plan.to_doc()
+    paths = []
+
+    def walk(node, path):
+        if path:
+            paths.append(path)
+        children = (node.items() if isinstance(node, dict)
+                    else enumerate(node) if isinstance(node, list) else ())
+        for k, v in children:
+            walk(v, path + (k,))
+
+    for key in ("tensors", "steps", "spans", "stats", "fusion_groups"):
+        walk(doc[key], (key,))
+    return plan, json.dumps(doc), paths
+
+
+def _poisoned_load(tmp_path, machine, program, mutate):
+    """Store ``program``'s plan, ``mutate`` the entry's document in place
+    and compile through the disk tier; returns the stored plan, the plan
+    the compile returned and the RuntimeWarnings it raised."""
+    plan = compile_program(machine, program)
+    disk = DiskPlanCache(tmp_path)
+    fp, digest = plan_key(machine, program)
+    disk.store(fp, digest, plan)
+    path = disk._path(fp, digest)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    mutate(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fresh = compile_cached(machine, program, disk_dir=tmp_path,
+                               memory_cache=PlanCache())
+    return plan, fresh, [c for c in caught
+                         if issubclass(c.category, RuntimeWarning)]
+
+
+class TestTemplatedDocument:
+    """A v4 document lists the walked steps and each re-emitted span by
+    its source range, moves and chain-id map; a load re-emits the spans
+    and rejects anything it cannot prove."""
+
+    @pytest.mark.parametrize("mutate", TAMPERS,
+                             ids=lambda f: f.__name__[len("_tamper_"):])
+    def test_tampered_document_is_rejected(self, mutate, tmp_path):
+        machine, program = _chained_siblings()
+        plan = compile_program(machine, program)
+        doc = json.loads(json.dumps(plan.to_doc()))
+        mutate(doc)
+        with pytest.raises(PlanFormatError):
+            plan_from_doc(doc, plan.externals)
+        plan, fresh, caught = _poisoned_load(tmp_path, machine, program,
+                                             mutate)
+        assert len(caught) == 1
+        assert "ignoring invalid plan cache entry" in str(caught[0].message)
+        assert_same_steps(program, [s.inst for s in fresh.steps],
+                          [s.inst for s in plan.steps],
+                          fresh.steps[0].inst.attrs["acc_chain"]
+                          - plan.steps[0].inst.attrs["acc_chain"])
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_corruption_is_rejected_or_well_formed(self, data):
+        """Any corruption of a document's tables either raises
+        ``PlanFormatError`` or rebuilds a plan of the declared step count
+        whose regions all lie in their tensors: a poisoned cache entry
+        can never crash a load."""
+        plan, text, paths = _corruptible()
+        doc = json.loads(text)
+        for _ in range(data.draw(st.integers(1, 3))):
+            *parents, key = data.draw(st.sampled_from(paths))
+            node = doc
+            try:
+                for k in parents:
+                    node = node[k]
+                old = node[key]
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier change replaced an enclosing value
+            if not isinstance(node, (dict, list)):
+                continue
+            if isinstance(old, int) and not isinstance(old, bool):
+                node[key] = old + data.draw(st.integers(-3, 3) | st.just(1000))
+            else:
+                node[key] = data.draw(st.sampled_from(
+                    [None, -1, 7, "x", [], {}, [1, 2], {"a": 1}, 2.5]))
+        try:
+            back = plan_from_doc(doc, plan.externals)
+        except PlanFormatError:
+            return
+        assert back.n_steps == back.stats.kernel_calls + back.stats.lfu_calls
+        for step in back.steps:
+            for r in step.inst.inputs + step.inst.outputs:
+                Region(r.tensor, r.bounds)  # the checking constructor
+
+    def test_expansion_stops_at_the_declared_count(self, monkeypatch):
+        """Ten thousand repeated spans: the load stops at the first one
+        that would pass the declared step count, re-emitting none."""
+        from repro.plan import plan as plan_mod
+
+        machine, program = _chained_siblings()
+        plan = compile_program(machine, program)
+        doc = json.loads(json.dumps(plan.to_doc()))
+        _tamper_spans_past_declared(doc)
+        calls = []
+        translate = plan_mod._translate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return translate(*args, **kwargs)
+
+        monkeypatch.setattr(plan_mod, "_translate", counting)
+        with pytest.raises(PlanFormatError, match="declare"):
+            plan_from_doc(doc, plan.externals)
+        assert len(calls) == len(plan.spans)
+
+    def test_tampered_flag_is_copied_and_fails_verification(self, tmp_path):
+        """A walked step's flipped flag reaches every copy of the step,
+        and the load fails re-verification."""
+        machine, program = _chained_siblings()
+        plan = compile_program(machine, program)
+        doc = json.loads(json.dumps(plan.to_doc()))
+        _flip_first_flag(doc)
+        back = plan_from_doc(doc, plan.externals)
+        copies = [back.steps[at] for at, start, _, _, _ in back.spans
+                  if start == 0]
+        assert copies and all(s.safe_zero_copy != plan.steps[0].safe_zero_copy
+                              for s in copies)
+        with pytest.raises(ValueError, match="safe_zero_copy"):
+            verify_plan(back)
+        _, fresh, caught = _poisoned_load(tmp_path, machine, program,
+                                          _flip_first_flag)
+        assert len(caught) == 1
+        assert "re-verification" in str(caught[0].message)
+        assert fresh.n_steps == plan.n_steps
+
+    def test_span_written_in_full_when_its_flags_differ(self):
+        """A copy whose flag no longer matches its source's is written
+        in full, so the document keeps it."""
+        machine, program = _chained_siblings()
+        plan = compile_program(machine, program)
+        at = plan.spans[-1][0]  # no later span copies it
+        plan.steps[at] = plan.steps[at].with_safe(not plan.steps[at].safe_zero_copy)
+        doc = json.loads(json.dumps(plan.to_doc()))
+        assert len(doc["spans"]) == len(plan.spans) - 1
+        back = plan_from_doc(doc, plan.externals)
+        assert ([s.safe_zero_copy for s in back.steps]
+                == [s.safe_zero_copy for s in plan.steps])
+        assert_same_steps(program, [s.inst for s in back.steps],
+                          [s.inst for s in plan.steps], 0)
+
+    def test_rebound_plan_keeps_its_spans(self):
+        """Rebinding moves each span's tensors with the steps', so the
+        rebound plan is written as compactly and loads back equal."""
+        machine, program = _chained_siblings()
+        plan = compile_program(machine, program)
+        clones = {t.uid: Tensor(t.name, t.shape, t.dtype, space=t.space)
+                  for t in plan.externals}
+        rebound = plan.rebind(list(clones.values()))
+
+        def cloned(regions):
+            return tuple(Region(clones[r.tensor.uid], r.bounds) for r in regions)
+
+        roots = [Instruction(inst.opcode, cloned(inst.inputs),
+                             cloned(inst.outputs)) for inst in program]
+        back = assert_doc_round_trip(roots, rebound)
+        assert len(back.spans) == len(plan.spans)
 
 
 # -- zero-copy store reads ----------------------------------------------------
