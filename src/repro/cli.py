@@ -1131,11 +1131,14 @@ def cmd_compile(args) -> int:
     the plan's steps and stats must equal a walk of the program without
     the compile's memo (:func:`_walk_mismatch`), and the plan reloaded
     through a fresh disk cache must equal the compiled one the same way,
-    zero-copy flags included; then recursion, schedule replay, the
-    reloaded plan and a compiled ``InferenceSession`` (called first on
-    other inputs) run on the same random inputs, and all three replays
-    must match recursion bit for bit.  Exit codes: **0** ok, **1** a
-    ``--verify`` mismatch, **2** unknown benchmark.
+    zero-copy flags included.  For both plans, the analysis and replay
+    schedule derived span by span must equal those of the same plan
+    without spans (:func:`repro.plan.analysis.spanless_mismatch`).  Then
+    recursion, schedule replay, the reloaded plan and a compiled
+    ``InferenceSession`` (called first on other inputs) run on the same
+    random inputs, and all three replays must match recursion bit for
+    bit.  Exit codes: **0** ok, **1** a ``--verify`` mismatch, **2**
+    unknown benchmark.
     """
     import tempfile
 
@@ -1145,6 +1148,7 @@ def cmd_compile(args) -> int:
     from .core.verify import bit_identical
     from .plan import (DiskPlanCache, compile_cached, fingerprint_digest,
                        machine_fingerprint, plan_key)
+    from .plan.analysis import spanless_mismatch
     from .runtime import InferenceSession
     from .workloads import profile_benchmark, resolve_profile_benchmark
 
@@ -1208,6 +1212,12 @@ def cmd_compile(args) -> int:
         print(f"compile: --verify FAILED: the reloaded plan's {mismatch}",
               file=sys.stderr)
         return 1
+    for whose, candidate in (("compiled", plan), ("reloaded", loaded)):
+        mismatch = spanless_mismatch(candidate)
+        if mismatch is not None:
+            print(f"compile: --verify FAILED: the {whose} plan's {mismatch}",
+                  file=sys.stderr)
+            return 1
     rng = np.random.default_rng(args.seed)
     bound = list(w.inputs.values()) + list(w.params.values())
     arrays = {t.uid: rng.normal(size=t.shape) for t in bound}
@@ -1239,8 +1249,9 @@ def cmd_compile(args) -> int:
                 return 1
     schedule = plan.replay_schedule()
     print(f"  verify              steps and stats equal the walk without "
-          f"a memo, and the reloaded plan's equal the plan's own; "
-          f"recursion, schedule replay, the disk round trip and a "
+          f"a memo, and the reloaded plan's equal the plan's own; both "
+          f"plans' analysis and schedule by span equal their spanless "
+          f"ones; recursion, schedule replay, the disk round trip and a "
           f"bound session's second call bit-identical "
           f"({len(results[0])} output(s), "
           f"{schedule.batched_steps} batched step(s))")

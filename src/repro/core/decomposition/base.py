@@ -502,17 +502,16 @@ def _translate(steps: Sequence[Instruction],
                moves: Dict[int, Tuple[Tensor, Optional[Tuple[int, ...]]]],
                chains: Sequence[Tuple[int, int, int]],
                region: Callable[[Tensor, Tuple], Region] = Region.unchecked,
-               fresh: Optional[List[Tensor]] = None) -> List[Instruction]:
+               ) -> List[Instruction]:
     """``steps`` with every region moved and every chain id renamed.
 
     A region of a tensor in ``moves`` (uid -> the tensor it moves to and
     the shift, or None for none) moves there; any other tensor gets a
-    fresh same-shape partial twin, added to ``moves`` and appended to
-    ``fresh`` in the order they are made.  Moved regions are built with
-    ``region``; a twin's regions keep their validated bounds.  A chain id
-    in ``[lo, hi)`` of an interval of ``chains`` becomes ``id + delta``
-    (:func:`_chain_renames`); any other raises :class:`ValueError`.  Each
-    copy shares its step's signature object.
+    fresh same-shape partial twin, added to ``moves``.  Moved regions are
+    built with ``region``; a twin's regions keep their validated bounds.
+    A chain id in ``[lo, hi)`` of an interval of ``chains`` becomes ``id +
+    delta`` (:func:`_chain_renames`); any other raises
+    :class:`ValueError`.  Each copy shares its step's signature object.
     """
 
     def rename(chain: int) -> int:
@@ -532,8 +531,6 @@ def _translate(steps: Sequence[Instruction],
         if target is None:
             twin_tensor = make_partial(t.shape, t.dtype,
                                        t.name[1:].rstrip("0123456789"))
-            if fresh is not None:
-                fresh.append(twin_tensor)
             twin = Region.unchecked(twin_tensor, r.bounds)
             moves[t.uid] = (twin_tensor, None)
         else:

@@ -154,7 +154,8 @@ class WalkMemo:
     with each operand tensor of the template moved as ``moves`` says
     (``(tensor, its twin, shift)``), every other tensor renewed, and chain
     ids renamed by the ``(lo, hi, delta)`` intervals of ``chains``.
-    Spans do not overlap, and steps outside every span were walked.
+    Spans do not overlap, steps outside every span were walked, and each
+    span's moves are one to one.
     Owned by one compile and dropped with it: no template outlives the
     call, and nothing here refers back to the memo.
     """
@@ -181,8 +182,12 @@ class WalkMemo:
         shares its key, and add its counters to ``stats``."""
         first, start, end, counted, drawn = template
         stats.add(counted)
-        self.spans.append((len(self.insts), start, end,
-                           _operand_moves(first, inst),
+        moves = _operand_moves(first, inst)
+        # The two share their operands' sharing pattern, so the moves are
+        # one to one; a copy's analysis relies on it.
+        assert len({new.uid for _, new, _ in moves}) == len(moves), \
+            "a re-emission moves two tensors onto one"
+        self.spans.append((len(self.insts), start, end, moves,
                            _chain_renames(first, inst, drawn)))
         self.sources.extend(self.sources[start:end])
         self.kinds.extend(self.kinds[start:end])

@@ -28,8 +28,6 @@ rules, and the recorded warm-replay speedups.
 
 from .analysis import (
     ANALYSIS_VERSION,
-    InterferenceEdge,
-    InterferenceGraph,
     PlanAnalysis,
     analyze_plan,
     annotate_plan,
@@ -75,8 +73,6 @@ __all__ = [
     "BatchedStep",
     "DiskPlanCache",
     "FractalPlan",
-    "InterferenceEdge",
-    "InterferenceGraph",
     "PlanAnalysis",
     "PlanCache",
     "PlanFormatError",

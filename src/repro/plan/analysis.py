@@ -12,10 +12,9 @@ derives:
 * **def-use chains and region liveness** -- which byte-ranges of which
   tensors each step reads and writes, when each tensor becomes live and
   dies, and the exact live-byte peak (:attr:`PlanAnalysis.peak_live_bytes`)
-  an arena allocator would need;
-* a **region-interference graph** (:class:`InterferenceGraph`) whose edges
-  connect steps that touch overlapping bytes with at least one writer --
-  the substrate for every legality question below;
+  an arena allocator would need, decided on the plan's region table
+  (:class:`~repro.plan.regions.RegionTable`, every region as numpy
+  columns);
 * stable **P1xx diagnostics** (registered in
   :mod:`repro.analysis.diagnostics` next to the program-level F0xx codes):
   ``P100`` write-write races inside an unordered isomorphic run, ``P110``
@@ -39,6 +38,12 @@ on one lattice of step ``s``; two such boxes overlap iff their bounds are
 equal, and every overlap test is a dict lookup.  A run off that lattice
 falls back to exact per-tensor spatial-hash scans (:class:`_BoxIndex`).
 
+The plan is analysed segment by segment (:mod:`repro.plan.regions`): a
+span copy the compile re-emitted takes its source's zero-copy proofs,
+isomorphism classes and, for each run whose source lanes are a whole
+run, that run's races and groups, moved; what its context changes (runs
+crossing a segment edge, liveness) is decided anew.
+
 Entry points: :func:`analyze_plan` (pure query), :func:`annotate_plan`
 (stamps the products onto the plan; called by the compiler so every
 compiled plan is analyzed exactly once) and :func:`verify_plan` (recompute
@@ -55,8 +60,11 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..analysis.diagnostics import AnalysisResult, Diagnostic, diag
 from .plan import FractalPlan, PlanStep, self_alias
+from .regions import RegionTable, Segment, region_table, run_key
 
 #: version stamp of the analysis products embedded in plan documents;
 #: bump whenever a rule change invalidates previously stored verdicts.
@@ -125,92 +133,6 @@ class _BoxIndex:
         return None
 
 
-@dataclass(frozen=True)
-class InterferenceEdge:
-    """Two steps touching overlapping bytes, at least one writing.
-
-    ``kind`` is ``"ww"`` (both write), ``"raw"`` (``a`` writes, ``b``
-    reads) or ``"war"`` (``a`` reads, ``b`` writes); ``a < b`` in step
-    order always.
-    """
-
-    a: int
-    b: int
-    kind: str
-    tensor: str
-    overlap: Bounds
-
-
-class InterferenceGraph:
-    """Region-interference graph of a plan: per-step, per-tensor accesses.
-
-    Nodes are step indices; edges (enumerated lazily by :meth:`iter_edges`
-    -- dense producer/consumer patterns make the full edge set quadratic)
-    connect steps whose accessed byte-ranges overlap with at least one
-    writer.  The per-tensor access tables double as the def-use index the
-    diagnostics passes query.
-    """
-
-    def __init__(self, plan: FractalPlan):
-        self.n_steps = plan.n_steps
-        #: tensor uid -> [(step, bounds)] in step order
-        self.writes: Dict[int, List[Tuple[int, Bounds]]] = {}
-        self.reads: Dict[int, List[Tuple[int, Bounds]]] = {}
-        #: accumulate writes only (subset of ``writes``)
-        self.acc_writes: Dict[int, List[Tuple[int, Bounds]]] = {}
-        self._names: Dict[int, str] = {}
-        for index, step in enumerate(plan.steps):
-            inst = step.inst
-            for r in inst.inputs:
-                uid = r.tensor.uid
-                self._names[uid] = r.tensor.name
-                self.reads.setdefault(uid, []).append((index, r.bounds))
-            for r in inst.outputs:
-                uid = r.tensor.uid
-                self._names[uid] = r.tensor.name
-                self.writes.setdefault(uid, []).append((index, r.bounds))
-                if step.accumulate:
-                    self.acc_writes.setdefault(uid, []).append(
-                        (index, r.bounds))
-
-    def tensor_name(self, uid: int) -> str:
-        return self._names.get(uid, f"uid{uid}")
-
-    def iter_edges(self, limit: Optional[int] = None
-                   ) -> Iterator[InterferenceEdge]:
-        """Enumerate interference edges (optionally capped at ``limit``).
-
-        Write-write pairs come first per tensor, then read/write pairs;
-        within a tensor, pairs are in (earlier, later) step order.
-        """
-        emitted = 0
-        for uid, wlist in self.writes.items():
-            name = self.tensor_name(uid)
-            for a_pos in range(len(wlist)):
-                i, wi = wlist[a_pos]
-                for j, wj in wlist[a_pos + 1:]:
-                    inter = _intersect(wi, wj)
-                    if inter is None or i == j:
-                        continue
-                    yield InterferenceEdge(i, j, "ww", name, inter)
-                    emitted += 1
-                    if limit is not None and emitted >= limit:
-                        return
-            for ridx, r in self.reads.get(uid, ()):
-                for widx, w in wlist:
-                    if widx == ridx:
-                        continue
-                    inter = _intersect(r, w)
-                    if inter is None:
-                        continue
-                    kind = "raw" if widx < ridx else "war"
-                    a, b = min(widx, ridx), max(widx, ridx)
-                    yield InterferenceEdge(a, b, kind, name, inter)
-                    emitted += 1
-                    if limit is not None and emitted >= limit:
-                        return
-
-
 @dataclass
 class PlanAnalysis:
     """Everything the dataflow analyzer derives from one plan."""
@@ -223,7 +145,6 @@ class PlanAnalysis:
     safe_zero_copy: List[bool] = field(default_factory=list)
     #: exact live-byte high-water mark over the replay order.
     peak_live_bytes: int = 0
-    graph: Optional[InterferenceGraph] = None
 
     @property
     def n_safe_zero_copy(self) -> int:
@@ -242,7 +163,8 @@ class PlanAnalysis:
             "version": ANALYSIS_VERSION,
             "diags": sorted((d.code, d.index) for d in self.result.diagnostics),
             "groups": [list(g) for g in self.fusion_groups],
-            "safe": "".join("1" if s else "0" for s in self.safe_zero_copy),
+            "safe": (np.asarray(self.safe_zero_copy, bool).astype(np.uint8)
+                     + ord("0")).tobytes().decode("ascii"),
             "peak": self.peak_live_bytes,
         }
         blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
@@ -263,20 +185,13 @@ class PlanAnalysis:
         }
 
 
-def _run_key(step: PlanStep) -> Tuple:
-    """Two steps with equal keys are *isomorphic*: same kind and level,
-    identical opcode/operand shapes/dtypes/attrs.  Consecutive equal-key
-    steps form the lockstep runs the paper's FFUs execute in parallel."""
-    return (step.kind, step.level, step.inst.signature())
-
-
 def _isomorphic_runs(steps: Sequence[PlanStep]) -> Iterator[Tuple[int, int]]:
     """Maximal ``[start, stop)`` runs of consecutive isomorphic steps."""
     start = 0
     while start < len(steps):
-        key = _run_key(steps[start])
+        key = run_key(steps[start])
         stop = start + 1
-        while stop < len(steps) and _run_key(steps[stop]) == key:
+        while stop < len(steps) and run_key(steps[stop]) == key:
             stop += 1
         yield start, stop
         start = stop
@@ -378,49 +293,147 @@ def _lattice_table(steps: Sequence[PlanStep], start: int, stop: int,
     return conflicts, races
 
 
+def _lattice_rows(table: RegionTable, steps: Sequence[PlanStep], start: int,
+                  stop: int) -> Optional[Tuple[List[int], List[bool]]]:
+    """:func:`_lattice_table` of one isomorphic run, from the plan's
+    region table: the same per-lane facts, or ``None`` in the same cases.
+
+    For a run whose lanes lie in several segments, where the rows of each
+    copied lane are its source's, moved.  Rows on tensors the run writes
+    must lie on one lattice per tensor (one box shape, no zero extent,
+    origins congruent modulo it); then two boxes overlap iff their
+    ``(tensor, origin)`` keys are equal.  Sorted by key and lane, a lane's
+    latest earlier conflict is, per row, the latest earlier lane writing
+    the key it reads, or touching the key it writes; a write races when
+    an earlier lane wrote its key.
+    """
+    if len(steps[start].inst.outputs) > 1:
+        return None
+    r0, r1 = int(table.first[start]), int(table.first[stop])
+    tid = table.tid[r0:r1]
+    out = table.out[r0:r1]
+    keep = np.isin(tid, tid[out])
+    tid, out = tid[keep], out[keep]
+    lane = table.step_of_row[r0:r1][keep] - start
+    lo = table.lo[r0:r1][keep]
+    extent = table.hi[r0:r1][keep] - lo
+    by_tensor = np.argsort(tid, kind="stable")
+    sorted_tid = tid[by_tensor]
+    heads = np.flatnonzero(np.r_[True, sorted_tid[1:] != sorted_tid[:-1]])
+    ref = by_tensor[heads][np.cumsum(np.r_[False, sorted_tid[1:]
+                                           != sorted_tid[:-1]])]
+    ref_extent = extent[ref]
+    if ((extent[by_tensor] != ref_extent).any() or not ref_extent.all()
+            or ((lo[by_tensor] - lo[ref]) % ref_extent).any()):
+        return None
+    order = np.lexsort([lane] + [lo[:, d] for d in reversed(range(lo.shape[1]))]
+                       + [tid])
+    tid, lo, lane, out = tid[order], lo[order], lane[order], out[order]
+    new_key = np.r_[True, (tid[1:] != tid[:-1])
+                    | (lo[1:] != lo[:-1]).any(axis=1)]
+    new_pair = new_key | np.r_[True, lane[1:] != lane[:-1]]
+    pair = np.cumsum(new_pair) - 1
+    pair_lane = lane[new_pair]
+    pair_key = np.cumsum(new_key)[new_pair] - 1
+    pair_wrote = np.zeros(len(pair_lane), bool)
+    pair_wrote[pair[out]] = True
+    key_head = np.r_[True, pair_key[1:] != pair_key[:-1]]
+    # the latest earlier lane touching / writing each pair's key
+    touched = np.r_[-1, pair_lane[:-1]]
+    touched[key_head] = -1
+    big = stop - start + 2
+    written = np.maximum.accumulate(
+        np.where(pair_wrote, pair_lane + 1, 0) + pair_key * big) \
+        - pair_key * big - 1
+    wrote = np.r_[-1, written[:-1]]
+    wrote[key_head] = -1
+    latest = np.where(out, touched[pair], wrote[pair])
+    conflicts = np.full(stop - start, -1, np.int64)
+    np.maximum.at(conflicts, lane, latest)
+    races = np.zeros(stop - start, bool)
+    races[lane[out & (wrote[pair] >= 0)]] = True
+    return conflicts.tolist(), races.tolist()
+
+
 def _decide_runs(steps: Sequence[PlanStep], runs: Sequence[Tuple[int, int]],
-                 safe: Sequence[bool],
+                 safe: Sequence[bool], table: RegionTable,
                  ) -> Tuple[List[Diagnostic], List[Tuple[int, int]]]:
     """P100 races and fusion groups of every isomorphic run.
 
-    Each run is decided by its :func:`_lattice_table`.  P100: in a plain
-    (non-accumulate) run, a lane whose output an earlier lane wrote.
-    Groups: :func:`_fusion_groups`' greedy, where lane ``e`` extends the
-    group starting at lane ``g`` iff it does not self-alias and its
-    latest conflict is before ``g``.  Runs the table declines go to
-    :func:`_check_races` and :func:`_fusion_groups`.
+    A run inside one span copy whose source lanes are a whole run decided
+    here takes that run's races and groups, moved: a decision reads only
+    the run's own steps, and the copy's steps are its source's, moved one
+    to one.  Any other run is decided by its :func:`_lattice_table`, or by
+    :func:`_lattice_rows` when its lanes lie in several segments.  P100:
+    in a plain (non-accumulate) run, a lane whose output an earlier lane
+    wrote.  Groups: :func:`_fusion_groups`' greedy, where lane ``e``
+    extends the group starting at lane ``g`` iff it does not self-alias
+    and its latest conflict is before ``g``.  Runs the lattice declines go
+    to :func:`_check_races` and :func:`_fusion_groups`.
     """
     diags: List[Diagnostic] = []
     groups: List[Tuple[int, int]] = []
     declined: List[Tuple[int, int]] = []
+    # run start -> (stop, racing lanes, groups as lane ranges)
+    decided: Dict[int, Tuple[int, List[int], List[Tuple[int, int]]]] = {}
     for start, stop in runs:
         if stop - start < 2:
             continue
-        table = _lattice_table(steps, start, stop)
-        if table is None:
-            declined.append((start, stop))
-            continue
-        conflicts, races = table
-        if not steps[start].accumulate:
-            for lane, raced in enumerate(races):
-                if raced:
-                    inst = steps[start + lane].inst
-                    diags.append(_race(start + lane, inst, inst.outputs[0],
-                                       start, stop))
-        n, g = stop - start, 0
-        while g < n:
-            e = g
-            while e < n and safe[start + e] and conflicts[e] < g:
-                e += 1
-            if e - g >= 2:
-                groups.append((start + g, start + e))
-                g = e
-            else:
-                g = max(e, g + 1)
+        segment = table.segment_at(start)
+        got = _inherited(segment, decided, start, stop)
+        if got is None:
+            lattice = (_lattice_rows(table, steps, start, stop)
+                       if stop > segment.hi else
+                       _lattice_table(steps, start, stop))
+            if lattice is None:
+                declined.append((start, stop))
+                continue
+            conflicts, races = lattice
+            got = ([] if steps[start].accumulate else
+                   [lane for lane, raced in enumerate(races) if raced],
+                   _greedy(conflicts, safe, start, stop))
+        decided[start] = (stop,) + got
+        for lane in got[0]:
+            inst = steps[start + lane].inst
+            diags.append(_race(start + lane, inst, inst.outputs[0],
+                               start, stop))
+        groups.extend((start + g, start + e) for g, e in got[1])
     if declined:
         diags.extend(_check_races(steps, declined))
         groups = sorted(groups + _fusion_groups(steps, declined))
     return diags, groups
+
+
+def _inherited(segment: Segment, decided: Dict, start: int, stop: int):
+    """The races and groups of run ``[start, stop)``, which starts in
+    ``segment``, taken from its source, or ``None`` when it is not inside
+    one copy or its source lanes are not a whole decided run."""
+    if segment.span is None or stop > segment.hi:
+        return None
+    shift = segment.span[1] - segment.lo
+    source = decided.get(start + shift)
+    if source is None or source[0] != stop + shift:
+        return None
+    return source[1], source[2]
+
+
+def _greedy(conflicts: Sequence[int], safe: Sequence[bool], start: int,
+            stop: int) -> List[Tuple[int, int]]:
+    """Fusion groups of one run as lane ranges: lane ``e`` extends the
+    group starting at lane ``g`` iff it does not self-alias and its
+    latest conflict is before ``g``."""
+    groups: List[Tuple[int, int]] = []
+    n, g = stop - start, 0
+    while g < n:
+        e = g
+        while e < n and safe[start + e] and conflicts[e] < g:
+            e += 1
+        if e - g >= 2:
+            groups.append((g, e))
+            g = e
+        else:
+            g = max(e, g + 1)
+    return groups
 
 
 def _check_races(steps: Sequence[PlanStep],
@@ -452,55 +465,66 @@ def _check_races(steps: Sequence[PlanStep],
 
 
 def _check_dead_steps(plan: FractalPlan,
-                      graph: InterferenceGraph) -> List[Diagnostic]:
+                      table: RegionTable) -> List[Diagnostic]:
     """P120: steps whose outputs nothing ever consumes.
 
     A write is consumed when a later step reads overlapping bytes --
     including a later *accumulate* onto them (read-modify-write) -- or
     when it lands in an external tensor (visible to the caller after the
     run).  Everything else is wasted work the compiler should not have
-    emitted.
+    emitted.  Decided on the region table: every write to a non-external
+    tensor, of a step no external write keeps, is paired with the later
+    rows on its tensor.
     """
-    external = set(plan.external_uids())
-    # consumption index: reads plus accumulate outputs, sorted by step.
-    consumes: Dict[int, List[Tuple[int, Bounds]]] = {
-        uid: list(entries) for uid, entries in graph.reads.items()}
-    for uid, entries in graph.acc_writes.items():
-        consumes.setdefault(uid, []).extend(entries)
-    for entries in consumes.values():
-        entries.sort(key=lambda e: e[0])
-    consume_idx = {uid: [e[0] for e in entries]
-                   for uid, entries in consumes.items()}
-
+    steps = plan.steps
+    live = np.zeros(len(steps), bool)
+    tid, out, step = table.tid, table.out, table.step_of_row
+    external = table.external[tid]
+    live[step[out & external]] = True
+    writes = out & ~external & ~live[step]
+    if writes.any():
+        consumes = ~out | table.acc[step]
+        rows = np.flatnonzero(np.isin(tid, tid[writes]))
+        rows = rows[np.argsort(tid[rows], kind="stable")]
+        by_tensor = tid[rows]
+        ends = np.r_[np.flatnonzero(by_tensor[1:] != by_tensor[:-1]) + 1,
+                     len(rows)]
+        end = ends[np.cumsum(np.r_[False, by_tensor[1:] != by_tensor[:-1]])]
+        at = np.flatnonzero(writes[rows])
+        later = end[at] - at - 1
+        lo, hi = table.lo, table.hi
+        # pair each write with every later row on its tensor, in chunks
+        bounds = np.r_[0, np.cumsum(later)]
+        chunk = 1 << 20
+        first = 0
+        while first < len(at):
+            last = int(np.searchsorted(bounds, bounds[first] + chunk,
+                                       side="right")) - 1
+            last = max(last, first + 1)
+            counts = later[first:last]
+            a = np.repeat(at[first:last], counts)
+            b = a + 1 + np.arange(len(a)) - np.repeat(
+                bounds[first:last] - bounds[first], counts)
+            ra, rb = rows[a], rows[b]
+            hit = (consumes[rb] & (step[rb] > step[ra])
+                   & ((lo[ra] < hi[rb]) & (lo[rb] < hi[ra])).all(axis=1))
+            live[step[ra[hit]]] = True
+            first = last
     diags: List[Diagnostic] = []
-    for index, step in enumerate(plan.steps):
-        live = False
-        for o in step.inst.outputs:
-            uid = o.tensor.uid
-            if uid in external:
-                live = True
-                break
-            entries = consumes.get(uid, ())
-            pos = bisect_right(consume_idx.get(uid, ()), index)
-            # Accumulates consume their own prior value, so a consumer at
-            # the same index does not count; strictly-later only.
-            if any(_overlap(o.bounds, bounds)
-                   for _, bounds in entries[pos:]):
-                live = True
-                break
-        if not live:
-            outs = ", ".join(repr(o) for o in step.inst.outputs)
-            diags.append(diag(
-                "P120",
-                f"step {index} writes {outs} but no later step reads any "
-                f"of those bytes and no output is externally visible: "
-                f"the step is dead weight in the plan",
-                index, step.inst))
+    for index in np.flatnonzero(~live).tolist():
+        step_ = steps[index]
+        outs = ", ".join(repr(o) for o in step_.inst.outputs)
+        diags.append(diag(
+            "P120",
+            f"step {index} writes {outs} but no later step reads any "
+            f"of those bytes and no output is externally visible: "
+            f"the step is dead weight in the plan",
+            index, step_.inst))
     return diags
 
 
 def _check_accumulate_order(plan: FractalPlan,
-                            graph: InterferenceGraph) -> List[Diagnostic]:
+                            table: RegionTable) -> List[Diagnostic]:
     """P130: a read landing inside an open accumulation chain.
 
     For an accumulate write at step ``l`` onto bytes ``B``, the chain over
@@ -508,16 +532,43 @@ def _check_accumulate_order(plan: FractalPlan,
     (the chain's init; absent for an uninitialized chain).  Any other step
     reading ``B`` strictly between init and ``l`` observes a partial sum
     -- its value changes under any reordering or batching of the chain,
-    which is exactly the hazard a fusion pass must not inherit.
+    which is exactly the hazard a fusion pass must not inherit.  Only the
+    tensors some step accumulates onto are read, in the order of their
+    first accumulate write.
     """
+    tid, step = table.tid, table.step_of_row
+    accumulated = table.out & table.acc[step]
+    if not accumulated.any():
+        return []
+    tensors, firsts = np.unique(tid[accumulated], return_index=True)
+    steps = plan.steps
+    reads: Dict[int, List[Tuple[int, Bounds]]] = {}
+    writes: Dict[int, List[Tuple[int, Bounds]]] = {}
+    acc_writes: Dict[int, List[Tuple[int, Bounds]]] = {
+        int(t): [] for t in tensors[np.argsort(firsts)]}
+    names: Dict[int, str] = {}
+    for row in np.flatnonzero(np.isin(tid, tensors)).tolist():
+        index = int(step[row])
+        s = steps[index]
+        pos = row - int(table.first[index])
+        t = int(tid[row])
+        if pos < len(s.inst.inputs):
+            r = s.inst.inputs[pos]
+            reads.setdefault(t, []).append((index, r.bounds))
+        else:
+            r = s.inst.outputs[pos - len(s.inst.inputs)]
+            writes.setdefault(t, []).append((index, r.bounds))
+            if s.accumulate:
+                acc_writes[t].append((index, r.bounds))
+        names[t] = r.tensor.name
     diags: List[Diagnostic] = []
     reported: set = set()
-    for uid, acc_list in graph.acc_writes.items():
-        rlist = graph.reads.get(uid, ())
+    for t, acc_list in acc_writes.items():
+        rlist = reads.get(t, ())
         if not rlist:
             continue
         acc_set = set(acc_list)
-        plain = [(i, b) for i, b in graph.writes.get(uid, ())
+        plain = [(i, b) for i, b in writes.get(t, ())
                  if (i, b) not in acc_set]
         acc_idx = [i for i, _ in acc_list]
         for ridx, rbounds in rlist:
@@ -534,11 +585,11 @@ def _check_accumulate_order(plan: FractalPlan,
                     diags.append(diag(
                         "P130",
                         f"step {ridx} reads "
-                        f"{graph.tensor_name(uid)}{_fmt(inter)} while the "
+                        f"{names[t]}{_fmt(inter)} while the "
                         f"accumulation finishing at step {l_idx} is still "
                         f"open (chain init at step {init}): the read "
                         f"observes a partial sum",
-                        ridx, plan.steps[ridx].inst))
+                        ridx, steps[ridx].inst))
                     reported.add(ridx)
                     break
     diags.sort(key=lambda d: d.index)
@@ -607,7 +658,7 @@ def _extends_group(step: PlanStep, out_idx: Dict[int, _BoxIndex],
     return True
 
 
-def _peak_live_bytes(plan: FractalPlan) -> int:
+def _peak_live_bytes(plan: FractalPlan, table: RegionTable) -> int:
     """Exact live-byte high-water mark over the replay order.
 
     Externals are bound before step 0 and stay resident for the caller, so
@@ -617,66 +668,54 @@ def _peak_live_bytes(plan: FractalPlan) -> int:
     which is the ROADMAP-2 sizing input.)
     """
     n = plan.n_steps
+    external = sum({t.uid: t.nbytes for t in plan.externals}.values())
     if n == 0:
-        return sum(t.nbytes for t in plan.externals)
-    external = set(plan.external_uids())
-    first: Dict[int, int] = {}
-    last: Dict[int, int] = {}
-    sizes: Dict[int, int] = {t.uid: t.nbytes for t in plan.externals}
-    for index, step in enumerate(plan.steps):
-        for r in step.inst.inputs + step.inst.outputs:
-            uid = r.tensor.uid
-            sizes.setdefault(uid, r.tensor.nbytes)
-            first.setdefault(uid, index)
-            last[uid] = index
-    delta = [0] * (n + 1)
-    for uid, size in sizes.items():
-        if uid in external:
-            lo, hi = 0, n - 1
-        else:
-            lo, hi = first.get(uid, 0), last.get(uid, 0)
-        delta[lo] += size
-        delta[hi + 1] -= size
-    peak = live = 0
-    for step_delta in delta[:n]:
-        live += step_delta
-        if live > peak:
-            peak = live
-    return peak
+        return external
+    tid, step = table.tid, table.step_of_row
+    first = np.full(table.n_tensors, n, np.int64)
+    last = np.full(table.n_tensors, -1, np.int64)
+    np.minimum.at(first, tid, step)
+    np.maximum.at(last, tid, step)
+    partial = ~table.external & (last >= 0)
+    delta = np.zeros(n + 1, np.int64)
+    delta[0] = external
+    np.add.at(delta, first[partial], table.size[partial])
+    np.subtract.at(delta, last[partial] + 1, table.size[partial])
+    return max(0, int(np.cumsum(delta[:n]).max()))
 
 
-def analyze_plan(plan: FractalPlan, graph: Optional[InterferenceGraph] = None,
-                 ) -> PlanAnalysis:
-    """Run the full dataflow analysis over ``plan`` (pure; no mutation).
+def analyze_plan(plan: FractalPlan) -> PlanAnalysis:
+    """Run the full dataflow analysis over ``plan`` (pure; no mutation
+    beyond keeping its region table).
 
     Returns the diagnostics plus the three derived products (fusion
-    groups, zero-copy proofs, live-byte peak).  Pass a prebuilt ``graph``
-    to reuse the access index across analyses.
+    groups, zero-copy proofs, live-byte peak).  The analysis runs segment
+    by segment (:mod:`repro.plan.regions`): a span copy takes its source's
+    zero-copy proofs and isomorphism classes, and each of its runs whose
+    source lanes are a whole decided run takes that run's races and
+    groups, moved; runs crossing a segment edge are decided anew, and the
+    liveness facts (P120, P130, the live-byte peak) are decided on the
+    whole region table.  A plan without spans is one walked segment.
     """
     steps = plan.steps
-    if graph is None:
-        graph = InterferenceGraph(plan)
-    runs = list(_isomorphic_runs(steps))
-
+    table = region_table(plan, fresh=True)
     result = AnalysisResult(
         program_name=f"plan:{plan.signature_digest[:16]}",
         instructions=len(steps))
-    safe: List[bool] = []
-    for index, step in enumerate(steps):
-        alias = self_alias(step.inst)
-        safe.append(alias is None)
-        if alias is not None:
-            r, o = alias
-            result.diagnostics.append(diag(
-                "P110",
-                f"step {index} reads {r.tensor.name}{_fmt(r.bounds)} "
-                f"overlapping its own output {_fmt(o.bounds)}: the replay "
-                f"aliasing guard must copy the operand every run",
-                index, step.inst))
-    races, groups = _decide_runs(steps, runs, safe)
+    safe = table.safe.tolist()
+    for index in np.flatnonzero(~table.safe).tolist():
+        step = steps[index]
+        r, o = self_alias(step.inst)
+        result.diagnostics.append(diag(
+            "P110",
+            f"step {index} reads {r.tensor.name}{_fmt(r.bounds)} "
+            f"overlapping its own output {_fmt(o.bounds)}: the replay "
+            f"aliasing guard must copy the operand every run",
+            index, step.inst))
+    races, groups = _decide_runs(steps, table.runs(), safe, table)
     result.extend(races)
-    result.extend(_check_dead_steps(plan, graph))
-    result.extend(_check_accumulate_order(plan, graph))
+    result.extend(_check_dead_steps(plan, table))
+    result.extend(_check_accumulate_order(plan, table))
     result.diagnostics.sort(
         key=lambda d: (d.index if d.index >= 0 else 1 << 30, d.code))
 
@@ -684,8 +723,7 @@ def analyze_plan(plan: FractalPlan, graph: Optional[InterferenceGraph] = None,
         result=result,
         fusion_groups=groups,
         safe_zero_copy=safe,
-        peak_live_bytes=_peak_live_bytes(plan),
-        graph=graph,
+        peak_live_bytes=_peak_live_bytes(plan, table),
     )
 
 
@@ -703,8 +741,11 @@ def annotate_plan(plan: FractalPlan,
         analysis = analyze_plan(plan)
     # Compiled steps already carry the flag from construction, so this
     # rebuilds only steps whose flag was set otherwise.
-    for index, is_safe in enumerate(analysis.safe_zero_copy):
-        plan.steps[index] = plan.steps[index].with_safe(is_safe)
+    steps = plan.steps
+    stored = np.fromiter((s.safe_zero_copy for s in steps), bool, len(steps))
+    for index in np.flatnonzero(
+            stored != np.asarray(analysis.safe_zero_copy, bool)).tolist():
+        steps[index] = steps[index].with_safe(analysis.safe_zero_copy[index])
     plan.fusion_groups = list(analysis.fusion_groups)
     plan.analysis = analysis.to_doc()
     plan.stats.peak_live_bytes = analysis.peak_live_bytes
@@ -722,7 +763,11 @@ def verify_plan(plan: FractalPlan) -> PlanAnalysis:
     does not match a fresh analysis of its own steps -- tampered flags,
     hand-edited fusion groups, or verdicts from an older analyzer version
     -- raises :class:`ValueError` so the caller treats the entry as
-    corrupt and recompiles.  Returns the fresh analysis on success.
+    corrupt and recompiles.  The fresh analysis runs by span, as every
+    analysis does; a loaded plan's spans are ones
+    :func:`~repro.plan.plan.plan_from_doc` re-emitted one to one from its
+    own steps, so each copy's products are its source's.  Returns the
+    fresh analysis on success.
     """
     analysis = analyze_plan(plan)
     stored = plan.analysis or {}
@@ -751,3 +796,81 @@ def verify_plan(plan: FractalPlan) -> PlanAnalysis:
                 "plan batched steps do not match a fresh lowering of its "
                 "fusion groups")
     return analysis
+
+
+def spanless_mismatch(plan: FractalPlan) -> Optional[str]:
+    """How the products ``plan``'s spans give differ from those of the
+    same steps without spans, or ``None``.
+
+    The oracle of the by-span derivation: ``replace(plan, spans=[])`` is
+    one walked segment, so every product is derived step by step.  Both
+    analyses must agree on the digest, the diagnostics (code, index,
+    message), the fusion groups, the zero-copy flags and the live-byte
+    peak; both replay schedules, built from ``plan``'s fusion groups, on
+    every item field, access and fold term and on the arena.
+    """
+    from dataclasses import replace
+
+    from .batch import build_schedule  # deferred: import order
+
+    oracle = replace(plan, spans=[], batched=[])
+    by_span = replace(plan, batched=[])
+    got, want = analyze_plan(by_span), analyze_plan(oracle)
+    for name, value in (
+            ("digest", lambda a: a.digest()),
+            ("diagnostics", lambda a: [(d.code, d.index, d.message)
+                                       for d in a.result.diagnostics]),
+            ("fusion groups", lambda a: a.fusion_groups),
+            ("zero-copy flags", lambda a: a.safe_zero_copy),
+            ("peak_live_bytes", lambda a: a.peak_live_bytes)):
+        if value(got) != value(want):
+            return f"analysis {name} differ from the spanless plan's"
+    schedules = []
+    for p in (by_span, oracle):
+        p.ensure_lowered()
+        schedules.append(build_schedule(p))
+    got, want = schedules
+    if len(got.items) != len(want.items):
+        return "replay schedule item counts differ from the spanless plan's"
+    for index, (a, b) in enumerate(zip(got.items, want.items)):
+        if _item_fields(a) != _item_fields(b):
+            return (f"replay schedule item {index} [{a.start}:{a.stop}) "
+                    f"differs from the spanless plan's")
+    if _arena_fields(got.arena) != _arena_fields(want.arena):
+        return "arena layout differs from the spanless plan's"
+    return None
+
+
+def _spec(tensor, sl) -> Tuple:
+    return tensor.uid, tuple((s.start, s.stop) for s in sl)
+
+
+def _access_fields(access) -> Tuple:
+    if hasattr(access, "lane_slices"):
+        return ("loop", access.shape, access.k,
+                tuple(_spec(t, sl) for t, sl in access.lane_slices))
+    return ("lattice", access.tensor.uid, access.origin, access.counts,
+            access.shape, access.byte_strides, access.k, access.zero_copy,
+            access.repeats)
+
+
+def _item_fields(item) -> Tuple:
+    """Everything a replay reads from one schedule item."""
+    head = (type(item).__name__, item.start, item.stop, item.opval,
+            item.level, item.run_attrs, item.accumulate, item.n_in)
+    if item.batched:
+        return head + (item.k, tuple(map(_access_fields, item.gathers)),
+                       _access_fields(item.scatter), item.out_shape,
+                       item.out_nelems)
+    if item.folded:
+        return head + (item.k, tuple(_spec(*t) for t in item.terms),
+                       _spec(*item.out_spec))
+    return head + (item.copy_mask,
+                   tuple(_spec(*spec) for spec in item.in_specs),
+                   tuple(_spec(*spec) for spec in item.out_specs))
+
+
+def _arena_fields(arena) -> Tuple:
+    return (arena.total_elems,
+            [(t.uid, off) for t, off in arena.bindings], arena.zero_items,
+            [t.uid for t in arena.zero_externals])

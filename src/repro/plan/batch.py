@@ -54,7 +54,7 @@ disk round trip included, by ``tests/test_fuzz.py``).
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -65,6 +65,7 @@ from ..core.gcpause import gc_paused
 from ..core.isa import Opcode
 from ..core.tensor import Region, Tensor
 from .plan import FractalPlan, PlanStep
+from .regions import RegionTable, region_table
 
 __all__ = [
     "ArenaLayout",
@@ -114,17 +115,22 @@ def lower_plan(plan: FractalPlan) -> List[BatchedStep]:
     :func:`repro.plan.analysis.verify_plan` compare a plan's lowering with
     a fresh one).  Groups whose steps
     are not single-output are left unlowered -- they replay as singles.
+    Lanes of one isomorphism class (the region table's ``key``) share
+    kind, level and signature, so only their lead is read.
     """
     batched: List[BatchedStep] = []
+    key = region_table(plan).key if plan.fusion_groups else None
     for start, stop in plan.fusion_groups:
         lanes = tuple(plan.steps[start:stop])
         lead = lanes[0]
-        if any(len(s.inst.outputs) != 1 for s in lanes):
+        if len(lead.inst.outputs) != 1:
             continue
-        if any(s.kind != lead.kind or s.level != lead.level
-               or s.inst.opcode is not lead.inst.opcode
-               or len(s.inst.inputs) != len(lead.inst.inputs)
-               or s.accumulate != lead.accumulate for s in lanes):
+        if (key[start:stop] != key[start]).any() and (
+                any(len(s.inst.outputs) != 1 for s in lanes)
+                or any(s.kind != lead.kind or s.level != lead.level
+                       or s.inst.opcode is not lead.inst.opcode
+                       or len(s.inst.inputs) != len(lead.inst.inputs)
+                       or s.accumulate != lead.accumulate for s in lanes)):
             # Defensive: the analyzer's isomorphism key guarantees this;
             # a plan violating it is corrupt, not batchable.
             continue
@@ -256,23 +262,52 @@ def _build_access(regions: Sequence[Region], slices: _SliceTable):
     a per-lane loop."""
     lead = regions[0]
     uid = lead.tensor.uid
+    access = None
     if all(r.tensor.uid == uid for r in regions):
         ndim, k = len(lead.bounds), len(regions)
         bounds = np.fromiter(
             chain.from_iterable(chain.from_iterable(r.bounds
                                                     for r in regions)),
             dtype=np.int64, count=2 * ndim * k).reshape(k, ndim, 2)
-        lows = bounds[:, :, 0]
-        extents = bounds[:, :, 1] - lows
-        if (extents == extents[0]).all():
-            strides = _elem_strides(lead.tensor.shape)
-            offs = lows @ np.array(strides, dtype=np.int64)
-            levels = _lattice_levels(offs)
-            if levels is not None:
-                return _LatticeAccess(lead.tensor, int(offs[0]), levels,
-                                      lead.shape, strides, k)
-    return _LoopAccess([(r.tensor, slices[r.bounds]) for r in regions],
-                       lead.shape)
+        access = _lattice_access(lead, bounds[:, :, 0], bounds[:, :, 1])
+    return access or _LoopAccess(
+        [(r.tensor, slices[r.bounds]) for r in regions], lead.shape)
+
+
+def _table_access(table: RegionTable, rows: np.ndarray,
+                  lanes: Sequence[PlanStep], position: int,
+                  slices: _SliceTable):
+    """:func:`_build_access` of the lanes' regions at ``position``, read
+    from the region table's ``rows``."""
+    tids = table.tid[rows]
+    inst = lanes[0].inst
+    lead = (inst.inputs + inst.outputs)[position]
+    access = None
+    if (tids == tids[0]).all():
+        ndim = len(lead.bounds)
+        access = _lattice_access(lead, table.lo[rows, :ndim],
+                                 table.hi[rows, :ndim])
+    if access is None:
+        regions = [(s.inst.inputs + s.inst.outputs)[position] for s in lanes]
+        access = _LoopAccess([(r.tensor, slices[r.bounds]) for r in regions],
+                             lead.shape)
+    return access
+
+
+def _lattice_access(lead: Region, lows: np.ndarray,
+                    highs: np.ndarray) -> Optional[_LatticeAccess]:
+    """The lattice view of lanes on ``lead``'s tensor with these bounds,
+    or ``None`` when their tiles differ in shape or sit on no lattice."""
+    extents = highs - lows
+    if not (extents == extents[0]).all():
+        return None
+    strides = _elem_strides(lead.tensor.shape)
+    offs = lows.astype(np.int64) @ np.array(strides, dtype=np.int64)
+    levels = _lattice_levels(offs)
+    if levels is None:
+        return None
+    return _LatticeAccess(lead.tensor, int(offs[0]), levels, lead.shape,
+                          strides, len(lows))
 
 
 # -- schedule items ---------------------------------------------------------
@@ -325,7 +360,7 @@ class BatchedItem:
     folded = False
 
     def __init__(self, bstep: BatchedStep, batched_kernel,
-                 slices: _SliceTable) -> None:
+                 slices: _SliceTable, table: RegionTable) -> None:
         self.start = bstep.start
         self.stop = bstep.stop
         self.k = bstep.n_lanes
@@ -335,18 +370,19 @@ class BatchedItem:
         self.run_attrs = bstep.run_attrs
         self.accumulate = bstep.accumulate
         self.batched_kernel = batched_kernel
-        insts = [s.inst for s in bstep.lanes]
-        self.n_in = len(insts[0].inputs)
+        lead = bstep.lanes[0].inst
+        self.n_in = len(lead.inputs)
+        rows = table.first[bstep.start:bstep.stop]
         self.gathers = tuple(
-            _build_access([inst.inputs[j] for inst in insts], slices)
+            _table_access(table, rows + j, bstep.lanes, j, slices)
             for j in range(self.n_in))
-        outs = [inst.outputs[0] for inst in insts]
-        self.scatter = _build_access(outs, slices)
+        self.scatter = _table_access(table, rows + self.n_in, bstep.lanes,
+                                     self.n_in, slices)
         # Fusion legality makes a group's outputs pairwise disjoint, so no
         # output lattice places one tile at two lanes.
         assert not self.scatter.repeats, "fused lanes write one tile"
-        self.out_shape = outs[0].shape
-        self.out_nelems = outs[0].nelems
+        self.out_shape = lead.outputs[0].shape
+        self.out_nelems = lead.outputs[0].nelems
 
 
 class FoldItem:
@@ -403,46 +439,69 @@ def _foldable(step: PlanStep) -> bool:
             and len(inst.outputs) == 1)
 
 
-def _fold_links(plan: FractalPlan) -> Set[int]:
+def _chained(prev: PlanStep, step: PlanStep) -> bool:
+    """Does ``step`` continue a foldable chain from ``prev``, as far as
+    the two steps alone tell?  Both run one of :data:`_FOLD_OPCODES` with
+    one kind, level and attributes; neither accumulates and both are
+    alias-free; every region of the two has the shape of ``prev``'s
+    output, and ``step``'s first input is exactly that output."""
+    if step.inst.opcode not in _FOLD_OPCODES:
+        return False
+    if not (_foldable(prev) and _foldable(step)):
+        return False
+    mid = prev.inst.outputs[0]
+    head, term = step.inst.inputs
+    shape = mid.shape
+    return (head.tensor.uid == mid.tensor.uid and head.bounds == mid.bounds
+            and step.inst.opcode is prev.inst.opcode
+            and step.kind == prev.kind and step.level == prev.level
+            and step.run_attrs == prev.run_attrs
+            and term.shape == shape
+            and step.inst.outputs[0].shape == shape
+            and all(r.shape == shape for r in prev.inst.inputs))
+
+
+def _fold_links(plan: FractalPlan,
+                table: Optional[RegionTable] = None) -> Set[int]:
     """Indices ``i`` whose step feeds step ``i + 1`` through a link of a
     foldable chain, proven from the plan's steps.
 
-    Both steps run one of :data:`_FOLD_OPCODES` with one kind, level and
-    attributes; neither accumulates and both are alias-free; every region
-    of the two has one shape (so each kernel result is already the next
-    operand's shape); step ``i + 1``'s first input is exactly step ``i``'s
-    output; and that region covers a plan-owned tensor that no other step
-    reads or writes.
+    The pair must be :func:`_chained`, and the linking region must cover
+    a plan-owned tensor that no other step reads or writes.  Pairs are
+    read segment by segment: a span copy whose zero-copy flags are its
+    source's takes its source's chained pairs, moved, since moving every
+    tensor one to one keeps what :func:`_chained` reads; the pair across
+    each segment edge is read anew.  Whether the linking tensor is
+    plan-owned, covered and private is decided on the region table.
     """
     steps = plan.steps
-    external = set(plan.external_uids())
-    candidates: Dict[int, int] = {}  # intermediate uid -> writing step
-    for i in range(len(steps) - 1):
-        step = steps[i + 1]
-        if step.inst.opcode not in _FOLD_OPCODES:
+    if table is None:
+        table = region_table(plan)
+    flags = [step.safe_zero_copy for step in steps]
+    chained: List[int] = []
+    for segment in table.segments:
+        lo, hi, span = segment
+        if span is not None:
+            at, start, end = span[0], span[1], span[2]
+            if flags[at:hi] != flags[start:end]:
+                span = None
+        if span is None:
+            chained.extend(i for i in range(max(lo - 1, 0), hi - 1)
+                           if _chained(steps[i], steps[i + 1]))
             continue
-        prev = steps[i]
-        if not (_foldable(prev) and _foldable(step)):
-            continue
-        mid = prev.inst.outputs[0]
-        head, term = step.inst.inputs
-        shape = mid.tensor.shape
-        if (head.tensor.uid != mid.tensor.uid or head.bounds != mid.bounds
-                or mid.tensor.uid in external or not _covers(mid)
-                or step.inst.opcode is not prev.inst.opcode
-                or step.kind != prev.kind or step.level != prev.level
-                or step.run_attrs != prev.run_attrs
-                or term.shape != shape
-                or step.inst.outputs[0].shape != shape
-                or any(r.shape != shape for r in prev.inst.inputs)):
-            continue
-        candidates[mid.tensor.uid] = i
-    if not candidates:
+        if lo and _chained(steps[lo - 1], steps[lo]):
+            chained.append(lo - 1)
+        first, last = bisect_left(chained, start), bisect_left(chained, end - 1)
+        chained.extend(i + at - start for i in chained[first:last])
+    if not chained:
         return set()
-    touches = Counter(r.tensor.uid for step in steps
-                      for r in step.inst.inputs + step.inst.outputs
-                      if r.tensor.uid in candidates)
-    return {i for uid, i in candidates.items() if touches[uid] == 2}
+    links = np.array(chained, np.int64)
+    mids = table.first[links] + table.n_in[links]
+    tensors = table.tid[mids]
+    touches = np.bincount(table.tid, minlength=table.n_tensors)
+    private = (~table.external[tensors] & table.covers(mids)
+               & (touches[tensors] == 2))
+    return set(links[private].tolist())
 
 
 # -- the replay schedule ----------------------------------------------------
@@ -490,7 +549,8 @@ def build_schedule(plan: FractalPlan) -> ReplaySchedule:
 
     slices = _SliceTable()
     items: List[object] = []
-    links = _fold_links(plan)
+    table = region_table(plan)
+    links = _fold_links(plan, table)
 
     def singles(lo: int, hi: int) -> None:
         index = lo
@@ -513,11 +573,11 @@ def build_schedule(plan: FractalPlan) -> ReplaySchedule:
     for bstep in batched:
         singles(pos, bstep.start)
         items.append(BatchedItem(bstep, batched_kernel_for(bstep.opcode),
-                                 slices))
+                                 slices, table))
         lanes += bstep.n_lanes
         pos = bstep.stop
     singles(pos, plan.n_steps)
-    arena = build_arena_layout(plan, items)
+    arena = build_arena_layout(plan, items, table)
     return ReplaySchedule(items=items, n_steps=plan.n_steps, arena=arena,
                           batched_steps=len(batched), batched_lanes=lanes)
 
@@ -550,77 +610,68 @@ class ArenaLayout:
         return self.total_elems * _ITEMSIZE
 
 
-def _item_regions(item, plan: FractalPlan):
-    """``(region, is_input)`` pairs an item touches, inputs first.  A fold
-    touches its chain's operands and last output, never the
-    intermediates it does not store."""
-    if item.batched:
-        steps = plan.steps[item.start:item.stop]
-        for step in steps:
-            for r in step.inst.inputs:
-                yield r, True
-        for step in steps:
-            for r in step.inst.outputs:
-                yield r, False
-    elif item.folded:
-        steps = plan.steps[item.start:item.stop]
-        yield steps[0].inst.inputs[0], True
-        for step in steps:
-            yield step.inst.inputs[1], True
-        yield steps[-1].inst.outputs[0], False
-    else:
-        inst = item.inst
-        for r in inst.inputs:
-            yield r, True
-        for r in inst.outputs:
-            yield r, False
-
-
-def _covers(region: Region) -> bool:
-    """Does ``region`` span its whole tensor?"""
-    return region.bounds == tuple((0, d) for d in region.tensor.shape)
-
-
-def build_arena_layout(plan: FractalPlan, items: Sequence[object]
-                       ) -> ArenaLayout:
+def build_arena_layout(plan: FractalPlan, items: Sequence[object],
+                       table: Optional[RegionTable] = None) -> ArenaLayout:
     """Pack plan-owned intermediates with a first-fit free list over their
     item-granular live intervals (the ``peak_live_bytes`` sweep, executed
-    as an allocator instead of a high-water accounting pass)."""
-    external = set(plan.external_uids())
-    first: Dict[int, int] = {}
-    last: Dict[int, int] = {}
-    tensors: Dict[int, Tensor] = {}
-    order: List[int] = []
+    as an allocator instead of a high-water accounting pass).
+
+    An item touches its steps' regions, inputs first; a fold touches its
+    chain's operands and last output, never the intermediates it does not
+    store.  First and last touches are read from the region table."""
+    if table is None:
+        table = region_table(plan)
+    n = plan.n_steps
+    ordinal = np.full(n, -1, np.int64)
+    later = np.zeros(n, bool)  # a fold link after the first: head unread
+    earlier = np.zeros(n, bool)  # a fold link before the last: unstored
+    accumulate = np.zeros(len(items), bool)
+    for k, item in enumerate(items):
+        ordinal[item.start:item.stop] = k
+        accumulate[k] = item.accumulate
+        if item.folded:
+            later[item.start + 1:item.stop] = True
+            earlier[item.start:item.stop - 1] = True
+    tid, out, step = table.tid, table.out, table.step_of_row
+    pos = np.arange(len(tid)) - table.first[step]
+    rows = np.flatnonzero((ordinal[step] >= 0)
+                          & ~((pos == 0) & later[step]) & ~(out & earlier[step]))
+    item_of = ordinal[step[rows]]
+    # the order an item touches its regions: inputs first, then by row
+    n_rows = max(len(tid), 1)
+    touch = (item_of * 2 + out[rows]) * n_rows + rows
+    first_touch = np.full(table.n_tensors, np.iinfo(np.int64).max, np.int64)
+    last_item = np.full(table.n_tensors, -1, np.int64)
+    np.minimum.at(first_touch, tid[rows], touch)
+    np.maximum.at(last_item, tid[rows], item_of)
+    touched = np.flatnonzero(last_item >= 0)
+    touched = touched[np.argsort(first_touch[touched])]
+    first_row = first_touch[touched] % n_rows
+    first_item = ordinal[step[first_row]]
     #: dead-zero elimination: a tensor whose first touch is a full
     #: non-accumulate overwrite never observes its initial contents, so it
     #: needs no zeroing.  Any other first touch (a read, an accumulate, a
     #: partial write -- including one lane of a group writing its slice
     #: of a shared tensor) keeps ``ensure``'s zero-fill semantics
     #: conservatively.
-    needs_zero: Dict[int, bool] = {}
-    zero_externals: List[Tensor] = []
-    for ordinal, item in enumerate(items):
-        accumulate = item.accumulate
-        for r, is_input in _item_regions(item, plan):
-            uid = r.tensor.uid
-            if uid not in needs_zero:
-                zero = needs_zero[uid] = (is_input or accumulate
-                                          or not _covers(r))
-                if uid in external:
-                    if zero:
-                        zero_externals.append(r.tensor)
-                else:
-                    first[uid] = ordinal
-                    order.append(uid)
-                    tensors[uid] = r.tensor
-            if uid not in external:
-                last[uid] = ordinal
+    zero = (~out[first_row] | accumulate[first_item]
+            | ~table.covers(first_row))
+    external = table.external[touched]
+    zero_externals = [table.tensor(t) for t in
+                      touched[external & zero].tolist()]
+    owned = ~external
+    # plan-owned tensors (by table id) in first-touch order
+    order = touched[owned].tolist()
+    needs_zero = dict(zip(order, zero[owned].tolist()))
+    nelems = dict(zip(order, table.shape[touched[owned]].prod(axis=1).tolist()))
+    tensors = {t: table.tensor(t) for t in order}
 
     allocs_at: Dict[int, List[int]] = {}
     frees_at: Dict[int, List[int]] = {}
-    for uid in order:
-        allocs_at.setdefault(first[uid], []).append(uid)
-        frees_at.setdefault(last[uid], []).append(uid)
+    for t, opens, closes in zip(order, first_item[owned].tolist(),
+                                last_item[touched[owned]].tolist()):
+        allocs_at.setdefault(opens, []).append(t)
+        frees_at.setdefault(closes, []).append(t)
 
     free_blocks: List[Tuple[int, int]] = []  # (offset, size), offset-sorted
     end = 0
@@ -667,19 +718,18 @@ def build_arena_layout(plan: FractalPlan, items: Sequence[object]
             merged.append((lo, hi - lo))
         free_blocks[:] = sorted(merged)
 
-    for ordinal in range(len(items)):
-        for uid in allocs_at.get(ordinal, ()):
-            n = tensors[uid].nelems
-            off = alloc(n)
-            offsets[uid] = off
-            binding_index[uid] = len(bindings)
-            bindings.append((tensors[uid], off))
-            if needs_zero[uid]:
+    for k in range(len(items)):
+        for t in allocs_at.get(k, ()):
+            off = alloc(nelems[t])
+            offsets[t] = off
+            binding_index[t] = len(bindings)
+            bindings.append((tensors[t], off))
+            if needs_zero[t]:
                 # A first read/accumulate/partial write would observe the
                 # slot: the last occupant's bytes, or a previous replay's.
-                zero_items.append((ordinal, binding_index[uid]))
-        for uid in frees_at.get(ordinal, ()):
-            release(offsets[uid], tensors[uid].nelems)
+                zero_items.append((k, binding_index[t]))
+        for t in frees_at.get(k, ()):
+            release(offsets[t], nelems[t])
 
     return ArenaLayout(total_elems=end, bindings=bindings,
                        zero_items=zero_items, zero_externals=zero_externals)

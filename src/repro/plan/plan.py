@@ -180,9 +180,15 @@ class FractalPlan:
     spans: List[Tuple] = field(default_factory=list)
     #: lazily built :class:`repro.plan.batch.ReplaySchedule` (kernel
     #: callables, gather/scatter addressing, arena layout); per-plan
-    #: derived state, never serialized or compared.
-    _schedule: Optional[object] = field(default=None, repr=False,
-                                        compare=False)
+    #: derived state, never serialized, compared or copied by
+    #: :func:`dataclasses.replace`.
+    _schedule: Optional[object] = field(default=None, init=False,
+                                        repr=False, compare=False)
+    #: the steps' :class:`repro.plan.regions.RegionTable`, built by the
+    #: analysis and read by the lowering and the schedule build; dropped
+    #: once the schedule is built.  Derived state, like ``_schedule``.
+    _regions: Optional[object] = field(default=None, init=False,
+                                       repr=False, compare=False)
 
     @property
     def n_steps(self) -> int:
@@ -208,6 +214,7 @@ class FractalPlan:
             with gc_paused():
                 self.ensure_lowered()
                 self._schedule = build_schedule(self)
+                self._regions = None
         return self._schedule
 
     # -- rebinding -----------------------------------------------------------
@@ -288,8 +295,8 @@ class FractalPlan:
         ``at``, source range, moves (tensor ids and shift) and chain-id
         intervals.  ``tensors`` lists the externals, then every tensor the
         listed steps and moves name, in first-seen order; the fresh
-        partials a span makes on load take the ids after the table, in the
-        order they are made.  A span is written compactly when its copies
+        partials a span makes on load are never named.  A span is written
+        compactly when its copies
         carry their sources' zero-copy flags, which is how the compile
         makes them; a span whose flags were changed since is written in
         full.  Each move and chain interval was recorded as the compile
@@ -459,8 +466,10 @@ def plan_from_doc(doc: dict, externals: Sequence[Tensor],
 class _Rebuild:
     """The steps and spans :func:`plan_from_doc` has rebuilt so far.
 
-    ``tensors`` is the document's table; each fresh partial a span makes
-    is appended to it, so it takes the next implicit id.
+    ``tensors`` is the document's table.  A document names only its
+    entries, never a fresh partial a span makes (no step or move the
+    compile writes names one), so every tensor the walked steps and moves
+    name is one the table lists.
     """
 
     __slots__ = ("tensors", "declared", "steps", "spans")
@@ -472,8 +481,7 @@ class _Rebuild:
         self.spans: List[Tuple] = []
 
     def tensor(self, raw) -> Tensor:
-        """The tensor a document id names: one of the table or a fresh
-        partial already made."""
+        """The tensor a document id names: an entry of the table."""
         tid = int(raw)
         if not 0 <= tid < len(self.tensors):
             raise PlanFormatError(f"unknown tensor id {tid}")
@@ -533,6 +541,7 @@ class _Rebuild:
                 f"plan passes the {self.declared} steps its stats declare")
         moves: Dict[int, Tuple[Tensor, Optional[Tuple[int, ...]]]] = {}
         recorded = []
+        twins = set()
         for old_id, new_id, raw_shift in raw["moves"]:
             old, new = self.tensor(old_id), self.tensor(new_id)
             shift = tuple(int(s) for s in raw_shift)
@@ -540,7 +549,14 @@ class _Rebuild:
                     len(old.shape) == len(new.shape) == len(shift)):
                 raise PlanFormatError(
                     f"move {old_id} -> {new_id} changes dtype or rank")
+            # One to one, as the compile moves: the analysis of a copy
+            # is its source's only while no two regions come to overlap.
+            if old.uid in moves or new.uid in twins:
+                raise PlanFormatError(
+                    f"move {old_id} -> {new_id} moves a tensor twice or "
+                    f"two tensors onto one")
             moves[old.uid] = (new, shift if any(shift) else None)
+            twins.add(new.uid)
             recorded.append((old, new, shift))
         chains = tuple((int(lo), int(hi), int(delta))
                        for lo, hi, delta in raw["chains"])
@@ -549,7 +565,7 @@ class _Rebuild:
         # constructor proves; a fresh partial has its source's shape.  An
         # unknown chain id raises ValueError, a format error.
         copies = _translate([s.inst for s in sources], moves, chains,
-                            region=Region, fresh=self.tensors)
+                            region=Region)
         steps.extend([PlanStep(s.kind, inst, s.level, s.run_attrs,
                                s.accumulate, s.safe_zero_copy)
                       for s, inst in zip(sources, copies)])

@@ -8,6 +8,7 @@ builder can produce.
 """
 
 import dataclasses
+import json
 import tempfile
 import warnings
 
@@ -28,7 +29,9 @@ from repro.analysis.signatures import external_tensors
 from repro.core.executor import WalkStats, run_reference
 from repro.core.verify import bit_identical
 from repro.frontend import decode_program, encode_program
-from repro.plan import DiskPlanCache, PlanStep, compile_program, plan_key
+from repro.plan import (DiskPlanCache, PlanStep, compile_program, plan_from_doc,
+                        plan_key)
+from repro.plan.analysis import spanless_mismatch
 from repro.sim import FractalSimulator
 from test_plan import assert_same_plan
 
@@ -264,6 +267,21 @@ def test_fuzz_cold_run_and_compile_walk_alike(case, seed):
     assert store.binding is binding
     for region, expected in zip(outputs, want):
         assert bit_identical(store.read(region), expected), ("rebound", region)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=machine_programs)
+def test_fuzz_by_span_products_equal_spanless(case):
+    """Any machine x any short program, independent or chained, some of
+    whose instructions accumulate: the analysis and replay schedule the
+    plan derives span by span equal those of the same steps without
+    spans, field by field, and so do the plan's reloaded from its
+    document."""
+    machine, program = case
+    plan = compile_program(machine, program)
+    assert spanless_mismatch(plan) is None
+    doc = json.loads(json.dumps(plan.to_doc()))
+    assert spanless_mismatch(plan_from_doc(doc, plan.externals)) is None
 
 
 # -- fuzz: timing stack -------------------------------------------------------------

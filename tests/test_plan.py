@@ -38,13 +38,16 @@ from repro.core import executor as executor_mod
 from repro.core.decomposition import base
 from repro.core.executor import WalkStats, walk
 from repro.core.tensor import INT32, Region
+from repro.plan.plan import self_alias
 from repro.core.verify import bit_identical
 from repro.ops import dispatch
 from repro.plan import (
     PLAN_SCHEMA_VERSION,
     DiskPlanCache,
+    FractalPlan,
     PlanCache,
     PlanFormatError,
+    PlanStats,
     PlanStep,
     compile_cached,
     compile_program,
@@ -54,6 +57,9 @@ from repro.plan import (
     reset_plan_cache,
     verify_plan,
 )
+from repro.plan import analysis as plan_analysis
+from repro.plan import batch
+from repro.plan.analysis import spanless_mismatch
 from repro.workloads import PROFILE_BENCHMARKS, profile_benchmark
 from test_decomposition import assert_same_steps
 
@@ -221,7 +227,9 @@ def _walk_without_memo(machine, program):
 def assert_compile_equals_walk(machine, program, monkeypatch):
     """``compile_program`` emits the unmemoized walk's steps, step for
     step (kinds, levels, opcodes, bounds, attrs, signatures, partials one
-    to one, chain ids at one shift), and its counters field by field.
+    to one, chain ids at one shift), and its counters field by field; the
+    plan and the plan reloaded from its document derive by span what
+    they derive without spans (:func:`assert_by_span_equals_spanless`).
     Returns how many times each called PD, nested calls included."""
     calls = [0]
     real = base.decompose_parallel
@@ -249,8 +257,32 @@ def assert_compile_equals_walk(machine, program, monkeypatch):
     # zero-copy flag; they are the ones its own instruction gives.
     for step in plan.steps:
         assert step == PlanStep.from_instruction(step.kind, step.inst, step.level)
-    assert_doc_round_trip(program, plan)
+    back = assert_doc_round_trip(program, plan)
+    assert_by_span_equals_spanless(plan)
+    assert_by_span_equals_spanless(back)
     return walked, calls[0]
+
+
+def assert_by_span_equals_spanless(plan):
+    """The analysis and replay schedule derived span by span equal those
+    of the same steps without spans, field by field
+    (:func:`repro.plan.analysis.spanless_mismatch`), and the plan's
+    stored products are the by-span ones.  Each stacked item's gathers
+    and scatter, read from the region table, equal ``_build_access`` on
+    its lanes' regions."""
+    assert spanless_mismatch(plan) is None
+    analysis = plan_analysis.analyze_plan(plan)
+    assert analysis.digest() == plan.analysis["digest"]
+    assert analysis.fusion_groups == plan.fusion_groups
+    for item in plan.replay_schedule().items:
+        if not item.batched:
+            continue
+        lanes = plan.steps[item.start:item.stop]
+        for position, access in enumerate(item.gathers + (item.scatter,)):
+            regions = [(s.inst.inputs + s.inst.outputs)[position] for s in lanes]
+            assert (plan_analysis._access_fields(access)
+                    == plan_analysis._access_fields(
+                        batch._build_access(regions, batch._SliceTable())))
 
 
 def assert_same_plan(roots, plan, back):
@@ -393,6 +425,130 @@ class TestCompileMemo:
         # a span whose node carries a chain id renames it
         assert any(hi - lo == 1 and delta for _, _, _, _, chains in plan.spans
                    for lo, hi, delta in chains)
+
+
+def _partial_then_external():
+    """A MatMul whose root splits K four ways, each part writing a partial
+    sum, then one whose root splits M four ways, each part, of the same
+    shapes, writing a slab of the external output: the second's parts
+    are copies of the first's first part that move a partial onto an
+    external."""
+    machine = tiny_machine(fanouts=(4, 2), mems=[64 * KB, 8 * KB, 2 * KB])
+    a, b, c = Tensor("a", (2, 4096)), Tensor("b", (4096, 2)), Tensor("c", (2, 2))
+    p, q, d = Tensor("p", (8, 1024)), Tensor("q", (1024, 2)), Tensor("d", (8, 2))
+    return machine, [
+        Instruction(Opcode.MATMUL, (a.region(), b.region()), (c.region(),)),
+        Instruction(Opcode.MATMUL, (p.region(), q.region()), (d.region(),))]
+
+
+def _crossing_copies():
+    """An Act1D the root splits four ways and each part two ways: parts
+    two to four are copies of the first, and the eight leaves make one
+    fusion group across three span edges."""
+    machine = tiny_machine(fanouts=(4, 2), mems=[64 * KB, 8 * KB, 2 * KB])
+    x, y = Tensor("x", (4096,)), Tensor("y", (4096,))
+    return machine, [Instruction(Opcode.ACT1D, (x.region(),), (y.region(),),
+                                 {"func": "relu"})]
+
+
+class TestBySpan:
+    """A span copy takes its source's analysis and replay items, moved,
+    and re-decides what its context changes; the same steps without
+    spans are the oracle."""
+
+    def test_twin_external_in_the_copy_partial_in_its_source(self, monkeypatch):
+        machine, program = _partial_then_external()
+        assert_compile_equals_walk(machine, program, monkeypatch)
+        plan = compile_program(machine, program)
+        external = set(plan.external_uids())
+        flipped = [(old, new) for _, _, _, moves, _ in plan.spans
+                   for old, new, _ in moves
+                   if old.uid not in external and new.uid in external]
+        assert flipped
+        # the copies' writes are live only because their twin is external
+        assert plan.analysis["diagnostics"] == []
+        arena = {t.uid for t, _ in plan.replay_schedule().arena.bindings}
+        assert not arena & {new.uid for _, new in flipped}
+        for got, want in zip(_run(machine, program, plan=plan),
+                             _run(machine, program)):
+            assert bit_identical(got, want)
+
+    def test_fusion_group_across_copies(self, monkeypatch):
+        machine, program = _crossing_copies()
+        assert_compile_equals_walk(machine, program, monkeypatch)
+        plan = compile_program(machine, program)
+        edges = [at for at, _, _, _, _ in plan.spans]
+        assert len(edges) == 3
+        (group,) = plan.fusion_groups
+        assert all(group[0] < at < group[1] for at in edges)
+        # the run crossing the edges is decided from the region table
+        decided = []
+        rows = plan_analysis._lattice_rows
+
+        def counting(table, steps, start, stop):
+            decided.append((start, stop))
+            return rows(table, steps, start, stop)
+
+        monkeypatch.setattr(plan_analysis, "_lattice_rows", counting)
+        assert plan_analysis.analyze_plan(plan).fusion_groups == [group]
+        assert decided == [group]
+        (item,) = [i for i in plan.replay_schedule().items if i.batched]
+        assert (item.start, item.stop) == group
+
+    @pytest.mark.parametrize("after", ["act", "add"])
+    def test_run_at_a_copy_edge_is_decided_anew(self, after):
+        """A run at a copy's edge takes its source's decision only when
+        its source lanes are a whole run.  Lanes 0-2 make one run and the
+        copy repeats lanes 0-1.  After the copy, an Act1D reading what the
+        copy's first lane writes extends its run past the copy, though the
+        source lanes 0-2 are a whole run; an Add ends the copy's run at
+        the copy's edge, though the source lanes run on.  Either way the
+        copy's run fuses two lanes where its source's fused three."""
+        x, y, z = Tensor("x", (16,)), Tensor("y", (16,)), Tensor("z", (2,))
+
+        def step(opcode, ins, out, **attrs):
+            return PlanStep.from_instruction(
+                "kernel", Instruction(opcode, ins, (out,), attrs), 1)
+
+        def act(src, dst):
+            return step(Opcode.ACT1D, (src,), dst, func="relu")
+
+        steps = [act(x[2 * i:2 * i + 2], y[2 * i:2 * i + 2]) for i in range(3)]
+        steps.append(step(Opcode.ADD1D, (x[0:2], x[2:4]), z.region()))
+        moves = ((x, x, (8,)), (y, y, (8,)))
+        copies = base._translate([s.inst for s in steps[:2]],
+                                 {t.uid: (t, (8,)) for t in (x, y)}, ())
+        steps += [PlanStep(s.kind, inst, s.level, s.run_attrs, s.accumulate,
+                           s.safe_zero_copy)
+                  for s, inst in zip(steps[:2], copies)]
+        steps.append(act(y[8:10], y[12:14]) if after == "act" else
+                     step(Opcode.ADD1D, (y[8:10], y[10:12]), z.region()))
+        plan = FractalPlan(machine_fingerprint=("test",),
+                           signature_digest="f" * 64, steps=steps,
+                           stats=PlanStats(), externals=[x, y, z],
+                           spans=[(4, 0, 2, moves, ())])
+        assert spanless_mismatch(plan) is None
+        assert plan_analysis.analyze_plan(plan).fusion_groups == [(0, 3),
+                                                                  (4, 6)]
+
+    def test_copies_take_their_sources_runs(self, monkeypatch):
+        """On F100 ResNet-152, 98.5 % of whose steps are copies, runs
+        decided lane by lane cover at most 1 in 20 steps."""
+        plan = compile_program(cambricon_f100(),
+                               profile_benchmark("ResNet-152").program)
+        copied = sum(end - start for _, start, end, _, _ in plan.spans)
+        assert copied > 0.98 * plan.n_steps
+        lanes = []
+        table = plan_analysis._lattice_table
+
+        def counting(steps, start, stop):
+            lanes.append(stop - start)
+            return table(steps, start, stop)
+
+        monkeypatch.setattr(plan_analysis, "_lattice_table", counting)
+        assert plan_analysis.analyze_plan(plan).digest() == \
+            plan.analysis["digest"]
+        assert 0 < sum(lanes) * 20 < plan.n_steps
 
 
 # -- structural signatures ----------------------------------------------------
@@ -723,6 +879,17 @@ def _tamper_listed_step_names_fresh_partial(doc):
     doc["steps"][0]["inputs"][0][0] = len(doc["tensors"])
 
 
+def _tamper_one_tensor_moved_twice(doc):
+    # a, moved within itself, moves onto p too: both fit, one is applied
+    doc["spans"][0]["moves"].append([0, 3, [0, 0]])
+
+
+def _tamper_two_moves_one_twin(doc):
+    # x and y both land on x: each copy reads the bytes it writes
+    moves = doc["spans"][0]["moves"]
+    moves[1][1] = moves[0][1]
+
+
 def _flip_first_flag(doc):
     doc["steps"][0]["safe"] = not doc["steps"][0]["safe"]
 
@@ -731,7 +898,8 @@ TAMPERS = [_tamper_span_source_empty, _tamper_span_source_ahead,
            _tamper_move_unknown_tensor, _tamper_move_negative_tensor,
            _tamper_move_changes_dtype, _tamper_shift_outside_tensor,
            _tamper_unknown_chain_id, _tamper_spans_past_declared,
-           _tamper_listed_step_names_fresh_partial]
+           _tamper_listed_step_names_fresh_partial,
+           _tamper_one_tensor_moved_twice]
 
 
 @functools.lru_cache(maxsize=1)
@@ -832,6 +1000,60 @@ class TestTemplatedDocument:
         for step in back.steps:
             for r in step.inst.inputs + step.inst.outputs:
                 Region(r.tensor, r.bounds)  # the checking constructor
+
+    def test_two_moves_onto_one_twin_are_rejected(self, tmp_path):
+        """A span moving two tensors onto one would make each copy read
+        what it writes, while a copy's proofs are its source's: the load
+        refuses it and recompiles.  Built by hand, such a plan's analysis
+        by span misses the aliasing the spanless one finds."""
+        machine, program = _crossing_copies()
+        plan = compile_program(machine, program)
+        doc = json.loads(json.dumps(plan.to_doc()))
+        _tamper_two_moves_one_twin(doc)
+        with pytest.raises(PlanFormatError, match="onto one"):
+            plan_from_doc(doc, plan.externals)
+        _, fresh, caught = _poisoned_load(tmp_path, machine, program,
+                                          _tamper_two_moves_one_twin)
+        assert len(caught) == 1
+        assert "ignoring invalid plan cache entry" in str(caught[0].message)
+        assert_same_steps(program, [s.inst for s in fresh.steps],
+                          [s.inst for s in plan.steps], 0)
+        at, start, end, moves, chains = plan.spans[0]
+        (x, x, shift), (y, _, _) = moves
+        forged_moves = ((x, x, shift), (y, x, shift))
+        copies = base._translate(
+            [s.inst for s in plan.steps[start:end]],
+            {old.uid: (new, s) for old, new, s in forged_moves}, chains)
+        steps = list(plan.steps)
+        steps[at:at + end - start] = [
+            PlanStep(s.kind, inst, s.level, s.run_attrs, s.accumulate,
+                     s.safe_zero_copy)
+            for s, inst in zip(plan.steps[start:end], copies)]
+        forged = dataclasses.replace(
+            plan, steps=steps,
+            spans=[(at, start, end, forged_moves, chains)] + plan.spans[1:])
+        copied = slice(at, at + end - start)
+        assert all(self_alias(s.inst) for s in forged.steps[copied])
+        by_span = plan_analysis.analyze_plan(forged)
+        spanless = plan_analysis.analyze_plan(
+            dataclasses.replace(forged, spans=[]))
+        assert all(by_span.safe_zero_copy[copied])
+        assert not any(spanless.safe_zero_copy[copied])
+
+    def test_a_move_naming_a_fresh_partial_is_rejected(self):
+        """A document names only its table's tensors: a move onto the
+        fresh partial an earlier span made is refused."""
+        plan = compile_program(cambricon_f1(),
+                               profile_benchmark("K-NN").program)
+        renews = [any(r.tensor.uid not in {old.uid for old, _, _ in moves}
+                      for s in plan.steps[start:end]
+                      for r in s.inst.inputs + s.inst.outputs)
+                  for _, start, end, moves, _ in plan.spans]
+        assert any(renews[:-1])
+        doc = json.loads(json.dumps(plan.to_doc()))
+        doc["spans"][-1]["moves"][-1][1] = len(doc["tensors"])
+        with pytest.raises(PlanFormatError, match="unknown tensor id"):
+            plan_from_doc(doc, plan.externals)
 
     def test_expansion_stops_at_the_declared_count(self, monkeypatch):
         """Ten thousand repeated spans: the load stops at the first one
