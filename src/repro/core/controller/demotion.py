@@ -119,10 +119,6 @@ class DemotionDecoder:
         self._skipped: Optional[Tuple[int, Instruction,
                                       Tuple[Tuple[int, bool, int], ...]]] = None
 
-    def mark_local(self, uid: int) -> None:
-        """Register a tensor as node-local (an SD-created partial)."""
-        self.local_uids.add(uid)
-
     def decode(
         self, index: int, inst: Instruction, owner: Optional[int] = None
     ) -> DecodedInstruction:

@@ -6,14 +6,19 @@ appear in every FFU's part (e.g. the weight tensor of a batch-split
 convolution) -- which the data-broadcasting mechanism transfers once instead
 of per-FFU.  At the start of each FISA cycle PD additionally drains the
 commission register: reduction operations RC has delegated back to the FFUs.
+
+Instructions with one template key split alike, up to where their operands
+sit, so a plan can be moved onto another such instruction instead of being
+split again (:meth:`ParallelDecomposer.plan_from`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Set, Tuple
 
 from ..decomposition import Split, decompose_parallel
+from ..decomposition.base import _operand_moves, _share_template_key, _translate
 from ..isa import Instruction
 
 
@@ -43,6 +48,35 @@ class ParallelPlan:
             return []
         return self.split.reduction
 
+    def moved(self, inst: Instruction,
+              commissioned: List[Instruction]) -> "ParallelPlan":
+        """This plan for ``inst``, which shares ``whole``'s
+        :func:`~repro.core.decomposition.base._template_key`: the parts,
+        reductions and shared keys moved by one region offset per operand
+        tensor, and every PD partial renewed.  The moved steps share their
+        sources' signatures and template keys."""
+        moves = {}
+        for old, new, shift in _operand_moves(self.whole, inst):
+            moves[old.uid] = (new, shift if any(shift) else None)
+        split = self.split
+        shared: Set[Tuple] = set()
+        if split is not None:
+            sources = split.parts + split.reduction
+            steps = _translate(sources, moves, ())
+            for source, step in zip(sources, steps):
+                _share_template_key(source, step)
+            n = len(split.parts)
+            split = replace(split, parts=steps[:n], reduction=steps[n:])
+            for uid, bounds in self.shared_keys:
+                tensor, shift = moves[uid]
+                if shift is not None:
+                    bounds = tuple([(lo + s, hi + s)
+                                    for (lo, hi), s in zip(bounds, shift)])
+                shared.add((tensor.uid, bounds))
+        return ParallelPlan(split=split, whole=inst, shared_keys=shared,
+                            shared_bytes=self.shared_bytes,
+                            commissioned=commissioned)
+
 
 class ParallelDecomposer:
     """Splits instructions across ``n_ffus`` and tracks shared operands."""
@@ -52,7 +86,6 @@ class ParallelDecomposer:
             raise ValueError("need at least one FFU")
         self.n_ffus = n_ffus
         self._commission_register: List[Instruction] = []
-        self.plans_made = 0
 
     def commission(self, instructions: List[Instruction]) -> None:
         """RC writes delegated reductions into the commission register (CMR)."""
@@ -71,8 +104,16 @@ class ParallelDecomposer:
         plan = ParallelPlan(split=split, whole=inst, commissioned=commissioned)
         if split is not None and len(split.parts) > 1:
             plan.shared_keys, plan.shared_bytes = shared_operands(split.parts)
-        self.plans_made += 1
         return plan
+
+    def plan_from(self, template: ParallelPlan,
+                  inst: Instruction) -> ParallelPlan:
+        """:meth:`plan` for ``inst`` without splitting it: ``template``, the
+        plan of an instruction with ``inst``'s template key and this fan-out,
+        moved onto ``inst`` (:meth:`ParallelPlan.moved`).  Drains the
+        commission register as :meth:`plan` does."""
+        commissioned, self._commission_register = self._commission_register, []
+        return template.moved(inst, commissioned)
 
 
 def shared_operands(parts: List[Instruction]) -> Tuple[Set[Tuple], int]:

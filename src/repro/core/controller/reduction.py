@@ -52,8 +52,6 @@ class ReductionController:
         self.lfu_ops_per_s = lfu_ops_per_s
         self.ffu_ops_per_s = ffu_ops_per_s
         self.speedup_threshold = speedup_threshold
-        self.lfu_cycles = 0
-        self.commissioned_cycles = 0
 
     def route(self, reductions: Sequence[Instruction]) -> Commission:
         """Decide where this cycle's g(.) instructions execute."""
@@ -66,7 +64,5 @@ class ReductionController:
         lfu_unavailable = self.lfu_ops_per_s <= 0
         ffu_wins = ffu_time * self.speedup_threshold < lfu_time
         if lfu_unavailable or ffu_wins:
-            self.commissioned_cycles += 1
             return Commission(ReductionTarget.COMMISSION, insts, lfu_time, ffu_time)
-        self.lfu_cycles += 1
         return Commission(ReductionTarget.LFU, insts, lfu_time, ffu_time)

@@ -25,7 +25,6 @@ class SequentialDecomposer:
         self.capacity_bytes = capacity_bytes
         self.iq: Deque[Instruction] = deque()
         self.sq: Deque[Instruction] = deque()
-        self.decomposed_count = 0
 
     def push(self, instructions: Iterable[Instruction]) -> None:
         """Load input instructions into IQ."""
@@ -43,9 +42,7 @@ class SequentialDecomposer:
 
     def decompose(self, inst: Instruction) -> List[Instruction]:
         """Sequentially decompose one instruction to capacity."""
-        steps = shrink_sequential(inst, self.capacity_bytes)
-        self.decomposed_count += 1
-        return steps
+        return shrink_sequential(inst, self.capacity_bytes)
 
     def next_step(self) -> Optional[Instruction]:
         return self.sq.popleft() if self.sq else None

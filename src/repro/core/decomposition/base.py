@@ -433,8 +433,12 @@ def _template_key(inst: Instruction) -> Tuple:
     outside it, but whether the steps carry a chain is not.  Operands that
     share a tensor add their offset from the first operand on it, because
     :func:`footprint` counts equal regions once: ``Add(x, x)`` must not
-    reuse the tree of ``Add(x, y)``.
+    reuse the tree of ``Add(x, y)``.  Computed once and kept on ``inst``,
+    as its signature is (:func:`_share_template_key` hands it to a copy).
     """
+    cached = inst.__dict__.get("_tkey")
+    if cached is not None:
+        return cached
     first: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
     shared = []
     for i, r in enumerate(inst.inputs + inst.outputs):
@@ -442,7 +446,16 @@ def _template_key(inst: Instruction) -> Tuple:
         if j != i:
             shared.append((i, j, tuple(lo - b for (lo, _), (b, _)
                                        in zip(r.bounds, bounds))))
-    return inst.signature(), "acc_chain" in inst.attrs, tuple(shared)
+    key = inst.signature(), "acc_chain" in inst.attrs, tuple(shared)
+    object.__setattr__(inst, "_tkey", key)
+    return key
+
+
+def _share_template_key(source: Instruction, copy: Instruction) -> None:
+    """Give ``copy`` the :func:`_template_key` of ``source``, which it
+    copies moved one to one: that keeps the offsets between operands that
+    share a tensor."""
+    object.__setattr__(copy, "_tkey", _template_key(source))
 
 
 def _reemit(first: Instruction, steps: Sequence[Instruction],

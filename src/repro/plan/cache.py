@@ -220,7 +220,8 @@ def compile_cached(
     on-disk store, then a fresh :func:`repro.plan.compiler.compile_program`
     whose result is inserted into both tiers.  Memory hits whose plan was
     built for *different* tensors (same structure, e.g. a rebuilt workload)
-    are transparently rebound -- still far cheaper than re-decomposing.
+    are transparently rebound.  A rebind rebuilds every step today, so on
+    a large plan it costs about what a compile does (ROADMAP item 3).
     """
     program = list(program)
     cache = memory_cache if memory_cache is not None else _GLOBAL_CACHE

@@ -19,14 +19,17 @@ at the full parent rate when data broadcasting is enabled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import groupby
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from .. import obs, telemetry
 from ..core.controller.demotion import DemotionDecoder
-from ..core.controller.parallel import ParallelDecomposer
+from ..core.controller.parallel import ParallelDecomposer, ParallelPlan
 from ..core.controller.reduction import ReductionController, ReductionTarget
 from ..core.controller.sequential import SequentialDecomposer
+from ..core.decomposition.base import _operand_moves, _template_key
 from ..core.gcpause import gc_paused
 from ..core.isa import Instruction
 from ..core.machine import Machine
@@ -245,6 +248,31 @@ def _key_contained(key: Tuple, regions: Sequence[Region]) -> bool:
     return False
 
 
+def _moved_keys(slot_keys: List[frozenset], source: Instruction,
+                copy: Instruction) -> List[frozenset]:
+    """``slot_keys``, which name regions of ``source``'s plan, moved onto
+    ``copy`` by :func:`_operand_moves`.  A key on any other tensor names a
+    PD partial of the source's plan, which no other step's plan names; it
+    is dropped, as a fresh key would match nothing."""
+    to = {old.uid: (new.uid, shift)
+          for old, new, shift in _operand_moves(source, copy)}
+    out = []
+    for keys in slot_keys:
+        moved = []
+        for uid, bounds in keys:
+            target = to.get(uid)
+            if target is not None:
+                new_uid, shift = target
+                moved.append((new_uid, tuple([(lo + d, hi + d) for (lo, hi), d
+                                              in zip(bounds, shift)])))
+        out.append(frozenset(moved))
+    return out
+
+
+#: one cycle's keys per child slot, or a function giving them
+_SlotKeys = Union[List[frozenset], Callable[[], List[frozenset]]]
+
+
 class _SeqContext:
     """Sliding two-cycle window of what each child slot has resident.
 
@@ -258,16 +286,20 @@ class _SeqContext:
     WINDOW = 2
 
     def __init__(self):
-        self._history: List[List[frozenset]] = []
+        self._history: List[_SlotKeys] = []
 
-    def push(self, slot_keys: List[frozenset]) -> None:
+    def push(self, slot_keys: _SlotKeys) -> None:
+        """Record one cycle's keys per slot, or a function giving them,
+        called once if they are read."""
         self._history.append(slot_keys)
         if len(self._history) > self.WINDOW:
             self._history.pop(0)
 
     def recent_for_slot(self, slot: int) -> frozenset:
         out: Set = set()
-        for step_slots in self._history:
+        for n, step_slots in enumerate(self._history):
+            if callable(step_slots):
+                step_slots = self._history[n] = step_slots()
             if slot < len(step_slots):
                 out |= step_slots[slot]
         return frozenset(out)
@@ -285,6 +317,8 @@ class _PlanSummary:
     child: Optional[NodeResult]
     #: bytes this step makes the node's memory port serve to its children
     served_bytes: int = 0
+    #: child simulations the step looked up in the signature cache
+    lookups: int = 0
 
 
 @dataclass
@@ -309,8 +343,8 @@ class _StepOutcome:
 
 
 #: let a step SD re-emitted take its source step's outcome instead of
-#: being decoded; off, every step runs the per-step path (the tests'
-#: oracle)
+#: being decoded or planned, and PD move one plan per template; off, every
+#: step runs the per-step path (the tests' oracle)
 _REUSE_OUTCOMES = True
 
 _RESULT_COUNTERS = ("load_bytes", "store_bytes", "bc_load_bytes",
@@ -349,7 +383,9 @@ class FractalSimulator:
         self.machine = machine
         self.collect_profiles = collect_profiles
         self._cache: Dict[Tuple, NodeResult] = {}
-        self._plan_cache: Dict[Tuple, _PlanSummary] = {}
+        #: PD's plan per ``(template key, fan-out)``, the first one split;
+        #: owned by one :meth:`simulate` call
+        self._pd_memo: Optional[Dict[Tuple, ParallelPlan]] = None
         #: memoization accounting, exposed on every SimReport and mirrored
         #: into the telemetry registry after each simulate().
         self.cache_stats = CacheStats()
@@ -367,6 +403,7 @@ class FractalSimulator:
             with telemetry.get_tracer().span("sim.simulate", cat="simulator",
                                              machine=self.machine.name,
                                              instructions=len(program)):
+                self._pd_memo = {} if _REUSE_OUTCOMES else None
                 try:
                     root = self._simulate_node(0, list(program),
                                                broadcast_regions=(),
@@ -375,6 +412,8 @@ class FractalSimulator:
                     log.error("simulate.fail", machine=self.machine.name,
                               error=f"{type(err).__name__}: {err}")
                     raise
+                finally:
+                    self._pd_memo = None
             log.info("simulate.end", machine=self.machine.name,
                      total_time_s=root.total_time, work_ops=root.work,
                      nodes_simulated=self.cache_stats.nodes_simulated,
@@ -508,7 +547,9 @@ class FractalSimulator:
         sib_flags = tuple(
             _key_contained(r.key(), sibling_regions) for r in inst.inputs
         )
-        key = (level, inst.signature(), bc_flags, res_flags, dfr_flags,
+        # The template key, not the signature alone: it also says which
+        # operands share a tensor, which decides the bytes a child moves.
+        key = (level, _template_key(inst), bc_flags, res_flags, dfr_flags,
                sib_flags, self.collect_profiles)
         hit = self._cache.get(key)
         if hit is not None:
@@ -559,7 +600,7 @@ class FractalSimulator:
         # decoder still sees (the RAW window and the previous cycle's TTT
         # records); -1 if none.  Steps with one source decode alike when
         # the rest of the state they read is alike (docs/PERFORMANCE.md,
-        # "Simulating a periodic stream").
+        # "Simulating by template").
         source: List[int] = []
         window = DemotionDecoder.PIPELINE_WINDOW
         # A single-instruction program would schedule as one monolithic
@@ -609,16 +650,27 @@ class FractalSimulator:
             return bool(future) and max(future) <= idx + 2
 
         pd = ParallelDecomposer(max(1, spec.fanout))
+        pd_memo = self._pd_memo
 
         # Plans are computed lazily: the steady-state plan-summary cache in
         # the main loop means most steps of a large uniform instruction never
-        # need their 32-way split materialized at all.
-        plan_memo: Dict[int, object] = {}
+        # need their 32-way split materialized at all.  A step whose template
+        # key PD has split at this fan-out takes that plan, moved.
+        plan_memo: Dict[int, ParallelPlan] = {}
 
-        def plan_at(idx: int):
+        def plan_at(idx: int) -> ParallelPlan:
             plan = plan_memo.get(idx)
             if plan is None:
-                plan = pd.plan(steps[idx][1])
+                step = steps[idx][1]
+                if pd_memo is None:
+                    plan = pd.plan(step)
+                else:
+                    key = (_template_key(step), pd.n_ffus)
+                    template = pd_memo.get(key)
+                    if template is None:
+                        plan = pd_memo[key] = pd.plan(step)
+                    else:
+                        plan = pd.plan_from(template, step)
                 plan_memo[idx] = plan
             return plan
 
@@ -661,6 +713,13 @@ class FractalSimulator:
                         ds.append(out)
                 slots.append(tuple(ds))
             return slots
+
+        def read_later(i: int) -> bool:
+            """Whether a later step reads an output of step ``i``; if none
+            does, :func:`defer_at` gives ``i`` no deferred store."""
+            return any(k > i and rr.overlaps(out)
+                       for out in steps[i][1].outputs
+                       for k, rr in readers.get(out.tensor.uid, ()))
 
         dd = DemotionDecoder(memory, ttt, local_uids)
         lfu_rate = min(spec.n_lfus * LFU_OPS_EACH,
@@ -711,6 +770,14 @@ class FractalSimulator:
         reuse = _REUSE_OUTCOMES and max(source, default=-1) >= 0
         outcomes: Dict[Tuple, _StepOutcome] = {}
         records_of: List[Tuple] = [()] * len(steps)  # (position, is_output)
+        # Each warm-up step's plan-step outcome: its summary and the slot
+        # keys it pushed.  Before the warm-up every step pushes its keys, so
+        # a copy finds in the residency window the copies of what its
+        # source found, makes the child lookups its source made (all hits
+        # now), and takes its source's outcome, keys moved, unless a store
+        # of either step could be deferred to a later reader.  A source
+        # never takes another step's outcome itself.
+        planned: List[Tuple[_PlanSummary, _SlotKeys]] = []
 
         for i, (orig_idx, step) in enumerate(steps):
             j = source[i]
@@ -788,7 +855,18 @@ class FractalSimulator:
             # instead of re-planning a 32-way split 65k times.
             if summary is None:
                 self.cache_stats.plan_misses += 1
-                summary = self._plan_step(level, plan_at(i), defer_at(i), seq_ctx)
+                if (reuse and i < _PLAN_WARMUP and j >= 0
+                        and not read_later(i) and not read_later(j)):
+                    summary, slot_keys = planned[j]
+                    self.cache_stats.sig_hits += summary.lookups
+                    # Moved only if a step that plans reads them.
+                    slot_keys = partial(_moved_keys, slot_keys, steps[j][1], step)
+                else:
+                    summary, slot_keys = self._plan_step(
+                        level, plan_at(i), defer_at(i), seq_ctx)
+                seq_ctx.push(slot_keys)
+                if i < _PLAN_WARMUP:
+                    planned.append((summary, slot_keys))
                 if i >= _PLAN_WARMUP // 2:
                     node_plan_cache[sig] = summary
             else:
@@ -950,11 +1028,12 @@ class FractalSimulator:
     def _plan_step(
         self,
         level: int,
-        plan,
+        plan: ParallelPlan,
         defer_slots,
         ctx: "_SeqContext",
-    ) -> _PlanSummary:
-        """Child simulation for one (pre-planned) step.
+    ) -> Tuple[_PlanSummary, List[frozenset]]:
+        """Child simulation for one (pre-planned) step, and the keys of what
+        each child slot holds after it, for the caller to push to ``ctx``.
 
         ``ctx`` remembers what each child slot loaded or produced during the
         previous *two* FISA cycles (the validity window of the two-bank
@@ -990,7 +1069,7 @@ class FractalSimulator:
                 res = tuple(k in resident_keys for k in keys)
                 dfr = tuple(_key_contained(k, deferred) for k in keys[n_in:])
                 sib = tuple(_key_contained(k, sibling) for k in keys[:n_in])
-                gk = (part.signature(), bc, res, dfr, sib)
+                gk = (_template_key(part), bc, res, dfr, sib)
                 prev = groups.get(gk)
                 if prev is not None:
                     prev[1] += 1
@@ -1011,7 +1090,7 @@ class FractalSimulator:
             assert step_child is not None
             ex_time = step_child.total_time
             ex_fill = step_child.startup_time
-            ctx.push(slot_keys)
+            lookups = len(groups)
         else:
             step = plan.whole
             resident = ()
@@ -1024,9 +1103,12 @@ class FractalSimulator:
             served = step_child.load_bytes + step_child.store_bytes
             ex_time = step_child.total_time
             ex_fill = step_child.startup_time
-            ctx.push([frozenset(r.key() for r in step.inputs + step.outputs)])
+            lookups = 1
+            slot_keys = [frozenset(r.key() for r in step.inputs + step.outputs)]
 
-        return _PlanSummary(ex_time, ex_fill, list(plan.reduction), step_child, served)
+        return (_PlanSummary(ex_time, ex_fill, list(plan.reduction), step_child,
+                             served, lookups),
+                slot_keys)
 
     def _run_on_ffus(self, level: int, inst: Instruction, n_ffus: int) -> NodeResult:
         """Execute a commissioned reduction on the FFUs (EX-stage work)."""
