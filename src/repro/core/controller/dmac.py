@@ -57,8 +57,3 @@ class DMAController:
                 seconds += req.nbytes / self.private_rate
                 self.log.store_bytes += req.nbytes
         return seconds
-
-    def bytes_time(self, nbytes: int, broadcast: bool = False) -> float:
-        """Seconds for a raw byte count (used by the pipeline scheduler)."""
-        rate = self.broadcast_rate if broadcast else self.private_rate
-        return nbytes / rate

@@ -105,7 +105,7 @@ class ExecutionStats(WalkStats):
     telemetry is enabled.
     """
 
-    #: batched replay: BatchedStep groups executed and the plan steps
+    #: batched replay: lowered fusion groups executed and the plan steps
     #: (lanes) they covered with one stacked kernel call each.
     batched_steps: int = 0
     batched_lanes: int = 0
@@ -559,7 +559,7 @@ def _exec_single_item(item, operands, outputs, fast: bool) -> None:
 
 def _exec_batched_item(item, gathers, scatter, fast: bool, registry,
                        tracer) -> None:
-    """One BatchedStep: gather lanes, one stacked call, scatter back."""
+    """One BatchedItem: gather lanes, one stacked call, scatter back."""
     stacked = _bulk_call(item, item.batched_kernel,
                          [g.gather() for g in gathers], fast, registry,
                          tracer)

@@ -23,7 +23,7 @@ or at the executor level::
     executor.run_program(program, plan=plan)
 
 See docs/PERFORMANCE.md for the lifecycle, cache keys and invalidation
-rules, and the recorded warm-replay speedups.
+rules, one section per layer.
 """
 
 from .analysis import (
@@ -36,10 +36,8 @@ from .analysis import (
 from .batch import (
     ArenaLayout,
     BatchedItem,
-    BatchedStep,
     ReplaySchedule,
     SingleItem,
-    batched_table,
     build_arena_layout,
     build_schedule,
     lower_plan,
@@ -70,7 +68,6 @@ __all__ = [
     "PLAN_SCHEMA_VERSION",
     "ArenaLayout",
     "BatchedItem",
-    "BatchedStep",
     "DiskPlanCache",
     "FractalPlan",
     "PlanAnalysis",
@@ -82,7 +79,6 @@ __all__ = [
     "SingleItem",
     "analyze_plan",
     "annotate_plan",
-    "batched_table",
     "build_arena_layout",
     "build_schedule",
     "compile_cached",

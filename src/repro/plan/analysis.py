@@ -30,13 +30,14 @@ derives:
   executor's replay path skip the runtime ``_read_operands`` overlap scan
   (counted as ``store.static_zero_copy``).
 
-Races and fusion groups are decided in one pass per isomorphic run,
-keyed by ``(tensor uid, bounds)`` (:func:`_lattice_table`).  Parallel
-decomposition splits a tensor into near-equal tiles, so the boxes a run
-places on a tensor it writes usually share one shape ``s`` with origins
-on one lattice of step ``s``; two such boxes overlap iff their bounds are
-equal, and every overlap test is a dict lookup.  A run off that lattice
-falls back to exact per-tensor spatial-hash scans (:class:`_BoxIndex`).
+Races and fusion groups are decided per isomorphic run on the plan's
+region table (:func:`_lattice_rows`).  Parallel decomposition splits a
+tensor into near-equal tiles, so the boxes a run places on a tensor it
+writes usually share one shape ``s`` with origins on one lattice of step
+``s``; two such boxes overlap iff their ``(tensor, origin)`` keys are
+equal, so every overlap test is a comparison of sorted keys.  A run off
+that lattice falls back to exact per-tensor spatial-hash scans
+(:class:`_BoxIndex`).
 
 The plan is analysed segment by segment (:mod:`repro.plan.regions`): a
 span copy the compile re-emitted takes its source's zero-copy proofs,
@@ -58,13 +59,13 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.diagnostics import AnalysisResult, Diagnostic, diag
 from .plan import FractalPlan, PlanStep, self_alias
-from .regions import RegionTable, Segment, region_table, run_key
+from .regions import RegionTable, Segment, region_table
 
 #: version stamp of the analysis products embedded in plan documents;
 #: bump whenever a rule change invalidates previously stored verdicts.
@@ -99,7 +100,7 @@ class _BoxIndex:
     overlapping same-shape boxes in neighbouring cells, so a membership
     query touches O(3^ndim) cells instead of every stored box; queries
     against a different stored shape scan the (few) cells the query box
-    spans.  It serves the isomorphic runs :func:`_lattice_table`
+    spans.  It serves the isomorphic runs :func:`_lattice_rows`
     declines; no suite plan has one.
     """
 
@@ -185,18 +186,6 @@ class PlanAnalysis:
         }
 
 
-def _isomorphic_runs(steps: Sequence[PlanStep]) -> Iterator[Tuple[int, int]]:
-    """Maximal ``[start, stop)`` runs of consecutive isomorphic steps."""
-    start = 0
-    while start < len(steps):
-        key = run_key(steps[start])
-        stop = start + 1
-        while stop < len(steps) and run_key(steps[stop]) == key:
-            stop += 1
-        yield start, stop
-        start = stop
-
-
 def _race(index: int, inst, o, start: int, stop: int) -> Diagnostic:
     return diag(
         "P100",
@@ -206,106 +195,29 @@ def _race(index: int, inst, o, start: int, stop: int) -> Diagnostic:
         index, inst)
 
 
-def _on_lattice(lattice: Dict[int, Tuple[Tuple[int, ...], Bounds]],
-                uid: int, bounds: Bounds, shape: Tuple[int, ...]) -> bool:
-    """Is this box on the lattice of tensor ``uid``'s first box?
+def _lattice_rows(table: RegionTable, steps: Sequence[PlanStep], start: int,
+                  stop: int) -> Optional[Tuple[List[int], List[bool]]]:
+    """Per-lane conflict facts of one isomorphic run, from the plan's
+    region table.
 
-    The first box a run places on a tensor fixes the tensor's box shape
-    and origin; every later box must have that shape and an origin
-    congruent to it modulo the shape.
-    """
-    ref = lattice.get(uid)
-    if ref is None:
-        if 0 in shape:
-            return False
-        lattice[uid] = (shape, bounds)
-        return True
-    return ref[0] == shape and not any(
-        (lo - ref_lo) % s
-        for (lo, _), (ref_lo, _), s in zip(bounds, ref[1], shape))
-
-
-def _lattice_table(steps: Sequence[PlanStep], start: int, stop: int,
-                   ) -> Optional[Tuple[List[int], List[bool]]]:
-    """Per-lane conflict facts of one isomorphic run, from lattice keys.
-
-    For lane ``e`` (0-based within the run) the table records the latest
+    For lane ``e`` (0-based within the run) the facts are the latest
     earlier lane it conflicts with, ``-1`` for none -- its output overlaps
     an earlier lane's output or input, or one of its inputs overlaps an
     earlier lane's output -- and whether its output overlaps an earlier
     lane's output (a P100 race).  Read-read pairs never conflict, so only
-    tensors the run writes are tracked.  When all boxes on such a tensor,
-    reads and writes alike, have one shape ``s`` and origins congruent
-    modulo ``s``, two of them overlap iff their bounds are equal, so both
-    facts are dict lookups keyed by ``(tensor uid, bounds)``.
+    rows on tensors the run writes are read.  Those must lie on one
+    lattice per tensor (one box shape, no zero extent, origins congruent
+    modulo it); then two boxes overlap iff their ``(tensor, origin)`` keys
+    are equal.  Sorted by key and lane, a lane's latest earlier conflict
+    is, per row, the latest earlier lane writing the key it reads, or
+    touching the key it writes; a write races when an earlier lane wrote
+    its key.  The rows of a copied lane are its source's, moved, so a run
+    reads the same whether its lanes were walked or copied.
 
     Returns ``None`` -- the run goes to the :class:`_BoxIndex` scans of
     :func:`_check_races` and :func:`_fusion_groups` -- when a written
     tensor is off its lattice, a box has a zero extent, or a step has
     more than one output (whose outputs might overlap each other).
-    """
-    first = steps[start].inst
-    if len(first.outputs) > 1:
-        return None
-    in_shapes = [r.shape for r in first.inputs]
-    out_shapes = [o.shape for o in first.outputs]
-    written = {o.tensor.uid
-               for index in range(start, stop)
-               for o in steps[index].inst.outputs}
-    lattice: Dict[int, Tuple[Tuple[int, ...], Bounds]] = {}
-    # (uid, bounds) -> the latest lane writing it / writing or reading it
-    last_write: Dict[Tuple[int, Bounds], int] = {}
-    last_touch: Dict[Tuple[int, Bounds], int] = {}
-    conflicts: List[int] = []
-    races: List[bool] = []
-    for lane in range(stop - start):
-        inst = steps[start + lane].inst
-        latest = -1
-        touched = []
-        for r, shape in zip(inst.inputs, in_shapes):
-            uid = r.tensor.uid
-            if uid in written:
-                key = (uid, r.bounds)
-                if key in last_touch:
-                    wrote = last_write.get(key, -1)
-                    if wrote > latest:
-                        latest = wrote
-                elif not _on_lattice(lattice, uid, r.bounds, shape):
-                    return None
-                touched.append(key)
-        raced = False
-        for o, shape in zip(inst.outputs, out_shapes):
-            key = (o.tensor.uid, o.bounds)
-            last = last_touch.get(key)
-            if last is None:
-                if not _on_lattice(lattice, key[0], o.bounds, shape):
-                    return None
-            else:
-                if last > latest:
-                    latest = last
-                raced = key in last_write
-            last_write[key] = lane
-            touched.append(key)
-        for key in touched:
-            last_touch[key] = lane
-        conflicts.append(latest)
-        races.append(raced)
-    return conflicts, races
-
-
-def _lattice_rows(table: RegionTable, steps: Sequence[PlanStep], start: int,
-                  stop: int) -> Optional[Tuple[List[int], List[bool]]]:
-    """:func:`_lattice_table` of one isomorphic run, from the plan's
-    region table: the same per-lane facts, or ``None`` in the same cases.
-
-    For a run whose lanes lie in several segments, where the rows of each
-    copied lane are its source's, moved.  Rows on tensors the run writes
-    must lie on one lattice per tensor (one box shape, no zero extent,
-    origins congruent modulo it); then two boxes overlap iff their
-    ``(tensor, origin)`` keys are equal.  Sorted by key and lane, a lane's
-    latest earlier conflict is, per row, the latest earlier lane writing
-    the key it reads, or touching the key it writes; a write races when
-    an earlier lane wrote its key.
     """
     if len(steps[start].inst.outputs) > 1:
         return None
@@ -363,13 +275,13 @@ def _decide_runs(steps: Sequence[PlanStep], runs: Sequence[Tuple[int, int]],
     A run inside one span copy whose source lanes are a whole run decided
     here takes that run's races and groups, moved: a decision reads only
     the run's own steps, and the copy's steps are its source's, moved one
-    to one.  Any other run is decided by its :func:`_lattice_table`, or by
-    :func:`_lattice_rows` when its lanes lie in several segments.  P100:
-    in a plain (non-accumulate) run, a lane whose output an earlier lane
-    wrote.  Groups: :func:`_fusion_groups`' greedy, where lane ``e``
-    extends the group starting at lane ``g`` iff it does not self-alias
-    and its latest conflict is before ``g``.  Runs the lattice declines go
-    to :func:`_check_races` and :func:`_fusion_groups`.
+    to one.  Any other run is decided by :func:`_lattice_rows` on the
+    region table.  P100: in a plain (non-accumulate) run, a lane whose
+    output an earlier lane wrote.  Groups: :func:`_fusion_groups`'
+    greedy, where lane ``e`` extends the group starting at lane ``g`` iff
+    it does not self-alias and its latest conflict is before ``g``.  Runs
+    the lattice declines go to :func:`_check_races` and
+    :func:`_fusion_groups`.
     """
     diags: List[Diagnostic] = []
     groups: List[Tuple[int, int]] = []
@@ -382,9 +294,7 @@ def _decide_runs(steps: Sequence[PlanStep], runs: Sequence[Tuple[int, int]],
         segment = table.segment_at(start)
         got = _inherited(segment, decided, start, stop)
         if got is None:
-            lattice = (_lattice_rows(table, steps, start, stop)
-                       if stop > segment.hi else
-                       _lattice_table(steps, start, stop))
+            lattice = _lattice_rows(table, steps, start, stop)
             if lattice is None:
                 declined.append((start, stop))
                 continue
@@ -749,9 +659,8 @@ def annotate_plan(plan: FractalPlan,
     plan.fusion_groups = list(analysis.fusion_groups)
     plan.analysis = analysis.to_doc()
     plan.stats.peak_live_bytes = analysis.peak_live_bytes
-    # The lowering and replay schedule derive from the products stamped
-    # above; re-annotation invalidates them (rebuilt lazily on next use).
-    plan.batched = []
+    # The replay schedule derives from the products stamped above;
+    # re-annotation invalidates it (rebuilt lazily on next use).
     plan._schedule = None
     return analysis
 
@@ -785,16 +694,6 @@ def verify_plan(plan: FractalPlan) -> PlanAnalysis:
         raise ValueError("plan safe_zero_copy flags do not match analysis")
     if [tuple(g) for g in plan.fusion_groups] != analysis.fusion_groups:
         raise ValueError("plan fusion groups do not match analysis")
-    # A plan that carries a lowering (a compiled one) must carry the one
-    # its verified groups give; a loaded plan has none yet and lowers
-    # once, when its replay schedule is built.
-    if plan.batched:
-        from .batch import batched_table, lower_plan  # deferred: import order
-
-        if batched_table(plan.batched) != batched_table(lower_plan(plan)):
-            raise ValueError(
-                "plan batched steps do not match a fresh lowering of its "
-                "fusion groups")
     return analysis
 
 
@@ -813,8 +712,9 @@ def spanless_mismatch(plan: FractalPlan) -> Optional[str]:
 
     from .batch import build_schedule  # deferred: import order
 
-    oracle = replace(plan, spans=[], batched=[])
-    by_span = replace(plan, batched=[])
+    # both are copies, so ``plan`` keeps its own region table
+    oracle = replace(plan, spans=[])
+    by_span = replace(plan)
     got, want = analyze_plan(by_span), analyze_plan(oracle)
     for name, value in (
             ("digest", lambda a: a.digest()),
@@ -825,11 +725,7 @@ def spanless_mismatch(plan: FractalPlan) -> Optional[str]:
             ("peak_live_bytes", lambda a: a.peak_live_bytes)):
         if value(got) != value(want):
             return f"analysis {name} differ from the spanless plan's"
-    schedules = []
-    for p in (by_span, oracle):
-        p.ensure_lowered()
-        schedules.append(build_schedule(p))
-    got, want = schedules
+    got, want = build_schedule(by_span), build_schedule(oracle)
     if len(got.items) != len(want.items):
         return "replay schedule item counts differ from the spanless plan's"
     for index, (a, b) in enumerate(zip(got.items, want.items)):

@@ -1,4 +1,4 @@
-"""Plan-level vectorization: BatchedStep lowering, replay schedule, arena.
+"""Plan-level vectorization: lowering, replay schedule, arena.
 
 The dataflow analyzer (:mod:`repro.plan.analysis`) proves which runs of
 consecutive isomorphic steps are *fusion-legal* -- pairwise-disjoint
@@ -7,18 +7,17 @@ every compiled plan as ``plan.fusion_groups``.  This module turns those
 proofs into execution structure, the paper's lockstep-FFU claim made
 concrete:
 
-* :func:`lower_plan` lowers each legal group of ``k`` lanes into a
-  :class:`BatchedStep` (one opcode, stacked ``(k, ...)`` operand tables,
-  shared run_attrs).  The lowering is derived state: the plan document
-  does not store it, and a loaded plan lowers its verified fusion groups
-  once, when its replay schedule is built;
 * :func:`build_schedule` compiles the step list into a
   :class:`ReplaySchedule`: an interleaving of :class:`BatchedItem`
   groups, :class:`FoldItem` chains and :class:`SingleItem` steps with
   every per-replay decision -- kernel callables, operand slice tuples,
   aliasing copy-masks, gather/scatter addressing -- resolved once per
-  plan instead of once per run.  Every opcode has a stacked kernel
-  (:mod:`repro.ops.batch`), so each BatchedStep becomes one BatchedItem;
+  plan instead of once per run.  It lowers the fusion groups itself, and
+  nothing else does: :func:`lower_plan` keeps each group of ``k`` lanes
+  of one isomorphism class, which becomes one BatchedItem (one opcode,
+  stacked ``(k, ...)`` operands, shared run_attrs, the opcode's stacked
+  kernel from :mod:`repro.ops.batch`).  The lowering is never stored,
+  on the plan or in its document;
 * a node's g(.) reduction is a chain of ``Add1D`` (or ``Mul1D``) links,
   each reading the previous link's output, so no fusion group holds it.
   A run of such links whose intermediates the plan proves private
@@ -70,82 +69,33 @@ from .regions import RegionTable, region_table
 __all__ = [
     "ArenaLayout",
     "BatchedItem",
-    "BatchedStep",
     "FoldItem",
     "ReplayBinding",
     "ReplaySchedule",
     "SingleItem",
-    "batched_table",
     "build_arena_layout",
     "build_schedule",
     "lower_plan",
 ]
 
 
-# -- BatchedStep: the lowering product ---------------------------------------
+# -- lowering -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BatchedStep:
-    """One fusion group lowered for stacked execution.
+def lower_plan(plan: FractalPlan) -> List[Tuple[int, int]]:
+    """The fusion groups of ``plan`` that replay stacked, as ``(start,
+    stop)`` step ranges in step order.
 
-    ``lanes`` are the group's plan steps (``plan.steps[start:stop]``,
-    kept by reference); all lanes share ``kind``/``opcode``/``level``/
-    ``run_attrs``/``accumulate`` by the analyzer's isomorphism key.
+    Decided by the region table's isomorphism key alone: a group lowers
+    when its lanes are one class (one kind, level and signature, so one
+    opcode, operand shapes, attributes and write-back mode) of
+    single-output steps.  Any other group -- only a plan whose groups
+    were set by hand has one -- replays as singles.  Deterministic in the
+    plan's steps and fusion groups.
     """
-
-    start: int
-    stop: int
-    kind: str
-    opcode: Opcode
-    level: int
-    run_attrs: Dict[str, object]
-    accumulate: bool
-    lanes: Tuple[PlanStep, ...]
-
-    @property
-    def n_lanes(self) -> int:
-        return self.stop - self.start
-
-
-def lower_plan(plan: FractalPlan) -> List[BatchedStep]:
-    """Lower every batchable fusion group of ``plan`` into BatchedSteps.
-
-    Deterministic in the plan's analysis products: same steps + same
-    ``fusion_groups`` always produce the same table (which is what lets
-    :func:`repro.plan.analysis.verify_plan` compare a plan's lowering with
-    a fresh one).  Groups whose steps
-    are not single-output are left unlowered -- they replay as singles.
-    Lanes of one isomorphism class (the region table's ``key``) share
-    kind, level and signature, so only their lead is read.
-    """
-    batched: List[BatchedStep] = []
-    key = region_table(plan).key if plan.fusion_groups else None
-    for start, stop in plan.fusion_groups:
-        lanes = tuple(plan.steps[start:stop])
-        lead = lanes[0]
-        if len(lead.inst.outputs) != 1:
-            continue
-        if (key[start:stop] != key[start]).any() and (
-                any(len(s.inst.outputs) != 1 for s in lanes)
-                or any(s.kind != lead.kind or s.level != lead.level
-                       or s.inst.opcode is not lead.inst.opcode
-                       or len(s.inst.inputs) != len(lead.inst.inputs)
-                       or s.accumulate != lead.accumulate for s in lanes)):
-            # Defensive: the analyzer's isomorphism key guarantees this;
-            # a plan violating it is corrupt, not batchable.
-            continue
-        batched.append(BatchedStep(
-            start=start, stop=stop, kind=lead.kind,
-            opcode=lead.inst.opcode, level=lead.level,
-            run_attrs=lead.run_attrs, accumulate=lead.accumulate,
-            lanes=lanes))
-    return batched
-
-
-def batched_table(batched: Sequence[BatchedStep]) -> List[Tuple]:
-    """Comparable identity of a lowering (cache verification token)."""
-    return [(b.start, b.stop, b.kind, b.opcode.value, b.level, b.n_lanes)
-            for b in batched]
+    key = region_table(plan).key
+    return [(start, stop) for start, stop in sorted(plan.fusion_groups)
+            if len(plan.steps[start].inst.outputs) == 1
+            and (key[start:stop] == key[start]).all()]
 
 
 # -- gather / scatter addressing -------------------------------------------
@@ -350,8 +300,10 @@ class SingleItem:
 
 
 class BatchedItem:
-    """One BatchedStep with resolved addressing: per-operand gather specs,
-    the output scatter spec and the group's stacked kernel."""
+    """One lowered fusion group with resolved addressing: per-operand
+    gather specs, the output scatter spec and the group's stacked kernel.
+    Its lanes share their lead's kind, opcode, level, run_attrs and
+    write-back mode (:func:`lower_plan`)."""
 
     __slots__ = ("start", "stop", "k", "opcode", "opval", "level",
                  "run_attrs", "accumulate", "gathers", "scatter",
@@ -359,30 +311,31 @@ class BatchedItem:
     batched = True
     folded = False
 
-    def __init__(self, bstep: BatchedStep, batched_kernel,
+    def __init__(self, index: int, lanes: Sequence[PlanStep], batched_kernel,
                  slices: _SliceTable, table: RegionTable) -> None:
-        self.start = bstep.start
-        self.stop = bstep.stop
-        self.k = bstep.n_lanes
-        self.opcode = bstep.opcode
-        self.opval = bstep.opcode.value
-        self.level = bstep.level
-        self.run_attrs = bstep.run_attrs
-        self.accumulate = bstep.accumulate
+        lead = lanes[0]
+        inst = lead.inst
+        self.start = index
+        self.stop = index + len(lanes)
+        self.k = len(lanes)
+        self.opcode = inst.opcode
+        self.opval = inst.opcode.value
+        self.level = lead.level
+        self.run_attrs = lead.run_attrs
+        self.accumulate = lead.accumulate
         self.batched_kernel = batched_kernel
-        lead = bstep.lanes[0].inst
-        self.n_in = len(lead.inputs)
-        rows = table.first[bstep.start:bstep.stop]
+        self.n_in = len(inst.inputs)
+        rows = table.first[self.start:self.stop]
         self.gathers = tuple(
-            _table_access(table, rows + j, bstep.lanes, j, slices)
+            _table_access(table, rows + j, lanes, j, slices)
             for j in range(self.n_in))
-        self.scatter = _table_access(table, rows + self.n_in, bstep.lanes,
+        self.scatter = _table_access(table, rows + self.n_in, lanes,
                                      self.n_in, slices)
         # Fusion legality makes a group's outputs pairwise disjoint, so no
         # output lattice places one tile at two lanes.
         assert not self.scatter.repeats, "fused lanes write one tile"
-        self.out_shape = lead.outputs[0].shape
-        self.out_nelems = lead.outputs[0].nelems
+        self.out_shape = inst.outputs[0].shape
+        self.out_nelems = inst.outputs[0].nelems
 
 
 class FoldItem:
@@ -461,8 +414,7 @@ def _chained(prev: PlanStep, step: PlanStep) -> bool:
             and all(r.shape == shape for r in prev.inst.inputs))
 
 
-def _fold_links(plan: FractalPlan,
-                table: Optional[RegionTable] = None) -> Set[int]:
+def _fold_links(plan: FractalPlan, table: RegionTable) -> Set[int]:
     """Indices ``i`` whose step feeds step ``i + 1`` through a link of a
     foldable chain, proven from the plan's steps.
 
@@ -475,8 +427,6 @@ def _fold_links(plan: FractalPlan,
     plan-owned, covered and private is decided on the region table.
     """
     steps = plan.steps
-    if table is None:
-        table = region_table(plan)
     flags = [step.safe_zero_copy for step in steps]
     chained: List[int] = []
     for segment in table.segments:
@@ -537,12 +487,12 @@ class ReplaySchedule:
 
 
 def build_schedule(plan: FractalPlan) -> ReplaySchedule:
-    """Compile ``plan.steps`` + ``plan.batched`` into a ReplaySchedule.
+    """Compile ``plan.steps`` and its fusion groups into a ReplaySchedule.
 
-    Every BatchedStep becomes one BatchedItem running its opcode's
-    stacked kernel.  Outside the lowered groups, each run of linked chain
-    steps (:func:`_fold_links`) becomes one FoldItem, and every other
-    step a SingleItem.
+    The one lowering of the plan: every group :func:`lower_plan` keeps
+    becomes one BatchedItem running its opcode's stacked kernel.  Outside
+    those groups, each run of linked chain steps (:func:`_fold_links`)
+    becomes one FoldItem, and every other step a SingleItem.
     """
     from ..ops.batch import batched_kernel_for
     from ..ops.dispatch import kernel_for
@@ -569,17 +519,18 @@ def build_schedule(plan: FractalPlan) -> ReplaySchedule:
 
     pos = 0
     lanes = 0
-    batched = sorted(plan.batched, key=lambda b: b.start)
-    for bstep in batched:
-        singles(pos, bstep.start)
-        items.append(BatchedItem(bstep, batched_kernel_for(bstep.opcode),
-                                 slices, table))
-        lanes += bstep.n_lanes
-        pos = bstep.stop
+    groups = lower_plan(plan)
+    for start, stop in groups:
+        singles(pos, start)
+        opcode = plan.steps[start].inst.opcode
+        items.append(BatchedItem(start, plan.steps[start:stop],
+                                 batched_kernel_for(opcode), slices, table))
+        lanes += stop - start
+        pos = stop
     singles(pos, plan.n_steps)
     arena = build_arena_layout(plan, items, table)
     return ReplaySchedule(items=items, n_steps=plan.n_steps, arena=arena,
-                          batched_steps=len(batched), batched_lanes=lanes)
+                          batched_steps=len(groups), batched_lanes=lanes)
 
 
 # -- arena layout -----------------------------------------------------------
@@ -611,7 +562,7 @@ class ArenaLayout:
 
 
 def build_arena_layout(plan: FractalPlan, items: Sequence[object],
-                       table: Optional[RegionTable] = None) -> ArenaLayout:
+                       table: RegionTable) -> ArenaLayout:
     """Pack plan-owned intermediates with a first-fit free list over their
     item-granular live intervals (the ``peak_live_bytes`` sweep, executed
     as an allocator instead of a high-water accounting pass).
@@ -619,8 +570,6 @@ def build_arena_layout(plan: FractalPlan, items: Sequence[object],
     An item touches its steps' regions, inputs first; a fold touches its
     chain's operands and last output, never the intermediates it does not
     store.  First and last touches are read from the region table."""
-    if table is None:
-        table = region_table(plan)
     n = plan.n_steps
     ordinal = np.full(n, -1, np.int64)
     later = np.zeros(n, bool)  # a fold link after the first: head unread

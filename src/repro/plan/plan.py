@@ -157,18 +157,13 @@ class FractalPlan:
     compile_seconds: float = 0.0
     #: maximal batched-execution-legal runs of consecutive isomorphic
     #: steps, as half-open ``(start, stop)`` step-index ranges; stamped by
-    #: :func:`repro.plan.analysis.annotate_plan` for the ROADMAP-2
-    #: BatchedStep pass.
+    #: :func:`repro.plan.analysis.annotate_plan` and lowered by the
+    #: replay schedule's build (:func:`repro.plan.batch.build_schedule`).
     fusion_groups: List[Tuple[int, int]] = field(default_factory=list)
     #: serialized :meth:`repro.plan.analysis.PlanAnalysis.to_doc` summary
     #: (diagnostics + product counts + re-verification digest); ``None``
     #: only for plans that bypassed the compiler's annotate stage.
     analysis: Optional[dict] = None
-    #: fusion groups lowered for stacked execution
-    #: (:class:`repro.plan.batch.BatchedStep`); stamped by the compiler,
-    #: and derived lazily by :meth:`ensure_lowered` for loaded plans and
-    #: plans annotated by hand.  Never serialized.
-    batched: List = field(default_factory=list)
     #: the spans the compile re-emitted from a template, in step order, as
     #: ``(at, start, end, moves, chains)``: ``steps[at:at + end - start]``
     #: are ``steps[start:end]`` with each ``(tensor, twin, shift)`` of
@@ -185,7 +180,7 @@ class FractalPlan:
     _schedule: Optional[object] = field(default=None, init=False,
                                         repr=False, compare=False)
     #: the steps' :class:`repro.plan.regions.RegionTable`, built by the
-    #: analysis and read by the lowering and the schedule build; dropped
+    #: analysis and read by the schedule build and its lowering; dropped
     #: once the schedule is built.  Derived state, like ``_schedule``.
     _regions: Optional[object] = field(default=None, init=False,
                                        repr=False, compare=False)
@@ -197,14 +192,6 @@ class FractalPlan:
     def external_uids(self) -> Tuple[int, ...]:
         return tuple(t.uid for t in self.externals)
 
-    def ensure_lowered(self) -> List:
-        """``self.batched``, lowering the fusion groups on first use."""
-        if not self.batched and self.fusion_groups:
-            from .batch import lower_plan  # deferred: batch imports plan
-
-            self.batched = lower_plan(self)
-        return self.batched
-
     def replay_schedule(self):
         """The batched replay schedule (built once, cached on the plan,
         with the cyclic collector paused)."""
@@ -212,7 +199,6 @@ class FractalPlan:
             from .batch import build_schedule  # deferred: cycle guard
 
             with gc_paused():
-                self.ensure_lowered()
                 self._schedule = build_schedule(self)
                 self._regions = None
         return self._schedule
@@ -389,8 +375,8 @@ def plan_from_doc(doc: dict, externals: Sequence[Tensor],
     objects, ``run_attrs``, write-back mode and zero-copy flag.  The plan
     must come to exactly the ``kernel_calls + lfu_calls`` steps its stats
     declare, and the rebuild stops as soon as it would pass them.  The
-    fusion groups are not lowered here: the replay schedule lowers them
-    once, on first use.
+    fusion groups are not lowered here: the replay schedule's build
+    lowers them, on first use.
 
     Raises :class:`PlanFormatError` on any structural problem -- wrong
     schema/version, truncated tables, unknown opcodes, tensor ids or

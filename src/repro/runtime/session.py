@@ -62,7 +62,7 @@ class InferenceSession:
         disk) and pins the resulting :class:`repro.plan.FractalPlan` on the
         session.  A plan other than the pinned one is bound afresh by the
         next call.  Replayed calls are bit-identical to recursive
-        execution -- see docs/PERFORMANCE.md for the measured speedups.
+        execution -- see docs/PERFORMANCE.md, "Binding and replay".
         """
         from ..plan import compile_cached
 

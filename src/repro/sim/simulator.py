@@ -600,7 +600,7 @@ class FractalSimulator:
         # decoder still sees (the RAW window and the previous cycle's TTT
         # records); -1 if none.  Steps with one source decode alike when
         # the rest of the state they read is alike (docs/PERFORMANCE.md,
-        # "Simulating by template").
+        # "Simulator").
         source: List[int] = []
         window = DemotionDecoder.PIPELINE_WINDOW
         # A single-instruction program would schedule as one monolithic

@@ -37,6 +37,7 @@ from repro import (
     cambricon_f100,
     telemetry,
 )
+from repro.core.tensor import Region
 from repro.core.verify import bit_identical
 from repro.obs import RunLedger, analyze_history, metric_polarity
 from repro.obs.ledger import report_metrics
@@ -47,11 +48,12 @@ from repro.plan import (
     DiskPlanCache,
     FractalPlan,
     PlanCache,
+    PlanStats,
     PlanStep,
     SingleItem,
-    batched_table,
     compile_cached,
     compile_program,
+    lower_plan,
     machine_fingerprint,
     plan_from_doc,
 )
@@ -414,8 +416,10 @@ class TestDefaultPolicy:
             machine, w, plan = _suite_plan("f1", name)
             schedule = plan.replay_schedule()
             assert schedule.fully_batched and schedule.fallback_lanes == 0
-            fused = {i for b in plan.batched for i in range(b.start, b.stop)}
-            assert any(b.opcode is Opcode.CV2D for b in plan.batched)
+            groups = lower_plan(plan)
+            fused = {i for a, b in groups for i in range(a, b)}
+            assert any(plan.steps[a].inst.opcode is Opcode.CV2D
+                       for a, _ in groups)
             assert not [item for item in schedule.items
                         if not item.batched and item.start in fused]
             assert schedule.batched_lanes == len(fused)
@@ -441,7 +445,7 @@ def _tiny_replay_check(program, bindings):
     machine = tiny_machine()
     plan = compile_program(machine, program)
     items = [i for i in plan.replay_schedule().items if i.batched]
-    assert len(items) == len(plan.batched)
+    assert len(items) == len(lower_plan(plan))
     results = []
     for use_plan in (None, plan):
         store = TensorStore()
@@ -481,6 +485,30 @@ class TestStackedReplayEndToEnd:
         items = _tiny_replay_check(
             program, [(t, np.sort(rng.normal(size=8))) for t in runs])
         assert [(i.opcode, i.k) for i in items] == [(Opcode.MERGE1D, 3)]
+
+    def test_group_of_two_classes_replays_as_singles(self):
+        """A fusion group set by hand whose lanes are two isomorphism
+        classes (Act1D tiles of 2 and 3 elements) is not lowered: the
+        plan replays as it does without the group."""
+        x, y = Tensor("x", (5,)), Tensor("y", (5,))
+        steps = [PlanStep.from_instruction("kernel", Instruction(
+            Opcode.ACT1D, (Region(x, ((lo, hi),)),),
+            (Region(y, ((lo, hi),)),), {"func": "relu"}), 1)
+            for lo, hi in ((0, 2), (2, 5))]
+        data = np.random.default_rng(13).normal(size=5)
+        results = []
+        for groups in ([(0, 2)], []):
+            plan = FractalPlan(machine_fingerprint=("test",),
+                               signature_digest="f" * 64, steps=list(steps),
+                               stats=PlanStats(), externals=[x, y],
+                               fusion_groups=groups)
+            assert lower_plan(plan) == []
+            store = TensorStore()
+            store.bind(x, data)
+            FractalExecutor(tiny_machine(), store).run_plan(plan)
+            assert plan.replay_schedule().batched_steps == 0
+            results.append(store.read(y.region()))
+        assert bit_identical(results[0], results[1])
 
 
 # -- folded reduction chains --------------------------------------------------
@@ -838,7 +866,8 @@ def _groupy_plan():
 
 class TestSchemaV3Cache:
     """The document since v3 lowered fusion groups; since v4 it stores no
-    lowering, and a loaded plan lowers its verified groups once."""
+    lowering, and a loaded plan's schedule build lowers its verified
+    groups."""
 
     def test_doc_round_trip_preserves_batched_table(self):
         machine, program, plan = _groupy_plan()
@@ -846,8 +875,7 @@ class TestSchemaV3Cache:
         assert doc["version"] == 4 and "batched" not in doc
         back = plan_from_doc(doc, plan.externals,
                              machine_fingerprint=plan.machine_fingerprint)
-        assert back.batched == []  # lowered on first use, not on load
-        assert batched_table(back.ensure_lowered()) == batched_table(plan.batched)
+        assert lower_plan(back) == lower_plan(plan) != []
         rng = np.random.default_rng(5)
         arrays = {r.tensor.uid: rng.normal(size=r.tensor.shape)
                   for r in program[0].inputs}
@@ -875,7 +903,7 @@ class TestSchemaV3Cache:
             fresh = compile_cached(machine, program, disk_dir=tmp_path,
                                    memory_cache=PlanCache())
         assert fresh.fusion_groups == plan.fusion_groups
-        assert batched_table(fresh.batched) == batched_table(plan.batched)
+        assert lower_plan(fresh) == lower_plan(plan)
 
     def _old_entry_is_a_silent_miss(self, tmp_path, version):
         """An older schema's cache file lives under its own filename: the

@@ -213,7 +213,7 @@ def _simulate(s):
 #: paused builder -> (makes one call of it ready to run, and the inner
 #: call it makes while paused, as ``(owner, attribute)``)
 BUILDERS = {
-    "compile_program": (_compile, (compiler_mod, "lower_plan")),
+    "compile_program": (_compile, (compiler_mod, "annotate_plan")),
     "replay_schedule": (_replay_schedule, (batch_mod, "build_schedule")),
     "bind": (_bind, (batch_mod, "ReplayBinding")),
     "rebind": (_rebind, (PlanStep, "from_instruction")),

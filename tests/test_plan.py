@@ -60,6 +60,7 @@ from repro.plan import (
 from repro.plan import analysis as plan_analysis
 from repro.plan import batch
 from repro.plan.analysis import spanless_mismatch
+from repro.plan.regions import region_table
 from repro.workloads import PROFILE_BENCHMARKS, profile_benchmark
 from test_decomposition import assert_same_steps
 
@@ -481,7 +482,8 @@ class TestBySpan:
         assert len(edges) == 3
         (group,) = plan.fusion_groups
         assert all(group[0] < at < group[1] for at in edges)
-        # the run crossing the edges is decided from the region table
+        # the run crossing the edges is decided anew, on the region
+        # table; it is the only run of two or more lanes
         decided = []
         rows = plan_analysis._lattice_rows
 
@@ -532,23 +534,31 @@ class TestBySpan:
                                                                   (4, 6)]
 
     def test_copies_take_their_sources_runs(self, monkeypatch):
-        """On F100 ResNet-152, 98.5 % of whose steps are copies, runs
-        decided lane by lane cover at most 1 in 20 steps."""
+        """On F100 ResNet-152, 98.5 % of whose steps are copies, fewer
+        than 1 in 10 runs are decided anew, and those inside one segment
+        cover at most 1 in 20 steps: every other run takes its source's
+        decision."""
         plan = compile_program(cambricon_f100(),
                                profile_benchmark("ResNet-152").program)
         copied = sum(end - start for _, start, end, _, _ in plan.spans)
         assert copied > 0.98 * plan.n_steps
-        lanes = []
-        table = plan_analysis._lattice_table
+        decided = []
+        rows = plan_analysis._lattice_rows
 
-        def counting(steps, start, stop):
-            lanes.append(stop - start)
-            return table(steps, start, stop)
+        def counting(table, steps, start, stop):
+            decided.append((start, stop))
+            return rows(table, steps, start, stop)
 
-        monkeypatch.setattr(plan_analysis, "_lattice_table", counting)
+        monkeypatch.setattr(plan_analysis, "_lattice_rows", counting)
         assert plan_analysis.analyze_plan(plan).digest() == \
             plan.analysis["digest"]
-        assert 0 < sum(lanes) * 20 < plan.n_steps
+        table = region_table(plan)
+        runs = [(start, stop) for start, stop in table.runs()
+                if stop - start >= 2]
+        assert 0 < len(decided) * 10 < len(runs)
+        inside = [stop - start for start, stop in decided
+                  if stop <= table.segment_at(start).hi]
+        assert 0 < sum(inside) * 20 < plan.n_steps
 
 
 # -- structural signatures ----------------------------------------------------

@@ -37,6 +37,7 @@ from repro.plan import (
     verify_plan,
 )
 from repro.plan import analysis as plan_analysis
+from repro.plan.regions import region_table
 from repro.workloads import profile_benchmark
 from repro.workloads.suite import PROFILE_BENCHMARKS
 
@@ -208,7 +209,7 @@ class TestFusionGroups:
 def _scan_products(plan):
     """P100 step indices and fusion groups as the box-index scans decide
     them over every isomorphic run: the oracle for the keyed pass."""
-    runs = list(plan_analysis._isomorphic_runs(plan.steps))
+    runs = region_table(plan).runs()
     races = {d.index for d in plan_analysis._check_races(plan.steps, runs)}
     return races, plan_analysis._fusion_groups(plan.steps, runs)
 
@@ -237,11 +238,11 @@ class TestLatticeRuns:
 
     def _check(self, steps, externals, races, groups, keyed=True):
         plan = _plan(steps, externals)
-        runs = [r for r in plan_analysis._isomorphic_runs(plan.steps)
-                if r[1] - r[0] >= 2]
+        table = region_table(plan)
+        runs = [r for r in table.runs() if r[1] - r[0] >= 2]
         assert len(runs) == 1
-        table = plan_analysis._lattice_table(plan.steps, *runs[0])
-        assert (table is not None) == keyed
+        facts = plan_analysis._lattice_rows(table, plan.steps, *runs[0])
+        assert (facts is not None) == keyed
         a = analyze_plan(plan)
         assert _races(a) == races
         assert a.fusion_groups == groups

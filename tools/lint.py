@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Lint session: ruff over the source tree + `repro lint` over shipped programs.
 
-Run as ``python tools/lint.py`` from the repository root.  Two stages:
+Run as ``python tools/lint.py`` from the repository root.  Three stages:
 
-1. **ruff** (config in ``pyproject.toml``) over ``src/`` and ``tests/``.
-   ruff is optional tooling -- offline environments may not have it, so
-   its absence is reported as a skip, not a failure.
+1. **ruff** (config in ``pyproject.toml``) over ``src/``, ``tests/``,
+   ``tools/`` and ``benchmarks/``.  ruff is optional tooling -- offline
+   environments may not have it, so its absence is reported as a skip,
+   not a failure (the strict stage skips likewise).
 2. **ruff, strict profile** over the entire ``src/repro`` tree (paths and
    select set in ``[tool.repro.lint]`` of pyproject.toml; the historic
    per-package allowlist is gone -- every package is held to the
