@@ -1133,18 +1133,23 @@ def cmd_compile(args) -> int:
     through a fresh disk cache must equal the compiled one the same way,
     zero-copy flags included.  For both plans, the analysis and replay
     schedule derived span by span must equal those of the same plan
-    without spans (:func:`repro.plan.analysis.spanless_mismatch`).  Then
-    recursion, schedule replay, the reloaded plan and a compiled
-    ``InferenceSession`` (called first on other inputs) run on the same
-    random inputs, and all three replays must match recursion bit for
-    bit.  Exit codes: **0** ok, **1** a ``--verify`` mismatch, **2**
-    unknown benchmark.
+    without spans (:func:`repro.plan.analysis.spanless_mismatch`).  The
+    plan rebound onto fresh clones of its externals (same names, shapes
+    and dtypes, new uids) must equal the compiled one the same way, and
+    derive by span what it derives without spans.  Then recursion,
+    schedule replay, the reloaded plan and a compiled ``InferenceSession``
+    (called first on other inputs) run on the same random inputs, and all
+    three replays must match recursion bit for bit; the rebound plan's
+    replay on the clones must match recursion on them.  Exit codes:
+    **0** ok, **1** a ``--verify`` mismatch, **2** unknown benchmark.
     """
     import tempfile
 
     from .analysis.signatures import external_tensors
     from .core.executor import FractalExecutor
+    from .core.isa import Instruction
     from .core.store import TensorStore
+    from .core.tensor import Region, Tensor
     from .core.verify import bit_identical
     from .plan import (DiskPlanCache, compile_cached, fingerprint_digest,
                        machine_fingerprint, plan_key)
@@ -1202,17 +1207,24 @@ def cmd_compile(args) -> int:
         print("compile: --verify FAILED: the plan did not survive the disk "
               "round trip", file=sys.stderr)
         return 1
-    mismatch = _steps_mismatch(
-        loaded, [(s.kind, s.level) for s in plan.steps],
-        [s.inst for s in plan.steps], plan.stats, "the compiled plan's")
-    if mismatch is None and ([s.safe_zero_copy for s in loaded.steps]
-                             != [s.safe_zero_copy for s in plan.steps]):
-        mismatch = "zero-copy flags differ from the compiled plan's"
-    if mismatch is not None:
-        print(f"compile: --verify FAILED: the reloaded plan's {mismatch}",
-              file=sys.stderr)
-        return 1
-    for whose, candidate in (("compiled", plan), ("reloaded", loaded)):
+    # The rebind leg: the plan over fresh clones of its externals.
+    clones = {t.uid: Tensor(t.name, t.shape, t.dtype, space=t.space)
+              for t in plan.externals}
+    rebound = plan.rebind([clones[t.uid] for t in plan.externals])
+    places = [(s.kind, s.level) for s in plan.steps]
+    insts = [s.inst for s in plan.steps]
+    for whose, candidate in (("reloaded", loaded), ("rebound", rebound)):
+        mismatch = _steps_mismatch(candidate, places, insts, plan.stats,
+                                   "the compiled plan's")
+        if mismatch is None and not np.array_equal(candidate.steps.safe,
+                                                    plan.steps.safe):
+            mismatch = "zero-copy flags differ from the compiled plan's"
+        if mismatch is not None:
+            print(f"compile: --verify FAILED: the {whose} plan's {mismatch}",
+                  file=sys.stderr)
+            return 1
+    for whose, candidate in (("compiled", plan), ("reloaded", loaded),
+                             ("rebound", rebound)):
         mismatch = spanless_mismatch(candidate)
         if mismatch is not None:
             print(f"compile: --verify FAILED: the {whose} plan's {mismatch}",
@@ -1247,13 +1259,35 @@ def cmd_compile(args) -> int:
                 print(f"compile: --verify FAILED: output {name!r} differs "
                       f"between recursion and {mode}", file=sys.stderr)
                 return 1
+
+    def on_clones(r):
+        return Region(clones[r.tensor.uid], r.bounds)
+
+    cloned = [Instruction(i.opcode, tuple(map(on_clones, i.inputs)),
+                          tuple(map(on_clones, i.outputs)), dict(i.attrs),
+                          i.loc) for i in w.program]
+    on_clone_results = []
+    for use_plan in (None, rebound):
+        store = TensorStore()
+        for t in bound:
+            store.bind(clones[t.uid], arrays[t.uid])
+        FractalExecutor(machine, store).run_program(cloned, plan=use_plan)
+        on_clone_results.append({name: store.read(clones[t.uid].region())
+                                 for name, t in w.outputs.items()})
+    for name, want in on_clone_results[0].items():
+        if not bit_identical(on_clone_results[1][name], want):
+            print(f"compile: --verify FAILED: output {name!r} differs "
+                  f"between recursion on fresh externals and the plan "
+                  f"rebound onto them", file=sys.stderr)
+            return 1
     schedule = plan.replay_schedule()
     print(f"  verify              steps and stats equal the walk without "
-          f"a memo, and the reloaded plan's equal the plan's own; both "
-          f"plans' analysis and schedule by span equal their spanless "
-          f"ones; recursion, schedule replay, the disk round trip and a "
-          f"bound session's second call bit-identical "
-          f"({len(results[0])} output(s), "
+          f"a memo, and the reloaded and rebound plans' equal the plan's "
+          f"own; all three plans' analysis and schedule by span equal "
+          f"their spanless ones; recursion, schedule replay, the disk "
+          f"round trip and a bound session's second call bit-identical, "
+          f"and the plan rebound onto fresh externals bit-identical to "
+          f"recursion on them ({len(results[0])} output(s), "
           f"{schedule.batched_steps} batched step(s))")
     return 0
 

@@ -511,20 +511,28 @@ def _chain_renames(first: Instruction, inst: Instruction,
     return tuple(renames)
 
 
+def _renew(tensor: Tensor) -> Tensor:
+    """A fresh partial twin of ``tensor``: its shape and dtype, and a name
+    with its tag (:func:`make_partial`)."""
+    return make_partial(tensor.shape, tensor.dtype,
+                        tensor.name[1:].rstrip("0123456789"))
+
+
 def _translate(steps: Sequence[Instruction],
                moves: Dict[int, Tuple[Tensor, Optional[Tuple[int, ...]]]],
-               chains: Sequence[Tuple[int, int, int]],
-               region: Callable[[Tensor, Tuple], Region] = Region.unchecked,
-               ) -> List[Instruction]:
+               chains: Sequence[Tuple[int, int, int]]) -> List[Instruction]:
     """``steps`` with every region moved and every chain id renamed.
 
     A region of a tensor in ``moves`` (uid -> the tensor it moves to and
     the shift, or None for none) moves there; any other tensor gets a
-    fresh same-shape partial twin, added to ``moves``.  Moved regions are
-    built with ``region``; a twin's regions keep their validated bounds.
-    A chain id in ``[lo, hi)`` of an interval of ``chains`` becomes ``id +
-    delta`` (:func:`_chain_renames`); any other raises
-    :class:`ValueError`.  Each copy shares its step's signature object.
+    fresh same-shape partial twin (:func:`_renew`), added to ``moves``.
+    Regions are built unchecked: each is a validated region shifted
+    inside a validated operand, or a validated region's bounds on a
+    tensor of the same shape (a loaded plan's are checked on its region
+    table instead).  A chain id in ``[lo, hi)`` of an interval of
+    ``chains`` becomes ``id + delta`` (:func:`_chain_renames`); any other
+    raises :class:`ValueError`.  Each copy shares its step's signature
+    object.
     """
 
     def rename(chain: int) -> int:
@@ -542,21 +550,18 @@ def _translate(steps: Sequence[Instruction],
         t = r.tensor
         target = moves.get(t.uid)
         if target is None:
-            twin_tensor = make_partial(t.shape, t.dtype,
-                                       t.name[1:].rstrip("0123456789"))
+            twin_tensor = _renew(t)
             twin = Region.unchecked(twin_tensor, r.bounds)
             moves[t.uid] = (twin_tensor, None)
         else:
             tensor, shift = target
             if shift is not None:
-                twin = region(tensor, tuple([
+                twin = Region.unchecked(tensor, tuple([
                     (lo + s, hi + s) for (lo, hi), s in zip(r.bounds, shift)]))
             elif tensor is t:
                 twin = r
-            elif tensor.shape == t.shape:
-                twin = Region.unchecked(tensor, r.bounds)
             else:
-                twin = region(tensor, r.bounds)
+                twin = Region.unchecked(tensor, r.bounds)
         moved[id(r)] = twin
         return twin
 

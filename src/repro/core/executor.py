@@ -33,7 +33,7 @@ from .. import obs, ops, telemetry
 from ..obs import prof as _prof
 from .decomposition import decompose_parallel, shrink_sequential
 from .decomposition.base import (_chain_counter, _chain_renames,
-                                 _operand_moves, _reemit, _template_key)
+                                 _operand_moves, _template_key)
 from .isa import Instruction
 from .machine import Machine
 from .store import TensorStore
@@ -146,16 +146,18 @@ class WalkMemo:
     the ``[start, end)`` span of the emission list its walk produced, its
     :class:`WalkStats` and the range of chain ids it drew.
 
-    ``record`` is the walk's sink, and ``kinds``, ``insts`` and ``levels``
+    ``record`` is the walk's sink.  ``kinds``, ``levels`` and ``sources``
     are the emission list, one entry per step; ``sources`` gives, per step,
     the index of the walked step it re-emits (its own index if walked).
-    ``spans`` lists each re-emission as ``(at, start, end, moves,
-    chains)``: steps ``[at, at + end - start)`` are steps ``[start, end)``
-    with each operand tensor of the template moved as ``moves`` says
-    (``(tensor, its twin, shift)``), every other tensor renewed, and chain
-    ids renamed by the ``(lo, hi, delta)`` intervals of ``chains``.
-    Spans do not overlap, steps outside every span were walked, and each
-    span's moves are one to one.
+    ``insts`` holds the instructions of the walked steps only, in step
+    order: a re-emitted step is never built here.  ``spans`` lists each
+    re-emission as ``(at, start, end, moves, chains)``: steps ``[at, at +
+    end - start)`` are steps ``[start, end)`` with each operand tensor of
+    the template moved as ``moves`` says (``(tensor, its twin, shift)``),
+    every other tensor renewed, and chain ids renamed by the ``(lo, hi,
+    delta)`` intervals of ``chains``; :class:`repro.plan.plan.PlanSteps`
+    builds such a step when it is asked for.  Spans do not overlap, steps
+    outside every span were walked, and each span's moves are one to one.
     Owned by one compile and dropped with it: no template outlives the
     call, and nothing here refers back to the memo.
     """
@@ -171,15 +173,16 @@ class WalkMemo:
         self.spans: List[Tuple] = []
 
     def record(self, kind: str, inst: Instruction, level: int) -> None:
-        self.sources.append(len(self.insts))
+        self.sources.append(len(self.kinds))
         self.kinds.append(kind)
         self.insts.append(inst)
         self.levels.append(level)
 
     def reemit(self, template: Tuple, inst: Instruction,
                stats: WalkStats) -> None:
-        """Emit ``template``'s steps over the operands of ``inst``, which
-        shares its key, and add its counters to ``stats``."""
+        """Record ``template``'s steps re-emitted over the operands of
+        ``inst``, which shares its key, add its counters to ``stats`` and
+        reserve the chain ids the copy's own walk would have drawn."""
         first, start, end, counted, drawn = template
         stats.add(counted)
         moves = _operand_moves(first, inst)
@@ -187,12 +190,15 @@ class WalkMemo:
         # one to one; a copy's analysis relies on it.
         assert len({new.uid for _, new, _ in moves}) == len(moves), \
             "a re-emission moves two tensors onto one"
-        self.spans.append((len(self.insts), start, end, moves,
+        self.spans.append((len(self.kinds), start, end, moves,
                            _chain_renames(first, inst, drawn)))
+        # The copy draws as many ids as its template did, each at the same
+        # offset, so later walked steps draw what a walk without the memo
+        # gives them.
+        _chain_counter.value += len(drawn)
         self.sources.extend(self.sources[start:end])
         self.kinds.extend(self.kinds[start:end])
         self.levels.extend(self.levels[start:end])
-        self.insts.extend(_reemit(first, self.insts[start:end], inst, drawn))
 
 
 def walk(inst: Instruction, level: int, machine: Machine, stats: WalkStats,
@@ -206,10 +212,11 @@ def walk(inst: Instruction, level: int, machine: Machine, stats: WalkStats,
     and PD are looked up as this module's globals on every call.
 
     With a ``memo`` (whose ``record`` must be the sink), a non-leaf node
-    whose key the memo holds is not walked: the template's steps are
-    re-emitted by region offset, with fresh partials and chain ids drawn
-    at the template's offsets, and its counters added.  The steps and
-    counters equal the walk's without a memo, which stays the oracle.
+    whose key the memo holds is not walked: the memo records the
+    template's steps as re-emitted by region offset (a span), reserves
+    the chain ids they draw and adds the template's counters.  The steps
+    a plan builds from its spans, and the counters, equal the walk's
+    without a memo, which stays the oracle.
 
     A module-level function, not a closure: a nested function that calls
     itself holds itself through its closure cell, and that cycle would keep
@@ -224,7 +231,7 @@ def walk(inst: Instruction, level: int, machine: Machine, stats: WalkStats,
             return
         # Count the subtree apart, so that a later hit can add it whole.
         outer, stats = stats, WalkStats()
-        start, first_id = len(memo.insts), _chain_counter.value
+        start, first_id = len(memo.kinds), _chain_counter.value
     stats.count(level)
     if spec.is_leaf:
         stats.kernel_calls += 1
@@ -257,7 +264,7 @@ def walk(inst: Instruction, level: int, machine: Machine, stats: WalkStats,
             stats.bytes_written += sum(r.nbytes for r in red.outputs)
             sink("lfu", red, level)
     if memo is not None:
-        memo.templates[key] = (inst, start, len(memo.insts), stats,
+        memo.templates[key] = (inst, start, len(memo.kinds), stats,
                                range(first_id, _chain_counter.value))
         outer.add(stats)
 

@@ -219,9 +219,9 @@ def _lattice_rows(table: RegionTable, steps: Sequence[PlanStep], start: int,
     tensor is off its lattice, a box has a zero extent, or a step has
     more than one output (whose outputs might overlap each other).
     """
-    if len(steps[start].inst.outputs) > 1:
-        return None
     r0, r1 = int(table.first[start]), int(table.first[stop])
+    if r1 - r0 > (stop - start) * (int(table.n_in[start]) + 1):
+        return None  # the run's steps have more than one output
     tid = table.tid[r0:r1]
     out = table.out[r0:r1]
     keep = np.isin(tid, tid[out])
@@ -299,7 +299,7 @@ def _decide_runs(steps: Sequence[PlanStep], runs: Sequence[Tuple[int, int]],
                 declined.append((start, stop))
                 continue
             conflicts, races = lattice
-            got = ([] if steps[start].accumulate else
+            got = ([] if table.acc[start] else
                    [lane for lane, raced in enumerate(races) if raced],
                    _greedy(conflicts, safe, start, stop))
         decided[start] = (stop,) + got
@@ -456,21 +456,19 @@ def _check_accumulate_order(plan: FractalPlan,
     writes: Dict[int, List[Tuple[int, Bounds]]] = {}
     acc_writes: Dict[int, List[Tuple[int, Bounds]]] = {
         int(t): [] for t in tensors[np.argsort(firsts)]}
-    names: Dict[int, str] = {}
-    for row in np.flatnonzero(np.isin(tid, tensors)).tolist():
-        index = int(step[row])
-        s = steps[index]
-        pos = row - int(table.first[index])
-        t = int(tid[row])
-        if pos < len(s.inst.inputs):
-            r = s.inst.inputs[pos]
-            reads.setdefault(t, []).append((index, r.bounds))
+    rows = np.flatnonzero(np.isin(tid, tensors))
+    # bounds padded to the table's rank, which changes no overlap
+    for index, t, out, acc, lo, hi in zip(
+            step[rows].tolist(), tid[rows].tolist(),
+            table.out[rows].tolist(), table.acc[step[rows]].tolist(),
+            table.lo[rows].tolist(), table.hi[rows].tolist()):
+        bounds = tuple(zip(lo, hi))
+        if not out:
+            reads.setdefault(t, []).append((index, bounds))
         else:
-            r = s.inst.outputs[pos - len(s.inst.inputs)]
-            writes.setdefault(t, []).append((index, r.bounds))
-            if s.accumulate:
-                acc_writes[t].append((index, r.bounds))
-        names[t] = r.tensor.name
+            writes.setdefault(t, []).append((index, bounds))
+            if acc:
+                acc_writes[t].append((index, bounds))
     diags: List[Diagnostic] = []
     reported: set = set()
     for t, acc_list in acc_writes.items():
@@ -492,10 +490,11 @@ def _check_accumulate_order(plan: FractalPlan,
                 init = max((p for p, b in plain
                             if p < l_idx and _overlap(b, inter)), default=-1)
                 if init < ridx:
+                    tensor = table.tensor(t)
                     diags.append(diag(
                         "P130",
                         f"step {ridx} reads "
-                        f"{names[t]}{_fmt(inter)} while the "
+                        f"{tensor.name}{_fmt(inter[:tensor.ndim])} while the "
                         f"accumulation finishing at step {l_idx} is still "
                         f"open (chain init at step {init}): the read "
                         f"observes a partial sum",
@@ -608,7 +607,7 @@ def analyze_plan(plan: FractalPlan) -> PlanAnalysis:
     whole region table.  A plan without spans is one walked segment.
     """
     steps = plan.steps
-    table = region_table(plan, fresh=True)
+    table = region_table(plan)
     result = AnalysisResult(
         program_name=f"plan:{plan.signature_digest[:16]}",
         instructions=len(steps))
@@ -641,21 +640,19 @@ def annotate_plan(plan: FractalPlan,
                   analysis: Optional[PlanAnalysis] = None) -> PlanAnalysis:
     """Analyze ``plan`` and stamp the products onto it (in place).
 
-    Sets ``PlanStep.safe_zero_copy`` on every proven step,
-    ``plan.fusion_groups``, ``plan.analysis`` (the serializable summary,
-    diagnostics included) and ``plan.stats.peak_live_bytes``.  Called by
+    Sets the plan's zero-copy flag column
+    (:meth:`~repro.plan.plan.PlanSteps.set_safe`, which replaces each
+    built step whose flag changes), ``plan.fusion_groups``,
+    ``plan.analysis`` (the serializable summary, diagnostics included)
+    and ``plan.stats.peak_live_bytes``.  Called by
     the compiler so every plan that reaches the executor or a cache tier
     carries verified products.
     """
     if analysis is None:
         analysis = analyze_plan(plan)
     # Compiled steps already carry the flag from construction, so this
-    # rebuilds only steps whose flag was set otherwise.
-    steps = plan.steps
-    stored = np.fromiter((s.safe_zero_copy for s in steps), bool, len(steps))
-    for index in np.flatnonzero(
-            stored != np.asarray(analysis.safe_zero_copy, bool)).tolist():
-        steps[index] = steps[index].with_safe(analysis.safe_zero_copy[index])
+    # replaces only built steps whose flag was set otherwise.
+    plan.steps.set_safe(analysis.safe_zero_copy)
     plan.fusion_groups = list(analysis.fusion_groups)
     plan.analysis = analysis.to_doc()
     plan.stats.peak_live_bytes = analysis.peak_live_bytes
@@ -673,10 +670,12 @@ def verify_plan(plan: FractalPlan) -> PlanAnalysis:
     hand-edited fusion groups, or verdicts from an older analyzer version
     -- raises :class:`ValueError` so the caller treats the entry as
     corrupt and recompiles.  The fresh analysis runs by span, as every
-    analysis does; a loaded plan's spans are ones
-    :func:`~repro.plan.plan.plan_from_doc` re-emitted one to one from its
-    own steps, so each copy's products are its source's.  Returns the
-    fresh analysis on success.
+    analysis does, on the region table
+    :func:`~repro.plan.plan.plan_from_doc` built and checked; a loaded
+    plan's spans are ones that load proved one to one over its own steps,
+    so each copy's products are its source's.  The flags are compared on
+    their column, so no copy is built.  Returns the fresh analysis on
+    success.
     """
     analysis = analyze_plan(plan)
     stored = plan.analysis or {}
@@ -689,8 +688,7 @@ def verify_plan(plan: FractalPlan) -> PlanAnalysis:
         raise ValueError(
             "plan analysis digest mismatch: stored products do not match "
             "a fresh analysis of the plan's steps")
-    flags = [bool(s.safe_zero_copy) for s in plan.steps]
-    if flags != analysis.safe_zero_copy:
+    if plan.steps.safe.tolist() != analysis.safe_zero_copy:
         raise ValueError("plan safe_zero_copy flags do not match analysis")
     if [tuple(g) for g in plan.fusion_groups] != analysis.fusion_groups:
         raise ValueError("plan fusion groups do not match analysis")

@@ -63,7 +63,7 @@ import numpy as np
 from ..core.gcpause import gc_paused
 from ..core.isa import Opcode
 from ..core.tensor import Region, Tensor
-from .plan import FractalPlan, PlanStep
+from .plan import FractalPlan, PlanStep, PlanSteps
 from .regions import RegionTable, region_table
 
 __all__ = [
@@ -88,14 +88,22 @@ def lower_plan(plan: FractalPlan) -> List[Tuple[int, int]]:
     Decided by the region table's isomorphism key alone: a group lowers
     when its lanes are one class (one kind, level and signature, so one
     opcode, operand shapes, attributes and write-back mode) of
-    single-output steps.  Any other group -- only a plan whose groups
-    were set by hand has one -- replays as singles.  Deterministic in the
-    plan's steps and fusion groups.
+    single-output steps, and it starts at or after the stop of the last
+    group kept, so no step replays twice.  Any other group -- only a plan
+    whose groups were set by hand has one -- replays as singles.
+    Deterministic in the plan's steps and fusion groups; reads the walked
+    step each lead re-emits, never a copy.
     """
     key = region_table(plan).key
-    return [(start, stop) for start, stop in sorted(plan.fusion_groups)
-            if len(plan.steps[start].inst.outputs) == 1
-            and (key[start:stop] == key[start]).all()]
+    steps = plan.steps
+    groups: List[Tuple[int, int]] = []
+    done = 0
+    for start, stop in sorted(plan.fusion_groups):
+        if (start >= done and len(steps.source(start).inst.outputs) == 1
+                and (key[start:stop] == key[start]).all()):
+            groups.append((start, stop))
+            done = stop
+    return groups
 
 
 # -- gather / scatter addressing -------------------------------------------
@@ -118,8 +126,17 @@ class _SliceTable(dict):
 
     A large plan's regions repeat a few thousand distinct bounds, so
     items share one tuple per bounds instead of holding private copies.
-    Scoped to one :func:`build_schedule` call: no cache outlives it.
+    ``rows`` finds the same tuples by a region table row's padded bounds
+    and rank.  Scoped to one :func:`build_schedule` call: no cache
+    outlives it.
     """
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: ``(padded lows, padded highs, rank)`` -> the slice tuple
+        self.rows: Dict[Tuple, Tuple[slice, ...]] = {}
 
     def __missing__(self, bounds) -> Tuple[slice, ...]:
         sl = self[bounds] = tuple(slice(lo, hi) for lo, hi in bounds)
@@ -219,45 +236,57 @@ def _build_access(regions: Sequence[Region], slices: _SliceTable):
             chain.from_iterable(chain.from_iterable(r.bounds
                                                     for r in regions)),
             dtype=np.int64, count=2 * ndim * k).reshape(k, ndim, 2)
-        access = _lattice_access(lead, bounds[:, :, 0], bounds[:, :, 1])
+        access = _lattice_access(lead.tensor, lead.shape, bounds[:, :, 0],
+                                 bounds[:, :, 1])
     return access or _LoopAccess(
         [(r.tensor, slices[r.bounds]) for r in regions], lead.shape)
 
 
+def _specs(table: RegionTable, rows, slices: _SliceTable
+           ) -> List[Tuple[Tensor, Tuple[slice, ...]]]:
+    """``(tensor, slice tuple)`` of each of the region table's ``rows``
+    (an index array or a slice), in order."""
+    specs = []
+    ranks, known = table.rank, slices.rows
+    for t, lo, hi in zip(table.tid[rows].tolist(), table.lo[rows].tolist(),
+                         table.hi[rows].tolist()):
+        rank = ranks[t]
+        key = (tuple(lo), tuple(hi), rank)
+        sl = known.get(key)
+        if sl is None:
+            sl = known[key] = slices[tuple(zip(lo[:rank], hi[:rank]))]
+        specs.append((table.tensor(t), sl))
+    return specs
+
+
 def _table_access(table: RegionTable, rows: np.ndarray,
-                  lanes: Sequence[PlanStep], position: int,
-                  slices: _SliceTable):
-    """:func:`_build_access` of the lanes' regions at ``position``, read
-    from the region table's ``rows``."""
+                  shape: Tuple[int, ...], slices: _SliceTable):
+    """:func:`_build_access` of the lanes' regions of ``shape`` at the
+    region table's ``rows``; tensors and bounds come from the table."""
     tids = table.tid[rows]
-    inst = lanes[0].inst
-    lead = (inst.inputs + inst.outputs)[position]
     access = None
     if (tids == tids[0]).all():
-        ndim = len(lead.bounds)
-        access = _lattice_access(lead, table.lo[rows, :ndim],
-                                 table.hi[rows, :ndim])
-    if access is None:
-        regions = [(s.inst.inputs + s.inst.outputs)[position] for s in lanes]
-        access = _LoopAccess([(r.tensor, slices[r.bounds]) for r in regions],
-                             lead.shape)
-    return access
+        ndim = len(shape)
+        access = _lattice_access(table.tensor(int(tids[0])), shape,
+                                 table.lo[rows, :ndim], table.hi[rows, :ndim])
+    return access or _LoopAccess(_specs(table, rows, slices), shape)
 
 
-def _lattice_access(lead: Region, lows: np.ndarray,
+def _lattice_access(tensor: Tensor, shape: Tuple[int, ...], lows: np.ndarray,
                     highs: np.ndarray) -> Optional[_LatticeAccess]:
-    """The lattice view of lanes on ``lead``'s tensor with these bounds,
-    or ``None`` when their tiles differ in shape or sit on no lattice."""
+    """The lattice view of lanes of ``shape`` on ``tensor`` with these
+    bounds, or ``None`` when their tiles differ in shape or sit on no
+    lattice."""
     extents = highs - lows
     if not (extents == extents[0]).all():
         return None
-    strides = _elem_strides(lead.tensor.shape)
+    strides = _elem_strides(tensor.shape)
     offs = lows.astype(np.int64) @ np.array(strides, dtype=np.int64)
     levels = _lattice_levels(offs)
     if levels is None:
         return None
-    return _LatticeAccess(lead.tensor, int(offs[0]), levels, lead.shape,
-                          strides, len(lows))
+    return _LatticeAccess(tensor, int(offs[0]), levels, shape, strides,
+                          len(lows))
 
 
 # -- schedule items ---------------------------------------------------------
@@ -266,44 +295,53 @@ class SingleItem:
     """One unfused plan step with every per-replay decision precomputed:
     the kernel callable, operand/output slice tuples, and (for steps the
     analyzer could not prove alias-free) the operand copy-mask the runtime
-    overlap scan would otherwise recompute every run."""
+    overlap scan would otherwise recompute every run.  Its opcode, level
+    and attributes are those of ``source``, the walked step it is or
+    re-emits; its operands are ``specs``, inputs then outputs."""
 
-    __slots__ = ("start", "stop", "inst", "opcode", "opval", "level",
-                 "run_attrs", "accumulate", "kernel", "in_specs",
-                 "out_specs", "copy_mask", "n_in")
+    __slots__ = ("start", "stop", "opcode", "opval", "level", "run_attrs",
+                 "accumulate", "kernel", "in_specs", "out_specs",
+                 "copy_mask", "n_in")
     batched = False
     folded = False
 
-    def __init__(self, index: int, step: PlanStep, kernel,
-                 slices: _SliceTable) -> None:
-        inst = step.inst
+    def __init__(self, index: int, source: PlanStep, kernel,
+                 specs: Sequence[Tuple[Tensor, Tuple[slice, ...]]],
+                 safe: bool) -> None:
+        inst = source.inst
         self.start = index
         self.stop = index + 1
-        self.inst = inst
         self.opcode = inst.opcode
         self.opval = inst.opcode.value
-        self.level = step.level
-        self.run_attrs = step.run_attrs
-        self.accumulate = step.accumulate
+        self.level = source.level
+        self.run_attrs = source.run_attrs
+        self.accumulate = source.accumulate
         self.kernel = kernel
-        self.in_specs = tuple((r.tensor, slices[r.bounds])
-                              for r in inst.inputs)
-        self.out_specs = tuple((r.tensor, slices[r.bounds])
-                               for r in inst.outputs)
-        self.n_in = len(inst.inputs)
-        if step.safe_zero_copy:
+        n_in = self.n_in = len(inst.inputs)
+        self.in_specs = tuple(specs[:n_in])
+        self.out_specs = tuple(specs[n_in:])
+        if safe:
             self.copy_mask = None
         else:
-            outputs = inst.outputs
             self.copy_mask = tuple(
-                any(r.overlaps(o) for o in outputs) for r in inst.inputs)
+                any(_overlaps(r, o) for o in self.out_specs)
+                for r in self.in_specs)
+
+
+def _overlaps(a: Tuple[Tensor, Tuple[slice, ...]],
+              b: Tuple[Tensor, Tuple[slice, ...]]) -> bool:
+    """Whether two ``(tensor, slices)`` operands share an element."""
+    return a[0].uid == b[0].uid and all(
+        x.start < y.stop and y.start < x.stop for x, y in zip(a[1], b[1]))
 
 
 class BatchedItem:
     """One lowered fusion group with resolved addressing: per-operand
     gather specs, the output scatter spec and the group's stacked kernel.
-    Its lanes share their lead's kind, opcode, level, run_attrs and
-    write-back mode (:func:`lower_plan`)."""
+    Its ``k`` lanes share the kind, opcode, level, run_attrs and
+    write-back mode of ``lead``, the walked step its first lane is or
+    re-emits (:func:`lower_plan`); their tensors and bounds come from the
+    region table."""
 
     __slots__ = ("start", "stop", "k", "opcode", "opval", "level",
                  "run_attrs", "accumulate", "gathers", "scatter",
@@ -311,13 +349,12 @@ class BatchedItem:
     batched = True
     folded = False
 
-    def __init__(self, index: int, lanes: Sequence[PlanStep], batched_kernel,
+    def __init__(self, index: int, k: int, lead: PlanStep, batched_kernel,
                  slices: _SliceTable, table: RegionTable) -> None:
-        lead = lanes[0]
         inst = lead.inst
         self.start = index
-        self.stop = index + len(lanes)
-        self.k = len(lanes)
+        self.stop = index + k
+        self.k = k
         self.opcode = inst.opcode
         self.opval = inst.opcode.value
         self.level = lead.level
@@ -327,10 +364,10 @@ class BatchedItem:
         self.n_in = len(inst.inputs)
         rows = table.first[self.start:self.stop]
         self.gathers = tuple(
-            _table_access(table, rows + j, lanes, j, slices)
-            for j in range(self.n_in))
-        self.scatter = _table_access(table, rows + self.n_in, lanes,
-                                     self.n_in, slices)
+            _table_access(table, rows + j, r.shape, slices)
+            for j, r in enumerate(inst.inputs))
+        self.scatter = _table_access(table, rows + self.n_in,
+                                     inst.outputs[0].shape, slices)
         # Fusion legality makes a group's outputs pairwise disjoint, so no
         # output lattice places one tile at two lanes.
         assert not self.scatter.repeats, "fused lanes write one tile"
@@ -345,7 +382,10 @@ class FoldItem:
     the last link's output is stored; the intermediates get no write, no
     arena slot and no re-zero.  Bit-identical to ``k`` singles: each link
     runs the same kernel on the same operands in the same order, and the
-    float64 store round trip it skips is exact."""
+    float64 store round trip it skips is exact.  The links share the
+    opcode, level and attributes of ``lead``, the walked step the first
+    link is or re-emits; ``terms`` are the first link's first operand,
+    then every link's second one."""
 
     __slots__ = ("start", "stop", "k", "opcode", "opval", "level",
                  "run_attrs", "kernel", "terms", "out_spec", "n_in")
@@ -353,22 +393,19 @@ class FoldItem:
     folded = True
     accumulate = False
 
-    def __init__(self, index: int, steps: Sequence[PlanStep], kernel,
-                 slices: _SliceTable) -> None:
-        lead = steps[0]
+    def __init__(self, index: int, k: int, lead: PlanStep, kernel,
+                 terms: Sequence[Tuple[Tensor, Tuple[slice, ...]]],
+                 out_spec: Tuple[Tensor, Tuple[slice, ...]]) -> None:
         self.start = index
-        self.stop = index + len(steps)
-        self.k = len(steps)
+        self.stop = index + k
+        self.k = k
         self.opcode = lead.inst.opcode
         self.opval = lead.inst.opcode.value
         self.level = lead.level
         self.run_attrs = lead.run_attrs
         self.kernel = kernel
-        #: the first link's first operand, then every link's second one
-        terms = [lead.inst.inputs[0]] + [s.inst.inputs[1] for s in steps]
-        self.terms = tuple((r.tensor, slices[r.bounds]) for r in terms)
-        out = steps[-1].inst.outputs[0]
-        self.out_spec = (out.tensor, slices[out.bounds])
+        self.terms = tuple(terms)
+        self.out_spec = out_spec
         self.n_in = 2 * self.k
 
     def fold(self, terms: Sequence[np.ndarray], attrs) -> np.ndarray:
@@ -388,30 +425,37 @@ _FOLD_OPCODES = (Opcode.ADD1D, Opcode.MUL1D)
 def _foldable(step: PlanStep) -> bool:
     inst = step.inst
     return (inst.opcode in _FOLD_OPCODES and not step.accumulate
-            and step.safe_zero_copy and len(inst.inputs) == 2
-            and len(inst.outputs) == 1)
+            and len(inst.inputs) == 2 and len(inst.outputs) == 1)
 
 
-def _chained(prev: PlanStep, step: PlanStep) -> bool:
-    """Does ``step`` continue a foldable chain from ``prev``, as far as
-    the two steps alone tell?  Both run one of :data:`_FOLD_OPCODES` with
-    one kind, level and attributes; neither accumulates and both are
-    alias-free; every region of the two has the shape of ``prev``'s
-    output, and ``step``'s first input is exactly that output."""
-    if step.inst.opcode not in _FOLD_OPCODES:
+def _chained(steps: PlanSteps, flags: Sequence[bool], table: RegionTable,
+             i: int) -> bool:
+    """Does step ``i + 1`` continue a foldable chain from step ``i``, as
+    far as the two steps alone tell?  Both run one of
+    :data:`_FOLD_OPCODES` with one kind, level and attributes; neither
+    accumulates and both are alias-free; every region of the two has the
+    shape of step ``i``'s output, and step ``i + 1``'s first input is
+    exactly that output.  The structure is read from the walked steps the
+    two are or re-emit (a copy has its source's), the flags from their
+    column and the placement from the region table, so no copy is
+    built."""
+    if not (flags[i] and flags[i + 1]):
         return False
+    prev, step = steps.source(i), steps.source(i + 1)
     if not (_foldable(prev) and _foldable(step)):
         return False
-    mid = prev.inst.outputs[0]
-    head, term = step.inst.inputs
-    shape = mid.shape
-    return (head.tensor.uid == mid.tensor.uid and head.bounds == mid.bounds
-            and step.inst.opcode is prev.inst.opcode
+    shape = prev.inst.outputs[0].shape
+    if not (step.inst.opcode is prev.inst.opcode
             and step.kind == prev.kind and step.level == prev.level
             and step.run_attrs == prev.run_attrs
-            and term.shape == shape
+            and step.inst.inputs[1].shape == shape
             and step.inst.outputs[0].shape == shape
-            and all(r.shape == shape for r in prev.inst.inputs))
+            and all(r.shape == shape for r in prev.inst.inputs)):
+        return False
+    mid, head = int(table.first[i]) + 2, int(table.first[i + 1])
+    return bool(table.tid[mid] == table.tid[head]
+                and (table.lo[mid] == table.lo[head]).all()
+                and (table.hi[mid] == table.hi[head]).all())
 
 
 def _fold_links(plan: FractalPlan, table: RegionTable) -> Set[int]:
@@ -427,7 +471,7 @@ def _fold_links(plan: FractalPlan, table: RegionTable) -> Set[int]:
     plan-owned, covered and private is decided on the region table.
     """
     steps = plan.steps
-    flags = [step.safe_zero_copy for step in steps]
+    flags = steps.safe.tolist()
     chained: List[int] = []
     for segment in table.segments:
         lo, hi, span = segment
@@ -437,9 +481,9 @@ def _fold_links(plan: FractalPlan, table: RegionTable) -> Set[int]:
                 span = None
         if span is None:
             chained.extend(i for i in range(max(lo - 1, 0), hi - 1)
-                           if _chained(steps[i], steps[i + 1]))
+                           if _chained(steps, flags, table, i))
             continue
-        if lo and _chained(steps[lo - 1], steps[lo]):
+        if lo and _chained(steps, flags, table, lo - 1):
             chained.append(lo - 1)
         first, last = bisect_left(chained, start), bisect_left(chained, end - 1)
         chained.extend(i + at - start for i in chained[first:last])
@@ -492,7 +536,10 @@ def build_schedule(plan: FractalPlan) -> ReplaySchedule:
     The one lowering of the plan: every group :func:`lower_plan` keeps
     becomes one BatchedItem running its opcode's stacked kernel.  Outside
     those groups, each run of linked chain steps (:func:`_fold_links`)
-    becomes one FoldItem, and every other step a SingleItem.
+    becomes one FoldItem, and every other step a SingleItem.  Every
+    item reads its opcode, level and attributes from the walked step its
+    first step is or re-emits, and its tensors and bounds from the region
+    table, so the build reads a copy's rows, never its step.
     """
     from ..ops.batch import batched_kernel_for
     from ..ops.dispatch import kernel_for
@@ -500,6 +547,9 @@ def build_schedule(plan: FractalPlan) -> ReplaySchedule:
     slices = _SliceTable()
     items: List[object] = []
     table = region_table(plan)
+    steps = plan.steps
+    first = table.first
+    flags = steps.safe.tolist()
     links = _fold_links(plan, table)
 
     def singles(lo: int, hi: int) -> None:
@@ -508,13 +558,21 @@ def build_schedule(plan: FractalPlan) -> ReplaySchedule:
             stop = index + 1
             while stop < hi and stop - 1 in links:
                 stop += 1
-            step = plan.steps[index]
-            kernel = kernel_for(step.inst.opcode)
+            source = steps.source(index)
+            kernel = kernel_for(source.inst.opcode)
             if stop - index > 1:
-                items.append(FoldItem(index, plan.steps[index:stop], kernel,
-                                      slices))
+                # the first link's first operand, every link's second,
+                # then the last link's output
+                rows = np.r_[first[index], first[index:stop] + 1,
+                             first[stop - 1] + 2]
+                specs = _specs(table, rows, slices)
+                items.append(FoldItem(index, stop - index, source, kernel,
+                                      specs[:-1], specs[-1]))
             else:
-                items.append(SingleItem(index, step, kernel, slices))
+                specs = _specs(table, slice(first[index], first[stop]),
+                               slices)
+                items.append(SingleItem(index, source, kernel, specs,
+                                        flags[index]))
             index = stop
 
     pos = 0
@@ -522,9 +580,10 @@ def build_schedule(plan: FractalPlan) -> ReplaySchedule:
     groups = lower_plan(plan)
     for start, stop in groups:
         singles(pos, start)
-        opcode = plan.steps[start].inst.opcode
-        items.append(BatchedItem(start, plan.steps[start:stop],
-                                 batched_kernel_for(opcode), slices, table))
+        lead = steps.source(start)
+        items.append(BatchedItem(start, stop - start, lead,
+                                 batched_kernel_for(lead.inst.opcode),
+                                 slices, table))
         lanes += stop - start
         pos = stop
     singles(pos, plan.n_steps)

@@ -18,7 +18,7 @@ simulator's signature memoization.
 from __future__ import annotations
 
 import time
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .. import obs
 from ..analysis.signatures import external_tensors, program_digest
@@ -34,7 +34,7 @@ from .analysis import annotate_plan
 # perfbench/spans.py times the lowering by patching this name here too; the
 # schedule build calls it through repro.plan.batch.
 from .batch import lower_plan  # noqa: F401
-from .plan import FractalPlan, PlanStats, PlanStep
+from .plan import FractalPlan, PlanStats, PlanStep, PlanSteps
 
 
 def machine_fingerprint(machine: Machine) -> Tuple:
@@ -70,10 +70,12 @@ def compile_program(
     order) and the plan's stats are the counters a cold run would have
     collected, ready for replays to add without re-deriving anything.
     A :class:`~repro.core.executor.WalkMemo` scoped to this call walks
-    each distinct subtree once; its steps equal the walk's without one,
-    chain ids included, and the plan keeps the spans it re-emitted
-    (``FractalPlan.spans``), which its document lists instead of their
-    steps.  The whole build runs with the cyclic collector paused
+    each distinct subtree once and records its repeats as spans
+    (``FractalPlan.spans``).  Only the walked steps are built; a copy's
+    step is built from its span when asked for
+    (:class:`~repro.plan.plan.PlanSteps`), and equals the walk's without
+    a memo, chain ids included.  The document lists the spans instead of
+    their steps.  The whole build runs with the cyclic collector paused
     (:func:`repro.core.gcpause.gc_paused`).
     """
     with gc_paused():
@@ -89,22 +91,19 @@ def compile_program(
         with _prof.step_scope("plan.compile"):
             for inst in program:
                 walk(inst, 0, machine, stats, memo.record, memo)
-        # A re-emitted step takes its source's run_attrs, write-back mode
-        # and zero-copy flag: moving every operand of a tensor by one
-        # offset changes none of them (chain ids are not run_attrs).
-        steps: List[PlanStep] = []
-        for kind, inst, level, source in zip(memo.kinds, memo.insts,
-                                             memo.levels, memo.sources):
-            if source == len(steps):
-                steps.append(PlanStep.from_instruction(kind, inst, level))
-            else:
-                walked = steps[source]
-                steps.append(PlanStep(kind, inst, level, walked.run_attrs,
-                                      walked.accumulate, walked.safe_zero_copy))
+        # Only the walked steps are built.  A re-emitted step takes its
+        # source's run_attrs, write-back mode and zero-copy flag when it is
+        # asked for: moving every operand of a tensor by one offset changes
+        # none of them (chain ids are not run_attrs).
+        insts = iter(memo.insts)
+        walked = [PlanStep.from_instruction(kind, next(insts), level)
+                  for index, (kind, level, source) in enumerate(
+                      zip(memo.kinds, memo.levels, memo.sources))
+                  if source == index]
         plan = FractalPlan(
             machine_fingerprint=machine_fingerprint(machine),
             signature_digest=program_digest(program),
-            steps=steps,
+            steps=PlanSteps(walked, memo.spans),
             stats=stats,
             externals=external_tensors(program),
             spans=memo.spans,
@@ -115,7 +114,7 @@ def compile_program(
         # live-byte peak.
         analysis = annotate_plan(plan)
         plan.compile_seconds = time.perf_counter() - t0
-        log.info("compile.end", steps=len(steps),
+        log.info("compile.end", steps=plan.n_steps,
                  kernel_calls=stats.kernel_calls, lfu_calls=stats.lfu_calls,
                  diagnostics=len(analysis.result.diagnostics),
                  fusion_groups=len(plan.fusion_groups),

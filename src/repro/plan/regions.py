@@ -28,6 +28,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..core.decomposition.base import _renew
 from ..core.tensor import Tensor
 from .plan import FractalPlan, PlanStep, self_alias
 
@@ -73,18 +74,22 @@ class RegionTable:
     first row; one entry more than steps), ``n_in``, ``acc`` (its
     write-back accumulates), ``key`` (its isomorphism class: equal keys
     mean equal :func:`run_key`) and ``safe`` (no operand aliases an output
-    of the step).  Per tensor: ``size`` (bytes), ``external`` and
-    ``shape`` (padded with 1s).  A tensor a copy renews takes a new id,
-    with its source tensor's shape and size.
+    of the step).  Per tensor: ``size`` (bytes), ``external``, ``shape``
+    (padded with 1s) and ``rank`` (a list).  A tensor a copy renews takes
+    a new id, with its source tensor's shape and size; its object is the
+    plan's renewed partial (:meth:`repro.plan.plan.PlanSteps.renewed`),
+    made when :meth:`tensor` first asks for it, so the schedule, its arena
+    and a built copy name one object.
 
-    Built by :func:`region_table`; it reads the steps' regions once, so a
-    plan whose steps are replaced by other instructions needs a new one
-    (flags are not part of it).
+    Built by :func:`region_table`; it reads the walked steps' regions
+    once, and no copy's, so a plan whose steps are replaced by other
+    instructions needs a new one (flags are not part of it).
     """
 
     __slots__ = ("steps", "segments", "first", "n_in", "acc", "key", "safe",
-                 "tid", "lo", "hi", "size", "external", "shape", "_starts",
-                 "_objects", "_rep", "_step_of_row", "_out")
+                 "tid", "lo", "hi", "size", "external", "shape", "rank",
+                 "_starts", "_objects", "_origin", "_span_of", "_renew",
+                 "_step_of_row", "_out")
 
     def __init__(self, plan: FractalPlan) -> None:
         steps = self.steps = plan.steps
@@ -129,7 +134,7 @@ class RegionTable:
         uids: Dict[int, int] = {}
         objects: List[Optional[Tensor]] = []
         origin: List[int] = []  # a renewed tensor's source tensor
-        rep: List[int] = []  # a row naming a renewed tensor
+        span_of: List[int] = []  # the span (index) that renews it
 
         def known(t: Tensor) -> int:
             got = uids.get(t.uid)
@@ -137,7 +142,7 @@ class RegionTable:
                 got = uids[t.uid] = len(objects)
                 objects.append(t)
                 origin.append(got)
-                rep.append(-1)
+                span_of.append(-1)
             return got
 
         for t in plan.externals:
@@ -145,6 +150,7 @@ class RegionTable:
         pads = [((0, 1),) * (ndim - d) for d in range(ndim + 1)]
         sources: Dict[Tuple[int, int], Tuple] = {}
         walked_regions = iter(walked)
+        span = -1  # the index of seg.span in plan.spans
         for seg in segments:
             r0 = int(first[seg.lo])
             if seg.span is None:
@@ -158,14 +164,15 @@ class RegionTable:
                 lo[r0:r1] = bounds[:, :, 0]
                 hi[r0:r1] = bounds[:, :, 1]
                 continue
+            span += 1
             at, start, end, moves, _ = seg.span
             s0, s1 = int(first[start]), int(first[end])
             d0, d1 = int(first[at]), int(first[at]) + s1 - s0
             cached = sources.get((start, end))
             if cached is None:
                 cached = sources[start, end] = np.unique(
-                    tid[s0:s1], return_index=True, return_inverse=True)
-            unique, first_row, inverse = cached
+                    tid[s0:s1], return_inverse=True)
+            unique, inverse = cached
             remap = np.empty(len(unique), np.int64)
             renewed = np.ones(len(unique), bool)
             shift = np.zeros((len(unique), ndim), np.int32)
@@ -180,7 +187,7 @@ class RegionTable:
             base, count = len(objects), int(renewed.sum())
             remap[renewed] = np.arange(base, base + count)
             origin.extend(unique[renewed].tolist())
-            rep.extend((first_row[renewed] + d0).tolist())
+            span_of.extend([span] * count)
             objects.extend([None] * count)
             tid[d0:d1] = remap[inverse]
             np.add(lo[s0:s1], shift[inverse], out=lo[d0:d1])
@@ -198,17 +205,26 @@ class RegionTable:
         size = np.zeros(n_tensors, np.int64)
         external = np.zeros(n_tensors, bool)
         shape = np.ones((n_tensors, ndim), np.int64)
+        rank = np.zeros(n_tensors, np.int64)
         ext_uids = set(plan.external_uids())
         for t, obj in enumerate(objects):
             if obj is not None:
                 size[t] = obj.nbytes
                 external[t] = obj.uid in ext_uids
                 shape[t, :len(obj.shape)] = obj.shape
+                rank[t] = len(obj.shape)
         self.size = size[root]
         self.shape = shape[root]
+        self.rank = rank[root].tolist()
         self.external = external
         self._objects = objects
-        self._rep = rep
+        self._origin = origin
+        self._span_of = span_of
+        # A plan whose steps hold its spans names their renewed partials;
+        # one whose steps were given apart from them (a list of built
+        # steps) gets twins of its own, one per renewed id.
+        self._renew = (plan.steps.renewed if plan.spans is plan.steps.spans
+                       else None)
         self._step_of_row: Optional[np.ndarray] = None
         self._out: Optional[np.ndarray] = None
 
@@ -234,14 +250,14 @@ class RegionTable:
         return self._out
 
     def tensor(self, t: int) -> Tensor:
-        """The tensor id ``t`` names."""
+        """The tensor id ``t`` names; a renewed one is the plan's renewed
+        partial of its source tensor, made on first ask."""
         obj = self._objects[t]
         if obj is None:
-            row = self._rep[t]
-            step = int(self.step_of_row[row])
-            inst = self.steps[step].inst
-            obj = self._objects[t] = (inst.inputs + inst.outputs)[
-                row - int(self.first[step])].tensor
+            source = self.tensor(self._origin[t])
+            obj = self._objects[t] = (
+                _renew(source) if self._renew is None
+                else self._renew(self._span_of[t], source))
         return obj
 
     def covers(self, rows: np.ndarray) -> np.ndarray:
@@ -263,11 +279,11 @@ class RegionTable:
         return self.segments[bisect_right(self._starts, index) - 1]
 
 
-def region_table(plan: FractalPlan, fresh: bool = False) -> RegionTable:
+def region_table(plan: FractalPlan) -> RegionTable:
     """The plan's :class:`RegionTable`, kept on the plan: built anew when
-    ``fresh``, when the plan has none or when its step list changed."""
+    the plan has none or when its steps were replaced."""
     table = plan._regions
-    if (fresh or table is None or table.steps is not plan.steps
+    if (table is None or table.steps is not plan.steps
             or len(table.key) != len(plan.steps)):
         table = plan._regions = RegionTable(plan)
     return table

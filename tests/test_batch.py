@@ -510,6 +510,32 @@ class TestStackedReplayEndToEnd:
             results.append(store.read(y.region()))
         assert bit_identical(results[0], results[1])
 
+    def test_overlapping_groups_replay_each_step_once(self):
+        """Two fusion groups set by hand that share a step: the second is
+        not lowered, so the shared lane is not replayed twice.  Three
+        accumulating Act1D lanes ``y[o:o+2] += relu(x[o:o+2])`` on ones
+        leave ``y`` all ones, with or without the groups."""
+        x, y = Tensor("x", (6,)), Tensor("y", (6,))
+        steps = [PlanStep.from_instruction("kernel", Instruction(
+            Opcode.ACT1D, (Region(x, ((o, o + 2),)),),
+            (Region(y, ((o, o + 2),)),), {"func": "relu", "accumulate": True}),
+            1) for o in (0, 2, 4)]
+        results = []
+        for groups in ([(0, 2), (1, 3)], []):
+            plan = FractalPlan(machine_fingerprint=("test",),
+                               signature_digest="f" * 64, steps=list(steps),
+                               stats=PlanStats(), externals=[x, y],
+                               fusion_groups=groups)
+            assert lower_plan(plan) == groups[:1]
+            store = TensorStore()
+            store.bind(x, np.ones(6))
+            FractalExecutor(tiny_machine(), store).run_plan(plan)
+            assert [(i.start, i.stop) for i in plan.replay_schedule().items] \
+                == ([(0, 2), (2, 3)] if groups else [(0, 1), (1, 2), (2, 3)])
+            results.append(store.read(y.region()))
+        assert results[0].tolist() == [1.0] * 6
+        assert bit_identical(results[0], results[1])
+
 
 # -- folded reduction chains --------------------------------------------------
 

@@ -27,6 +27,7 @@ from repro import (
 from repro.analysis import program_signature
 from repro.analysis.signatures import external_tensors
 from repro.core.executor import WalkStats, run_reference
+from repro.core.tensor import Region
 from repro.core.verify import bit_identical
 from repro.frontend import decode_program, encode_program
 from repro.plan import (DiskPlanCache, PlanStep, compile_program, plan_from_doc,
@@ -275,13 +276,37 @@ def test_fuzz_by_span_products_equal_spanless(case):
     """Any machine x any short program, independent or chained, some of
     whose instructions accumulate: the analysis and replay schedule the
     plan derives span by span equal those of the same steps without
-    spans, field by field, and so do the plan's reloaded from its
-    document."""
+    spans, field by field, and so do those of the plan reloaded from its
+    document and of the plan rebound onto fresh clones of its externals,
+    which replays bit-identically to recursion on the clones."""
     machine, program = case
     plan = compile_program(machine, program)
     assert spanless_mismatch(plan) is None
     doc = json.loads(json.dumps(plan.to_doc()))
     assert spanless_mismatch(plan_from_doc(doc, plan.externals)) is None
+    clones = {t.uid: Tensor(t.name, t.shape, t.dtype, space=t.space)
+              for t in plan.externals}
+    rebound = plan.rebind([clones[t.uid] for t in plan.externals])
+    assert spanless_mismatch(rebound) is None
+
+    def on_clones(regions):
+        return tuple(Region(clones[r.tensor.uid], r.bounds) for r in regions)
+
+    cloned = [Instruction(inst.opcode, on_clones(inst.inputs),
+                          on_clones(inst.outputs), dict(inst.attrs))
+              for inst in program]
+    rng = np.random.default_rng(0)
+    inputs = {r.tensor.uid: (r.tensor, rng.normal(size=r.tensor.shape))
+              for inst in cloned for r in inst.inputs}
+    results = []
+    for replayed in (None, rebound):
+        store = TensorStore()
+        for tensor, arr in inputs.values():
+            store.bind(tensor, arr)
+        FractalExecutor(machine, store).run_program(cloned, plan=replayed)
+        results.append([store.read(r) for inst in cloned for r in inst.outputs])
+    for got, want in zip(results[1], results[0]):
+        assert bit_identical(got, want)
 
 
 # -- fuzz: timing stack -------------------------------------------------------------

@@ -561,27 +561,87 @@ class TestBySpan:
         assert 0 < sum(inside) * 20 < plan.n_steps
 
 
+class TestCopiesOnDemand:
+    """A plan holds its walked steps and spans; a copy's step is built
+    only when asked for, and never on the hot path."""
+
+    @pytest.mark.parametrize("name", ["mm_fc", "ResNet-152"])
+    def test_hot_path_builds_no_copy(self, name, tmp_path, monkeypatch):
+        """On F100, compiling, building the schedule with a first replay,
+        a disk store and load, and a rebind each construct at most their
+        walked steps: every ``PlanStep`` beyond those would be a copy."""
+        constructed = [0]
+        init = PlanStep.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlanStep, "__init__", counting)
+
+        def constructing(call):
+            constructed[0] = 0
+            return call(), constructed[0]
+
+        machine, w = cambricon_f100(), profile_benchmark(name)
+        program = w.program
+        plan, count = constructing(lambda: compile_program(machine, program))
+        copied = sum(end - start for _, start, end, _, _ in plan.spans)
+        walked = plan.n_steps - copied
+        assert copied > 0.9 * plan.n_steps
+        assert count == walked, "compile_program"
+
+        def replay():
+            store = TensorStore()
+            _bind_inputs(program, store, np.random.default_rng(3))
+            FractalExecutor(machine, store).run_program(program, plan=plan)
+
+        assert constructing(replay)[1] == 0, "schedule and first replay"
+        disk = DiskPlanCache(tmp_path)
+        fp, digest = plan_key(machine, program)
+        assert constructing(lambda: disk.store(fp, digest, plan))[1] == 0
+        loaded, count = constructing(
+            lambda: disk.load(fp, digest, external_tensors(program)))
+        assert loaded is not None and count == walked, "load"
+        clones = [Tensor(t.name, t.shape, t.dtype, space=t.space)
+                  for t in plan.externals]
+        rebound, count = constructing(lambda: plan.rebind(clones))
+        assert rebound.n_steps == plan.n_steps and count == walked, "rebind"
+        # asked for, a copy is built, with its whole span
+        at, start, end, _, _ = plan.spans[0]
+        assert constructing(lambda: rebound.steps[at])[1] == end - start
+
+    def test_plan_given_a_list_of_its_steps_replays(self):
+        """A plan given its built steps as a list, spans kept, replays
+        bit-identically to recursion: its region table makes its own
+        twins of the partials the spans renew."""
+        machine, program = cambricon_f100(), profile_benchmark("K-NN").program
+        plan = compile_program(machine, program)
+        listed = dataclasses.replace(plan, steps=list(plan.steps))
+        assert listed.spans and listed.steps.spans == []
+        for got, want in zip(_run(machine, program, plan=listed),
+                             _run(machine, program)):
+            assert bit_identical(got, want)
+
+
 # -- structural signatures ----------------------------------------------------
 
 class TestPlanLifetime:
     def test_dropped_plan_frees_its_steps_without_gc(self):
-        """Dropping a plan frees its step list (every PlanStep, Instruction
-        and Region) by reference counting alone: no cycle through the
-        compile walk keeps it alive until a full collection."""
-
-        class Probe:
-            pass
-
+        """Dropping a plan frees its steps (the step sequence, every
+        PlanStep, Instruction and Region, copies built on demand included)
+        by reference counting alone: no cycle through the compile walk or
+        a copy's build keeps them alive until a full collection."""
         w = profile_benchmark("mm_fc")
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            plan = compile_program(cambricon_f1(), w.program)
-            probe = Probe()
-            alive = weakref.ref(probe)
-            plan.steps.append(probe)
-            del plan, probe
-            assert alive() is None
+            plan = compile_program(cambricon_f100(), w.program)
+            copy = plan.steps[plan.spans[-1][0]]
+            alive = [weakref.ref(held) for held in (
+                plan.steps, plan.steps[0], copy, copy.inst)]
+            del plan, copy
+            assert [ref() for ref in alive] == [None] * len(alive)
         finally:
             if was_enabled:
                 gc.enable()
@@ -889,6 +949,10 @@ def _tamper_listed_step_names_fresh_partial(doc):
     doc["steps"][0]["inputs"][0][0] = len(doc["tensors"])
 
 
+def _tamper_listed_step_writes_nothing(doc):
+    doc["steps"][1]["outputs"] = []
+
+
 def _tamper_one_tensor_moved_twice(doc):
     # a, moved within itself, moves onto p too: both fit, one is applied
     doc["spans"][0]["moves"].append([0, 3, [0, 0]])
@@ -909,6 +973,7 @@ TAMPERS = [_tamper_span_source_empty, _tamper_span_source_ahead,
            _tamper_move_changes_dtype, _tamper_shift_outside_tensor,
            _tamper_unknown_chain_id, _tamper_spans_past_declared,
            _tamper_listed_step_names_fresh_partial,
+           _tamper_listed_step_writes_nothing,
            _tamper_one_tensor_moved_twice]
 
 
@@ -952,6 +1017,31 @@ def _poisoned_load(tmp_path, machine, program, mutate):
                                memory_cache=PlanCache())
     return plan, fresh, [c for c in caught
                          if issubclass(c.category, RuntimeWarning)]
+
+
+def _copy_of_copy_shift(plan):
+    """``(span, move, dim, delta)``: adding ``delta`` to that move's shift
+    in ``dim`` moves only copies of copies outside the tensor.  The span's
+    source range holds another span's copies, and on the moved tensor
+    their regions reach further along ``dim`` than those of the walked
+    steps beside them, whose copies stay inside."""
+    copy = np.zeros(plan.n_steps, bool)
+    for at, start, end, _, _ in plan.spans:
+        copy[at:at + end - start] = True
+    for j, (_, start, end, moves, _) in enumerate(plan.spans):
+        for k, (old, new, shift) in enumerate(moves):
+            reach = {True: [0] * len(shift), False: [0] * len(shift)}
+            for i in range(start, end):
+                inst = plan.steps[i].inst
+                for r in inst.inputs + inst.outputs:
+                    if r.tensor.uid == old.uid:
+                        reach[bool(copy[i])] = [
+                            max(m, hi + s) for m, (_, hi), s
+                            in zip(reach[bool(copy[i])], r.bounds, shift)]
+            for d, (far, near) in enumerate(zip(reach[True], reach[False])):
+                if far > near:
+                    return j, k, d, new.shape[d] - far + 1
+    raise AssertionError("no span moves a copy of a copy furthest")
 
 
 class TestTemplatedDocument:
@@ -1011,6 +1101,27 @@ class TestTemplatedDocument:
             for r in step.inst.inputs + step.inst.outputs:
                 Region(r.tensor, r.bounds)  # the checking constructor
 
+    def test_shift_moving_a_copy_of_a_copy_out_is_rejected(self, tmp_path):
+        """A shift that moves only copies of copies outside their tensor,
+        through a span whose source range holds another span's copies,
+        fails the load's check on the region table, and the disk tier
+        recompiles with one warning."""
+        machine, program = cambricon_f100(), profile_benchmark("K-NN").program
+        plan = compile_program(machine, program)
+        span, move, dim, delta = _copy_of_copy_shift(plan)
+
+        def mutate(doc):
+            doc["spans"][span]["moves"][move][2][dim] += delta
+
+        doc = json.loads(json.dumps(plan.to_doc()))
+        mutate(doc)
+        with pytest.raises(PlanFormatError, match="outside its tensor"):
+            plan_from_doc(doc, plan.externals)
+        _, fresh, caught = _poisoned_load(tmp_path, machine, program, mutate)
+        assert len(caught) == 1
+        assert "ignoring invalid plan cache entry" in str(caught[0].message)
+        assert fresh.n_steps == plan.n_steps
+
     def test_two_moves_onto_one_twin_are_rejected(self, tmp_path):
         """A span moving two tensors onto one would make each copy read
         what it writes, while a copy's proofs are its source's: the load
@@ -1067,24 +1178,24 @@ class TestTemplatedDocument:
 
     def test_expansion_stops_at_the_declared_count(self, monkeypatch):
         """Ten thousand repeated spans: the load stops at the first one
-        that would pass the declared step count, re-emitting none."""
+        that would pass the declared step count, recording none of them."""
         from repro.plan import plan as plan_mod
 
         machine, program = _chained_siblings()
         plan = compile_program(machine, program)
         doc = json.loads(json.dumps(plan.to_doc()))
         _tamper_spans_past_declared(doc)
-        calls = []
-        translate = plan_mod._translate
+        recorded = []
+        reemit = plan_mod._Rebuild.reemit
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return translate(*args, **kwargs)
+        def counting(self, raw):
+            reemit(self, raw)
+            recorded.append(1)
 
-        monkeypatch.setattr(plan_mod, "_translate", counting)
+        monkeypatch.setattr(plan_mod._Rebuild, "reemit", counting)
         with pytest.raises(PlanFormatError, match="declare"):
             plan_from_doc(doc, plan.externals)
-        assert len(calls) == len(plan.spans)
+        assert len(recorded) == len(plan.spans)
 
     def test_tampered_flag_is_copied_and_fails_verification(self, tmp_path):
         """A walked step's flipped flag reaches every copy of the step,
@@ -1112,7 +1223,9 @@ class TestTemplatedDocument:
         machine, program = _chained_siblings()
         plan = compile_program(machine, program)
         at = plan.spans[-1][0]  # no later span copies it
-        plan.steps[at] = plan.steps[at].with_safe(not plan.steps[at].safe_zero_copy)
+        flags = plan.steps.safe.copy()
+        flags[at] = not flags[at]
+        plan.steps.set_safe(flags)
         doc = json.loads(json.dumps(plan.to_doc()))
         assert len(doc["spans"]) == len(plan.spans) - 1
         back = plan_from_doc(doc, plan.externals)

@@ -435,11 +435,10 @@ class TestRoundTripAndVerify:
         verify_plan(rebound)
 
     def test_verify_rejects_tampered_safe_flag(self):
-        import dataclasses
-
         w, plan = self._compiled()
-        plan.steps[0] = dataclasses.replace(plan.steps[0],
-                                            safe_zero_copy=False)
+        flags = plan.steps.safe.copy()
+        flags[0] = False
+        plan.steps.set_safe(flags)
         with pytest.raises(ValueError):
             verify_plan(plan)
 
