@@ -195,6 +195,15 @@ def _race(index: int, inst, o, start: int, stop: int) -> Diagnostic:
         index, inst)
 
 
+def _among(tid: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """Whether each entry of ``tid`` is one of ``ids``, every id below
+    ``n``: a mask indexed by id.  (``np.isin`` sorts through
+    ``np.unique``, which imports ``numpy.ma`` on first use.)"""
+    mask = np.zeros(n, bool)
+    mask[ids] = True
+    return mask[tid]
+
+
 def _lattice_rows(table: RegionTable, steps: Sequence[PlanStep], start: int,
                   stop: int) -> Optional[Tuple[List[int], List[bool]]]:
     """Per-lane conflict facts of one isomorphic run, from the plan's
@@ -224,7 +233,7 @@ def _lattice_rows(table: RegionTable, steps: Sequence[PlanStep], start: int,
         return None  # the run's steps have more than one output
     tid = table.tid[r0:r1]
     out = table.out[r0:r1]
-    keep = np.isin(tid, tid[out])
+    keep = _among(tid, tid[out], table.n_tensors)
     tid, out = tid[keep], out[keep]
     lane = table.step_of_row[r0:r1][keep] - start
     lo = table.lo[r0:r1][keep]
@@ -389,12 +398,12 @@ def _check_dead_steps(plan: FractalPlan,
     steps = plan.steps
     live = np.zeros(len(steps), bool)
     tid, out, step = table.tid, table.out, table.step_of_row
-    external = table.external[tid]
+    external = table.tensors.external[tid]
     live[step[out & external]] = True
     writes = out & ~external & ~live[step]
     if writes.any():
         consumes = ~out | table.acc[step]
-        rows = np.flatnonzero(np.isin(tid, tid[writes]))
+        rows = np.flatnonzero(_among(tid, tid[writes], table.n_tensors))
         rows = rows[np.argsort(tid[rows], kind="stable")]
         by_tensor = tid[rows]
         ends = np.r_[np.flatnonzero(by_tensor[1:] != by_tensor[:-1]) + 1,
@@ -456,7 +465,7 @@ def _check_accumulate_order(plan: FractalPlan,
     writes: Dict[int, List[Tuple[int, Bounds]]] = {}
     acc_writes: Dict[int, List[Tuple[int, Bounds]]] = {
         int(t): [] for t in tensors[np.argsort(firsts)]}
-    rows = np.flatnonzero(np.isin(tid, tensors))
+    rows = np.flatnonzero(_among(tid, tensors, table.n_tensors))
     # bounds padded to the table's rank, which changes no overlap
     for index, t, out, acc, lo, hi in zip(
             step[rows].tolist(), tid[rows].tolist(),
@@ -490,7 +499,7 @@ def _check_accumulate_order(plan: FractalPlan,
                 init = max((p for p, b in plain
                             if p < l_idx and _overlap(b, inter)), default=-1)
                 if init < ridx:
-                    tensor = table.tensor(t)
+                    tensor = table.tensors.tensor(t)
                     diags.append(diag(
                         "P130",
                         f"step {ridx} reads "
@@ -585,11 +594,11 @@ def _peak_live_bytes(plan: FractalPlan, table: RegionTable) -> int:
     last = np.full(table.n_tensors, -1, np.int64)
     np.minimum.at(first, tid, step)
     np.maximum.at(last, tid, step)
-    partial = ~table.external & (last >= 0)
+    partial = ~table.tensors.external & (last >= 0)
     delta = np.zeros(n + 1, np.int64)
     delta[0] = external
-    np.add.at(delta, first[partial], table.size[partial])
-    np.subtract.at(delta, last[partial] + 1, table.size[partial])
+    np.add.at(delta, first[partial], table.tensors.size[partial])
+    np.subtract.at(delta, last[partial] + 1, table.tensors.size[partial])
     return max(0, int(np.cumsum(delta[:n]).max()))
 
 
@@ -704,7 +713,8 @@ def spanless_mismatch(plan: FractalPlan) -> Optional[str]:
     analyses must agree on the digest, the diagnostics (code, index,
     message), the fusion groups, the zero-copy flags and the live-byte
     peak; both replay schedules, built from ``plan``'s fusion groups, on
-    every item field, access and fold term and on the arena.
+    every item field, access and fold term and on the arena, each tensor
+    id read as the tensor its schedule gives for it.
     """
     from dataclasses import replace
 
@@ -727,44 +737,50 @@ def spanless_mismatch(plan: FractalPlan) -> Optional[str]:
     if len(got.items) != len(want.items):
         return "replay schedule item counts differ from the spanless plan's"
     for index, (a, b) in enumerate(zip(got.items, want.items)):
-        if _item_fields(a) != _item_fields(b):
+        if _item_fields(a, got.tensor) != _item_fields(b, want.tensor):
             return (f"replay schedule item {index} [{a.start}:{a.stop}) "
                     f"differs from the spanless plan's")
-    if _arena_fields(got.arena) != _arena_fields(want.arena):
+    if (_arena_fields(got.arena, got.tensor)
+            != _arena_fields(want.arena, want.tensor)):
         return "arena layout differs from the spanless plan's"
     return None
 
 
-def _spec(tensor, sl) -> Tuple:
-    return tensor.uid, tuple((s.start, s.stop) for s in sl)
+def _spec(spec, tensor) -> Tuple:
+    """A ``(tensor id, slice tuple)`` operand as ``(uid, bounds)``;
+    ``tensor`` gives the tensor an id names."""
+    t, sl = spec
+    return tensor(t).uid, tuple((s.start, s.stop) for s in sl)
 
 
-def _access_fields(access) -> Tuple:
+def _access_fields(access, tensor) -> Tuple:
     if hasattr(access, "lane_slices"):
         return ("loop", access.shape, access.k,
-                tuple(_spec(t, sl) for t, sl in access.lane_slices))
-    return ("lattice", access.tensor.uid, access.origin, access.counts,
+                tuple(_spec(s, tensor) for s in access.lane_slices))
+    return ("lattice", tensor(access.tid).uid, access.origin, access.counts,
             access.shape, access.byte_strides, access.k, access.zero_copy,
             access.repeats)
 
 
-def _item_fields(item) -> Tuple:
-    """Everything a replay reads from one schedule item."""
+def _item_fields(item, tensor) -> Tuple:
+    """Everything a replay reads from one schedule item, each tensor id
+    as the uid of the tensor ``tensor`` gives for it."""
     head = (type(item).__name__, item.start, item.stop, item.opval,
             item.level, item.run_attrs, item.accumulate, item.n_in)
     if item.batched:
-        return head + (item.k, tuple(map(_access_fields, item.gathers)),
-                       _access_fields(item.scatter), item.out_shape,
+        return head + (item.k,
+                       tuple(_access_fields(g, tensor) for g in item.gathers),
+                       _access_fields(item.scatter, tensor), item.out_shape,
                        item.out_nelems)
     if item.folded:
-        return head + (item.k, tuple(_spec(*t) for t in item.terms),
-                       _spec(*item.out_spec))
+        return head + (item.k, tuple(_spec(t, tensor) for t in item.terms),
+                       _spec(item.out_spec, tensor))
     return head + (item.copy_mask,
-                   tuple(_spec(*spec) for spec in item.in_specs),
-                   tuple(_spec(*spec) for spec in item.out_specs))
+                   tuple(_spec(spec, tensor) for spec in item.in_specs),
+                   tuple(_spec(spec, tensor) for spec in item.out_specs))
 
 
-def _arena_fields(arena) -> Tuple:
+def _arena_fields(arena, tensor) -> Tuple:
     return (arena.total_elems,
-            [(t.uid, off) for t, off in arena.bindings], arena.zero_items,
-            [t.uid for t in arena.zero_externals])
+            [(tensor(t).uid, off) for t, off in arena.bindings],
+            arena.zero_items, [tensor(t).uid for t in arena.zero_externals])

@@ -17,7 +17,12 @@ concrete:
   of one isomorphism class, which becomes one BatchedItem (one opcode,
   stacked ``(k, ...)`` operands, shared run_attrs, the opcode's stacked
   kernel from :mod:`repro.ops.batch`).  The lowering is never stored,
-  on the plan or in its document;
+  on the plan or in its document.  Items, the arena and a binding name
+  every operand by its region-table id; the schedule keeps the table's
+  per-tensor half (:class:`~repro.plan.regions.TensorTable`) and gives
+  an id's tensor only when asked, so the build, a bind and a replay make
+  no renewed partial.  A group a span copy re-emits is its source
+  group's item, moved: one shift per lattice access, no re-factoring;
 * a node's g(.) reduction is a chain of ``Add1D`` (or ``Mul1D``) links,
   each reading the previous link's output, so no fusion group holds it.
   A run of such links whose intermediates the plan proves private
@@ -55,7 +60,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
+from math import prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -64,7 +70,7 @@ from ..core.gcpause import gc_paused
 from ..core.isa import Opcode
 from ..core.tensor import Region, Tensor
 from .plan import FractalPlan, PlanStep, PlanSteps
-from .regions import RegionTable, region_table
+from .regions import RegionTable, TensorTable, region_table
 
 __all__ = [
     "ArenaLayout",
@@ -127,16 +133,16 @@ class _SliceTable(dict):
     A large plan's regions repeat a few thousand distinct bounds, so
     items share one tuple per bounds instead of holding private copies.
     ``rows`` finds the same tuples by a region table row's padded bounds
-    and rank.  Scoped to one :func:`build_schedule` call: no cache
-    outlives it.
+    and rank, as bytes (:func:`_specs`).  Scoped to one
+    :func:`build_schedule` call: no cache outlives it.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self) -> None:
         super().__init__()
-        #: ``(padded lows, padded highs, rank)`` -> the slice tuple
-        self.rows: Dict[Tuple, Tuple[slice, ...]] = {}
+        #: padded lows, padded highs and rank as int32 bytes -> the tuple
+        self.rows: Dict[bytes, Tuple[slice, ...]] = {}
 
     def __missing__(self, bounds) -> Tuple[slice, ...]:
         sl = self[bounds] = tuple(slice(lo, hi) for lo, hi in bounds)
@@ -155,17 +161,17 @@ class _LatticeAccess:
     merge (:func:`_lattice_levels` takes the longest progressions), so
     with several levels the gather reshapes the view into one
     C-contiguous ``(k, ...)`` copy -- the stack a per-lane loop builds,
-    made in one numpy call.
+    made in one numpy call.  ``tid`` is the tensor's region-table id.
     """
 
-    __slots__ = ("tensor", "origin", "counts", "shape", "byte_strides",
+    __slots__ = ("tid", "origin", "counts", "shape", "byte_strides",
                  "k", "zero_copy", "repeats")
 
-    def __init__(self, tensor: Tensor, origin: int,
+    def __init__(self, tid: int, origin: int,
                  levels: Tuple[Tuple[int, int], ...],
                  shape: Tuple[int, ...], strides: Tuple[int, ...],
                  k: int) -> None:
-        self.tensor = tensor
+        self.tid = tid
         self.origin = origin
         self.counts = tuple(count for count, _ in levels)
         self.shape = shape
@@ -178,17 +184,35 @@ class _LatticeAccess:
         #: some level places one tile at several lanes.
         self.repeats = any(count > 1 and not st for count, st in levels)
 
+    def moved(self, tid: int, shift: int) -> "_LatticeAccess":
+        """These lanes moved onto tensor ``tid``, which has this tensor's
+        shape, ``shift`` elements on: every lane moves by one shift, so
+        only the id and the origin change."""
+        if tid == self.tid and not shift:
+            return self
+        access = object.__new__(_LatticeAccess)
+        access.tid = tid
+        access.origin = self.origin + shift
+        access.counts = self.counts
+        access.shape = self.shape
+        access.byte_strides = self.byte_strides
+        access.k = self.k
+        access.zero_copy = self.zero_copy
+        access.repeats = self.repeats
+        return access
+
 
 class _LoopAccess:
-    """Lanes spread over several tensors: per-lane slice addressing.
-    Gather materializes the stack; scatter writes lane by lane."""
+    """Lanes spread over several tensors: per-lane ``(tensor id, slice
+    tuple)`` addressing.  Gather materializes the stack; scatter writes
+    lane by lane."""
 
     __slots__ = ("lane_slices", "shape", "k")
     #: gathers materialize a stacked copy (tallied as copied reads).
     zero_copy = False
     repeats = False
 
-    def __init__(self, lane_slices: List[Tuple[Tensor, Tuple[slice, ...]]],
+    def __init__(self, lane_slices: List[Tuple[int, Tuple[slice, ...]]],
                  shape: Tuple[int, ...]) -> None:
         self.lane_slices = lane_slices
         self.shape = shape
@@ -223,10 +247,11 @@ def _lattice_levels(offs: np.ndarray
     return tuple(reversed(levels)) or ((1, 0),)
 
 
-def _build_access(regions: Sequence[Region], slices: _SliceTable):
+def _build_access(regions: Sequence[Region], slices: _SliceTable,
+                  ids: Dict[int, int]):
     """The cheapest addressing mode covering one operand position's lanes:
     a lattice view when every lane is one tile shape on one tensor, else
-    a per-lane loop."""
+    a per-lane loop.  ``ids`` maps each tensor's uid to its id."""
     lead = regions[0]
     uid = lead.tensor.uid
     access = None
@@ -236,56 +261,67 @@ def _build_access(regions: Sequence[Region], slices: _SliceTable):
             chain.from_iterable(chain.from_iterable(r.bounds
                                                     for r in regions)),
             dtype=np.int64, count=2 * ndim * k).reshape(k, ndim, 2)
-        access = _lattice_access(lead.tensor, lead.shape, bounds[:, :, 0],
-                                 bounds[:, :, 1])
+        access = _lattice_access(ids[uid], lead.tensor.shape, lead.shape,
+                                 bounds[:, :, 0], bounds[:, :, 1])
     return access or _LoopAccess(
-        [(r.tensor, slices[r.bounds]) for r in regions], lead.shape)
+        [(ids[r.tensor.uid], slices[r.bounds]) for r in regions], lead.shape)
 
 
-def _specs(table: RegionTable, rows, slices: _SliceTable
-           ) -> List[Tuple[Tensor, Tuple[slice, ...]]]:
-    """``(tensor, slice tuple)`` of each of the region table's ``rows``
-    (an index array or a slice), in order."""
+def _specs(table: RegionTable, rows: np.ndarray, slices: _SliceTable
+           ) -> List[Tuple[int, Tuple[slice, ...]]]:
+    """``(tensor id, slice tuple)`` of each of the region table's
+    ``rows``, in order.  A row's slice tuple is found by its padded bounds
+    and its tensor's rank, read as one bytes key."""
+    tids = table.tid[rows]
+    ndim = table.lo.shape[1]
+    keys = np.empty((len(tids), 2 * ndim + 1), np.int32)
+    keys[:, :ndim] = table.lo[rows]
+    keys[:, ndim:-1] = table.hi[rows]
+    keys[:, -1] = table.tensors.rank[tids]
+    known = slices.rows
     specs = []
-    ranks, known = table.rank, slices.rows
-    for t, lo, hi in zip(table.tid[rows].tolist(), table.lo[rows].tolist(),
-                         table.hi[rows].tolist()):
-        rank = ranks[t]
-        key = (tuple(lo), tuple(hi), rank)
+    for i, (t, key) in enumerate(zip(
+            tids.tolist(), keys.view(np.dtype((np.void, keys.itemsize
+                                               * keys.shape[1])))
+            .ravel().tolist())):
         sl = known.get(key)
         if sl is None:
-            sl = known[key] = slices[tuple(zip(lo[:rank], hi[:rank]))]
-        specs.append((table.tensor(t), sl))
+            row = keys[i].tolist()
+            rank = row[-1]
+            sl = known[key] = slices[tuple(zip(row[:rank],
+                                               row[ndim:ndim + rank]))]
+        specs.append((t, sl))
     return specs
 
 
 def _table_access(table: RegionTable, rows: np.ndarray,
                   shape: Tuple[int, ...], slices: _SliceTable):
     """:func:`_build_access` of the lanes' regions of ``shape`` at the
-    region table's ``rows``; tensors and bounds come from the table."""
+    region table's ``rows``; ids and bounds come from the table."""
     tids = table.tid[rows]
     access = None
     if (tids == tids[0]).all():
-        ndim = len(shape)
-        access = _lattice_access(table.tensor(int(tids[0])), shape,
+        ndim, t = len(shape), int(tids[0])
+        access = _lattice_access(t, table.tensors.shape_of(t), shape,
                                  table.lo[rows, :ndim], table.hi[rows, :ndim])
     return access or _LoopAccess(_specs(table, rows, slices), shape)
 
 
-def _lattice_access(tensor: Tensor, shape: Tuple[int, ...], lows: np.ndarray,
+def _lattice_access(tid: int, tensor_shape: Tuple[int, ...],
+                    shape: Tuple[int, ...], lows: np.ndarray,
                     highs: np.ndarray) -> Optional[_LatticeAccess]:
-    """The lattice view of lanes of ``shape`` on ``tensor`` with these
-    bounds, or ``None`` when their tiles differ in shape or sit on no
-    lattice."""
+    """The lattice view of lanes of ``shape`` with these bounds on the
+    tensor id ``tid`` names, of ``tensor_shape``, or ``None`` when their
+    tiles differ in shape or sit on no lattice."""
     extents = highs - lows
     if not (extents == extents[0]).all():
         return None
-    strides = _elem_strides(tensor.shape)
+    strides = _elem_strides(tensor_shape)
     offs = lows.astype(np.int64) @ np.array(strides, dtype=np.int64)
     levels = _lattice_levels(offs)
     if levels is None:
         return None
-    return _LatticeAccess(tensor, int(offs[0]), levels, shape, strides,
+    return _LatticeAccess(tid, int(offs[0]), levels, shape, strides,
                           len(lows))
 
 
@@ -297,7 +333,8 @@ class SingleItem:
     analyzer could not prove alias-free) the operand copy-mask the runtime
     overlap scan would otherwise recompute every run.  Its opcode, level
     and attributes are those of ``source``, the walked step it is or
-    re-emits; its operands are ``specs``, inputs then outputs."""
+    re-emits; its operands are ``specs``, inputs then outputs, each a
+    ``(tensor id, slice tuple)``."""
 
     __slots__ = ("start", "stop", "opcode", "opval", "level", "run_attrs",
                  "accumulate", "kernel", "in_specs", "out_specs",
@@ -306,7 +343,7 @@ class SingleItem:
     folded = False
 
     def __init__(self, index: int, source: PlanStep, kernel,
-                 specs: Sequence[Tuple[Tensor, Tuple[slice, ...]]],
+                 specs: Sequence[Tuple[int, Tuple[slice, ...]]],
                  safe: bool) -> None:
         inst = source.inst
         self.start = index
@@ -328,10 +365,10 @@ class SingleItem:
                 for r in self.in_specs)
 
 
-def _overlaps(a: Tuple[Tensor, Tuple[slice, ...]],
-              b: Tuple[Tensor, Tuple[slice, ...]]) -> bool:
-    """Whether two ``(tensor, slices)`` operands share an element."""
-    return a[0].uid == b[0].uid and all(
+def _overlaps(a: Tuple[int, Tuple[slice, ...]],
+              b: Tuple[int, Tuple[slice, ...]]) -> bool:
+    """Whether two ``(tensor id, slices)`` operands share an element."""
+    return a[0] == b[0] and all(
         x.start < y.stop and y.start < x.stop for x, y in zip(a[1], b[1]))
 
 
@@ -340,8 +377,9 @@ class BatchedItem:
     gather specs, the output scatter spec and the group's stacked kernel.
     Its ``k`` lanes share the kind, opcode, level, run_attrs and
     write-back mode of ``lead``, the walked step its first lane is or
-    re-emits (:func:`lower_plan`); their tensors and bounds come from the
-    region table."""
+    re-emits (:func:`lower_plan`); their tensor ids and bounds come from
+    the region table, or, for a span copy of a group, from the group's
+    item, moved (:meth:`moved`)."""
 
     __slots__ = ("start", "stop", "k", "opcode", "opval", "level",
                  "run_attrs", "accumulate", "gathers", "scatter",
@@ -374,6 +412,27 @@ class BatchedItem:
         self.out_shape = inst.outputs[0].shape
         self.out_nelems = inst.outputs[0].nelems
 
+    def moved(self, start: int, accesses: Sequence) -> "BatchedItem":
+        """This item's group re-emitted at step ``start``: its opcode,
+        kernel, level, attributes, write-back mode and output shape, with
+        ``accesses``, the copy's gathers then its scatter."""
+        item = object.__new__(BatchedItem)
+        item.start = start
+        item.stop = start + self.k
+        item.k = self.k
+        item.opcode = self.opcode
+        item.opval = self.opval
+        item.level = self.level
+        item.run_attrs = self.run_attrs
+        item.accumulate = self.accumulate
+        item.batched_kernel = self.batched_kernel
+        item.n_in = self.n_in
+        item.gathers = tuple(accesses[:-1])
+        item.scatter = accesses[-1]
+        item.out_shape = self.out_shape
+        item.out_nelems = self.out_nelems
+        return item
+
 
 class FoldItem:
     """A run of ``k`` chained g(.) links (``Add1D`` or ``Mul1D``) as one
@@ -385,7 +444,7 @@ class FoldItem:
     float64 store round trip it skips is exact.  The links share the
     opcode, level and attributes of ``lead``, the walked step the first
     link is or re-emits; ``terms`` are the first link's first operand,
-    then every link's second one."""
+    then every link's second one, each a ``(tensor id, slice tuple)``."""
 
     __slots__ = ("start", "stop", "k", "opcode", "opval", "level",
                  "run_attrs", "kernel", "terms", "out_spec", "n_in")
@@ -394,8 +453,8 @@ class FoldItem:
     accumulate = False
 
     def __init__(self, index: int, k: int, lead: PlanStep, kernel,
-                 terms: Sequence[Tuple[Tensor, Tuple[slice, ...]]],
-                 out_spec: Tuple[Tensor, Tuple[slice, ...]]) -> None:
+                 terms: Sequence[Tuple[int, Tuple[slice, ...]]],
+                 out_spec: Tuple[int, Tuple[slice, ...]]) -> None:
         self.start = index
         self.stop = index + k
         self.k = k
@@ -493,7 +552,7 @@ def _fold_links(plan: FractalPlan, table: RegionTable) -> Set[int]:
     mids = table.first[links] + table.n_in[links]
     tensors = table.tid[mids]
     touches = np.bincount(table.tid, minlength=table.n_tensors)
-    private = (~table.external[tensors] & table.covers(mids)
+    private = (~table.tensors.external[tensors] & table.covers(mids)
                & (touches[tensors] == 2))
     return set(links[private].tolist())
 
@@ -502,7 +561,10 @@ def _fold_links(plan: FractalPlan, table: RegionTable) -> Set[int]:
 
 @dataclass
 class ReplaySchedule:
-    """Batched replay program for one plan: ordered items + the arena."""
+    """Batched replay program for one plan: ordered items, the arena, and
+    the plan's tensors by region-table id (:class:`TensorTable`), which
+    the items, the arena and a binding name them by.  It refers to no
+    plan."""
 
     items: List[object]
     n_steps: int
@@ -510,6 +572,7 @@ class ReplaySchedule:
     #: BatchedItems and the lanes they cover.
     batched_steps: int
     batched_lanes: int
+    tensors: TensorTable
 
     @property
     def fallback_lanes(self) -> int:
@@ -523,6 +586,10 @@ class ReplaySchedule:
         one of them."""
         return self.batched_steps > 0
 
+    def tensor(self, t: int) -> Tensor:
+        """The tensor id ``t`` names; a renewed partial is made on ask."""
+        return self.tensors.tensor(t)
+
     def bind(self, store) -> "ReplayBinding":
         """This schedule bound to ``store``, with the cyclic collector
         paused (the binding allocates an object or two per item)."""
@@ -530,16 +597,66 @@ class ReplaySchedule:
             return ReplayBinding(self, store)
 
 
+def _group_moves(table: RegionTable, groups: Sequence[Tuple[int, int]]):
+    """How each group inside one span copy moves from its source group.
+
+    Returns ``(sources, tids, same, shifts)``.  ``sources`` maps such a
+    group's start to ``(source start, row)``: its source group starts at
+    ``start - at + start'`` of the span ``(at, start', ...)``, and
+    ``row`` indexes the rows of its first step (inputs, then output) in
+    the three lists.  Per such row: the copy's tensor id, whether that
+    tensor has the source row's tensor's shape, and the element offset
+    the span shifts the row by on it.  Read from the region table, for
+    every group at once.
+    """
+    segments = [seg for seg in table.segments if seg.span is not None]
+    if not segments or not groups:
+        return {}, [], [], []
+    los = np.array([seg.lo for seg in segments], np.int64)
+    his = np.array([seg.hi for seg in segments], np.int64)
+    srcs = np.array([seg.span[1] for seg in segments], np.int64)
+    bounds = np.array(groups, np.int64)
+    starts, stops = bounds[:, 0], bounds[:, 1]
+    seg = np.maximum(np.searchsorted(los, starts, side="right") - 1, 0)
+    inside = (starts >= los[seg]) & (stops <= his[seg])
+    starts, seg = starts[inside], seg[inside]
+    if not len(starts):
+        return {}, [], [], []
+    sources = starts - los[seg] + srcs[seg]
+    first = table.first
+    counts = first[starts + 1] - first[starts]
+    row = np.cumsum(counts) - counts
+    lane = np.arange(int(counts.sum())) - np.repeat(row, counts)
+    dst = np.repeat(first[starts], counts) + lane
+    src = np.repeat(first[sources], counts) + lane
+    tids = table.tid[dst]
+    shape = table.tensors.shape
+    dst_shape = shape[tids]
+    same = (dst_shape == shape[table.tid[src]]).all(axis=1)
+    strides = np.ones_like(dst_shape)
+    strides[:, :-1] = np.cumprod(dst_shape[:, :0:-1], axis=1)[:, ::-1]
+    shifts = ((table.lo[dst] - table.lo[src]).astype(np.int64)
+              * strides).sum(axis=1)
+    return (dict(zip(starts.tolist(), zip(sources.tolist(), row.tolist()))),
+            tids.tolist(), same.tolist(), shifts.tolist())
+
+
 def build_schedule(plan: FractalPlan) -> ReplaySchedule:
     """Compile ``plan.steps`` and its fusion groups into a ReplaySchedule.
 
     The one lowering of the plan: every group :func:`lower_plan` keeps
-    becomes one BatchedItem running its opcode's stacked kernel.  Outside
-    those groups, each run of linked chain steps (:func:`_fold_links`)
-    becomes one FoldItem, and every other step a SingleItem.  Every
-    item reads its opcode, level and attributes from the walked step its
-    first step is or re-emits, and its tensors and bounds from the region
-    table, so the build reads a copy's rows, never its step.
+    becomes one BatchedItem running its opcode's stacked kernel.  A group
+    inside one span copy whose source group became a BatchedItem of as
+    many lanes is that item, moved (:meth:`BatchedItem.moved`): each
+    lattice access takes the copy's tensor id and, when that tensor has
+    the source tensor's shape, its origin shifted by the span's shift;
+    any other access is read from the copy's rows.  Outside the groups,
+    each run of linked chain steps (:func:`_fold_links`) becomes one
+    FoldItem, and every other step a SingleItem.  Every item reads its
+    opcode, level and attributes from the walked step its first step is
+    or re-emits, and names its operands by region-table id with bounds
+    from the table, so the build reads a copy's rows, never its step,
+    and makes no tensor.
     """
     from ..ops.batch import batched_kernel_for
     from ..ops.dispatch import kernel_for
@@ -551,45 +668,84 @@ def build_schedule(plan: FractalPlan) -> ReplaySchedule:
     first = table.first
     flags = steps.safe.tolist()
     links = _fold_links(plan, table)
+    groups = lower_plan(plan)
 
-    def singles(lo: int, hi: int) -> None:
+    def runs(lo: int, hi: int):
+        """The items of steps ``[lo, hi)``, none in a group, as ``(start,
+        stop)``: a single, or a fold of linked chain steps."""
         index = lo
         while index < hi:
             stop = index + 1
             while stop < hi and stop - 1 in links:
                 stop += 1
+            yield index, stop
+            index = stop
+
+    # The items between the groups, per gap, and the rows they name, read
+    # from the table at once: a single's regions; a fold's first link's
+    # first operand, every link's second, then the last link's output.
+    gaps = [list(runs(lo, hi)) for lo, hi in zip(
+        [0] + [stop for _, stop in groups],
+        [start for start, _ in groups] + [plan.n_steps])]
+    at = first.tolist()
+    rows: List[int] = []
+    for index, stop in chain.from_iterable(gaps):
+        if stop - index > 1:
+            rows.append(at[index])
+            rows.extend([row + 1 for row in at[index:stop]])
+            rows.append(at[stop - 1] + 2)
+        else:
+            rows.extend(range(at[index], at[stop]))
+    specs = iter(_specs(table, np.array(rows, np.int64), slices))
+
+    def singles(gap: List[Tuple[int, int]]) -> None:
+        for index, stop in gap:
             source = steps.source(index)
             kernel = kernel_for(source.inst.opcode)
             if stop - index > 1:
-                # the first link's first operand, every link's second,
-                # then the last link's output
-                rows = np.r_[first[index], first[index:stop] + 1,
-                             first[stop - 1] + 2]
-                specs = _specs(table, rows, slices)
+                terms = list(islice(specs, stop - index + 1))
                 items.append(FoldItem(index, stop - index, source, kernel,
-                                      specs[:-1], specs[-1]))
+                                      terms, next(specs)))
             else:
-                specs = _specs(table, slice(first[index], first[stop]),
-                               slices)
-                items.append(SingleItem(index, source, kernel, specs,
-                                        flags[index]))
-            index = stop
+                items.append(SingleItem(
+                    index, source, kernel,
+                    list(islice(specs, at[stop] - at[index])), flags[index]))
 
-    pos = 0
+    def moved(source: BatchedItem, start: int, row: int) -> BatchedItem:
+        accesses = []
+        for j, access in enumerate(source.gathers + (source.scatter,)):
+            if isinstance(access, _LatticeAccess) and same[row + j]:
+                accesses.append(access.moved(tids[row + j], shifts[row + j]))
+            else:
+                accesses.append(_table_access(
+                    table, first[start:start + source.k] + j, access.shape,
+                    slices))
+        return source.moved(start, accesses)
+
     lanes = 0
-    groups = lower_plan(plan)
-    for start, stop in groups:
-        singles(pos, start)
-        lead = steps.source(start)
-        items.append(BatchedItem(start, stop - start, lead,
-                                 batched_kernel_for(lead.inst.opcode),
-                                 slices, table))
+    sources, tids, same, shifts = _group_moves(table, groups)
+    built: Dict[int, BatchedItem] = {}
+    for gap, (start, stop) in zip(gaps, groups):
+        singles(gap)
+        item = None
+        move = sources.get(start)
+        if move is not None:
+            source = built.get(move[0])
+            if source is not None and source.k == stop - start:
+                item = moved(source, start, move[1])
+        if item is None:
+            lead = steps.source(start)
+            item = BatchedItem(start, stop - start, lead,
+                               batched_kernel_for(lead.inst.opcode),
+                               slices, table)
+        built[start] = item
+        items.append(item)
         lanes += stop - start
-        pos = stop
-    singles(pos, plan.n_steps)
+    singles(gaps[-1])
     arena = build_arena_layout(plan, items, table)
     return ReplaySchedule(items=items, n_steps=plan.n_steps, arena=arena,
-                          batched_steps=len(groups), batched_lanes=lanes)
+                          batched_steps=len(groups), batched_lanes=lanes,
+                          tensors=table.tensors)
 
 
 # -- arena layout -----------------------------------------------------------
@@ -598,12 +754,13 @@ def build_schedule(plan: FractalPlan) -> ReplaySchedule:
 class ArenaLayout:
     """First-fit packing of the plan's intermediates into one flat buffer.
 
-    ``bindings`` maps each plan-owned (non-external) tensor to its element
-    offset, in first-touch order.  A tensor whose first touch reads,
-    accumulates or writes part of it observes its initial contents, which
-    ``TensorStore.ensure`` semantics make zeros: ``zero_items`` lists the
-    ``(item_ordinal, binding_index)`` pairs of such intermediates, to be
-    zeroed when the live interval opens, and ``zero_externals`` such
+    ``bindings`` maps each plan-owned (non-external) tensor, by its
+    region-table id, to its element offset, in first-touch order.  A
+    tensor whose first touch reads, accumulates or writes part of it
+    observes its initial contents, which ``TensorStore.ensure`` semantics
+    make zeros: ``zero_items`` lists the ``(item_ordinal,
+    binding_index)`` pairs of such intermediates, to be zeroed when the
+    live interval opens, and ``zero_externals`` the ids of such
     externals, to be zeroed at the start of a replay unless the caller
     bound them.  Intervals are measured in schedule-item ordinals, so a
     slot is never recycled while any lane of the current batched group
@@ -611,9 +768,9 @@ class ArenaLayout:
     """
 
     total_elems: int
-    bindings: List[Tuple[Tensor, int]]
+    bindings: List[Tuple[int, int]]
     zero_items: List[Tuple[int, int]]
-    zero_externals: List[Tensor]
+    zero_externals: List[int]
 
     @property
     def nbytes(self) -> int:
@@ -629,21 +786,18 @@ def build_arena_layout(plan: FractalPlan, items: Sequence[object],
     An item touches its steps' regions, inputs first; a fold touches its
     chain's operands and last output, never the intermediates it does not
     store.  First and last touches are read from the region table."""
-    n = plan.n_steps
-    ordinal = np.full(n, -1, np.int64)
-    later = np.zeros(n, bool)  # a fold link after the first: head unread
-    earlier = np.zeros(n, bool)  # a fold link before the last: unstored
-    accumulate = np.zeros(len(items), bool)
-    for k, item in enumerate(items):
-        ordinal[item.start:item.stop] = k
-        accumulate[k] = item.accumulate
-        if item.folded:
-            later[item.start + 1:item.stop] = True
-            earlier[item.start:item.stop - 1] = True
+    # the items cover the steps in order, one item per step
+    sizes = np.array([item.stop - item.start for item in items], np.int64)
+    accumulate = np.array([item.accumulate for item in items], bool)
+    folded = np.array([item.folded for item in items], bool)
+    ordinal = np.repeat(np.arange(len(items)), sizes)
+    lane = np.arange(plan.n_steps) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    in_fold = folded[ordinal]
+    later = in_fold & (lane > 0)  # a fold link after the first: head unread
+    earlier = in_fold & (lane < sizes[ordinal] - 1)  # before the last: unstored
     tid, out, step = table.tid, table.out, table.step_of_row
     pos = np.arange(len(tid)) - table.first[step]
-    rows = np.flatnonzero((ordinal[step] >= 0)
-                          & ~((pos == 0) & later[step]) & ~(out & earlier[step]))
+    rows = np.flatnonzero(~((pos == 0) & later[step]) & ~(out & earlier[step]))
     item_of = ordinal[step[rows]]
     # the order an item touches its regions: inputs first, then by row
     n_rows = max(len(tid), 1)
@@ -664,28 +818,27 @@ def build_arena_layout(plan: FractalPlan, items: Sequence[object],
     #: conservatively.
     zero = (~out[first_row] | accumulate[first_item]
             | ~table.covers(first_row))
-    external = table.external[touched]
-    zero_externals = [table.tensor(t) for t in
-                      touched[external & zero].tolist()]
+    external = table.tensors.external[touched]
+    zero_externals = touched[external & zero].tolist()
     owned = ~external
-    # plan-owned tensors (by table id) in first-touch order
+    # plan-owned tensors (by table id) in first-touch order, and per item
+    # the events of their intervals: the ones opening, in that order,
+    # then the ones closing (event ``i`` opens ``order[i]``, ``m + i``
+    # closes it)
     order = touched[owned].tolist()
-    needs_zero = dict(zip(order, zero[owned].tolist()))
-    nelems = dict(zip(order, table.shape[touched[owned]].prod(axis=1).tolist()))
-    tensors = {t: table.tensor(t) for t in order}
-
-    allocs_at: Dict[int, List[int]] = {}
-    frees_at: Dict[int, List[int]] = {}
-    for t, opens, closes in zip(order, first_item[owned].tolist(),
-                                last_item[touched[owned]].tolist()):
-        allocs_at.setdefault(opens, []).append(t)
-        frees_at.setdefault(closes, []).append(t)
+    m = len(order)
+    needs_zero = zero[owned].tolist()
+    nelems = table.tensors.shape[touched[owned]].prod(axis=1).tolist()
+    opens = first_item[owned]
+    index = np.arange(m)
+    events = np.lexsort((np.r_[index, index], np.repeat([0, 1], m),
+                         np.r_[opens, last_item[touched[owned]]])).tolist()
+    opens = opens.tolist()
 
     free_blocks: List[Tuple[int, int]] = []  # (offset, size), offset-sorted
     end = 0
-    offsets: Dict[int, int] = {}
-    bindings: List[Tuple[Tensor, int]] = []
-    binding_index: Dict[int, int] = {}
+    offsets = [0] * m
+    bindings: List[Tuple[int, int]] = []
     zero_items: List[Tuple[int, int]] = []
 
     def alloc(n: int) -> int:
@@ -708,36 +861,29 @@ def build_arena_layout(plan: FractalPlan, items: Sequence[object],
         return off
 
     def release(off: int, n: int) -> None:
-        lo, hi = off, off + n
-        merged: List[Tuple[int, int]] = []
-        placed = False
-        for b_off, b_size in free_blocks:
-            if b_off + b_size == lo:
-                lo = b_off
-                continue
-            if b_off == hi:
-                hi = b_off + b_size
-                continue
-            if not placed and b_off > hi:
-                merged.append((lo, hi - lo))
-                placed = True
-            merged.append((b_off, b_size))
-        if not placed:
-            merged.append((lo, hi - lo))
-        free_blocks[:] = sorted(merged)
+        # The free blocks are disjoint and never abut, so only the blocks
+        # just above and just below can merge with this one.
+        hi = off + n
+        i = bisect_left(free_blocks, (off,))
+        if i < len(free_blocks) and free_blocks[i][0] == hi:
+            hi += free_blocks.pop(i)[1]
+        if i:
+            below, size = free_blocks[i - 1]
+            if below + size == off:
+                free_blocks[i - 1] = (below, hi - below)
+                return
+        free_blocks.insert(i, (off, hi - off))
 
-    for k in range(len(items)):
-        for t in allocs_at.get(k, ()):
-            off = alloc(nelems[t])
-            offsets[t] = off
-            binding_index[t] = len(bindings)
-            bindings.append((tensors[t], off))
-            if needs_zero[t]:
+    for i in events:
+        if i < m:
+            if needs_zero[i]:
                 # A first read/accumulate/partial write would observe the
                 # slot: the last occupant's bytes, or a previous replay's.
-                zero_items.append((k, binding_index[t]))
-        for t in frees_at.get(k, ()):
-            release(offsets[t], nelems[t])
+                zero_items.append((opens[i], len(bindings)))
+            offsets[i] = alloc(nelems[i])
+            bindings.append((order[i], offsets[i]))
+        else:
+            release(offsets[i - m], nelems[i - m])
 
     return ArenaLayout(total_elems=end, bindings=bindings,
                        zero_items=zero_items, zero_externals=zero_externals)
@@ -818,15 +964,19 @@ class _Lanes:
 
 
 class _Binder:
-    """Resolves regions and accesses to arrays while one binding is built:
-    an external lives in the store's array for it, a plan-owned
-    intermediate in its arena slot.  A read-only view is made from a
-    read-only buffer, and operands that name one region share one view.
-    Nothing keeps the binder once the binding is built."""
+    """Resolves regions and accesses, which name tensors by id, to arrays
+    while one binding is built: a plan-owned intermediate lives in its
+    arena slot (``slots``: id -> element offset), any other tensor -- an
+    external -- in the store's array for the tensor ``tensors`` gives for
+    its id.  A read-only view is made from a read-only buffer, and
+    operands that name one region share one view.  Nothing keeps the
+    binder once the binding is built."""
 
-    def __init__(self, store, arena: Optional[np.ndarray] = None,
+    def __init__(self, store, tensors: TensorTable,
+                 arena: Optional[np.ndarray] = None,
                  slots: Optional[Dict[int, int]] = None) -> None:
         self.store = store
+        self.tensors = tensors
         self.slots = slots or {}
         if arena is None:
             arena = np.empty(0)
@@ -837,59 +987,60 @@ class _Binder:
         self._places: Dict[Tuple, Tuple] = {}
         self._views: Dict[Tuple[int, int, bool], np.ndarray] = {}
 
-    def _buffer(self, tensor: Tensor, writable) -> Tuple[np.ndarray, int]:
-        """``(buffer, element offset)`` of ``tensor``, read-only unless
-        ``writable`` (``"ids"``: each arena element's offset)."""
-        slot = self.slots.get(tensor.uid)
+    def _buffer(self, t: int, writable) -> Tuple[np.ndarray, int]:
+        """``(buffer, element offset)`` of tensor id ``t``, read-only
+        unless ``writable`` (``"ids"``: each arena element's offset)."""
+        slot = self.slots.get(t)
         if slot is not None:
             buffer = self._arenas.get(writable)
             if buffer is None:
                 buffer = self._arenas["ids"] = np.arange(
                     self._arenas[True].size)
             return buffer, slot
-        key = (tensor.uid, writable)
+        key = (t, writable)
         buffer = self._externals.get(key)
         if buffer is None:
-            buffer = self.store.ensure(tensor)
+            buffer = self.store.ensure(self.tensors.tensor(t))
             if not writable:
                 buffer = _readonly(buffer)
             self._externals[key] = buffer
         return buffer, 0
 
-    def _view(self, tensor: Tensor, sl, writable) -> np.ndarray:
-        """``tensor[sl]`` in :meth:`_buffer`; ``sl`` comes from the
-        schedule's slice table, so its identity names the bounds."""
-        place = self._places.get((tensor.shape, id(sl)))
+    def _view(self, t: int, sl, writable) -> np.ndarray:
+        """Tensor id ``t``'s ``[sl]`` in :meth:`_buffer`; ``sl`` comes from
+        the schedule's slice table, so its identity names the bounds."""
+        shape = self.tensors.shape_of(t)
+        place = self._places.get((shape, id(sl)))
         if place is None:
-            strides = _elem_strides(tensor.shape)
-            place = self._places[tensor.shape, id(sl)] = (
+            strides = _elem_strides(shape)
+            place = self._places[shape, id(sl)] = (
                 sum(s.start * st for s, st in zip(sl, strides)),
                 tuple(s.stop - s.start for s in sl),
                 tuple(_ITEMSIZE * st for st in strides))
-        buffer, off = self._buffer(tensor, writable)
+        buffer, off = self._buffer(t, writable)
         return np.ndarray(place[1], buffer.dtype, buffer,
                           _ITEMSIZE * (off + place[0]), place[2])
 
-    def region(self, tensor: Tensor, sl, writable: bool) -> np.ndarray:
-        """The view of ``tensor[sl]``, one per region."""
-        key = (tensor.uid, id(sl), writable)
+    def region(self, t: int, sl, writable: bool) -> np.ndarray:
+        """The view of tensor id ``t``'s ``[sl]``, one per region."""
+        key = (t, id(sl), writable)
         view = self._views.get(key)
         if view is None:
-            view = self._views[key] = self._view(tensor, sl, writable)
+            view = self._views[key] = self._view(t, sl, writable)
         return view
 
     def access(self, access, writable: bool):
         """``access`` bound as a gather, or (``writable``) a scatter."""
         if isinstance(access, _LatticeAccess):
-            buffer, off = self._buffer(access.tensor, writable)
+            buffer, off = self._buffer(access.tid, writable)
             view = _view(buffer, _ITEMSIZE * (off + access.origin),
                          access.counts + access.shape, access.byte_strides)
             copy = not (writable or access.zero_copy)
             return _Stack(view, (access.k,) + access.shape if copy else None)
-        lanes = access.lane_slices
-        inside = [i for i, (t, _) in enumerate(lanes) if t.uid in self.slots]
-        parts = [(i, self.store.ensure(t), sl)
-                 for i, (t, sl) in enumerate(lanes) if t.uid not in self.slots]
+        lanes, slots = access.lane_slices, self.slots
+        inside = [i for i, (t, _) in enumerate(lanes) if t in slots]
+        parts = [(i, self.store.ensure(self.tensors.tensor(t)), sl)
+                 for i, (t, sl) in enumerate(lanes) if t not in slots]
         if inside:
             index = np.array([self._view(*lanes[i], "ids") for i in inside])
             parts.append((slice(None) if len(inside) == access.k else inside,
@@ -914,10 +1065,13 @@ class ReplayBinding:
     """One :class:`ReplaySchedule` bound to one store, built once.
 
     The binding allocates the arena and resolves every item's operands
-    and outputs: read-only views for singles and fold terms, the lattice
-    view of each one-level gather and the strided source of each
-    multi-level one, a writable view per lattice scatter, and per-lane
-    addressing of loop lanes from bound base arrays.  ``entries`` holds
+    and outputs, which name tensors by region-table id: an id the arena
+    binds resolves to its slot, any other to the store's array for the
+    external the schedule gives for the id, so no renewed partial is made.
+    It makes read-only views for singles and fold terms, the lattice view
+    of each one-level gather and the strided source of each multi-level
+    one, a writable view per lattice scatter, and per-lane addressing of
+    loop lanes from bound base arrays.  ``entries`` holds
     ``(item, operands, outputs, zeros)`` per item, where ``zeros`` are the
     arena slots to zero before the item runs (:class:`ArenaLayout`'s
     ``zero_items``) or ``None``.  ``zero_externals`` are the arrays of the
@@ -934,19 +1088,19 @@ class ReplayBinding:
                  "alias_scan_skips")
 
     def __init__(self, schedule: ReplaySchedule, store) -> None:
-        layout = schedule.arena
+        layout, tensors = schedule.arena, schedule.tensors
         self.schedule = schedule
         arena = self.arena = np.zeros(layout.total_elems, dtype=np.float64)
         # Asked before the binder allocates what the caller left unbound.
-        self.zero_externals = tuple(store.ensure(t)
-                                    for t in layout.zero_externals
-                                    if not store.caller_bound(t))
+        self.zero_externals = tuple(
+            store.ensure(t) for t in map(tensors.tensor, layout.zero_externals)
+            if not store.caller_bound(t))
         spans: Dict[int, List[Tuple[int, int]]] = {}
         for ordinal, bi in layout.zero_items:
-            tensor, off = layout.bindings[bi]
-            spans.setdefault(ordinal, []).append((off, off + tensor.nelems))
-        binder = _Binder(store, arena,
-                         {t.uid: off for t, off in layout.bindings})
+            t, off = layout.bindings[bi]
+            spans.setdefault(ordinal, []).append(
+                (off, off + prod(tensors.shape_of(t))))
+        binder = _Binder(store, tensors, arena, dict(layout.bindings))
         zero_copy = copied = static = skips = 0
         entries = []
         for ordinal, item in enumerate(schedule.items):

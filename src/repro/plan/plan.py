@@ -651,7 +651,8 @@ def _check_copied_regions(plan: FractalPlan) -> None:
 
     table = region_table(plan)
     lo, hi = table.lo, table.hi
-    bad = ((lo < 0) | (lo >= hi) | (hi > table.shape[table.tid])).any(axis=1)
+    bad = ((lo < 0) | (lo >= hi)
+           | (hi > table.tensors.shape[table.tid])).any(axis=1)
     if bad.any():
         raise PlanFormatError(
             f"a span moves a region of step "

@@ -8,7 +8,9 @@ into such copies and the runs of walked steps between them, and
 :class:`RegionTable` holds every region the steps name as numpy columns,
 built segment by segment: a walked step's regions are read from its
 instruction, a copy's are its source's rows with each tensor id mapped
-and each moved row shifted, with no Python work per step.
+and each moved row shifted, with no Python work per step.  Its
+per-tensor half, :class:`TensorTable`, outlives it: the replay schedule
+names every tensor by id and keeps that half alone.
 
 What a copy takes from its source holds only while its moves are one to
 one: two source tensors never land on one tensor, and no tensor moves
@@ -24,7 +26,7 @@ document span that does not; this module trusts a plan's spans.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +67,78 @@ def plan_segments(plan: FractalPlan) -> List[Segment]:
     return segments
 
 
+class TensorTable:
+    """The per-tensor half of a :class:`RegionTable`: one entry per dense
+    tensor id.
+
+    The externals hold the first ids, in the order given.  Per id:
+    ``size`` (bytes), ``external``, ``shape`` (padded with 1s to ``ndim``)
+    and ``rank``.  An id whose object is ``None`` is *renewed*:
+    a span copy's fresh twin of the tensor its ``origin`` id names, with
+    that tensor's shape and size, never external.  Its object is made
+    only when :meth:`tensor` asks for it: the plan's renewed partial,
+    ``renew(span, source)`` (:meth:`repro.plan.plan.PlanSteps.renewed`),
+    so a built copy, the table and a replay schedule name one object, or
+    a twin of its own without ``renew``.  :meth:`shape_of` makes none.
+    Nothing here refers to a plan.
+    """
+
+    __slots__ = ("size", "external", "shape", "rank", "_objects",
+                 "_origin", "_span_of", "_root", "_renew")
+
+    def __init__(self, objects: List[Optional[Tensor]],
+                 externals: Sequence[Tensor] = (),
+                 origin: Optional[List[int]] = None,
+                 span_of: Optional[List[int]] = None, ndim: int = 1,
+                 renew=None) -> None:
+        n = len(objects)
+        origin = list(range(n)) if origin is None else origin
+        # A renewed tensor has its source's shape (and so size).
+        root = np.array(origin, np.int64)
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
+        size = np.zeros(n, np.int64)
+        external = np.zeros(n, bool)
+        shape = np.ones((n, ndim), np.int64)
+        rank = np.zeros(n, np.int64)
+        ext_uids = {t.uid for t in externals}
+        for t, obj in enumerate(objects):
+            if obj is not None:
+                size[t] = obj.nbytes
+                external[t] = obj.uid in ext_uids
+                shape[t, :len(obj.shape)] = obj.shape
+                rank[t] = len(obj.shape)
+        self.size = size[root]
+        self.shape = shape[root]
+        self.rank = rank[root]
+        self.external = external
+        self._objects = objects
+        self._origin = origin
+        self._span_of = span_of
+        self._root = root.tolist()
+        self._renew = renew
+
+    def __len__(self) -> int:
+        return len(self._objects)
+
+    def tensor(self, t: int) -> Tensor:
+        """The tensor id ``t`` names; a renewed one is made on first ask."""
+        obj = self._objects[t]
+        if obj is None:
+            source = self.tensor(self._origin[t])
+            obj = self._objects[t] = (
+                _renew(source) if self._renew is None
+                else self._renew(self._span_of[t], source))
+        return obj
+
+    def shape_of(self, t: int) -> Tuple[int, ...]:
+        """The shape of the tensor id ``t`` names, renewed or not."""
+        return self._objects[self._root[t]].shape
+
+
 class RegionTable:
     """Every region a plan's steps name, one row each.
 
@@ -74,12 +148,8 @@ class RegionTable:
     first row; one entry more than steps), ``n_in``, ``acc`` (its
     write-back accumulates), ``key`` (its isomorphism class: equal keys
     mean equal :func:`run_key`) and ``safe`` (no operand aliases an output
-    of the step).  Per tensor: ``size`` (bytes), ``external``, ``shape``
-    (padded with 1s) and ``rank`` (a list).  A tensor a copy renews takes
-    a new id, with its source tensor's shape and size; its object is the
-    plan's renewed partial (:meth:`repro.plan.plan.PlanSteps.renewed`),
-    made when :meth:`tensor` first asks for it, so the schedule, its arena
-    and a built copy name one object.
+    of the step).  Per tensor: ``tensors`` (:class:`TensorTable`), the
+    plan's externals first; a tensor a copy renews takes a new id.
 
     Built by :func:`region_table`; it reads the walked steps' regions
     once, and no copy's, so a plan whose steps are replaced by other
@@ -87,9 +157,8 @@ class RegionTable:
     """
 
     __slots__ = ("steps", "segments", "first", "n_in", "acc", "key", "safe",
-                 "tid", "lo", "hi", "size", "external", "shape", "rank",
-                 "_starts", "_objects", "_origin", "_span_of", "_renew",
-                 "_step_of_row", "_out")
+                 "tid", "lo", "hi", "tensors", "_starts", "_step_of_row",
+                 "_out")
 
     def __init__(self, plan: FractalPlan) -> None:
         steps = self.steps = plan.steps
@@ -193,44 +262,18 @@ class RegionTable:
             np.add(lo[s0:s1], shift[inverse], out=lo[d0:d1])
             np.add(hi[s0:s1], shift[inverse], out=hi[d0:d1])
 
-        # A renewed tensor has its source's shape (and so size), and is
-        # never external.
-        root = np.array(origin, np.int64)
-        while True:
-            up = root[root]
-            if (up == root).all():
-                break
-            root = up
-        n_tensors = len(objects)
-        size = np.zeros(n_tensors, np.int64)
-        external = np.zeros(n_tensors, bool)
-        shape = np.ones((n_tensors, ndim), np.int64)
-        rank = np.zeros(n_tensors, np.int64)
-        ext_uids = set(plan.external_uids())
-        for t, obj in enumerate(objects):
-            if obj is not None:
-                size[t] = obj.nbytes
-                external[t] = obj.uid in ext_uids
-                shape[t, :len(obj.shape)] = obj.shape
-                rank[t] = len(obj.shape)
-        self.size = size[root]
-        self.shape = shape[root]
-        self.rank = rank[root].tolist()
-        self.external = external
-        self._objects = objects
-        self._origin = origin
-        self._span_of = span_of
         # A plan whose steps hold its spans names their renewed partials;
         # one whose steps were given apart from them (a list of built
         # steps) gets twins of its own, one per renewed id.
-        self._renew = (plan.steps.renewed if plan.spans is plan.steps.spans
-                       else None)
+        self.tensors = TensorTable(
+            objects, plan.externals, origin, span_of, ndim,
+            plan.steps.renewed if plan.spans is plan.steps.spans else None)
         self._step_of_row: Optional[np.ndarray] = None
         self._out: Optional[np.ndarray] = None
 
     @property
     def n_tensors(self) -> int:
-        return len(self._objects)
+        return len(self.tensors)
 
     @property
     def step_of_row(self) -> np.ndarray:
@@ -249,21 +292,11 @@ class RegionTable:
             self._out = pos >= self.n_in[step]
         return self._out
 
-    def tensor(self, t: int) -> Tensor:
-        """The tensor id ``t`` names; a renewed one is the plan's renewed
-        partial of its source tensor, made on first ask."""
-        obj = self._objects[t]
-        if obj is None:
-            source = self.tensor(self._origin[t])
-            obj = self._objects[t] = (
-                _renew(source) if self._renew is None
-                else self._renew(self._span_of[t], source))
-        return obj
-
     def covers(self, rows: np.ndarray) -> np.ndarray:
         """Whether each of ``rows`` spans its whole tensor."""
         return ((self.lo[rows] == 0).all(axis=1)
-                & (self.hi[rows] == self.shape[self.tid[rows]]).all(axis=1))
+                & (self.hi[rows]
+                   == self.tensors.shape[self.tid[rows]]).all(axis=1))
 
     def runs(self) -> List[Tuple[int, int]]:
         """Maximal ``[start, stop)`` runs of consecutive steps of one

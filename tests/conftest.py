@@ -9,6 +9,7 @@ import pytest
 
 from repro import FractalExecutor, Instruction, TensorStore, custom_machine
 from repro.core.executor import run_reference
+from repro.plan.regions import TensorTable
 
 KB = 1 << 10
 
@@ -34,6 +35,17 @@ def tiny_machine(fanouts=(3, 2), mems=(64 * KB, 8 * KB, 2 * KB)):
     """A small fractal machine that still forces real SD/PD decomposition."""
     return custom_machine("tiny", list(fanouts), list(mems),
                           [1e9] * (len(fanouts) + 1))
+
+
+def tensor_ids(*region_lists):
+    """Dense ids for the tensors the regions name, in first-seen order,
+    and their :class:`repro.plan.regions.TensorTable`: what
+    ``repro.plan.batch._build_access`` and ``_Binder`` take."""
+    tensors = list({r.tensor.uid: r.tensor for regions in region_lists
+                    for r in regions}.values())
+    return ({t.uid: i for i, t in enumerate(tensors)},
+            TensorTable(tensors, tensors,
+                        ndim=max(len(t.shape) for t in tensors)))
 
 
 def run_both(inst: Instruction, arrays, machine=None):

@@ -25,7 +25,7 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
-from conftest import tiny_machine
+from conftest import tensor_ids, tiny_machine
 from test_executor import ALL_OPCODE_CASES
 from repro import (
     FractalExecutor,
@@ -233,14 +233,15 @@ def _stacked_and_reference(opcode, shapes, out_shape, attrs, modes, k):
                     data = np.sort(data, axis=-1)
                 store.bind(r.tensor, data)
     slices = _SliceTable()
-    accesses = [_build_access(p, slices) for p in positions]
+    ids, tensors = tensor_ids(*positions)
+    accesses = [_build_access(p, slices, ids) for p in positions]
     for mode, access in zip(modes, accesses):
         if mode == "loop":
             assert isinstance(access, _LoopAccess), mode
         else:
             assert isinstance(access, _LatticeAccess), mode
             assert len(access.counts) == _LEVELS[mode], (mode, access.counts)
-    binder = _Binder(store)
+    binder = _Binder(store, tensors)
     operands = [binder.access(access, False).gather() for access in accesses]
     stacked = np.asarray(batched_kernel_for(opcode)(operands, attrs),
                          dtype=np.float64)
@@ -302,13 +303,14 @@ class TestLatticeAddressing:
         store.bind(regions[0].tensor, np.random.default_rng(7).normal(
             size=regions[0].tensor.shape))
         slices = _SliceTable()
-        access = _build_access(regions, slices)
+        ids, tensors = tensor_ids(regions)
+        access = _build_access(regions, slices, ids)
         assert isinstance(access, _LatticeAccess) and not access.zero_copy
-        binder = _Binder(store)
+        binder = _Binder(store, tensors)
         got = binder.access(access, False).gather()
         want = binder.access(_LoopAccess(
-            [(r.tensor, slices[r.bounds]) for r in regions], (3, 5)),
-            False).gather()
+            [(ids[r.tensor.uid], slices[r.bounds]) for r in regions],
+            (3, 5)), False).gather()
         assert got.flags.c_contiguous and not got.flags.writeable
         assert bit_identical(got, want)
 
@@ -321,14 +323,17 @@ class TestLatticeAddressing:
         initial = rng.normal(size=regions[0].tensor.shape)
         stacked = rng.normal(size=(k, 3, 5))
         slices = _SliceTable()
-        access = _build_access(regions, slices)
+        ids, tensors = tensor_ids(regions)
+        access = _build_access(regions, slices, ids)
         assert isinstance(access, _LatticeAccess) and not access.repeats
         results = []
         for scatter in (access, _LoopAccess(
-                [(r.tensor, slices[r.bounds]) for r in regions], (3, 5))):
+                [(ids[r.tensor.uid], slices[r.bounds]) for r in regions],
+                (3, 5))):
             store = TensorStore()
             store.bind(regions[0].tensor, initial)
-            _Binder(store).access(scatter, True).scatter(stacked, accumulate)
+            _Binder(store, tensors).access(scatter, True).scatter(
+                stacked, accumulate)
             results.append(store.read(regions[0].tensor.region()))
         assert bit_identical(results[0], results[1])
 
@@ -341,22 +346,23 @@ class TestLatticeAddressing:
         tensors = [Tensor(f"p{i}", (2, 6)) for i in range(4)]
         regions = [t.region().slice_dim(1, 1, 4) for t in tensors]
         slices = _SliceTable()
-        access = _build_access(regions, slices)
+        ids, table = tensor_ids(regions)
+        access = _build_access(regions, slices, ids)
         assert isinstance(access, _LoopAccess)
         stacked = rng.normal(size=(4, 2, 3))
         for placed, parts in ((tensors, 1), (tensors[1:], 2)):
-            slots = {t.uid: 3 + 13 * i for i, t in enumerate(placed)}
+            slots = {ids[t.uid]: 3 + 13 * i for i, t in enumerate(placed)}
             arena = rng.normal(size=60)
             store = TensorStore()
             store.bind(tensors[0], rng.normal(size=(2, 6)))
 
             def lane_views(buf, base):
-                return [buf[slots[t.uid]:slots[t.uid] + 12].reshape(2, 6)
-                        [slices[r.bounds]] if t.uid in slots
-                        else base[slices[r.bounds]]
+                return [buf[slots[ids[t.uid]]:slots[ids[t.uid]] + 12]
+                        .reshape(2, 6)[slices[r.bounds]]
+                        if ids[t.uid] in slots else base[slices[r.bounds]]
                         for t, r in zip(tensors, regions)]
 
-            binder = _Binder(store, arena, slots)
+            binder = _Binder(store, table, arena, slots)
             gather = binder.access(access, False)
             assert len(gather.parts) == parts  # one part for the arena lanes
             assert bit_identical(gather.gather(), np.stack(
@@ -377,7 +383,8 @@ class TestLatticeAddressing:
         """A lattice with a stride-0 level places one tile at several
         lanes; a BatchedItem refuses one as an output."""
         regions = _lane_regions(mode, (3, 5), _lanes((mode,)), "z")
-        assert _build_access(regions, _SliceTable()).repeats
+        ids, _ = tensor_ids(regions)
+        assert _build_access(regions, _SliceTable(), ids).repeats
 
 
 # -- the stacked-kernel registry ---------------------------------------------
@@ -597,7 +604,7 @@ class TestFoldedChains:
         assert folds and all(f.opcode is opcode and f.k == 3 for f in folds)
         assert not [i for i in schedule.items
                     if isinstance(i, SingleItem) and i.opcode is opcode]
-        bound = {t.uid for t, _ in schedule.arena.bindings}
+        bound = {schedule.tensor(t).uid for t, _ in schedule.arena.bindings}
         for fold in folds:
             for step in plan.steps[fold.start:fold.stop - 1]:
                 assert step.inst.outputs[0].tensor.uid not in bound
@@ -617,9 +624,10 @@ class TestFoldedChains:
         folds = self._assert_folds_every_chain(
             machine, program, plan, Opcode.ADD1D,
             [(x, np.random.default_rng(21).normal(size=x.shape))])
+        schedule = plan.replay_schedule()
         for fold in folds:
-            for tensor, sl in fold.terms:
-                assert np.zeros(tensor.shape)[sl].size == 1
+            for t, sl in fold.terms:
+                assert np.zeros(schedule.tensor(t).shape)[sl].size == 1
 
     def test_hprod_chains_fold_mul_links(self):
         machine, program, x, plan = _fold_plan(Opcode.HPROD1D, n=600)
@@ -634,8 +642,8 @@ class TestFoldedChains:
         folds = self._assert_folds_every_chain(
             machine, program, plan, Opcode.ADD1D,
             [(x, rng.normal(size=x.shape)), (y, rng.normal(size=y.shape))])
-        tensor, sl = folds[-1].out_spec
-        assert tensor is y and sl == (slice(2, 3),)
+        t, sl = folds[-1].out_spec
+        assert plan.replay_schedule().tensor(t) is y and sl == (slice(2, 3),)
 
     def test_replay_dispatches_one_count_per_link(self):
         """With telemetry on, a fold counts its ``k`` links in one bulk
@@ -674,9 +682,10 @@ class TestFoldedChains:
                     for a in i.gathers + (i.scatter,)]
         assert any(isinstance(a, _LatticeAccess) and len(a.counts) > 1
                    for a in accesses)
+        # an id names one tensor, and a tensor has one id
         for access in accesses:
             if isinstance(access, _LoopAccess):
-                assert len({t.uid for t, _ in access.lane_slices}) > 1
+                assert len({t for t, _ in access.lane_slices}) > 1
 
     def _edit_case(self, edit):
         """Apply ``edit(plan, start)`` to the last fold's chain (steps
@@ -781,7 +790,9 @@ class TestArenaLayout:
         arena = schedule.arena
         assert arena.bindings  # the plan owns real intermediates
         first, last, _sizes = self._live_intervals(plan, schedule.items)
-        spans = [(t.uid, off, off + t.nelems) for t, off in arena.bindings]
+        spans = [(tensor.uid, off, off + tensor.nelems)
+                 for tensor, off in ((schedule.tensor(t), off)
+                                     for t, off in arena.bindings)]
         assert {uid for uid, _, _ in spans} == set(first)
         for i, (uid_a, lo_a, hi_a) in enumerate(spans):
             for uid_b, lo_b, hi_b in spans[i + 1:]:
@@ -837,7 +848,7 @@ class TestArenaLayout:
         the last replay."""
         plan, schedule = self._schedule()
         arena = schedule.arena
-        zeroed = {arena.bindings[bi][0].uid: ordinal
+        zeroed = {schedule.tensor(arena.bindings[bi][0]).uid: ordinal
                   for ordinal, bi in arena.zero_items}
         first, _, _ = self._live_intervals(plan, schedule.items)
         for ordinal, item in enumerate(schedule.items):
@@ -862,7 +873,7 @@ class TestArenaLayout:
         binding = store.bound(schedule)
         assert store.bound(schedule) is binding  # bound once
         assert store.arena_bytes == arena.nbytes == binding.arena.nbytes
-        owned = {t.uid for t, _ in arena.bindings}
+        owned = {schedule.tensor(t).uid for t, _ in arena.bindings}
         assert not [uid for uid in owned if store.tensor(uid) is not None]
         for item, operands, outputs, _ in binding.entries:
             if item.batched:
@@ -871,8 +882,8 @@ class TestArenaLayout:
                 (outputs,) if item.folded else tuple(outputs))
             specs = (item.terms + (item.out_spec,) if item.folded
                      else item.in_specs + item.out_specs)
-            for view, (tensor, _) in zip(views, specs):
-                if tensor.uid in owned:
+            for view, (t, _) in zip(views, specs):
+                if schedule.tensor(t).uid in owned:
                     assert view.base is binding.arena
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from conftest import tiny_machine
+from conftest import tensor_ids, tiny_machine
 from repro import (
     FractalExecutor,
     Instruction,
@@ -59,6 +59,8 @@ from repro.plan import (
 )
 from repro.plan import analysis as plan_analysis
 from repro.plan import batch
+from repro.plan import plan as plan_mod
+from repro.plan import regions as regions_mod
 from repro.plan.analysis import spanless_mismatch
 from repro.plan.regions import region_table
 from repro.workloads import PROFILE_BENCHMARKS, profile_benchmark
@@ -269,21 +271,24 @@ def assert_by_span_equals_spanless(plan):
     of the same steps without spans, field by field
     (:func:`repro.plan.analysis.spanless_mismatch`), and the plan's
     stored products are the by-span ones.  Each stacked item's gathers
-    and scatter, read from the region table, equal ``_build_access`` on
-    its lanes' regions."""
+    and scatter, read from the region table or moved from a source
+    item's, equal ``_build_access`` on its lanes' regions, each tensor id
+    read through the schedule."""
     assert spanless_mismatch(plan) is None
     analysis = plan_analysis.analyze_plan(plan)
     assert analysis.digest() == plan.analysis["digest"]
     assert analysis.fusion_groups == plan.fusion_groups
-    for item in plan.replay_schedule().items:
+    schedule = plan.replay_schedule()
+    for item in schedule.items:
         if not item.batched:
             continue
         lanes = plan.steps[item.start:item.stop]
         for position, access in enumerate(item.gathers + (item.scatter,)):
             regions = [(s.inst.inputs + s.inst.outputs)[position] for s in lanes]
-            assert (plan_analysis._access_fields(access)
-                    == plan_analysis._access_fields(
-                        batch._build_access(regions, batch._SliceTable())))
+            ids, tensors = tensor_ids(regions)
+            built = batch._build_access(regions, batch._SliceTable(), ids)
+            assert (plan_analysis._access_fields(access, schedule.tensor)
+                    == plan_analysis._access_fields(built, tensors.tensor))
 
 
 def assert_same_plan(roots, plan, back):
@@ -452,10 +457,54 @@ def _crossing_copies():
                                  {"func": "relu"})]
 
 
+def _onto_another_shape():
+    """``MatMul(a1, b) -> c1``, an Act1D, then ``MatMul(a2[:, 32:96], b)
+    -> c2``, with ``a1`` (64, 64) and ``a2`` (64, 128).  The compile's memo
+    keys on region shapes, so the second MatMul's steps are a span copy
+    of the first's that moves ``a1`` onto ``a2``, a tensor of another
+    shape; the Act1D's steps keep the copy's MatMul lanes in a group of
+    their own."""
+    a1, a2 = Tensor("a1", (64, 64)), Tensor("a2", (64, 128))
+    b, c1, c2 = Tensor("b", (64, 64)), Tensor("c1", (64, 64)), Tensor("c2", (64, 64))
+    x, y = Tensor("x", (2048,)), Tensor("y", (2048,))
+    return [
+        Instruction(Opcode.MATMUL, (a1.region(), b.region()), (c1.region(),)),
+        Instruction(Opcode.ACT1D, (x.region(),), (y.region(),),
+                    {"func": "relu"}),
+        Instruction(Opcode.MATMUL, (a2.region().slice_dim(1, 32, 96),
+                                    b.region()), (c2.region(),))]
+
+
 class TestBySpan:
     """A span copy takes its source's analysis and replay items, moved,
     and re-decides what its context changes; the same steps without
     spans are the oracle."""
+
+    @pytest.mark.parametrize("machine, steps", [(cambricon_f1, 96),
+                                                (cambricon_f100, 6144)])
+    def test_move_onto_a_tensor_of_another_shape(self, machine, steps):
+        """The copy's stacked item is its source's, moved: the gather on
+        ``a2`` is read from the copy's rows (``a1``'s origin and strides
+        would address ``a2`` wrongly), the others are moved, and the
+        schedule equals the spanless one's and replays bit-identically."""
+        machine, program = machine(), _onto_another_shape()
+        plan = compile_program(machine, program)
+        assert plan.n_steps == steps
+        a1, a2 = program[0].inputs[0].tensor, program[2].inputs[0].tensor
+        (span,) = [span for span in plan.spans
+                   if any(old is a1 and new is a2 for old, new, _ in span[3])]
+        at, start, end = span[:3]
+        schedule = plan.replay_schedule()
+        first, second = [item for item in schedule.items
+                         if item.batched and item.opcode is Opcode.MATMUL]
+        assert (first.start, first.stop) == (start, end)
+        assert (second.start, second.stop) == (at, at + end - start)
+        assert schedule.tensor(second.gathers[0].tid) is a2
+        assert second.gathers[1] is first.gathers[1]  # b, moved onto b
+        assert spanless_mismatch(plan) is None
+        for got, want in zip(_run(machine, program, plan=plan),
+                             _run(machine, program)):
+            assert bit_identical(got, want)
 
     def test_twin_external_in_the_copy_partial_in_its_source(self, monkeypatch):
         machine, program = _partial_then_external()
@@ -468,7 +517,8 @@ class TestBySpan:
         assert flipped
         # the copies' writes are live only because their twin is external
         assert plan.analysis["diagnostics"] == []
-        arena = {t.uid for t, _ in plan.replay_schedule().arena.bindings}
+        schedule = plan.replay_schedule()
+        arena = {schedule.tensor(t).uid for t, _ in schedule.arena.bindings}
         assert not arena & {new.uid for _, new in flipped}
         for got, want in zip(_run(machine, program, plan=plan),
                              _run(machine, program)):
@@ -569,7 +619,11 @@ class TestCopiesOnDemand:
     def test_hot_path_builds_no_copy(self, name, tmp_path, monkeypatch):
         """On F100, compiling, building the schedule with a first replay,
         a disk store and load, and a rebind each construct at most their
-        walked steps: every ``PlanStep`` beyond those would be a copy."""
+        walked steps: every ``PlanStep`` beyond those would be a copy.
+        The schedule build, the bind and the first replay make no renewed
+        partial (items, arena and binding name tensors by table id), and
+        most stacked groups are their source group's item, moved, whose
+        lanes no ``_lattice_access`` factors again."""
         constructed = [0]
         init = PlanStep.__init__
 
@@ -578,6 +632,35 @@ class TestCopiesOnDemand:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(PlanStep, "__init__", counting)
+        renewed = [0]
+
+        def renewing(real):
+            def renew(tensor):
+                renewed[0] += 1
+                return real(tensor)
+            return renew
+
+        for module in (base, plan_mod, regions_mod):
+            monkeypatch.setattr(module, "_renew", renewing(module._renew))
+        # the groups BatchedItem builds from the region table, and the
+        # one each _lattice_access call serves (None: no such build)
+        fresh, building_now, factored = set(), [None], []
+        item_init, lattice = batch.BatchedItem.__init__, batch._lattice_access
+
+        def building(self, index, *args, **kwargs):
+            fresh.add(index)
+            building_now[0] = index
+            try:
+                item_init(self, index, *args, **kwargs)
+            finally:
+                building_now[0] = None
+
+        def factoring(*args, **kwargs):
+            factored.append(building_now[0])
+            return lattice(*args, **kwargs)
+
+        monkeypatch.setattr(batch.BatchedItem, "__init__", building)
+        monkeypatch.setattr(batch, "_lattice_access", factoring)
 
         def constructing(call):
             constructed[0] = 0
@@ -596,7 +679,14 @@ class TestCopiesOnDemand:
             _bind_inputs(program, store, np.random.default_rng(3))
             FractalExecutor(machine, store).run_program(program, plan=plan)
 
+        renewed[0] = 0
         assert constructing(replay)[1] == 0, "schedule and first replay"
+        assert renewed[0] == 0, "renewed partials made to schedule or bind"
+        groups = {item.start for item in plan.replay_schedule().items
+                  if item.batched}
+        moved = groups - fresh
+        assert len(moved) > 0.9 * len(groups), (len(moved), len(groups))
+        assert None not in factored, "a moved group factored again"
         disk = DiskPlanCache(tmp_path)
         fp, digest = plan_key(machine, program)
         assert constructing(lambda: disk.store(fp, digest, plan))[1] == 0
@@ -610,6 +700,31 @@ class TestCopiesOnDemand:
         # asked for, a copy is built, with its whole span
         at, start, end, _, _ = plan.spans[0]
         assert constructing(lambda: rebound.steps[at])[1] == end - start
+
+    def test_compile_schedule_and_replay_leave_numpy_ma_out(self):
+        """Compiling, scheduling and replaying F100 mm_fc never imports
+        ``numpy.ma`` (``np.isin`` would, through ``np.unique``)."""
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro import FractalExecutor, TensorStore, cambricon_f100\n"
+            "from repro.plan import compile_program\n"
+            "from repro.workloads import profile_benchmark\n"
+            "w, machine = profile_benchmark('mm_fc'), cambricon_f100()\n"
+            "plan = compile_program(machine, w.program)\n"
+            "store = TensorStore()\n"
+            "rng = np.random.default_rng(0)\n"
+            "for t in [*w.inputs.values(), *w.params.values()]:\n"
+            "    store.bind(t, rng.normal(size=t.shape))\n"
+            "FractalExecutor(machine, store).run_program(w.program, plan=plan)\n"
+            "assert plan.replay_schedule().batched_steps\n"
+            "print('numpy.ma' in sys.modules)\n")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_plan_given_a_list_of_its_steps_replays(self):
         """A plan given its built steps as a list, spans kept, replays

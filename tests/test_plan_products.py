@@ -111,9 +111,10 @@ def products(pair: str) -> dict:
     def uid(value):
         return uids.setdefault(value, len(uids))
 
-    items = [_item(_item_fields(item), uid) for item in schedule.items]
+    items = [_item(_item_fields(item, schedule.tensor), uid)
+             for item in schedule.items]
     total, bindings, zero_items, zero_externals = _arena_fields(
-        schedule.arena)
+        schedule.arena, schedule.tensor)
     arena = (total, [(uid(u), off) for u, off in bindings], zero_items,
              [uid(u) for u in zero_externals])
     return {

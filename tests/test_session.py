@@ -239,8 +239,9 @@ class TestBoundSession:
         whole tensor; with 12,000 the decomposition makes it a slice."""
         session = InferenceSession(accumulating_workload(n), tiny_machine())
         session.compile()
-        arena = session.plan.replay_schedule().arena
-        assert {"t", "out"} <= {t.name for t in arena.zero_externals}
+        schedule = session.plan.replay_schedule()
+        assert {"t", "out"} <= {schedule.tensor(t).name
+                                for t in schedule.arena.zero_externals}
 
         def inputs():
             return {name: rng.normal(size=(n,)) for name in "abc"}
