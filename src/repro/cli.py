@@ -10,12 +10,10 @@ Commands::
     flame     mm_fc --html f.html   sampling-profile the hot path; flamegraph
     flame-diff base.json cand.json  diff two profiles; exit 3 on regression
     diff      base.json cand.json   compare two RunReports; exit 3 on regression
-    serve-metrics mm_fc --port 8000 run a workload under a live /metrics server
     events tail events.jsonl        filter/pretty-print a structured event log
     events tail --follow            same, but keep polling for appended events
     trace ls                        list recorded traces from the run ledger
     trace show <trace_id>           joined ledger rows/spans/events for a trace
-    top                             live /metrics dashboard (curses-free)
     figures   -o figures/           render every paper figure as SVG
     dse                             Table-4 hierarchy sweep (costs only)
     assemble  prog.fisa -o prog.bin assemble FISA text to the binary format
@@ -33,11 +31,10 @@ the same exit-code contract: 0 = clean, 1 = findings gate, 2 = the input
 could not be parsed.  ``diff`` implements the perf-gate exit-code
 contract: 0 = pass, 2 = usage/IO error, 3 = gated regression.
 
-``profile`` and ``simulate`` take the observability flags ``--serve PORT``
-(live /metrics + /healthz + /events while the run is in flight),
-``--events PATH`` (stream the structured event log as JSONL) and
-``--crash-dir DIR`` (dump a flight-recorder crash bundle on an uncaught
-exception) -- see docs/OBSERVABILITY.md.
+``profile`` and ``simulate`` take the observability flags ``--events
+PATH`` (stream the structured event log as JSONL) and ``--crash-dir DIR``
+(dump a flight-recorder crash bundle on an uncaught exception) -- see
+docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -81,30 +78,12 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
     """Observability flags shared by the long-running commands."""
-    p.add_argument("--serve", type=int, metavar="PORT", default=None,
-                   help="expose live /metrics, /healthz and /events on "
-                        "127.0.0.1:PORT while the run is in flight "
-                        "(0 = ephemeral port)")
     p.add_argument("--events", metavar="PATH",
                    help="stream the structured event log to PATH as JSONL "
                         "(read back with `repro events tail`)")
     p.add_argument("--crash-dir", metavar="DIR",
                    help="dump a flight-recorder crash bundle under DIR on "
                         "an uncaught exception")
-    p.add_argument("--stall-after", type=float, default=30.0, metavar="S",
-                   help="seconds without a progress beat before /healthz "
-                        "reports stalled (default 30)")
-    p.add_argument("--events-max-bytes", type=int, default=None,
-                   metavar="N",
-                   help="size-bound the --events JSONL sink: roll to "
-                        "PATH.1 when the file would exceed N bytes "
-                        "(default unbounded)")
-    p.add_argument("--slo", action="append", metavar="RULE", default=None,
-                   help="arm a live SLO rule, e.g. "
-                        "'sim.sig_cache.hits > 100 for 5s as warm-cache' "
-                        "(repeatable; fires alert events, the "
-                        "repro_alerts_active gauge and /alerts; "
-                        "syntax in docs/OBSERVABILITY.md)")
 
 
 def _writable_error(path: str) -> Optional[str]:
@@ -141,32 +120,17 @@ def _check_outputs(command: str, **paths) -> Optional[int]:
 
 @contextmanager
 def _observability(args, benchmark: str, machine_name: str, command: str):
-    """Arm the obs layer for one CLI run per the --serve/--events/--crash-dir
-    /--slo flags; yields a handle with the event log, watchdog, flight
-    recorder, (optional) SLO engine and (optional) metrics server.
+    """Arm the obs layer for one CLI run per the --events/--crash-dir
+    flags; yields a handle with the event log and the flight recorder.
     Everything is restored on exit."""
     from . import obs, telemetry
-
-    # Parse --slo rules before touching any state: a bad rule is a usage
-    # error (exit 2), not a mid-run surprise.
-    slo_rules = []
-    for text in getattr(args, "slo", None) or []:
-        try:
-            slo_rules.append(obs.parse_slo_rule(text))
-        except ValueError as err:
-            print(f"{command}: {err}", file=sys.stderr)
-            raise SystemExit(2)
 
     event_log = obs.get_event_log()
     prior_enabled = event_log.enabled
     event_log.reset()
     event_log.enable()
     if getattr(args, "events", None):
-        event_log.attach_jsonl(args.events,
-                               max_bytes=getattr(args, "events_max_bytes",
-                                                 None))
-    watchdog = obs.install_watchdog(
-        obs.Watchdog(stall_after_s=getattr(args, "stall_after", 30.0)))
+        event_log.attach_jsonl(args.events)
     recorder = obs.FlightRecorder(event_log=event_log,
                                   registry=telemetry.get_registry(),
                                   tracer=telemetry.get_tracer())
@@ -175,22 +139,8 @@ def _observability(args, benchmark: str, machine_name: str, command: str):
                             "argv": [str(a) for a in (sys.argv or [])]})
     recorder.report_context.update({"benchmark": benchmark,
                                     "machine": machine_name})
-    slo_engine = (obs.SLOEngine(slo_rules, telemetry.get_registry(),
-                                event_log=event_log)
-                  if slo_rules else None)
-    server = None
     try:
-        if getattr(args, "serve", None) is not None:
-            server = obs.MetricsServer(registry=telemetry.get_registry(),
-                                       event_log=event_log,
-                                       watchdog=watchdog,
-                                       slo=slo_engine,
-                                       port=int(args.serve)).start()
-            print(f"[obs] serving {server.url}/metrics "
-                  f"(/healthz, /events, /alerts)", file=sys.stderr)
-        handle = SimpleNamespace(event_log=event_log, watchdog=watchdog,
-                                 recorder=recorder, server=server,
-                                 slo=slo_engine)
+        handle = SimpleNamespace(event_log=event_log, recorder=recorder)
         crash_dir = getattr(args, "crash_dir", None)
         with obs.event_context(benchmark=benchmark, machine=machine_name):
             if crash_dir:
@@ -204,16 +154,6 @@ def _observability(args, benchmark: str, machine_name: str, command: str):
                 yield handle
                 recorder.mark("run.end")
     finally:
-        if slo_engine is not None:
-            # Final pass so a run without a single /metrics scrape still
-            # fires (and logs) any end-state violations.
-            try:
-                slo_engine.evaluate()
-            except Exception:
-                pass
-        if server is not None:
-            server.stop()
-        obs.install_watchdog(None)
         event_log.close_sink()
         event_log.enabled = prior_enabled
 
@@ -236,15 +176,12 @@ def _sim_run_report(args, machine, rep, obs_handle=None):
         else None,
         sim_report=rep,
         event_log=obs_handle.event_log if obs_handle is not None else None,
-        health=(obs_handle.watchdog.health_section()
-                if obs_handle is not None else None),
         notes={"command": args.command},
     )
 
 
 def _wants_obs(args) -> bool:
-    return (getattr(args, "serve", None) is not None
-            or bool(getattr(args, "events", None))
+    return (bool(getattr(args, "events", None))
             or bool(getattr(args, "crash_dir", None)))
 
 
@@ -492,7 +429,6 @@ def cmd_profile(args) -> int:
                 exec_stats=executor.stats,
                 sim_report=sim_report,
                 event_log=handle.event_log,
-                health=handle.watchdog.health_section(),
                 notes={"command": "profile", "seed": args.seed,
                        "program_instructions": len(w.program)},
             )
@@ -729,66 +665,6 @@ def cmd_flame_diff(args) -> int:
     else:
         print(result.format_table(limit=args.limit))
     return result.exit_code
-
-
-def cmd_serve_metrics(args) -> int:
-    """Run a workload in a loop under a live observability endpoint.
-
-    Every iteration does one functional pass + one simulator pass of the
-    benchmark while ``/metrics`` (OpenMetrics), ``/healthz`` (stall
-    watchdog) and ``/events`` (recent structured events) are served on
-    ``--port``.  With ``--hold`` the server keeps answering after the last
-    iteration until interrupted -- handy for pointing Prometheus at a
-    finished run.  Exit codes: 0 ok, 2 unknown benchmark / bad output path.
-    """
-    import time
-
-    from . import telemetry
-    from .core.executor import FractalExecutor
-    from .core.store import TensorStore
-    from .sim import FractalSimulator
-    from .workloads import profile_benchmark, resolve_profile_benchmark
-
-    machine = _machine(args)
-    try:
-        args.benchmark = resolve_profile_benchmark(args.benchmark)
-    except KeyError as err:
-        print(f"serve-metrics: {err.args[0]}", file=sys.stderr)
-        return 2
-    code = _check_outputs("serve-metrics",
-                          events=getattr(args, "events", None))
-    if code is not None:
-        return code
-    args.serve = args.port  # reuse the shared _observability plumbing
-    w = profile_benchmark(args.benchmark)
-
-    with telemetry.enabled_scope():
-        telemetry.reset()
-        with _observability(args, args.benchmark, machine.name,
-                            "serve-metrics") as handle:
-            rng = np.random.default_rng(args.seed)
-            for i in range(args.iterations):
-                store = TensorStore()
-                for t in list(w.inputs.values()) + list(w.params.values()):
-                    store.bind(t, rng.normal(size=t.shape))
-                FractalExecutor(machine, store).run_program(w.program)
-                FractalSimulator(machine,
-                                 collect_profiles=False).simulate(w.program)
-                handle.recorder.mark(f"iteration.{i}")
-            from .obs import record_run
-            record_run("serve-metrics", benchmark=args.benchmark,
-                       machine=machine.name, iterations=args.iterations)
-            print(f"served {args.iterations} iteration(s) of "
-                  f"{args.benchmark} on {machine.name} at "
-                  f"{handle.server.url}/metrics")
-            if args.hold:
-                print("holding; Ctrl-C to stop", file=sys.stderr)
-                try:
-                    while True:
-                        time.sleep(0.5)
-                except KeyboardInterrupt:
-                    pass
-    return 0
 
 
 def cmd_events_tail(args) -> int:
@@ -1112,15 +988,6 @@ def cmd_trace_show(args) -> int:
         shown = obs.format_events(events[-args.events:])
         print("    " + shown.replace("\n", "\n    "))
     return 0
-
-
-def cmd_top(args) -> int:
-    """Live, curses-free dashboard over a running /metrics endpoint."""
-    from .obs import run_top
-
-    return run_top(args.url, interval=args.interval,
-                   iterations=args.iterations, clear=not args.no_clear,
-                   json_mode=args.json)
 
 
 def cmd_compile(args) -> int:
@@ -1625,39 +1492,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(p)
     p.set_defaults(fn=cmd_profile)
 
-    p = sub.add_parser("serve-metrics",
-                       help="run a workload under a live /metrics + "
-                            "/healthz + /events endpoint")
-    _add_machine_args(p)
-    p.add_argument("benchmark",
-                   help="profiling subject (e.g. mm_fc) -- same registry "
-                        "as `repro profile`")
-    p.add_argument("--port", type=int, default=8000,
-                   help="TCP port on 127.0.0.1 (0 = ephemeral; default 8000)")
-    p.add_argument("--iterations", type=int, default=1,
-                   help="functional+simulator passes to run (default 1)")
-    p.add_argument("--hold", action="store_true",
-                   help="keep serving after the last iteration until Ctrl-C")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--events", metavar="PATH",
-                   help="stream the structured event log to PATH as JSONL")
-    p.add_argument("--events-max-bytes", type=int, default=16 * 2**20,
-                   metavar="N",
-                   help="roll the --events sink to PATH.1 past N bytes "
-                        "(default 16 MiB; 0 = unbounded)")
-    p.add_argument("--crash-dir", metavar="DIR",
-                   help="dump a crash bundle under DIR on an uncaught "
-                        "exception")
-    p.add_argument("--stall-after", type=float, default=30.0, metavar="S",
-                   help="stall watchdog budget in seconds (default 30)")
-    p.add_argument("--slo", action="append", metavar="RULE", default=None,
-                   help="arm a live SLO rule, e.g. "
-                        "'sim.sig_cache.hits > 100 for 5s as warm-cache' "
-                        "(repeatable; fires alert events, the "
-                        "repro_alerts_active gauge and /alerts; "
-                        "syntax in docs/OBSERVABILITY.md)")
-    p.set_defaults(fn=cmd_serve_metrics)
-
     p = sub.add_parser("events", help="structured event log tooling")
     events_sub = p.add_subparsers(dest="events_command", required=True)
     p = events_sub.add_parser(
@@ -1689,27 +1523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--since", metavar="WHEN",
                    help="only events at or after WHEN -- an ISO-8601 "
                         "timestamp (2026-08-08T12:00:00) or epoch seconds; "
-                        "composes with every other filter (triaging alert "
-                        "windows)")
+                        "composes with every other filter")
     p.set_defaults(fn=cmd_events_tail)
-
-    p = sub.add_parser("top", help="live terminal dashboard over a running "
-                                   "/metrics endpoint (see serve-metrics)")
-    p.add_argument("url", nargs="?", default="127.0.0.1:8000",
-                   help="metrics endpoint, host:port or full URL "
-                        "(default 127.0.0.1:8000)")
-    p.add_argument("--interval", type=float, default=2.0, metavar="S",
-                   help="refresh interval in seconds (default 2)")
-    p.add_argument("--iterations", type=int, metavar="N",
-                   help="exit after N refreshes (default: run until Ctrl-C)")
-    p.add_argument("--no-clear", action="store_true",
-                   help="append frames instead of clearing the screen "
-                        "(useful for piping)")
-    p.add_argument("--json", action="store_true",
-                   help="emit one repro.obs.top JSON object per frame "
-                        "instead of the ANSI dashboard "
-                        "(--json --iterations 1 for a one-shot scrape)")
-    p.set_defaults(fn=cmd_top)
 
     p = sub.add_parser("diff", help="compare two RunReport JSON documents; "
                                     "exit 3 on gated regression")

@@ -343,7 +343,6 @@ class FractalExecutor:
             log.info("program.start", machine=self.machine.name,
                      instructions=len(program))
             for index, inst in enumerate(program):
-                obs.beat("executor")
                 with obs.event_context(instruction=index,
                                        opcode=inst.opcode.value), \
                         tracer.span(f"inst:{inst.opcode.value}",
@@ -393,8 +392,7 @@ class FractalExecutor:
         The plan's precomputed stats and the binding's read tallies are
         added up front (replay performs exactly that work; on a mid-replay
         failure they overstate the completed portion, which errs on the
-        visible side).  Replay emits one watchdog beat per plan step (bulk
-        form for groups and folds), one ``replay.progress`` event per
+        visible side).  Replay emits one ``replay.progress`` event per
         :data:`REPLAY_PROGRESS_STRIDE` steps, profiler step attribution
         per item, and per-opcode ``ops.dispatch`` counts (one bulk
         increment per group or fold).
@@ -425,16 +423,13 @@ class FractalExecutor:
             for array in binding.zero_externals:
                 array.fill(0.0)
             set_step = _prof.set_step if _prof.profiling() else None
-            beat = obs.beat
             stride = REPLAY_PROGRESS_STRIDE
             next_progress = stride
             for item, operands, outputs, zeros in binding.entries:
                 if zeros is not None:
                     for span in zeros:
                         span.fill(0.0)
-                stop = item.stop
-                beat("executor", stop - item.start)
-                while next_progress < stop:
+                while next_progress < item.stop:
                     log.debug("replay.progress", step=next_progress,
                               steps=plan.n_steps)
                     next_progress += stride

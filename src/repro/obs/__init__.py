@@ -3,19 +3,17 @@
 The telemetry layer (:mod:`repro.telemetry`) counts and times; this layer
 makes a run **operable**: a schema-versioned structured event log with
 propagated run context, a flight recorder that dumps crash bundles when a
-run dies, a live ``/metrics`` + ``/healthz`` + ``/events`` + ``/alerts``
-HTTP endpoint with a stall watchdog and SLO rule engine, and a
-longitudinal layer -- the run ledger, whose rows carry their own
-metrics, and the perf-trend sentinel that reads them -- that remembers
-runs and flags statistical regressions across them.  See
-docs/OBSERVABILITY.md for the event schema, the crash-bundle layout and
-the watchdog semantics.
+run dies, a sampling profiler, and a longitudinal layer -- the run
+ledger, whose rows carry their own metrics, and the perf-trend sentinel
+that reads them -- that remembers runs and flags statistical regressions
+across them.  See docs/OBSERVABILITY.md for the event schema and the
+crash-bundle layout.
 
-Like the registry and the tracer, the event log, flight recorder,
-profiler and server are **disabled by default**, and the instrumented
-hot paths pay a single flag check (the <5% overhead budget from
-docs/TELEMETRY.md covers all three subsystems).  The run ledger is the
-exception: CLI commands, sweeps and crash scopes append one row each to
+Like the registry and the tracer, the event log, flight recorder and
+profiler are **disabled by default**, and the instrumented hot paths pay
+a single flag check (the <5% overhead budget from docs/TELEMETRY.md
+covers all three subsystems).  The run ledger is the exception: CLI
+commands, sweeps and crash scopes append one row each to
 ``~/.cache/repro/ledger`` unless ``$REPRO_LEDGER`` points elsewhere or
 turns it off (``REPRO_LEDGER=off``).
 
@@ -24,15 +22,15 @@ Quick start::
     from repro import obs, telemetry
 
     telemetry.enable()
-    obs.get_event_log().enable()
-    with obs.observed_run("mm_fc", machine="Cambricon-F1",
-                          crash_dir="crash_bundles") as recorder:
-        ...run the workload...
+    log = obs.get_event_log()
+    log.enable()
+    log.attach_jsonl("events.jsonl")
+    with obs.event_context(benchmark="mm_fc"):
+        with obs.crash_scope("crash_bundles", reason="run-mm_fc"):
+            ...run the workload...
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from .events import (
     EVENT_SCHEMA,
@@ -80,14 +78,6 @@ from .sentinel import (
     render_trend_html,
     sentinel_document,
 )
-from .slo import (
-    ALERTS_SCHEMA,
-    ALERTS_SCHEMA_VERSION,
-    SLOEngine,
-    SLORule,
-    empty_alerts_document,
-    parse_slo_rule,
-)
 from .flame import (
     DEFAULT_DIFF_THRESHOLD,
     FLAME_DIFF_SCHEMA,
@@ -98,20 +88,6 @@ from .flame import (
     format_top_table,
     render_flamegraph_html,
     top_table,
-)
-from .openmetrics import (
-    METRIC_PREFIX,
-    check_openmetrics,
-    escape_label_value,
-    metric_name,
-    render_openmetrics,
-)
-from .server import (
-    MetricsServer,
-    Watchdog,
-    beat,
-    get_watchdog,
-    install_watchdog,
 )
 from .prof import (
     PROFILE_SCHEMA,
@@ -137,7 +113,6 @@ from .tail import (
     load_events,
     parse_since,
 )
-from .top import fetch_metrics, format_top, frame_doc, parse_exposition, run_top
 from .trace import (
     TraceContext,
     current_trace,
@@ -193,12 +168,6 @@ __all__ = [
     "metric_polarity",
     "render_trend_html",
     "sentinel_document",
-    "ALERTS_SCHEMA",
-    "ALERTS_SCHEMA_VERSION",
-    "SLOEngine",
-    "SLORule",
-    "empty_alerts_document",
-    "parse_slo_rule",
     "TraceContext",
     "current_trace",
     "current_trace_id",
@@ -233,47 +202,11 @@ __all__ = [
     "format_top_table",
     "render_flamegraph_html",
     "top_table",
-    "frame_doc",
-    "METRIC_PREFIX",
-    "check_openmetrics",
-    "escape_label_value",
-    "metric_name",
-    "render_openmetrics",
-    "MetricsServer",
-    "Watchdog",
-    "beat",
-    "get_watchdog",
-    "install_watchdog",
     "filter_events",
     "follow_events",
     "format_event",
     "format_events",
     "load_events",
     "parse_since",
-    "fetch_metrics",
-    "format_top",
-    "parse_exposition",
-    "run_top",
-    "observed_run",
 ]
 
-
-@contextmanager
-def observed_run(benchmark: str, machine: str = "unknown",
-                 crash_dir: str = "crash_bundles", config=None):
-    """One-stop scope for an operable run.
-
-    Arms a :class:`FlightRecorder` (crash bundles under ``crash_dir``),
-    stamps ``run``-level event context, and marks the registry before and
-    after so the bundle's counter deltas bracket the run.  Telemetry and
-    the event log keep their caller-chosen enabled states -- this scope
-    only wires the pieces together.
-    """
-    recorder = FlightRecorder()
-    recorder.report_context.update({"benchmark": benchmark, "machine": machine})
-    with event_context(benchmark=benchmark, machine=machine):
-        with crash_scope(crash_dir, reason=f"run-{benchmark}",
-                         recorder=recorder, config=config):
-            recorder.mark("run.start")
-            yield recorder
-            recorder.mark("run.end")

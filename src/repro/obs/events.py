@@ -126,11 +126,6 @@ class EventLog:
         self._sample_state: Dict[Tuple[str, str], int] = {}
         self._sink = None  # optional open file object (JSONL)
         self._sink_path: Optional[str] = None
-        self._sink_max_bytes: Optional[int] = None
-        self._sink_bytes = 0
-        #: completed ``.1`` rollovers of the JSONL sink.
-        self.sink_rotations = 0
-        self._listeners: List[Callable[[Dict[str, object]], None]] = []
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -146,76 +141,34 @@ class EventLog:
         self._seq = 0
         self.dropped = 0
         self.suppressed = 0
-        self.sink_rotations = 0
         self._by_severity = {}
         self._by_subsystem = {}
         self._sample_state = {}
 
     # -- sinks --------------------------------------------------------------
 
-    def attach_jsonl(self, path: str,
-                     max_bytes: Optional[int] = None) -> None:
+    def attach_jsonl(self, path: str) -> None:
         """Stream every accepted event to ``path`` as JSON lines.
 
         The handle is owned by the log; call :meth:`close_sink` (or use a
         ``try/finally``) when the run ends.  Re-attaching closes the
         previous sink first.
-
-        With ``max_bytes`` the sink is size-bounded: when a write would
-        push the file past the limit, the current file is atomically
-        rolled to ``path + ".1"`` (one generation, replacing any previous
-        rollover) and a fresh ``path`` is started -- so a long-lived
-        ``serve-metrics --hold`` run holds at most ~2x ``max_bytes`` of
-        events on disk.  Rollovers are counted in ``sink_rotations``.
         """
         self.close_sink()
         self._sink = open(path, "w", encoding="utf-8")  # noqa: SIM115 - long-lived sink
         self._sink_path = path
-        self._sink_max_bytes = int(max_bytes) if max_bytes else None
-        self._sink_bytes = 0
 
     def close_sink(self) -> Optional[str]:
         """Close the JSONL sink (if any); returns its path."""
         path, sink = self._sink_path, self._sink
         self._sink = None
         self._sink_path = None
-        self._sink_max_bytes = None
-        self._sink_bytes = 0
         if sink is not None:
             try:
                 sink.close()
             except OSError:
                 pass
         return path
-
-    def _rotate_sink(self) -> None:
-        """Roll the sink file to ``.1`` and reopen a fresh one (atomic)."""
-        path = self._sink_path
-        max_bytes = self._sink_max_bytes
-        try:
-            self._sink.close()
-        except OSError:
-            pass
-        self._sink = None
-        try:
-            os.replace(path, path + ".1")
-            self._sink = open(path, "w", encoding="utf-8")  # noqa: SIM115 - long-lived sink
-        except OSError:
-            # Rotation failure must never take the run down; drop the sink.
-            self.close_sink()
-            return
-        self._sink_path = path
-        self._sink_max_bytes = max_bytes
-        self._sink_bytes = 0
-        self.sink_rotations += 1
-
-    def add_listener(self, fn: Callable[[Dict[str, object]], None]) -> None:
-        """Call ``fn(record)`` for every accepted event (e.g. a watchdog)."""
-        self._listeners.append(fn)
-
-    def remove_listener(self, fn) -> None:
-        if fn in self._listeners:
-            self._listeners.remove(fn)
 
     # -- emission -----------------------------------------------------------
 
@@ -257,7 +210,7 @@ class EventLog:
         return record
 
     def _accept(self, record: Dict[str, object]) -> None:
-        """Ring + accounting + sink + listeners for one accepted record."""
+        """Ring + accounting + sink for one accepted record."""
         if len(self._ring) == self.capacity:
             self.dropped += 1
         self._ring.append(record)
@@ -267,19 +220,11 @@ class EventLog:
         self._by_subsystem[subsystem] = self._by_subsystem.get(subsystem, 0) + 1
         if self._sink is not None:
             try:
-                line = json.dumps(record, default=repr) + "\n"
-                if (self._sink_max_bytes is not None and self._sink_bytes
-                        and self._sink_bytes + len(line) > self._sink_max_bytes):
-                    self._rotate_sink()
-                if self._sink is not None:
-                    self._sink.write(line)
-                    self._sink.flush()
-                    self._sink_bytes += len(line)
+                self._sink.write(json.dumps(record, default=repr) + "\n")
+                self._sink.flush()
             except (OSError, ValueError):
                 # A dead sink must never take the run down; drop it.
                 self.close_sink()
-        for fn in self._listeners:
-            fn(record)
 
     def ingest(self, record: Dict[str, object], **extra) -> Optional[Dict[str, object]]:
         """Adopt an externally produced event record (e.g. a pool worker's).
@@ -287,7 +232,7 @@ class EventLog:
         The record is re-stamped with this log's own ``seq`` (its origin
         sequence number is preserved as ``origin_seq``), merged with any
         ``extra`` fields (``worker=<n>``), and then treated exactly like a
-        locally emitted event: ring, accounting, JSONL sink, listeners.
+        locally emitted event: ring, accounting, JSONL sink.
         Severity filtering and sampling are *not* re-applied -- the origin
         log already made those calls.
         """

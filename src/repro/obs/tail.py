@@ -101,8 +101,7 @@ def filter_events(
     ``pattern`` is an (uncompiled or precompiled) regex searched against
     :func:`grep_blob` -- the ``--grep`` filter.  ``since`` is an epoch
     lower bound on the event ``ts`` (events without a numeric timestamp
-    are dropped when it is set) -- the ``--since`` filter for triaging
-    alert windows.  Both compose with the other filters and are applied
+    are dropped when it is set) -- the ``--since`` filter.  Both compose with the other filters and are applied
     before ``last`` so "the newest N matching events" means what it says.
     """
     out = list(events)

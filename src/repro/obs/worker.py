@@ -20,9 +20,8 @@ In the child, :func:`worker_capture` snapshots the inherited telemetry,
 re-enters the parent's trace as a ``worker=<n>`` child span (so every
 event the cell emits carries the parent ``trace_id``), and computes the
 deltas on exit.  In the parent, :func:`merge_worker_telemetry` folds a
-bundle back into the live registries with ``worker=<n>`` labels -- which
-makes the merged series visible through the existing OpenMetrics
-``/metrics`` endpoint with no server changes.
+bundle back into the live registries with ``worker=<n>`` labels, so
+the merged series reach the parent's RunReport beside its own.
 """
 
 from __future__ import annotations
@@ -266,11 +265,11 @@ def merge_worker_telemetry(wt: WorkerTelemetry, registry=None,
     """Parent-side merge: fold one bundle into the live registries.
 
     Every merged series gains a ``worker=<n>`` label, so the parent's own
-    counters stay untouched and ``/metrics`` exposes per-worker series
-    (``repro_sim_busy_seconds_total{level="0",worker="1"}``) alongside
-    them.  Shipped events are re-ingested into the parent's event log
-    (stamped ``worker``), landing in the ring, the JSONL sink, and any
-    listeners exactly like locally emitted ones.
+    counters stay untouched and the registry holds per-worker series
+    (``sim.busy_seconds{level="0",worker="1"}``) alongside them.  Shipped
+    events are re-ingested into the parent's event log (stamped
+    ``worker``), landing in the ring and the JSONL sink exactly like
+    locally emitted ones.
     """
     if registry is None:
         from ..telemetry import get_registry

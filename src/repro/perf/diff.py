@@ -51,8 +51,9 @@ _SKIPPED_PATHS: Tuple[str, ...] = ("schema_version", "spans_dropped")
 
 #: whole sections that are observability metadata, not performance: the v3
 #: ``events``/``health`` sections vary run to run (event counts depend on
-#: sampling, heartbeat ages are wall clock) and must neither gate nor show
-#: up as "added" noise when diffing a v3 report against a v2 baseline.
+#: sampling; reports written before the stall watchdog's removal carry
+#: wall-clock heartbeat ages) and must neither gate nor show up as "added"
+#: noise when diffing a v3 report against a v2 baseline.
 #: ``notes.profile`` (the sampling profiler's summary) is sampled wall
 #: clock too -- profile deltas gate through ``repro flame-diff``, not here.
 _SKIPPED_PREFIXES: Tuple[str, ...] = ("events.", "health.", "notes.profile.")

@@ -579,7 +579,6 @@ class FractalSimulator:
                                        resident_regions, deferred_stores,
                                        sibling_regions)
         self.cache_stats.nodes_simulated += 1
-        obs.beat("sim")  # progress for the stall watchdog (no-op when unarmed)
 
         private_rate, broadcast_rate = self._rates(level)
         memory = NodeMemoryManager(spec.mem_bytes)

@@ -129,9 +129,9 @@ def run_sweep(
     one, minting a fresh trace otherwise).  Pool children re-attach their
     telemetry under that trace and ship :class:`WorkerTelemetry` bundles
     back; the parent merges them into its registries with ``worker=<n>``
-    labels (visible on a live ``/metrics``) and appends one run-ledger
-    row per cell plus a parent ``sweep`` row -- all fail-soft and
-    cost-free when telemetry, the event log, and the ledger are off.
+    labels and appends one run-ledger row per cell plus a parent
+    ``sweep`` row -- all fail-soft and cost-free when telemetry, the
+    event log, and the ledger are off.
     """
     from ..obs.events import event_context
     from ..obs.ledger import record_run

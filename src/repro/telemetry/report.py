@@ -7,8 +7,8 @@ A :class:`RunReport` is one schema-versioned JSON document merging
 * functional-executor statistics (``executor``),
 * timing-simulator statistics incl. cache hit rates (``simulator``), and
 * (v2) the bottleneck ``attribution`` section plus ``spans_dropped``, and
-* (v3) the structured-event ``events`` summary + watchdog ``health``
-  section (see docs/OBSERVABILITY.md)
+* (v3) the structured-event ``events`` summary (see
+  docs/OBSERVABILITY.md)
 
 for one (benchmark, machine) run.  It is the artifact perf work diffs
 against: ``repro profile`` writes one per invocation, the benchmark
@@ -22,9 +22,12 @@ changes.  *Adding* fields does not bump the version -- consumers must
 ignore unknown keys.  **v2** formalized the ``attribution`` section
 (critical-path stall taxonomy, see docs/TELEMETRY.md) as a recognized,
 validated section; **v3** formalizes the structured-event ``events``
-summary and the stall-watchdog ``health`` section (docs/OBSERVABILITY.md).
-:func:`validate_document` accepts v1 through v3, and the perf diff
-machinery ignores v3-only sections against older baselines.
+summary and a stall-watchdog ``health`` section (docs/OBSERVABILITY.md).
+No writer emits ``health`` any more, but :func:`validate_document` still
+checks it in documents that carry one, since ``repro diff`` reads
+documents written elsewhere.  :func:`validate_document` accepts v1
+through v3, and the perf diff machinery ignores v3-only sections against
+older baselines.
 """
 
 from __future__ import annotations
@@ -61,8 +64,6 @@ class RunReport:
     spans_dropped: int = 0
     #: v3: structured-event summary (repro.obs EventLog.summary()).
     events: Optional[Dict[str, object]] = None
-    #: v3: stall-watchdog health section (repro.obs Watchdog.health_section()).
-    health: Optional[Dict[str, object]] = None
     notes: Dict[str, object] = field(default_factory=dict)
     created: str = ""
 
@@ -91,8 +92,6 @@ class RunReport:
             doc["attribution"] = self.attribution
         if self.events is not None:
             doc["events"] = self.events
-        if self.health is not None:
-            doc["health"] = self.health
         if self.notes:
             doc["notes"] = self.notes
         return doc
@@ -159,7 +158,8 @@ def _validate_events(section) -> List[str]:
 
 
 def _validate_health(section) -> List[str]:
-    """Structural checks for the v3 ``health`` section (if present)."""
+    """Structural checks for a v3 ``health`` section, which documents
+    written before the stall watchdog's removal may carry."""
     if section is None:
         return []
     if not isinstance(section, dict):
@@ -271,7 +271,6 @@ def build_run_report(
     sim_report=None,
     attribution: Optional[Dict[str, object]] = None,
     event_log=None,
-    health: Optional[Dict[str, object]] = None,
     notes: Optional[Dict[str, object]] = None,
 ) -> RunReport:
     """Assemble a RunReport from whichever telemetry sources exist.
@@ -282,9 +281,7 @@ def build_run_report(
     :func:`repro.perf.attribution.attribution_section`.
 
     ``event_log`` (a duck-typed ``repro.obs.EventLog``) contributes the
-    v3 ``events`` summary; when ``health`` is not given but a stall
-    watchdog is installed (``repro.obs.install_watchdog``), its health
-    section is embedded automatically.
+    v3 ``events`` summary.
     """
     if attribution is None and sim_report is not None:
         # Lazy import: repro.perf is import-light but the telemetry package
@@ -295,17 +292,6 @@ def build_run_report(
             attribution_section = None
         if attribution_section is not None:
             attribution = attribution_section(sim_report)
-    if health is None:
-        # Lazy for the same reason as attribution: repro.obs imports
-        # telemetry, so telemetry only reaches back at call time.
-        try:
-            from ..obs.server import get_watchdog
-        except ImportError:  # pragma: no cover - obs ships with repro
-            get_watchdog = None
-        if get_watchdog is not None:
-            watchdog = get_watchdog()
-            if watchdog is not None:
-                health = watchdog.health_section()
     notes = dict(notes or {})
     if "trace_id" not in notes:
         # Stamp the active trace so the run ledger and `repro trace show`
@@ -340,6 +326,5 @@ def build_run_report(
         attribution=attribution,
         spans_dropped=int(getattr(tracer, "dropped", 0)) if tracer is not None else 0,
         events=event_log.summary() if event_log is not None else None,
-        health=health,
         notes=notes,
     )

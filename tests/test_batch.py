@@ -60,7 +60,8 @@ from repro.plan import (
 from repro.plan.batch import (FoldItem, _Binder, _build_access,
                               _LatticeAccess, _LoopAccess, _SliceTable)
 from repro.analysis import program_digest
-from repro.workloads import profile_benchmark, profile_benchmark_names
+from repro.workloads import (mm_fc_workload, profile_benchmark,
+                             profile_benchmark_names)
 
 pytestmark = pytest.mark.plan
 
@@ -1031,33 +1032,47 @@ class TestBatchedCounters:
             store.read(t.region()),
             np.maximum(np.linspace(-1, 1, 64), 0.0))
 
-    def test_batched_replay_beats_and_reports_progress(self):
-        """Replay's observability contract: one watchdog beat per plan
-        step (bulk per group) and strided ``replay.progress`` events."""
+    @pytest.mark.parametrize("subject", ["groupy", "mm_fc"])
+    def test_batched_replay_reports_progress(self, subject, monkeypatch):
+        """Replay's observability contract: one ``replay.progress`` event
+        at every multiple of the stride below the plan's step count, each
+        carrying that count, between ``replay.start`` and ``replay.end``
+        -- on a plan of stacked items and on mm_fc's."""
         import repro.core.executor as executor_mod
         from repro import obs
-        from repro.obs import Watchdog
 
-        machine, program, plan = _groupy_plan()
+        if subject == "groupy":
+            machine, program, plan = _groupy_plan()
+            tensors = [r.tensor for r in program[0].inputs]
+        else:
+            w = mm_fc_workload()
+            machine, program = tiny_machine(), w.program
+            plan = compile_program(machine, program)
+            tensors = list(w.inputs.values()) + list(w.params.values())
         rng = np.random.default_rng(2)
-        store = TensorStore()
-        for r in program[0].inputs:
-            if not store.has(r.tensor):
-                store.bind(r.tensor, rng.normal(size=r.tensor.shape))
-        wd = obs.install_watchdog(Watchdog())
         log = obs.get_event_log()
-        log.reset()
-        log.enable()
-        old_stride = executor_mod.REPLAY_PROGRESS_STRIDE
-        executor_mod.REPLAY_PROGRESS_STRIDE = 2
-        try:
-            FractalExecutor(machine, store).run_program(program, plan=plan)
-        finally:
-            executor_mod.REPLAY_PROGRESS_STRIDE = old_stride
-            log.disable()
+        for stride in (2, 3, 7):
+            store = TensorStore()
+            for t in tensors:
+                if not store.has(t):
+                    store.bind(t, rng.normal(size=t.shape))
+            monkeypatch.setattr(executor_mod, "REPLAY_PROGRESS_STRIDE",
+                                stride)
             log.reset()
-            obs.install_watchdog(None)
-        assert wd.beats >= plan.n_steps
+            log.enable()
+            try:
+                FractalExecutor(machine, store).run_program(program,
+                                                            plan=plan)
+                events = log.events()
+            finally:
+                log.disable()
+                log.reset()
+            names = [e["event"] for e in events]
+            assert names[0] == "replay.start" and names[-1] == "replay.end"
+            progress = [e for e in events if e["event"] == "replay.progress"]
+            assert [e["step"] for e in progress] == \
+                list(range(stride, plan.n_steps, stride))
+            assert all(e["steps"] == plan.n_steps for e in progress)
 
 
 # -- the replay gate and its sentinel wiring ------------------------------------

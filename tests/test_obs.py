@@ -1,38 +1,33 @@
-"""Observability layer tests: event log, flight recorder, live endpoint.
+"""Observability layer tests: event log, flight recorder, RunReport v3.
 
 Everything here carries the ``obs`` marker (registered in pyproject.toml)
-and runs in tier-1.  The acceptance scenarios from the observability PR
-live here too: a live /metrics scrape during a simulation, the /healthz
-flip under an injected stall, and the crash-bundle -> ``repro events
-tail`` triage loop.
+and runs in tier-1.  The crash-bundle -> ``repro events tail`` triage
+loop lives here too.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
-import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs, telemetry
 from repro.core.executor import FractalExecutor
 from repro.core.store import TensorStore
 from repro.obs import (
     EventLog,
     FlightRecorder,
-    MetricsServer,
-    Watchdog,
-    check_openmetrics,
     crash_scope,
-    escape_label_value,
     filter_events,
     format_events,
     load_events,
-    metric_name,
     read_bundle_manifest,
-    render_openmetrics,
 )
-from repro.sim import FractalSimulator
 from repro.workloads import matmul_workload, mm_fc_workload
 
 from conftest import tiny_machine
@@ -47,7 +42,6 @@ def clean_global_obs():
     log.disable()
     log.reset()
     log.close_sink()
-    obs.install_watchdog(None)
     telemetry.disable()
     telemetry.reset()
     yield
@@ -55,7 +49,6 @@ def clean_global_obs():
     log.disable()
     log.reset()
     log.close_sink()
-    obs.install_watchdog(None)
     telemetry.disable()
     telemetry.reset()
 
@@ -69,11 +62,6 @@ def run_functional(workload, machine=None, seed=0):
     executor = FractalExecutor(machine, store)
     executor.run_program(workload.program)
     return executor
-
-
-def http_get(url):
-    with urllib.request.urlopen(url, timeout=5) as resp:
-        return resp.status, resp.read().decode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +167,8 @@ class TestDisabledObsOverhead:
     def test_disabled_guard_cost_under_5_percent_of_matmul_run(self):
         """Same budget methodology as TestDisabledOverhead in
         test_telemetry.py: the disabled obs path is one flag check per
-        site (plus one global load per beat), and that guard budget must
-        stay under 5% of the functional runtime."""
+        site, and that guard budget must stay under 5% of the functional
+        runtime."""
         assert not obs.get_event_log().enabled
         w = matmul_workload(24)
         machine = tiny_machine()
@@ -198,8 +186,7 @@ class TestDisabledObsOverhead:
             best = min(best, time.perf_counter() - t0)
 
         stats = executor.stats
-        # one guard per fractal node + kernel dispatch + fan-out, plus a
-        # beat per top-level instruction.
+        # one guard per fractal node + kernel dispatch + fan-out.
         events = (sum(stats.instructions_per_level.values())
                   + 2 * stats.kernel_calls + stats.fanouts + 8)
         log = obs.get_event_log()
@@ -207,75 +194,24 @@ class TestDisabledObsOverhead:
         for _ in range(events):
             if log.enabled:  # pragma: no cover
                 raise AssertionError("event log unexpectedly enabled")
-            obs.beat()
         guard_cost = time.perf_counter() - t0
         assert guard_cost < 0.05 * best, (
             f"disabled-obs guards cost {guard_cost * 1e3:.3f} ms vs "
             f"{best * 1e3:.3f} ms run ({guard_cost / best:.1%})")
 
 
-# ---------------------------------------------------------------------------
-# OpenMetrics renderer
-# ---------------------------------------------------------------------------
-
-
-class TestOpenMetrics:
-    def test_metric_name_mapping(self):
-        assert metric_name("executor.kernel_calls") == \
-            "repro_executor_kernel_calls"
-        assert metric_name("sim.total_time_s") == "repro_sim_total_time_s"
-
-    def test_label_value_escaping(self):
-        assert escape_label_value('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
-
-    def test_round_trips_every_instrument_kind(self):
-        reg = telemetry.CounterRegistry(enabled=True)
-        reg.count("executor.instructions", 30, labels={"level": 0})
-        reg.count("executor.instructions", 90, labels={"level": 1})
-        reg.gauge("executor.max_depth").set(2)
-        for v in (0.5, 1.5, 3.0):
-            reg.histogram("sim.total_time_s").observe(v)
-        text = render_openmetrics(reg)
-        assert check_openmetrics(text) == []
-        assert 'repro_executor_instructions_total{level="0"} 30' in text
-        assert "# TYPE repro_executor_max_depth gauge" in text
-        assert "repro_executor_max_depth 2" in text
-        assert 'repro_sim_total_time_s_bucket{le="+Inf"} 3' in text
-        assert "repro_sim_total_time_s_count 3" in text
-        assert "repro_sim_total_time_s_sum 5" in text
-        assert text.endswith("# EOF\n")
-
-    def test_extra_gauges_and_nonfinite_clamp(self):
-        reg = telemetry.CounterRegistry(enabled=True)
-        text = render_openmetrics(reg, extra_gauges={
-            "repro_obs_healthy": (1.0, "watchdog health"),
-            "repro_obs_bad": (float("inf"), "clamped"),
-        })
-        assert check_openmetrics(text) == []
-        assert "repro_obs_healthy 1" in text
-        assert "repro_obs_bad 0" in text  # non-finite clamped, never emitted
-
-    def test_checker_flags_bad_expositions(self):
-        assert any("EOF" in p for p in check_openmetrics("no trailer\n"))
-        assert any("value" in p.lower() for p in
-                   check_openmetrics("repro_x nan\n# EOF\n"))
-        assert check_openmetrics(
-            "# TYPE repro_c counter\nrepro_c 1\n# EOF\n")  # missing _total
-        assert check_openmetrics(
-            "# HELP repro_h h\n# TYPE repro_h histogram\n"
-            'repro_h_bucket{le="1"} 5\nrepro_h_bucket{le="2"} 3\n'
-            "repro_h_count 5\nrepro_h_sum 2\n# EOF\n")  # non-monotonic
-
-    def test_checker_accepts_live_registry_render(self):
-        with telemetry.enabled_scope() as (reg, _tr):
-            run_functional(mm_fc_workload())
-            FractalSimulator(tiny_machine(),
-                             collect_profiles=False).simulate(
-                mm_fc_workload().program)
-            text = render_openmetrics(reg)
-        assert check_openmetrics(text) == []
-        assert "repro_executor_kernel_calls" in text
-        assert "repro_sim_" in text
+class TestImportFootprint:
+    def test_cli_and_obs_import_no_web_stack(self):
+        """Nothing in ``repro`` serves or fetches over HTTP, so importing
+        the CLI and the observability layer loads no web modules."""
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        code = ("import sys, repro.cli, repro.obs; "
+                "print([m for m in ('http.server', 'socketserver', "
+                "'urllib.request') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -378,194 +314,25 @@ class TestFlightRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Watchdog + live endpoint
-# ---------------------------------------------------------------------------
-
-
-class TestWatchdog:
-    def test_beat_keeps_healthy(self):
-        t = [0.0]
-        wd = Watchdog(stall_after_s=10.0, clock=lambda: t[0])
-        assert wd.healthy
-        t[0] = 9.0
-        assert wd.healthy
-        wd.beat()
-        t[0] = 18.0
-        assert wd.healthy  # 9s since beat
-        t[0] = 25.0
-        assert not wd.healthy  # 16s since beat
-
-    def test_status_and_health_section(self):
-        t = [0.0]
-        wd = Watchdog(stall_after_s=5.0, clock=lambda: t[0])
-        wd.beat()
-        t[0] = 2.0
-        doc = wd.status()
-        assert doc["status"] == "ok" and doc["healthy"]
-        assert doc["heartbeat_age_s"] == pytest.approx(2.0)
-        section = wd.health_section()
-        assert "status" not in section and section["healthy"] is True
-
-    def test_global_beat_is_noop_when_unarmed(self):
-        assert obs.get_watchdog() is None
-        obs.beat()  # must not raise
-        wd = obs.install_watchdog(Watchdog())
-        obs.beat()
-        assert wd.beats == 1
-
-    def test_status_reports_uptime_and_per_source_beat_ages(self):
-        """`uptime_s` and per-source `last_beat_age_s` distinguish "just
-        started" from "stalled" (PR 9 satellite); 200/503 unchanged."""
-        t = [0.0]
-        wd = Watchdog(stall_after_s=10.0, clock=lambda: t[0])
-        wd.beat("executor")
-        t[0] = 3.0
-        wd.beat("sim")
-        t[0] = 5.0
-        doc = wd.status()
-        assert doc["uptime_s"] == pytest.approx(5.0)
-        assert doc["sources"]["executor"]["last_beat_age_s"] == pytest.approx(5.0)
-        assert doc["sources"]["sim"]["last_beat_age_s"] == pytest.approx(2.0)
-        assert doc["healthy"]  # newest beat 2s ago < 10s budget
-
-    def test_unsourced_beats_do_not_grow_sources(self):
-        wd = Watchdog()
-        wd.beat()
-        assert wd.status()["sources"] == {}
-
-    def test_executor_beats_when_armed(self):
-        wd = obs.install_watchdog(Watchdog())
-        run_functional(mm_fc_workload())
-        assert wd.beats >= 3  # one per top-level instruction
-
-    def test_plan_replay_beats_and_reports_progress(self):
-        """The replay fast path stays observable: per-step watchdog beats
-        plus strided ``replay.progress`` debug events with step indexes."""
-        import repro.core.executor as executor_mod
-        from repro.core.store import TensorStore
-        from repro.plan import compile_program
-
-        w = mm_fc_workload()
-        machine = tiny_machine()
-        plan = compile_program(machine, w.program)
-        rng = np.random.default_rng(0)
-        store = TensorStore()
-        for t in list(w.inputs.values()) + list(w.params.values()):
-            store.bind(t, rng.normal(size=t.shape))
-
-        wd = obs.install_watchdog(Watchdog())
-        log = obs.get_event_log()
-        log.enable()
-        old_stride = executor_mod.REPLAY_PROGRESS_STRIDE
-        executor_mod.REPLAY_PROGRESS_STRIDE = 2
-        try:
-            FractalExecutor(machine, store).run_program(w.program, plan=plan)
-        finally:
-            executor_mod.REPLAY_PROGRESS_STRIDE = old_stride
-        assert wd.beats >= plan.n_steps
-        names = [e["event"] for e in log.events()]
-        assert "replay.start" in names and "replay.end" in names
-        progress = [e for e in log.events() if e["event"] == "replay.progress"]
-        assert progress
-        assert all(e["steps"] == plan.n_steps for e in progress)
-        assert progress[0]["step"] == 2
-
-
-class TestMetricsServer:
-    def test_scrape_during_simulation_is_valid_openmetrics(self):
-        """Acceptance: a live /metrics scrape during a simulation returns
-        a valid OpenMetrics exposition including sim + executor series."""
-        log = obs.get_event_log()
-        log.enable()
-        wd = obs.install_watchdog(Watchdog())
-        with telemetry.enabled_scope() as (reg, _tr):
-            run_functional(mm_fc_workload())
-            with MetricsServer(registry=reg, event_log=log,
-                               watchdog=wd) as server:
-                FractalSimulator(tiny_machine(),
-                                 collect_profiles=False).simulate(
-                    mm_fc_workload().program)
-                status, text = http_get(server.url + "/metrics")
-        assert status == 200
-        assert check_openmetrics(text) == []
-        assert "repro_executor_kernel_calls" in text
-        assert "repro_sim_" in text
-        assert "repro_obs_healthy 1" in text
-
-    def test_healthz_flips_unhealthy_under_injected_stall(self):
-        """Acceptance: /healthz goes 200 -> 503 when progress stops."""
-        t = [0.0]
-        wd = Watchdog(stall_after_s=0.05, clock=lambda: t[0])
-        with MetricsServer(watchdog=wd) as server:
-            status, body = http_get(server.url + "/healthz")
-            assert status == 200
-            assert json.loads(body)["status"] == "ok"
-            t[0] = 1.0  # inject the stall: no beats for 1 simulated second
-            try:
-                status, body = http_get(server.url + "/healthz")
-            except urllib.error.HTTPError as e:
-                status, body = e.code, e.read().decode()
-            assert status == 503
-            doc = json.loads(body)
-            assert doc["status"] == "stalled" and not doc["healthy"]
-            wd.beat()  # recovery
-            status, body = http_get(server.url + "/healthz")
-            assert status == 200
-
-    def test_healthz_document_carries_uptime_and_sources(self):
-        t = [0.0]
-        wd = Watchdog(stall_after_s=30.0, clock=lambda: t[0])
-        wd.beat("sim")
-        t[0] = 4.0
-        with MetricsServer(watchdog=wd) as server:
-            status, body = http_get(server.url + "/healthz")
-        assert status == 200
-        doc = json.loads(body)
-        assert doc["uptime_s"] == pytest.approx(4.0)
-        assert doc["sources"]["sim"]["last_beat_age_s"] == pytest.approx(4.0)
-
-    def test_events_endpoint_filters(self):
-        log = obs.get_event_log()
-        log.enable()
-        log.emit("executor", "program.start", "info")
-        log.emit("ops", "dispatch.fail", "error", error="boom")
-        with MetricsServer(event_log=log) as server:
-            _, body = http_get(server.url + "/events?severity=error")
-            events = json.loads(body)
-            assert len(events) == 1
-            assert events[0]["event"] == "dispatch.fail"
-            _, body = http_get(server.url + "/events?subsystem=executor&n=1")
-            assert json.loads(body)[0]["subsystem"] == "executor"
-
-    def test_unknown_route_404s_and_index_lists_endpoints(self):
-        with MetricsServer() as server:
-            try:
-                status, _ = http_get(server.url + "/nope")
-            except urllib.error.HTTPError as e:
-                status = e.code
-            assert status == 404
-            _, body = http_get(server.url + "/")
-            assert "/metrics" in body and "/healthz" in body
-
-
-# ---------------------------------------------------------------------------
 # RunReport v3 sections
 # ---------------------------------------------------------------------------
 
 
 class TestRunReportV3:
     def test_events_and_health_sections_validate(self):
+        """No writer emits ``health`` any more, but a document written
+        before the watchdog's removal still carries one and validates."""
         log = EventLog(enabled=True)
         log.emit("executor", "program.start", "info")
-        wd = Watchdog(stall_after_s=5.0)
         report = telemetry.build_run_report(
-            benchmark="mm_fc", machine="tiny",
-            event_log=log, health=wd.health_section())
+            benchmark="mm_fc", machine="tiny", event_log=log)
         doc = report.to_dict()
+        assert "health" not in doc
+        doc["health"] = {"healthy": True, "heartbeat_age_s": 0.5,
+                         "stall_after_s": 5.0, "uptime_s": 2.0}
         assert doc["schema_version"] == 3
         assert telemetry.validate_document(doc) == []
         assert doc["events"]["total"] == 1
-        assert doc["health"]["healthy"] is True
 
     def test_v2_documents_without_obs_sections_still_validate(self):
         report = telemetry.build_run_report(benchmark="b", machine="m")
@@ -583,9 +350,3 @@ class TestRunReportV3:
         doc["events"] = None
         doc["health"] = {"healthy": "yes"}
         assert any("health" in p for p in telemetry.validate_document(doc))
-
-    def test_installed_watchdog_auto_populates_health(self):
-        obs.install_watchdog(Watchdog(stall_after_s=9.0))
-        doc = telemetry.build_run_report(benchmark="b",
-                                        machine="m").to_dict()
-        assert doc["health"]["stall_after_s"] == 9.0

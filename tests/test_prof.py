@@ -471,16 +471,3 @@ class TestSatelliteCli:
         picked = obs.filter_events(records, min_severity="error",
                                    pattern="replay")
         assert [e["event"] for e in picked] == ["replay.fail"]
-
-    def test_top_json_frame_doc(self):
-        from repro.obs.top import frame_doc, parse_exposition
-        text = ("repro_executor_kernel_calls_total 5\n"
-                "repro_sim_busy_seconds_total{level=\"0\"} 1.5\n")
-        samples = parse_exposition(text)
-        doc = frame_doc(samples, url="127.0.0.1:9")
-        assert doc["schema"] == "repro.obs.top" and doc["v"] == 1
-        assert doc["samples"]["repro_executor_kernel_calls_total"] == 5
-        prev = dict(samples)
-        samples[("repro_executor_kernel_calls_total", ())] = 9.0
-        doc2 = frame_doc(samples, prev=prev, interval=1.0)
-        assert doc2["movers"] == {"repro_executor_kernel_calls_total": 4.0}

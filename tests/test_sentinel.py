@@ -1,11 +1,9 @@
-"""Perf-trend sentinel tests: ledger series, detector math, SLO alerts.
+"""Perf-trend sentinel tests: ledger series, detector math, ``--since``.
 
-The PR 9 acceptance scenarios live here: ``repro sentinel`` exits 3 on a
-synthetically injected >= 3-sigma makespan regression over a 10-run
-seeded history and 0 without the injection; ``/alerts`` serves an active
-alert (visible in ``repro top`` and as an ``alert`` event) while a
-rule's bound is violated, and clears after recovery.  All series are
-seeded/deterministic -- no wall-clock dependence in any verdict.
+``repro sentinel`` exits 3 on a synthetically injected >= 3-sigma
+makespan regression over a 10-run seeded history and 0 without the
+injection.  All series are seeded/deterministic -- no wall-clock
+dependence in any verdict.
 """
 
 import json
@@ -16,21 +14,16 @@ import pytest
 from repro import obs, telemetry
 from repro.cli import main
 from repro.obs import (
-    MetricsServer,
     RunLedger,
     SentinelConfig,
-    SLOEngine,
-    Watchdog,
     analyze_history,
     detect_series,
     metric_polarity,
     parse_since,
-    parse_slo_rule,
     sentinel_document,
 )
 from repro.obs.ledger import report_metrics
 from repro.obs.sentinel import POLARITY_TABLE
-from repro.telemetry.counters import CounterRegistry
 
 pytestmark = pytest.mark.obs
 
@@ -41,7 +34,6 @@ def clean_global_obs():
     log.disable()
     log.reset()
     log.close_sink()
-    obs.install_watchdog(None)
     telemetry.disable()
     telemetry.reset()
     yield
@@ -49,7 +41,6 @@ def clean_global_obs():
     log.disable()
     log.reset()
     log.close_sink()
-    obs.install_watchdog(None)
     telemetry.disable()
     telemetry.reset()
 
@@ -419,142 +410,6 @@ class TestSentinelAcceptance:
         reg = telemetry.get_registry()
         assert reg.value("sentinel.series") == 1.0
         assert reg.value("sentinel.regressions") == 1.0
-
-
-# ---------------------------------------------------------------------------
-# SLO rules and live alerts
-# ---------------------------------------------------------------------------
-
-
-class TestSLORules:
-    def test_parse_full_grammar(self):
-        rule = parse_slo_rule(
-            "sim.sig_cache.hits{machine=F1} >= 100 for 5s as warm-cache")
-        assert rule.name == "warm-cache"
-        assert rule.metric == "sim.sig_cache.hits"
-        assert rule.op == ">="
-        assert rule.bound == 100.0
-        assert rule.labels == (("machine", "F1"),)
-        assert rule.sustain_s == 5.0
-
-    def test_parse_minimal_and_spec_round_trip(self):
-        rule = parse_slo_rule("plan.peak_live_bytes < 2e9")
-        assert rule.name == "plan.peak_live_bytes"
-        assert rule.sustain_s == 0.0
-        again = parse_slo_rule(rule.spec())
-        assert again.metric == rule.metric and again.bound == rule.bound
-
-    @pytest.mark.parametrize("bad", [
-        "nonsense",
-        "metric == 5",
-        "metric < notanumber",
-        "metric{k} < 5",
-        "metric{k=v < 5",
-        "metric < 5 for 3minutes",
-        " < 5",
-    ])
-    def test_parse_errors_raise_value_error(self, bad):
-        with pytest.raises(ValueError):
-            parse_slo_rule(bad)
-
-
-class TestSLOEngine:
-    def _engine(self, rule_text, sustain_clock=None):
-        registry = CounterRegistry(enabled=True)
-        log = obs.EventLog(enabled=True)
-        engine = SLOEngine([parse_slo_rule(rule_text)], registry,
-                           event_log=log,
-                           clock=sustain_clock or (lambda: 0.0))
-        return registry, log, engine
-
-    def test_alert_fires_and_clears_with_events_and_gauge(self):
-        """Acceptance: the alert is active (gauge + event) while the
-        bound is violated and clears after recovery."""
-        registry, log, engine = self._engine(
-            "sim.sig_cache.hits > 100 as warm-cache")
-        registry.set_gauge("sim.sig_cache.hits", 5.0)
-        active = engine.evaluate(now=0.0)
-        assert [a["rule"] for a in active] == ["warm-cache"]
-        assert registry.value("alerts.active") == 1.0
-        assert registry.value("alerts.firing", {"rule": "warm-cache"}) == 1.0
-        registry.set_gauge("sim.sig_cache.hits", 500.0)
-        assert engine.evaluate(now=1.0) == []
-        assert registry.value("alerts.active") == 0.0
-        slo_events = [(e["event"], e["severity"]) for e in log.events()
-                      if e["subsystem"] == "slo"]
-        assert slo_events == [("alert", "error"), ("alert.clear", "info")]
-
-    def test_sustain_window_suppresses_blips(self):
-        registry, _log, engine = self._engine(
-            "executor.queue_depth < 10 for 5s as shallow-queue")
-        registry.set_gauge("executor.queue_depth", 50.0)
-        assert engine.evaluate(now=0.0) == []  # violating, not sustained
-        assert engine.evaluate(now=3.0) == []
-        registry.set_gauge("executor.queue_depth", 1.0)
-        assert engine.evaluate(now=4.0) == []  # recovered before sustain
-        registry.set_gauge("executor.queue_depth", 50.0)
-        assert engine.evaluate(now=10.0) == []
-        active = engine.evaluate(now=15.0)  # 5s sustained
-        assert [a["rule"] for a in active] == ["shallow-queue"]
-
-    def test_label_selector_scopes_series(self):
-        registry, _log, engine = self._engine(
-            "sim.busy_seconds{level=0} > 10 as busy-root")
-        registry.counter("sim.busy_seconds",
-                         labels={"level": 1, "stage": "dma"}).inc(1)
-        assert engine.evaluate(now=0.0) == []  # other level doesn't match
-        registry.counter("sim.busy_seconds",
-                         labels={"level": 0, "stage": "pd"}).inc(1)
-        active = engine.evaluate(now=1.0)
-        assert "level=0" in active[0]["series"]
-
-    def test_no_data_is_not_a_violation(self):
-        _registry, log, engine = self._engine("missing.metric > 5")
-        assert engine.evaluate(now=0.0) == []
-        assert not [e for e in log.events() if e["subsystem"] == "slo"]
-
-    def test_alerts_endpoint_and_top_strip(self):
-        """Acceptance: /alerts serves the active alert; repro top shows
-        the alerts strip from the same scrape."""
-        from repro.obs.top import format_top, parse_exposition
-
-        registry = CounterRegistry(enabled=True)
-        log = obs.EventLog(enabled=True)
-        engine = SLOEngine(
-            [parse_slo_rule("sim.sig_cache.hits > 100 as warm-cache")],
-            registry, event_log=log, clock=lambda: 0.0)
-        registry.set_gauge("sim.sig_cache.hits", 5.0)
-        server = MetricsServer(registry=registry, event_log=log,
-                               watchdog=Watchdog(), slo=engine)
-        # exercise the routing layer directly -- no socket needed
-        status, ctype, body = server._route("/alerts")
-        assert status == 200 and "json" in ctype
-        doc = json.loads(body.decode("utf-8"))
-        assert doc["schema"] == obs.ALERTS_SCHEMA
-        assert [a["rule"] for a in doc["active"]] == ["warm-cache"]
-        status, _, metrics = server._route("/metrics")
-        text = metrics.decode("utf-8")
-        assert "repro_alerts_active 1" in text
-        samples = parse_exposition(text)
-        frame = format_top(samples)
-        assert "ALERTS (1 firing): warm-cache" in frame
-        # index advertises the endpoint
-        _, _, index = server._route("/")
-        assert "/alerts" in index.decode("utf-8")
-        # recovery clears the document and the strip
-        registry.set_gauge("sim.sig_cache.hits", 500.0)
-        _, _, body = server._route("/alerts")
-        assert json.loads(body.decode("utf-8"))["active"] == []
-        _, _, metrics = server._route("/metrics")
-        frame = format_top(parse_exposition(metrics.decode("utf-8")))
-        assert "ALERTS" not in frame
-
-    def test_alerts_endpoint_without_engine_serves_empty_doc(self):
-        server = MetricsServer(registry=CounterRegistry(enabled=True))
-        status, _, body = server._route("/alerts")
-        assert status == 200
-        doc = json.loads(body.decode("utf-8"))
-        assert doc["active"] == [] and doc["rules"] == []
 
 
 # ---------------------------------------------------------------------------

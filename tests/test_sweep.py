@@ -106,36 +106,26 @@ class TestSweepObservability:
         telemetry.reset()
 
     def test_parallel_sweep_ships_worker_telemetry(self):
-        from urllib.request import urlopen
-
         from repro import obs, telemetry
 
         telemetry.enable()
         obs.get_event_log().enable()
-        server = obs.MetricsServer(port=0)
-        server.start()
-        scraped = {}
+        registry = telemetry.get_registry()
+        seen = []
 
-        def scrape(_msg):
-            # fires in the parent as each cell's telemetry is merged
-            with urlopen(f"http://127.0.0.1:{server.port}/metrics",
-                         timeout=5) as resp:
-                scraped["text"] = resp.read().decode()
+        def watch(_msg):
+            # fires in the parent after each cell's telemetry is merged
+            seen.append(registry.value("worker.wall_seconds",
+                                       {"worker": "0"}))
 
-        try:
-            run_sweep({"small": _machines()["small"]}, _workloads(),
-                      {"baseline": {}, "no-ttt": {"use_ttt": False}},
-                      progress=scrape, workers=2)
-            with urlopen(f"http://127.0.0.1:{server.port}/metrics",
-                         timeout=5) as resp:
-                final = resp.read().decode()
-        finally:
-            server.stop()
-        # mid-sweep scrape (after the first merge) already shows worker series
-        assert 'worker="0"' in scraped["text"]
-        assert 'worker="0"' in final and 'worker="1"' in final
-        assert "repro_worker_wall_seconds_total" in final
-        assert obs.check_openmetrics(final) == []
+        run_sweep({"small": _machines()["small"]}, _workloads(),
+                  {"baseline": {}, "no-ttt": {"use_ttt": False}},
+                  progress=watch, workers=2)
+        # the first progress call, after the first merge, already sees
+        # worker 0's series; both workers' series are merged by the end
+        assert seen and seen[0] > 0
+        assert registry.value("worker.wall_seconds", {"worker": "0"}) > 0
+        assert registry.value("worker.wall_seconds", {"worker": "1"}) > 0
 
     def test_parallel_sweep_writes_one_trace(self):
         from repro import obs, telemetry

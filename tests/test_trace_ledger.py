@@ -20,11 +20,9 @@ from repro.obs import (
     current_trace,
     ensure_trace,
     follow_events,
-    format_top,
     get_ledger,
     ledger_enabled,
     merge_worker_telemetry,
-    parse_exposition,
     record_report,
     record_run,
     trace_scope,
@@ -363,42 +361,19 @@ class TestEventIngestAndRotation:
         log = obs.get_event_log()
         assert log.ingest({"event": "x"}) is None
 
-    def test_sink_rotation_rolls_once(self, tmp_path):
-        log = obs.get_event_log()
-        log.enable()
-        path = tmp_path / "events.jsonl"
-        log.attach_jsonl(str(path), max_bytes=300)
-        for i in range(50):
-            obs.log_event("sim", "tick", i=i)
-        log.close_sink()
-        assert log.sink_rotations > 0
-        rolled = tmp_path / "events.jsonl.1"
-        assert rolled.exists()
-        assert path.stat().st_size <= 300
-        # both files hold only whole, decodable lines
-        for p in (path, rolled):
-            with open(p, encoding="utf-8") as fh:
-                assert all(rec is not None for rec, _ in obs.iter_jsonl(fh))
-
-    def test_rotation_keeps_at_least_one_line_per_file(self, tmp_path):
-        log = obs.get_event_log()
-        log.enable()
-        path = tmp_path / "events.jsonl"
-        log.attach_jsonl(str(path), max_bytes=10)  # smaller than any line
-        obs.log_event("sim", "tick")
-        obs.log_event("sim", "tock")
-        log.close_sink()
-        with open(path, encoding="utf-8") as fh:
-            assert sum(1 for _ in fh) == 1
-
     def test_unbounded_by_default(self, tmp_path):
+        """The JSONL sink is never rolled: every event stays in the one
+        file."""
         log = obs.get_event_log()
         log.enable()
-        log.attach_jsonl(str(tmp_path / "e.jsonl"))
+        path = tmp_path / "e.jsonl"
+        log.attach_jsonl(str(path))
         for _ in range(100):
             obs.log_event("sim", "tick")
         log.close_sink()
-        assert log.sink_rotations == 0
+        with open(path, encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 100
+        assert [p.name for p in tmp_path.iterdir()] == ["e.jsonl"]
 
 
 class TestFollowEvents:
@@ -456,31 +431,6 @@ class TestFollowEvents:
         assert got == ["a", "b", "fresh"]
 
 
-class TestTopParsing:
-    def test_parse_exposition(self):
-        text = ('# TYPE repro_sim_busy_seconds counter\n'
-                'repro_sim_busy_seconds_total{level="0",stage="compute"} 1.5\n'
-                'repro_obs_healthy 1\n')
-        samples = parse_exposition(text)
-        assert samples[("repro_sim_busy_seconds_total",
-                        (("level", "0"), ("stage", "compute")))] == 1.5
-        assert samples[("repro_obs_healthy", ())] == 1.0
-
-    def test_format_top_sections(self):
-        samples = {
-            ("repro_obs_healthy", ()): 1.0,
-            ("repro_sim_busy_seconds_total",
-             (("level", "0"), ("stage", "compute"))): 2.0,
-            ("repro_sim_idle_seconds_total",
-             (("cause", "dma"), ("level", "0"))): 0.5,
-            ("repro_worker_wall_seconds_total", (("worker", "1"),)): 0.25,
-        }
-        text = format_top(samples)
-        assert "health=OK" in text
-        assert "dma=0.5s" in text
-        assert "worker" in text
-
-
 class TestCliTraceCommands:
     def _seed_ledger(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger"))
@@ -505,6 +455,24 @@ class TestCliTraceCommands:
         assert doc["schema"] == "repro.obs.trace"
         assert doc["trace_id"] == trace_id
         assert doc["rows"][0]["benchmark"] == "K-NN"
+
+    def test_retired_command_rows_still_list_and_show(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """A ledger written before ``serve-metrics`` was retired keeps its
+        rows readable: ``trace ls`` lists them and ``trace show`` joins
+        them."""
+        from repro.cli import main
+        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger"))
+        with ensure_trace() as ctx:
+            record_run("serve-metrics", benchmark="mm_fc",
+                       machine="Cambricon-F1", iterations=2)
+        assert main(["trace", "ls", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [t["trace_id"] for t in doc["traces"]] == [ctx.trace_id]
+        assert main(["trace", "show", ctx.trace_id, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["kind"] for r in doc["rows"]] == ["serve-metrics"]
+        assert doc["rows"][0]["iterations"] == 2
 
     def test_trace_show_unknown_exits_1(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main

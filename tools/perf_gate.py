@@ -15,11 +15,12 @@ Exit codes (shared with ``repro diff``):
 * **2** -- usage/IO error (missing baseline, simulation failure, ...),
 * **3** -- at least one gated regression past the threshold.
 
-Schema tolerance: fresh reports are RunReport **v3** (they carry
-``events``/``health`` observability sections) while the committed baseline
-may still be v2.  :func:`repro.perf.diff.diff_documents` skips those
-sections entirely, so the gate never flags them as noise and v2 baselines
-keep working until the next ``--update``.
+Schema tolerance: fresh reports are RunReport **v3** (they may carry an
+``events`` observability section; a baseline written before the stall
+watchdog's removal may also carry ``health``) while the committed
+baseline may still be v2.  :func:`repro.perf.diff.diff_documents` skips
+both sections entirely, so the gate never flags them as noise and v2
+baselines keep working until the next ``--update``.
 
 After an intentional performance change, refresh the baseline with
 ``python tools/perf_gate.py --update`` and commit the new JSON.
